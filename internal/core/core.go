@@ -189,17 +189,18 @@ func GlobalEstimates(mls [][]float64) ([][]float64, error) {
 	if err := validateMatrix(mls); err != nil {
 		return nil, err
 	}
-	d := graph.CloneMatrix(mls)
-	for i := range d {
-		d[i][i] = 0
+	d, err := graph.DenseFromRows(mls)
+	if err != nil {
+		return nil, err
 	}
-	if err := graph.FloydWarshall(d); err != nil {
+	d.FillDiag(0)
+	if err := graph.FloydWarshallDense(d, nil); err != nil {
 		if errors.Is(err, graph.ErrNegativeCycle) {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 		}
 		return nil, err
 	}
-	return d, nil
+	return d.Rows(), nil
 }
 
 // AMax computes the optimal precision for a matrix of estimated global
@@ -211,46 +212,16 @@ func AMax(ms [][]float64, subset []int) (float64, []int) {
 	if len(subset) <= 1 {
 		return 0, nil
 	}
-	// Fast path: the full processor set in identity order needs no O(n^2)
-	// subset-matrix copy or index remapping.
-	if identitySubset(subset, len(ms)) {
-		mc, ok := graph.MaxMeanCycleMatrix(ms)
-		if !ok {
-			return 0, nil
-		}
-		return mc.Mean, mc.Cycle
+	d, err := graph.DenseFromRows(ms)
+	if err != nil {
+		return 0, nil
 	}
-	w := graph.NewMatrix(len(subset), graph.Inf)
-	for a, p := range subset {
-		for b, q := range subset {
-			if a == b {
-				continue
-			}
-			w[a][b] = ms[p][q]
-		}
-	}
-	mc, ok := graph.MaxMeanCycleMatrix(w)
+	var karp graph.KarpScratch
+	mc, ok := graph.MaxMeanCycleDense(d, subset, &karp, nil)
 	if !ok {
 		return 0, nil
 	}
-	cycle := make([]int, len(mc.Cycle))
-	for i, v := range mc.Cycle {
-		cycle[i] = subset[v]
-	}
-	return mc.Mean, cycle
-}
-
-// identitySubset reports whether subset is exactly 0..n-1 in order.
-func identitySubset(subset []int, n int) bool {
-	if len(subset) != n {
-		return false
-	}
-	for i, p := range subset {
-		if p != i {
-			return false
-		}
-	}
-	return true
+	return mc.Mean, mc.Cycle
 }
 
 // Synchronize runs the full pipeline on a matrix of estimated maximal local

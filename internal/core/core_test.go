@@ -114,6 +114,39 @@ func TestAMaxSubset(t *testing.T) {
 	}
 }
 
+// TestAMaxTwoComponents: with +Inf between two components AMax takes the
+// CSR fallback and must return the larger per-component maximum, exactly
+// as the dense kernel reports it on each component alone.
+func TestAMaxTwoComponents(t *testing.T) {
+	ms := matrix(
+		[]float64{0, 1, inf, inf, inf},
+		[]float64{2, 0, inf, inf, inf},
+		[]float64{inf, inf, 0, 3, 1},
+		[]float64{inf, inf, 4, 0, 2},
+		[]float64{inf, inf, 5, 0.5, 0},
+	)
+	d, err := graph.DenseFromRows(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var karp graph.KarpScratch
+	want := math.Inf(-1)
+	for _, comp := range [][]int{{0, 1}, {2, 3, 4}} {
+		mc, ok := graph.MaxMeanCycleDense(d, comp, &karp, nil)
+		if !ok {
+			t.Fatalf("component %v: no cycle", comp)
+		}
+		want = math.Max(want, mc.Mean)
+	}
+	a, cycle := AMax(ms, []int{0, 1, 2, 3, 4})
+	if a != want {
+		t.Errorf("AMax = %v, want %v", a, want)
+	}
+	if len(cycle) < 3 || cycle[0] != cycle[len(cycle)-1] || cycle[0] < 2 {
+		t.Errorf("cycle = %v, want a closed cycle in {2,3,4}", cycle)
+	}
+}
+
 // TestSynchronizeTwoProcClassic is the canonical sanity check: symmetric
 // bounds [L,U], one message each way with symmetric delay D and skew sigma.
 // m~ls values are computed by hand; the optimal precision is (U-L)/2 and

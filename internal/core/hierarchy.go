@@ -217,7 +217,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		ncc := graph.SCCDense(W, scc)
 		aM := 0.0
 		if ncc == 1 {
-			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], true, karp, nil); ok {
+			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], karp, nil); ok {
 				aM = mc.Mean
 			}
 		} else {
@@ -232,7 +232,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 				if len(sub) <= 1 {
 					continue
 				}
-				if mc, ok := graph.MaxMeanCycleDense(W, sub, true, karp, nil); ok && mc.Mean > aM {
+				if mc, ok := graph.MaxMeanCycleDense(W, sub, karp, nil); ok && mc.Mean > aM {
 					aM = mc.Mean
 				}
 			}
@@ -318,7 +318,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	lambdaB := 0.0
 	{
 		var karp graph.KarpScratch
-		if mc, ok := graph.MaxMeanCycleDense(H, ident[:nb], true, &karp, pool); ok {
+		if mc, ok := graph.MaxMeanCycleDense(H, ident[:nb], &karp, pool); ok {
 			lambdaB = mc.Mean
 		}
 	}

@@ -385,7 +385,7 @@ func (s *Synchronizer) solveSparseComponent(kit *compKit, g *graph.CSR, a *resul
 	}
 	ident := s.ident(k)
 	aMax, cycle := 0.0, []int(nil)
-	if mc, ok := graph.MaxMeanCycleDense(&kit.ms, ident, true, &kit.karp, pool); ok {
+	if mc, ok := graph.MaxMeanCycleDense(&kit.ms, ident, &kit.karp, pool); ok {
 		aMax = mc.Mean
 		cycle = mc.Cycle
 	}

@@ -442,7 +442,7 @@ func (s *Synchronizer) componentAMax(kit *compKit, ms *graph.Dense, comp []int, 
 	if len(comp) <= 1 {
 		return 0, nil
 	}
-	mc, ok := graph.MaxMeanCycleDense(ms, comp, true, &kit.karp, pool)
+	mc, ok := graph.MaxMeanCycleDense(ms, comp, &kit.karp, pool)
 	if !ok {
 		return 0, nil
 	}

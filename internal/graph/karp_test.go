@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -10,34 +9,35 @@ func TestMaxMeanCycleTable(t *testing.T) {
 	tests := []struct {
 		name   string
 		n      int
-		edges  []Edge
+		edges  []edge
 		want   float64
 		wantOK bool
 	}{
 		{
 			name:   "acyclic",
 			n:      3,
-			edges:  []Edge{{0, 1, 5}, {1, 2, 5}},
+			edges:  []edge{{0, 1, 5}, {1, 2, 5}},
 			wantOK: false,
 		},
 		{
 			name:   "single two cycle",
 			n:      2,
-			edges:  []Edge{{0, 1, 3}, {1, 0, 1}},
+			edges:  []edge{{0, 1, 3}, {1, 0, 1}},
 			want:   2,
 			wantOK: true,
 		},
 		{
-			name:   "self loop beats cycle",
+			// The complete-digraph view has no self-loops.
+			name:   "self loop ignored",
 			n:      2,
-			edges:  []Edge{{0, 1, 1}, {1, 0, 1}, {0, 0, 5}},
-			want:   5,
+			edges:  []edge{{0, 1, 1}, {1, 0, 1}, {0, 0, 5}},
+			want:   1,
 			wantOK: true,
 		},
 		{
 			name: "choose heavier of two cycles",
 			n:    4,
-			edges: []Edge{
+			edges: []edge{
 				{0, 1, 1}, {1, 0, 1}, // mean 1
 				{2, 3, 4}, {3, 2, 2}, // mean 3
 			},
@@ -47,7 +47,7 @@ func TestMaxMeanCycleTable(t *testing.T) {
 		{
 			name: "long cycle vs short cycle",
 			n:    4,
-			edges: []Edge{
+			edges: []edge{
 				{0, 1, 10}, {1, 2, 0}, {2, 3, 0}, {3, 0, 0}, // mean 2.5
 				{1, 0, -4}, // cycle 0-1-0 mean 3
 			},
@@ -57,162 +57,71 @@ func TestMaxMeanCycleTable(t *testing.T) {
 		{
 			name:   "negative means",
 			n:      2,
-			edges:  []Edge{{0, 1, -3}, {1, 0, -1}},
+			edges:  []edge{{0, 1, -3}, {1, 0, -1}},
 			want:   -2,
 			wantOK: true,
 		},
 		{
 			name:   "zero mean cycle",
 			n:      3,
-			edges:  []Edge{{0, 1, 1}, {1, 2, -2}, {2, 0, 1}},
+			edges:  []edge{{0, 1, 1}, {1, 2, -2}, {2, 0, 1}},
 			want:   0,
 			wantOK: true,
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := NewDigraph(tt.n)
-			for _, e := range tt.edges {
-				g.MustAddEdge(e.From, e.To, e.Weight)
+			w := denseFromEdges(tt.n, tt.edges)
+			var karp KarpScratch
+			for _, run := range []func() (MeanCycle, bool){
+				func() (MeanCycle, bool) { return MaxMeanCycleCSR(csrOf(w.Rows())) },
+				func() (MeanCycle, bool) { return MaxMeanCycleDense(w, identity(tt.n), &karp, nil) },
+			} {
+				mc, ok := run()
+				if ok != tt.wantOK {
+					t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
+				}
+				if ok {
+					checkCycleMean(t, w.Rows(), mc, tt.want)
+				}
 			}
-			mc, ok := MaxMeanCycle(g)
-			if ok != tt.wantOK {
-				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
-			}
-			if !ok {
-				return
-			}
-			if math.Abs(mc.Mean-tt.want) > 1e-9 {
-				t.Errorf("Mean = %v, want %v", mc.Mean, tt.want)
-			}
-			checkCycleMean(t, g, mc)
 		})
 	}
 }
 
-func TestMinMeanCycleIsNegatedMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(7)
-		g := RandomStronglyConnected(rng, n, 0.3, -5, 5)
-		neg := NewDigraph(n)
-		for _, e := range g.Edges() {
-			neg.MustAddEdge(e.From, e.To, -e.Weight)
-		}
-		maxMC, ok1 := MaxMeanCycle(g)
-		minMC, ok2 := MinMeanCycle(neg)
-		if ok1 != ok2 {
-			t.Fatalf("trial %d: ok mismatch %v vs %v", trial, ok1, ok2)
-		}
-		if math.Abs(maxMC.Mean+minMC.Mean) > 1e-9 {
-			t.Fatalf("trial %d: max=%v, min(neg)=%v", trial, maxMC.Mean, minMC.Mean)
-		}
-	}
-}
-
-// checkCycleMean verifies the reported critical cycle has the reported mean.
-func checkCycleMean(t *testing.T, g *Digraph, mc MeanCycle) {
-	t.Helper()
-	if mc.Cycle == nil {
-		t.Error("critical cycle is nil")
-		return
-	}
-	if mc.Cycle[0] != mc.Cycle[len(mc.Cycle)-1] {
-		t.Errorf("cycle %v does not close", mc.Cycle)
-		return
-	}
-	k := len(mc.Cycle) - 1
-	if k == 0 {
-		t.Errorf("cycle %v has no edges", mc.Cycle)
-		return
-	}
-	// Use the best (maximum) parallel edge, since the max-mean variant
-	// would pick it.
-	total := 0.0
-	for i := 0; i < k; i++ {
-		best := math.Inf(-1)
-		for _, e := range g.Out(mc.Cycle[i]) {
-			if e.To == mc.Cycle[i+1] && e.Weight > best {
-				best = e.Weight
-			}
-		}
-		if math.IsInf(best, -1) {
-			t.Errorf("cycle %v uses missing edge %d->%d", mc.Cycle, mc.Cycle[i], mc.Cycle[i+1])
-			return
-		}
-		total += best
-	}
-	if got := total / float64(k); math.Abs(got-mc.Mean) > 1e-6*(1+math.Abs(mc.Mean)) {
-		t.Errorf("cycle %v mean = %v, reported Mean = %v", mc.Cycle, got, mc.Mean)
-	}
-}
-
-// bruteMaxMeanCycle enumerates all simple cycles (n small) via DFS.
-func bruteMaxMeanCycle(g *Digraph) (float64, bool) {
-	n := g.N()
-	best := math.Inf(-1)
-	found := false
-	var path []int
-	onPath := make([]bool, n)
-
-	var dfs func(start, v int, weight float64)
-	dfs = func(start, v int, weight float64) {
-		for _, e := range g.Out(v) {
-			if e.To == start {
-				mean := (weight + e.Weight) / float64(len(path))
-				if mean > best {
-					best = mean
-				}
-				found = true
-				continue
-			}
-			// Only extend to larger node ids than start so each cycle is
-			// counted from its minimum node (cheap canonicalization).
-			if e.To < start || onPath[e.To] {
-				continue
-			}
-			onPath[e.To] = true
-			path = append(path, e.To)
-			dfs(start, e.To, weight+e.Weight)
-			path = path[:len(path)-1]
-			onPath[e.To] = false
-		}
-	}
-	for s := 0; s < n; s++ {
-		onPath[s] = true
-		path = []int{s}
-		dfs(s, s, 0)
-		onPath[s] = false
-	}
-	return best, found
-}
-
 func TestMaxMeanCycleMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
+	var karp KarpScratch
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(6)
-		g := RandomDigraph(rng, n, 0.45, -4, 4)
-		want, wantOK := bruteMaxMeanCycle(g)
-		mc, ok := MaxMeanCycle(g)
+		w := randomDense(rng, n, 0.45, -4, 4)
+		want, wantOK := refMaxMeanCycle(w)
+		mc, ok := MaxMeanCycleCSR(csrOf(w))
 		if ok != wantOK {
 			t.Fatalf("trial %d: ok = %v, brute = %v", trial, ok, wantOK)
 		}
-		if !ok {
-			continue
+		if ok {
+			checkCycleMean(t, w, mc, want)
 		}
-		if math.Abs(mc.Mean-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("trial %d: Mean = %v, brute = %v", trial, mc.Mean, want)
+		mc, ok = MaxMeanCycleDense(mustDense(t, w), identity(n), &karp, nil)
+		if ok != wantOK {
+			t.Fatalf("trial %d: dense ok = %v, brute = %v", trial, ok, wantOK)
 		}
-		checkCycleMean(t, g, mc)
+		if ok {
+			checkCycleMean(t, w, mc, want)
+		}
 	}
 }
 
+// TestMaxMeanCycleMatrix: a matrix with absent entries takes the CSR
+// fallback of MaxMeanCycleDense.
 func TestMaxMeanCycleMatrix(t *testing.T) {
 	w := NewMatrix(3, Inf)
 	w[0][1] = 2
 	w[1][0] = 4
 	w[1][2] = 1
-	mc, ok := MaxMeanCycleMatrix(w)
+	var karp KarpScratch
+	mc, ok := MaxMeanCycleDense(mustDense(t, w), identity(3), &karp, nil)
 	if !ok {
 		t.Fatal("ok = false, want true")
 	}
@@ -222,21 +131,22 @@ func TestMaxMeanCycleMatrix(t *testing.T) {
 }
 
 func TestMaxMeanCycleEmptyAndSingle(t *testing.T) {
-	if _, ok := MaxMeanCycle(NewDigraph(0)); ok {
+	if _, ok := MaxMeanCycleCSR(NewCSR(0)); ok {
 		t.Error("empty graph reported a cycle")
 	}
-	if _, ok := MaxMeanCycle(NewDigraph(1)); ok {
-		t.Error("single node without self loop reported a cycle")
+	if _, ok := MaxMeanCycleCSR(NewCSR(1)); ok {
+		t.Error("single node reported a cycle")
 	}
 }
 
 func TestRandomStronglyConnectedIsSC(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var s SCCScratch
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(12)
-		g := RandomStronglyConnected(rng, n, 0.1, 0, 1)
-		if comps := SCC(g); len(comps) != 1 {
-			t.Fatalf("trial %d: %d components, want 1", trial, len(comps))
+		d := RandomStronglyConnected(rng, n, 0.1, 0, 1)
+		if nc := SCCDense(d, &s); nc != 1 {
+			t.Fatalf("trial %d: %d components, want 1", trial, nc)
 		}
 	}
 }

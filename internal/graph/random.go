@@ -5,43 +5,37 @@ import (
 	"math/rand"
 )
 
-// RandomDigraph returns a digraph on n nodes where each ordered pair (i,j),
-// i != j, carries an edge with probability p; edge weights are drawn
-// uniformly from [lo, hi). Deterministic for a given *rand.Rand state.
-func RandomDigraph(rng *rand.Rand, n int, p, lo, hi float64) *Digraph {
-	g := NewDigraph(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || rng.Float64() >= p {
-				continue
-			}
-			g.MustAddEdge(i, j, lo+(hi-lo)*rng.Float64())
-		}
-	}
-	return g
-}
-
-// RandomStronglyConnected returns a digraph on n nodes that is guaranteed to
-// be strongly connected: a random Hamiltonian cycle is installed first, then
-// extra edges are added with probability p. Weights are uniform in [lo, hi).
-func RandomStronglyConnected(rng *rand.Rand, n int, p, lo, hi float64) *Digraph {
-	g := NewDigraph(n)
+// RandomStronglyConnected returns the weight matrix of a digraph on n nodes
+// that is guaranteed to be strongly connected: a random Hamiltonian cycle
+// is installed first, then extra edges are added with probability p.
+// Weights are uniform in [lo, hi); where the two draws hit the same pair
+// the lighter edge is kept. Absent edges are +Inf and the diagonal is 0,
+// ready for FloydWarshallDense. Deterministic for a given *rand.Rand state.
+func RandomStronglyConnected(rng *rand.Rand, n int, p, lo, hi float64) *Dense {
+	d := NewDense(n)
+	d.Fill(Inf)
+	d.FillDiag(0)
 	if n == 0 {
-		return g
+		return d
+	}
+	add := func(i, j int) {
+		if w := lo + (hi-lo)*rng.Float64(); w < d.At(i, j) {
+			d.Set(i, j, w)
+		}
 	}
 	perm := rng.Perm(n)
 	for i := 0; i < n; i++ {
-		g.MustAddEdge(perm[i], perm[(i+1)%n], lo+(hi-lo)*rng.Float64())
+		add(perm[i], perm[(i+1)%n])
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j || rng.Float64() >= p {
 				continue
 			}
-			g.MustAddEdge(i, j, lo+(hi-lo)*rng.Float64())
+			add(i, j)
 		}
 	}
-	return g
+	return d
 }
 
 // SparseTopology selects a RandomSparse generator family.

@@ -7,14 +7,34 @@ import (
 	"testing"
 )
 
-func canonicalize(comps [][]int) [][]int {
-	out := make([][]int, len(comps))
-	for i, c := range comps {
-		out[i] = append([]int(nil), c...)
-		sort.Ints(out[i])
+// components groups nodes by SCC id, each group ascending, groups ordered
+// by their smallest node.
+func components(compOf []int, nc int) [][]int {
+	out := make([][]int, nc)
+	for v, c := range compOf {
+		out[c] = append(out[c], v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// sccBoth runs SCCCSR and SCCDense on the same edge set and fails the test
+// unless they label every node identically.
+func sccBoth(t *testing.T, n int, edges [][2]int) []int {
+	t.Helper()
+	g := NewCSR(n)
+	d := NewDense(n)
+	d.Fill(Inf)
+	for _, e := range edges {
+		g.MustAddEdge(e[0], e[1], 1)
+		d.Set(e[0], e[1], 1)
+	}
+	var sc, sd SCCScratch
+	nc := SCCCSR(g, &sc)
+	if nd := SCCDense(d, &sd); nd != nc || !reflect.DeepEqual(sc.CompOf, sd.CompOf) {
+		t.Fatalf("SCCCSR %v (%d) vs SCCDense %v (%d)", sc.CompOf, nc, sd.CompOf, nd)
+	}
+	return sc.CompOf[:n:n]
 }
 
 func TestSCCTable(t *testing.T) {
@@ -61,96 +81,48 @@ func TestSCCTable(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := NewDigraph(tt.n)
-			for _, e := range tt.edges {
-				g.MustAddEdge(e[0], e[1], 1)
+			compOf := sccBoth(t, tt.n, tt.edges)
+			nc := 0
+			for _, c := range compOf {
+				nc = max(nc, c+1)
 			}
-			got := canonicalize(SCC(g))
-			want := canonicalize(tt.want)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("SCC = %v, want %v", got, want)
+			if got := components(compOf, nc); !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("components = %v, want %v", got, tt.want)
 			}
 		})
 	}
 }
 
-// bruteSCC computes components via reachability closure.
-func bruteSCC(g *Digraph) [][]int {
-	n := g.N()
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-		// BFS
-		queue := []int{i}
-		reach[i][i] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range g.Out(v) {
-				if !reach[i][e.To] {
-					reach[i][e.To] = true
-					queue = append(queue, e.To)
-				}
-			}
-		}
-	}
-	assigned := make([]bool, n)
-	var comps [][]int
-	for i := 0; i < n; i++ {
-		if assigned[i] {
-			continue
-		}
-		comp := []int{i}
-		assigned[i] = true
-		for j := i + 1; j < n; j++ {
-			if !assigned[j] && reach[i][j] && reach[j][i] {
-				comp = append(comp, j)
-				assigned[j] = true
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 func TestSCCMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var s SCCScratch
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(10)
-		g := RandomDigraph(rng, n, 0.25, 0, 1)
-		got := canonicalize(SCC(g))
-		want := canonicalize(bruteSCC(g))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d): SCC = %v, want %v", trial, n, got, want)
-		}
+		w := randomDense(rng, n, 0.25, 0, 1)
+		nc := SCCDense(mustDense(t, w), &s)
+		checkSCC(t, w, s.CompOf, nc)
+		nc = SCCCSR(csrOf(w), &s)
+		checkSCC(t, w, s.CompOf, nc)
 	}
 }
 
 func TestSCCReverseTopologicalOrder(t *testing.T) {
-	// 0 -> 1 -> 2 (three singleton components): Tarjan must emit a component
-	// before any component that reaches it.
-	g := NewDigraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	comps := SCC(g)
-	pos := make(map[int]int)
-	for i, c := range comps {
-		for _, v := range c {
-			pos[v] = i
-		}
-	}
+	// 0 -> 1 -> 2 (three singleton components): Tarjan must complete a
+	// component before any component that reaches it.
+	pos := sccBoth(t, 3, [][2]int{{0, 1}, {1, 2}})
 	if !(pos[2] < pos[1] && pos[1] < pos[0]) {
-		t.Errorf("components not in reverse topological order: %v", comps)
+		t.Errorf("components not in reverse topological order: %v", pos)
 	}
 }
 
 func TestSCCDeepChainNoOverflow(t *testing.T) {
 	const n = 200000
-	g := NewDigraph(n)
+	g := NewCSR(n)
 	for i := 0; i+1 < n; i++ {
 		g.MustAddEdge(i, i+1, 1)
 	}
-	if got := len(SCC(g)); got != n {
-		t.Errorf("len(SCC) = %d, want %d", got, n)
+	var s SCCScratch
+	if got := SCCCSR(g, &s); got != n {
+		t.Errorf("SCCCSR = %d components, want %d", got, n)
 	}
 }

@@ -304,14 +304,23 @@ func ExactCertificate(e *model.Execution, links []core.Link, mopts core.MLSOptio
 	if res.CriticalCycle == nil {
 		return nil, fmt.Errorf("verify: result carries no critical cycle")
 	}
-	msTrue, err := TrueMS(e, links, mopts)
-	if err != nil {
-		return nil, err
+	n := e.N()
+	if len(res.Corrections) != n {
+		return nil, fmt.Errorf("verify: result has %d corrections for a %d-processor execution", len(res.Corrections), n)
 	}
 	cyc := res.CriticalCycle
 	k := len(cyc) - 1
 	if k < 1 || cyc[0] != cyc[k] {
 		return nil, fmt.Errorf("verify: malformed critical cycle %v", cyc)
+	}
+	for _, v := range cyc {
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("verify: critical cycle vertex %d outside [0,%d)", v, n)
+		}
+	}
+	msTrue, err := TrueMS(e, links, mopts)
+	if err != nil {
+		return nil, err
 	}
 	total := 0.0
 	for i := 0; i < k; i++ {

@@ -330,3 +330,25 @@ func TestRhoBarLowerBoundedByRho(t *testing.T) {
 		}
 	}
 }
+
+// TestExactCertificateRejectsMismatchedResult: a Result from a system of a
+// different size, or one whose critical cycle leaves [0, n), fails closed
+// with an error instead of indexing out of range.
+func TestExactCertificateRejectsMismatchedResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	sc := mkScenario(t, rng, 4, sim.Complete(4), 0.05, 0.25, 1)
+	mopts := core.DefaultMLSOptions()
+
+	short := *sc.res
+	short.Corrections = sc.res.Corrections[:3]
+	if _, err := ExactCertificate(sc.exec, sc.links, mopts, &short); err == nil {
+		t.Error("result with 3 corrections accepted for a 4-processor execution")
+	}
+	for _, bad := range [][]int{{0, 4, 0}, {-1, 1, -1}} {
+		r := *sc.res
+		r.CriticalCycle = bad
+		if _, err := ExactCertificate(sc.exec, sc.links, mopts, &r); err == nil {
+			t.Errorf("critical cycle %v accepted", bad)
+		}
+	}
+}

@@ -107,12 +107,5 @@ func (s *Session) Due(target, t float64) float64 {
 	if !s.synced {
 		return 0
 	}
-	now := s.BoundAt(t)
-	if now > target {
-		return 0
-	}
-	if s.rho == 0 {
-		return math.Inf(1)
-	}
-	return (target - now) / (2 * s.rho)
+	return idrift.ResyncPeriod(target, s.BoundAt(t), s.rho)
 }
