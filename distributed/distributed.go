@@ -53,11 +53,11 @@ type Config struct {
 	// collect, compute, and the compute sub-phases) for the run; export
 	// it with its WriteJSON method.
 	Trace *obs.Trace
-	// Excision enables the coordinator's Byzantine defenses (leader
-	// variant only): equivocating reporters and reports violating the
-	// Lemma 6.1 round-trip envelope are excised, and the quorum path
-	// recomputes without them. See the scenario `faults.byzantine`
-	// section for injecting liars.
+	// Excision enables the coordinator's Byzantine defenses:
+	// equivocating reporters and reports violating the Lemma 6.1
+	// round-trip envelope are excised, and the quorum path recomputes
+	// without them. See the scenario `faults.byzantine` section for
+	// injecting liars.
 	Excision bool
 	// Authenticate signs report floods with per-processor HMAC-SHA256
 	// keys (derived deterministically from the scenario seed) and drops

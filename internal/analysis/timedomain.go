@@ -27,6 +27,7 @@ var timedomainPkgs = []string{
 	"internal/sim",
 	"internal/drift",
 	"internal/trace",
+	"internal/round",
 }
 
 // timedomainFields seeds struct fields by "pkgSuffix.Type.Field".

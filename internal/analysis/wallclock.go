@@ -17,6 +17,7 @@ var wallclockPkgs = []string{
 	"internal/genfuzz",
 	"internal/trace",
 	"internal/drift",
+	"internal/round",
 	"cmd/genfuzz",
 }
 

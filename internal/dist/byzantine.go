@@ -68,9 +68,25 @@ func reportMAC(key []byte, origin model.ProcID, links []DirReport) []byte {
 }
 
 // verifyReportMAC checks a report's MAC under the claimed origin's key in
-// constant time.
-func verifyReportMAC(key []byte, rep Report) bool {
-	return hmac.Equal(reportMAC(key, rep.Origin, rep.Links), rep.MAC)
+// constant time; an origin outside the keyring never verifies.
+func verifyReportMAC(keys [][]byte, rep Report) bool {
+	if int(rep.Origin) < 0 || int(rep.Origin) >= len(keys) {
+		return false
+	}
+	return hmac.Equal(reportMAC(keys[rep.Origin], rep.Origin, rep.Links), rep.MAC)
+}
+
+// withReportMutator installs the dist report mutator on fault schedules
+// that carry Byzantine entries but no protocol mutator yet, leaving the
+// caller's Faults value untouched (shallow copy). keys lets mutated
+// own-origin reports stay correctly signed when the run authenticates.
+func withReportMutator(f *sim.Faults, keys [][]byte) *sim.Faults {
+	if f == nil || len(f.Byzantine) == 0 || f.Mutator != nil {
+		return f
+	}
+	ff := *f
+	ff.Mutator = NewReportMutator(keys)
+	return &ff
 }
 
 // NewReportMutator returns the payload mutator interpreting sim.Byzantine

@@ -13,9 +13,10 @@
 //     lossy links still converge.
 //  3. Compute  at the leader, once all n reports are in — or, failing
 //     that, at clock Warmup+Window+ReportGrace with whichever reports
-//     arrived (quorum instead of wait-for-all): assemble the statistics
-//     table, restrict the link set to the reporting subgraph, run GLOBAL
-//     ESTIMATES + SHIFTS, and flood the corrections.
+//     arrived (quorum instead of wait-for-all): run the coordinator round
+//     of internal/round (assemble the statistics table, restrict the link
+//     set to the reporting subgraph, run GLOBAL ESTIMATES + SHIFTS) and
+//     flood the corrections.
 //  4. Apply    each processor picks its correction out of the result
 //     flood. The result names the synchronized component (the processors
 //     the precision actually covers), the missing reporters, and whether
@@ -37,7 +38,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -45,13 +45,16 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
 
 // Protocol observability: process-wide counters in the obs default
 // registry plus per-run sync-round traces via Config.Trace. The loggers
-// are nops unless the application installs a sink (obs.SetLogger).
+// are nops unless the application installs a sink (obs.SetLogger). The
+// counters of the round itself (absorbed, missing and excised reports,
+// computes) live in internal/round.
 var (
 	dLog = obs.For("dist")
 
@@ -59,25 +62,12 @@ var (
 	mProbesRecv     = obs.Default.Counter("dist.probes.received")
 	mProbesLate     = obs.Default.Counter("dist.probes.late")
 	mReportsEmitted = obs.Default.Counter("dist.reports.emitted")
-	mReportsAbsorb  = obs.Default.Counter("dist.reports.absorbed")
 	mReportsLate    = obs.Default.Counter("dist.reports.late")
-	mReportsMissing = obs.Default.Counter("dist.reports.missing")
 	mReportsAuth    = obs.Default.Counter("dist.reports.authfail")
-	mReportsFlagged = obs.Default.Counter("dist.reports.flagged")
-	mReportsExcised = obs.Default.Counter("dist.reports.excised")
-	mLinksExcised   = obs.Default.Counter("dist.links.excised")
-	mEquivocations  = obs.Default.Counter("dist.reports.equivocations")
 	mReportRefloods = obs.Default.Counter("dist.reports.refloods")
 	mResultRefloods = obs.Default.Counter("dist.results.refloods")
 	mDeadlineFires  = obs.Default.Counter("dist.deadline.fires")
-	mComputes       = obs.Default.Counter("dist.computes")
-	mComputesDegr   = obs.Default.Counter("dist.computes.degraded")
 )
-
-// phaseHist maps a pipeline phase name to its duration histogram.
-func phaseHist(phase string) *obs.Histogram {
-	return obs.Default.Histogram("dist.phase."+phase+".seconds", nil)
-}
 
 // Config parameterizes the protocol.
 type Config struct {
@@ -115,18 +105,14 @@ type Config struct {
 	// windows (simulated clock) and the leader's collect/compute phases
 	// including the SHIFTS breakdown (wall clock). Nil records nothing.
 	Trace *obs.Trace
-	// Excision enables the coordinator's consistency-check outlier
-	// excision (leader variant only): equivocating reporters and reports
-	// violating the Lemma 6.1 round-trip envelope are removed before the
-	// table is assembled, and the quorum path recomputes without them.
-	// With excision on, the leader always computes at the grace deadline
-	// (never early on the n-th report) so conflicting report versions
-	// have time to surface.
+	// Excision enables the coordinator round's consistency-check outlier
+	// excision on every computing node (the leader, or every gossip
+	// node): equivocating reporters and reports violating the Lemma 6.1
+	// round-trip envelope are removed before the table is assembled, and
+	// the quorum path recomputes without them. With excision on, a node
+	// always computes at the grace deadline (never early on the n-th
+	// report) so conflicting report versions have time to surface.
 	Excision bool
-	// ExcisionSlack widens the round-trip consistency interval on both
-	// sides, absorbing float rounding in honest reports. Zero selects the
-	// default 1e-9; negative is invalid.
-	ExcisionSlack float64
 	// AuthKeys is the per-processor HMAC-SHA256 keyring (length n). When
 	// set, emitted reports carry a MAC over their frozen content and
 	// computing nodes drop reports whose MAC does not verify under the
@@ -139,9 +125,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ReportGrace == 0 {
 		c.ReportGrace = c.Window
-	}
-	if c.ExcisionSlack == 0 {
-		c.ExcisionSlack = 1e-9
 	}
 	return c
 }
@@ -171,9 +154,6 @@ func (c Config) validate(n int) error {
 	if c.Retries < 0 {
 		return fmt.Errorf("dist: retries = %d, want >= 0", c.Retries)
 	}
-	if math.IsNaN(c.ExcisionSlack) || math.IsInf(c.ExcisionSlack, 0) || c.ExcisionSlack < 0 {
-		return fmt.Errorf("dist: excision slack = %v, want finite >= 0", c.ExcisionSlack)
-	}
 	if c.AuthKeys != nil {
 		if len(c.AuthKeys) != n {
 			return fmt.Errorf("dist: %d auth keys for %d processors", len(c.AuthKeys), n)
@@ -195,14 +175,8 @@ type Probe struct {
 	SendClock float64 `json:"sendClock"`
 }
 
-// DirReport is the incoming-direction summary of one link, as observed by
-// the reporting processor: statistics of estimated delays From -> To
-// (To is always the reporter).
-type DirReport struct {
-	From  model.ProcID   `json:"from"`
-	To    model.ProcID   `json:"to"`
-	Stats trace.DirStats `json:"stats"`
-}
+// DirReport is one link's incoming-direction summary (see round.DirReport).
+type DirReport = round.DirReport
 
 // Report is one processor's flooded link summary. Round stamps re-floods:
 // each (Origin, Round) flood is forwarded at most once per processor, so
@@ -237,19 +211,13 @@ type Outcome struct {
 	Corrections []float64
 	// Applied[p] reports whether p received the result flood.
 	Applied []bool
-	// Precision is the leader's computed optimal precision, restricted to
-	// the synchronized component when the computation was degraded.
-	Precision float64
-	// Missing lists processors whose reports never reached the leader
-	// before it computed (crashed, partitioned off, or flood lost).
-	Missing []model.ProcID
-	// Degraded reports a quorum computation: some reports were missing or
-	// the surviving constraints did not connect all processors.
-	Degraded bool
-	// Synced[p] reports membership in the leader's synchronized component:
-	// the set of processors Precision actually covers. Nil until the
+	// Precision, Missing, Degraded and Synced are the leader's round
+	// outcome (see round.Result); Precision is NaN and Synced nil until the
 	// leader computed.
-	Synced []bool
+	Precision float64
+	Missing   []model.ProcID
+	Degraded  bool
+	Synced    []bool
 	// PerNode holds, for the gossip variant only, each node's locally
 	// computed correction vector (nil for nodes that never computed).
 	PerNode [][]float64
@@ -261,27 +229,21 @@ type Outcome struct {
 	// ReportsSeen counts distinct report origins the leader had stored at
 	// compute time (before excision).
 	ReportsSeen int
-	// Excised lists reporters whose reports the consistency checks threw
-	// out (equivocation or attributable round-trip violations); their
-	// links keep only the honest endpoints' statistics, like Missing
-	// reporters. Requires Config.Excision.
-	Excised []model.ProcID
-	// ExcisedLinks lists links whose reported statistics were dropped
-	// because the round-trip check failed without an attributable liar:
-	// neither side can be trusted, so the link degrades to the no-data
-	// case.
+	// Excised, ExcisedLinks and Equivocators are the leader round's
+	// excision results (see round.Result). Requires Config.Excision.
+	Excised      []model.ProcID
 	ExcisedLinks [][2]model.ProcID
-	// Equivocators is the subset of Excised caught reporting conflicting
-	// versions to different peers.
 	Equivocators []model.ProcID
 	// AuthFailures counts report origins with at least one version
 	// rejected by MAC verification. Requires Config.AuthKeys.
 	AuthFailures int
 }
 
-// NewFactory returns a protocol factory implementing the leader protocol
-// and the shared Outcome it fills in.
-func NewFactory(n int, cfg Config) (sim.ProtocolFactory, *Outcome, error) {
+// newFactory returns a protocol factory and the shared Outcome it fills
+// in. A nil perNode selects the leader protocol; a non-nil one the gossip
+// variant, in which every node runs the round and records its vector
+// there, and no result is flooded.
+func newFactory(n int, cfg Config, perNode [][]float64) (sim.ProtocolFactory, *Outcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(n); err != nil {
 		return nil, nil, err
@@ -291,18 +253,30 @@ func NewFactory(n int, cfg Config) (sim.ProtocolFactory, *Outcome, error) {
 		Applied:     make([]bool, n),
 		Precision:   math.NaN(),
 	}
+	session := "dist"
+	if perNode != nil {
+		session = "gossip"
+	}
 	factory := func(p model.ProcID) sim.Protocol {
-		return &proc{
-			cfg:          cfg,
-			n:            n,
-			out:          out,
-			incoming:     make(map[model.ProcID]trace.DirStats),
-			seen:         make(map[model.ProcID]bool),
-			forwarded:    make(map[floodKey]bool),
-			reportLinks:  make(map[model.ProcID][]DirReport),
-			equivocators: make(map[model.ProcID]bool),
-			rejected:     make(map[model.ProcID]bool),
+		pr := &proc{
+			cfg:       cfg,
+			n:         n,
+			out:       out,
+			session:   session,
+			perNode:   perNode,
+			incoming:  make(map[model.ProcID]trace.DirStats),
+			seen:      make(map[model.ProcID]bool),
+			forwarded: make(map[floodKey]bool),
+			rejected:  make(map[model.ProcID]bool),
 		}
+		if perNode != nil || p == cfg.Leader {
+			// Only the leader publishes quality telemetry: every gossip node
+			// computes, but the leader's computation is the canonical one.
+			pr.round = round.New(round.Config{N: n, Links: cfg.Links, Excision: cfg.Excision,
+				Solve: core.Options{Root: int(cfg.Leader), Centered: cfg.Centered,
+					Parallelism: cfg.Parallelism, Quality: p == cfg.Leader, QualityLabel: session}})
+		}
+		return pr
 	}
 	return factory, out, nil
 }
@@ -325,9 +299,11 @@ type floodKey struct {
 func resultKey(round int) floodKey { return floodKey{origin: from(-1), round: round} }
 
 type proc struct {
-	cfg Config
-	n   int
-	out *Outcome
+	cfg     Config
+	n       int
+	out     *Outcome
+	session string      // flight-record session and quality label
+	perNode [][]float64 // gossip variant: every node's computed vector; nil for the leader variant
 
 	incoming  map[model.ProcID]trace.DirStats // per-neighbor incoming probe stats
 	reported  bool
@@ -337,26 +313,15 @@ type proc struct {
 	resultSet bool                  // correction applied
 	rounds    int                   // own re-flood round counter (reports and, at the leader, results)
 
-	// deadlineAll makes every processor fire the report deadline (gossip
-	// variant); otherwise only the leader does.
-	deadlineAll bool
-
-	// leader state. Reports are retained link-by-link (not merged into a
-	// table on arrival) so excision can drop whole reports at compute
-	// time; the table is assembled then. DirStats merging is commutative,
-	// so the assembled table is bit-identical to the old incremental one.
-	table        *trace.Table
-	reportLinks  map[model.ProcID][]DirReport // first valid version per origin
-	equivocators map[model.ProcID]bool        // origins seen with conflicting versions
-	rejected     map[model.ProcID]bool        // origins with a MAC-rejected version
-	reports      int
-	computed     bool
-	result       ResultMsg
+	// Computing-node state: the leader's, or every gossip node's. round
+	// is nil on nodes that never compute.
+	round    *round.Round
+	rejected map[model.ProcID]bool // origins with a MAC-rejected version
+	computed bool
+	result   ResultMsg
 }
 
 var _ sim.Protocol = (*proc)(nil)
-
-func (pr *proc) isLeader(env *sim.Env) bool { return env.Self() == pr.cfg.Leader }
 
 // OnStart schedules the probe bursts, the report deadline and any
 // re-flood rounds.
@@ -371,13 +336,13 @@ func (pr *proc) OnStart(env *sim.Env) {
 	for k := 1; k <= pr.cfg.Retries; k++ {
 		_ = env.SetTimer(reportAt+float64(k)*pr.cfg.retrySpacing(), timerReportRetry)
 	}
-	if pr.deadlineAll || pr.isLeader(env) {
+	if pr.round != nil {
 		_ = env.SetTimer(reportAt+pr.cfg.ReportGrace, timerDeadline)
 	}
 }
 
 // OnTimer sends a probe burst, emits or re-floods the report, or fires
-// the leader's quorum deadline.
+// the computing node's quorum deadline.
 func (pr *proc) OnTimer(env *sim.Env, tag int) {
 	switch tag {
 	case timerProbe:
@@ -392,10 +357,10 @@ func (pr *proc) OnTimer(env *sim.Env, tag int) {
 	case timerReportRetry:
 		pr.refloodReport(env)
 	case timerDeadline:
-		if pr.isLeader(env) && !pr.computed {
+		if !pr.computed {
 			mDeadlineFires.Inc()
 			dLog.Debug("report grace expired: computing from quorum",
-				"leader", env.Self(), "reports", pr.reports, "n", pr.n, "clock", env.Clock())
+				"proc", env.Self(), "reports", pr.round.Reports(), "n", pr.n, "clock", env.Clock())
 			pr.compute(env)
 		}
 	case timerResultRetry:
@@ -441,11 +406,7 @@ func (pr *proc) emitReport(env *sim.Env) {
 		rep.Links = append(rep.Links, DirReport{From: q, To: env.Self(), Stats: st})
 	}
 	// Deterministic order for reproducibility of message sequences.
-	for i := 1; i < len(rep.Links); i++ {
-		for j := i; j > 0 && rep.Links[j].From < rep.Links[j-1].From; j-- {
-			rep.Links[j], rep.Links[j-1] = rep.Links[j-1], rep.Links[j]
-		}
-	}
+	sort.Slice(rep.Links, func(i, j int) bool { return rep.Links[i].From < rep.Links[j].From })
 	if pr.cfg.AuthKeys != nil {
 		rep.MAC = reportMAC(pr.cfg.AuthKeys[env.Self()], rep.Origin, rep.Links)
 	}
@@ -501,284 +462,114 @@ func (pr *proc) handleReport(env *sim.Env, via model.ProcID, rep Report) {
 	pr.flood(env, via, rep)
 }
 
-// acceptReport marks the origin seen and, at the leader, authenticates
-// the wave (when keyed), checks it against any previously stored version
-// (equivocation), and stores the first valid version. The statistics
-// table is assembled at compute time so excision can drop stored reports
-// wholesale.
+// acceptReport marks the origin seen and, on a computing node,
+// authenticates the wave (when keyed) and hands it to the round, which
+// rejects malformed reports, checks later versions for equivocation and
+// stores the first valid one.
 func (pr *proc) acceptReport(env *sim.Env, rep Report) {
 	first := !pr.seen[rep.Origin]
 	pr.seen[rep.Origin] = true
-	if !pr.isLeader(env) {
+	if pr.round == nil {
 		return
 	}
 	if pr.computed {
 		if first {
 			mReportsLate.Inc()
-			dLog.Debug("report arrived after compute", "leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
+			dLog.Debug("report arrived after compute", "proc", env.Self(), "origin", rep.Origin, "clock", env.Clock())
 		}
 		return
 	}
-	if int(rep.Origin) < 0 || int(rep.Origin) >= pr.n {
-		pr.fail(fmt.Errorf("dist: report origin p%d out of range [0,%d)", rep.Origin, pr.n))
-		return
-	}
-	if pr.cfg.AuthKeys != nil && !verifyReportMAC(pr.cfg.AuthKeys[rep.Origin], rep) {
+	if pr.cfg.AuthKeys != nil && !verifyReportMAC(pr.cfg.AuthKeys, rep) {
 		if !pr.rejected[rep.Origin] {
 			pr.rejected[rep.Origin] = true
 			mReportsAuth.Inc()
-			dLog.Debug("report MAC rejected", "leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
+			dLog.Debug("report MAC rejected", "proc", env.Self(), "origin", rep.Origin, "clock", env.Clock())
 		}
 		return // treated like loss: the origin stays unreported unless a valid version arrives
 	}
-	if prev, stored := pr.reportLinks[rep.Origin]; stored {
-		if pr.cfg.Excision && !pr.equivocators[rep.Origin] && !sameLinks(prev, rep.Links) {
-			pr.equivocators[rep.Origin] = true
-			mEquivocations.Inc()
-			dLog.Debug("conflicting report versions: equivocation flagged",
-				"leader", env.Self(), "origin", rep.Origin, "clock", env.Clock())
-		}
+	stored, err := pr.round.Accept(rep.Origin, rep.Links)
+	if err != nil {
+		dLog.Debug("malformed report rejected", "proc", env.Self(), "err", err, "clock", env.Clock())
 		return
 	}
-	for _, dr := range rep.Links {
-		if dr.To != rep.Origin {
-			pr.fail(fmt.Errorf("dist: report from p%d claims stats for p%d", rep.Origin, dr.To))
-			return
-		}
-	}
-	mReportsAbsorb.Inc()
-	pr.reportLinks[rep.Origin] = rep.Links
-	pr.reports++
 	// With excision on, hold the computation to the grace deadline even
 	// once all n reports are in: early completion would trust the first
 	// version of every report before conflicting waves can surface.
-	if pr.reports == pr.n && !pr.cfg.Excision {
+	if stored && pr.round.Reports() == pr.n && !pr.cfg.Excision {
 		pr.compute(env)
 	}
 }
 
-// sameLinks reports whether two report versions carry identical link
-// statistics. Exact float comparison is deliberate: honest re-floods are
-// byte-identical copies of the frozen report, so any difference at all
-// is a lie, never rounding.
-func sameLinks(a, b []DirReport) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].From != b[i].From || a[i].To != b[i].To || a[i].Stats.Count != b[i].Stats.Count {
-			return false
-		}
-		if a[i].Stats.Min != b[i].Stats.Min || a[i].Stats.Max != b[i].Stats.Max { //clocklint:allow floateq
-			return false
-		}
-	}
-	return true
-}
-
-// restrictLinks keeps the links with statistics from at least one
-// endpoint: the reporting subgraph. Links both of whose endpoints went
-// silent contribute no constraint (their observed extremes are the empty
-// conventions of Section 6.1) and are dropped outright.
-func restrictLinks(links []core.Link, reported map[model.ProcID]bool) []core.Link {
-	kept := make([]core.Link, 0, len(links))
-	for _, l := range links {
-		if reported[l.P] || reported[l.Q] {
-			kept = append(kept, l)
-		}
-	}
-	return kept
-}
-
-// leaderComponent returns the sync component containing the leader and
-// its precision.
-func leaderComponent(res *core.Result, leader int) ([]int, float64) {
-	for ci, comp := range res.Components {
-		for _, p := range comp {
-			if p == leader {
-				return comp, res.ComponentPrecision[ci]
-			}
-		}
-	}
-	return []int{leader}, 0
-}
-
-// compute runs the centralized pipeline at the leader on whichever
-// reports arrived (and, with Excision on, survived the consistency
-// checks) and floods the result. Missing and excised reporters degrade
-// the computation: their links keep only the surviving endpoint's
-// statistics (Lemma 6.1's worst case under the configured assumption
-// bounds), and the precision covers only the leader's sync component.
+// compute runs the coordinator round on whichever reports arrived and
+// publishes the result: the leader floods it, a gossip node keeps its own
+// vector (and the leader node's round fills the shared Outcome).
 func (pr *proc) compute(env *sim.Env) {
 	if pr.computed {
 		return
 	}
 	pr.computed = true
-	pr.out.ReportsSeen = len(pr.reportLinks)
-	pr.out.AuthFailures = len(pr.rejected)
 	self := int(env.Self())
-	// The leader anchors the round trace: the "round" root span carries
-	// the well-known RootSpanID every other span (including the probe
-	// spans the processors recorded independently) parents under.
-	pr.cfg.Trace.Add(obs.Span{Phase: "round", Proc: -1, Start: 0, Seconds: env.Clock(),
-		Sim: true, ID: obs.RootSpanID})
+	leader := env.Self() == pr.cfg.Leader
+	if leader {
+		// The leader anchors the round trace: the "round" root span carries
+		// the well-known RootSpanID every other span (including the probe
+		// spans the processors recorded independently) parents under.
+		pr.cfg.Trace.Add(obs.Span{Phase: "round", Proc: -1, Start: 0, Seconds: env.Clock(),
+			Sim: true, ID: obs.RootSpanID})
+	}
 	// Collect phase: report instant to compute instant, on this clock.
 	reportAt := pr.cfg.Warmup + pr.cfg.Window
 	pr.cfg.Trace.AddSimChild("collect", self, 0, reportAt, env.Clock()-reportAt, obs.RootSpanID)
 	computeSpan, endCompute := pr.cfg.Trace.StartChild("compute", self, 0, obs.RootSpanID)
-
-	// Flight-record the round regardless of tracing: phase timings, the
-	// defense tallies and the quality figures land in obs.Rounds for
-	// post-hoc inspection at /debug/rounds.
-	rec := obs.RoundRecord{Session: "dist"}
-	failRound := func(err error) {
-		endCompute()
-		pr.fail(err)
-		rec.Outcome, rec.Err, rec.Precision = "failed", err.Error(), -1
-		obs.Rounds.Record(rec)
-	}
-
-	var excised, equivocators []model.ProcID
-	var excisedLinks [][2]model.ProcID
-	if pr.cfg.Excision {
-		excised, equivocators, excisedLinks = pr.excise()
-	}
-	excisedSet := make(map[model.ProcID]bool, len(excised))
-	for _, p := range excised {
-		excisedSet[p] = true
-	}
-	cutLink := make(map[trace.LinkKey]bool, len(excisedLinks))
-	for _, lk := range excisedLinks {
-		cutLink[trace.Canon(lk[0], lk[1])] = true
-	}
-	mComputes.Inc()
-
-	// Assemble the table from the surviving reports in processor order
-	// (DirStats merging is commutative, so this is bit-identical to the
-	// old merge-on-arrival table when nothing was excised) and solve.
-	// The per-link checks above cannot catch a lie that keeps every
-	// individual link inside its envelope but sums to a negative cycle
-	// around a longer loop, so under Excision an infeasible solve falls
-	// back to excising the most-suspect remaining reporter and retrying;
-	// without Excision the infeasibility is a hard failure.
-	var res *core.Result
-	var missing []model.ProcID
-	for {
-		reported := make(map[model.ProcID]bool, len(pr.reportLinks))
-		for origin := range pr.reportLinks {
-			reported[origin] = true
-		}
-		missing = nil
-		for p := 0; p < pr.n; p++ {
-			if pid := model.ProcID(p); !reported[pid] && !excisedSet[pid] {
-				missing = append(missing, pid)
-			}
-		}
-		pr.table = trace.NewTable(pr.n, false)
-		for p := 0; p < pr.n; p++ {
-			for _, dr := range pr.reportLinks[model.ProcID(p)] {
-				if cutLink[trace.Canon(dr.From, dr.To)] {
-					continue
-				}
-				if err := pr.table.MergeStats(dr.From, dr.To, dr.Stats); err != nil {
-					failRound(err)
-					return
-				}
-			}
-		}
-		links := pr.cfg.Links
-		if len(missing) > 0 || len(excised) > 0 {
-			links = restrictLinks(links, reported)
-		}
-		var err error
-		res, err = core.SynchronizeSystem(pr.n, links, pr.table, core.DefaultMLSOptions(),
-			core.Options{Root: int(pr.cfg.Leader), Centered: pr.cfg.Centered,
-				Parallelism: pr.cfg.Parallelism, Quality: true, QualityLabel: "dist",
-				Observer: pr.phaseObserver(self, computeSpan, &rec)})
-		if err == nil {
-			break
-		}
-		victim, ok := model.ProcID(0), false
-		if pr.cfg.Excision && errors.Is(err, core.ErrInfeasible) {
-			victim, ok = pr.feasibilityVictim()
-		}
-		if !ok {
-			failRound(err)
-			return
-		}
-		dLog.Debug("infeasible despite per-link checks; excising worst reporter", "victim", victim)
-		delete(pr.reportLinks, victim)
-		excised = append(excised, victim)
-		excisedSet[victim] = true
-		mReportsFlagged.Inc()
-		mReportsExcised.Inc()
-	}
+	res := pr.round.Solve(pr.phaseObserver(self, computeSpan))
 	endCompute()
-	sort.Slice(excised, func(i, j int) bool { return excised[i] < excised[j] })
-	if len(missing) > 0 {
-		mReportsMissing.Add(int64(len(missing)))
+	if leader {
+		// Flight-record the round regardless of tracing: phase timings,
+		// the defense tallies and the quality figures land in obs.Rounds
+		// for post-hoc inspection at /debug/rounds.
+		rec := res.Record
+		rec.Session, rec.AuthFailures = pr.session, len(pr.rejected)
+		obs.Rounds.Record(rec)
+		pr.out.ReportsSeen = res.Reports
+		pr.out.AuthFailures = len(pr.rejected)
 	}
-	comp, prec := leaderComponent(res, int(pr.cfg.Leader))
-	synced := make([]bool, pr.n)
-	for _, p := range comp {
-		synced[p] = true
+	if res.Err != nil {
+		pr.fail(res.Err)
+		return
 	}
-	degraded := len(missing) > 0 || len(excised) > 0 || len(excisedLinks) > 0 || len(comp) < pr.n
-	if degraded {
-		mComputesDegr.Inc()
+	dLog.Info("computed", "proc", self, "session", pr.session, "reports", res.Reports,
+		"missing", len(res.Missing), "excised", len(res.Excised), "degraded", res.Degraded, "precision", res.Precision)
+	if pr.perNode != nil {
+		pr.perNode[self] = res.Corrections
 	}
-	rec.Outcome = "ok"
-	if degraded {
-		rec.Outcome = "degraded"
+	if !leader {
+		return
 	}
-	rec.Synced, rec.Missing, rec.Excised = len(comp), len(missing), len(excised)
-	rec.AuthFailures = len(pr.rejected)
-	rec.Precision = prec
-	if math.IsNaN(prec) || math.IsInf(prec, 0) {
-		rec.Precision = -1
+	pr.out.LeaderTable = res.Table
+	pr.out.Precision = res.Precision
+	pr.out.Missing = res.Missing
+	pr.out.Excised = res.Excised
+	pr.out.ExcisedLinks = res.ExcisedLinks
+	pr.out.Equivocators = res.Equivocators
+	pr.out.Degraded = res.Degraded
+	pr.out.Synced = res.Synced
+	if pr.perNode != nil {
+		return // gossip floods no result
 	}
-	qr := core.AssessQuality(res)
-	rec.Achieved, rec.Optimal, rec.Ratio = qr.Achieved, qr.Optimal, qr.Ratio
-	if math.IsInf(rec.Ratio, 0) || math.IsNaN(rec.Ratio) {
-		rec.Ratio = -1 // keep the record JSON-encodable
-	}
-	obs.Rounds.Record(rec)
-	dLog.Info("leader computed", "leader", self, "reports", pr.out.ReportsSeen,
-		"missing", len(missing), "excised", len(excised), "degraded", degraded, "precision", prec)
-
-	pr.out.LeaderTable = pr.table
-	pr.out.Precision = prec
-	pr.out.Missing = missing
-	pr.out.Excised = excised
-	pr.out.ExcisedLinks = excisedLinks
-	pr.out.Equivocators = equivocators
-	pr.out.Degraded = degraded
-	pr.out.Synced = synced
 
 	msg := ResultMsg{
 		Corrections: res.Corrections,
-		Precision:   prec,
-		Degraded:    degraded,
-		Missing:     missing,
-		Excised:     excised,
-		Synced:      synced,
+		Precision:   res.Precision,
+		Degraded:    res.Degraded,
+		Missing:     res.Missing,
+		Excised:     res.Excised,
+		Synced:      res.Synced,
 	}
 	pr.result = msg
 	pr.handleResult(env, from(-1), msg)
 	for k := 1; k <= pr.cfg.Retries; k++ {
 		_ = env.SetTimer(env.Clock()+float64(k)*pr.cfg.retrySpacing(), timerResultRetry)
 	}
-}
-
-// missingProcs lists the processors absent from the reported set.
-func missingProcs(n int, reported map[model.ProcID]bool) []model.ProcID {
-	var missing []model.ProcID
-	for p := 0; p < n; p++ {
-		if !reported[model.ProcID(p)] {
-			missing = append(missing, model.ProcID(p))
-		}
-	}
-	return missing
 }
 
 // handleResult applies the first result seen and forwards each round's
@@ -820,15 +611,14 @@ func (pr *proc) fail(err error) {
 }
 
 // phaseObserver feeds the core pipeline's phase durations into the
-// per-run trace (as children of the enclosing compute span), the round's
-// flight record and the process-wide phase histograms. Histogram feeding
-// stays on even without a trace — it is four observations per compute,
-// nowhere near a hot path.
-func (pr *proc) phaseObserver(proc int, parent obs.SpanID, rec *obs.RoundRecord) obs.PhaseObserver {
+// per-run trace (as children of the enclosing compute span) and the
+// process-wide phase histograms; the round adds them to its flight
+// record. Histogram feeding stays on even without a trace — it is four
+// observations per compute, nowhere near a hot path.
+func (pr *proc) phaseObserver(proc int, parent obs.SpanID) obs.PhaseObserver {
 	traced := pr.cfg.Trace.ObserverChild(proc, 0, parent)
 	return obs.PhaseFunc(func(phase string, seconds float64) {
-		phaseHist(phase).Observe(seconds)
-		rec.AddPhase(phase, seconds)
+		obs.Default.Histogram("dist.phase."+phase+".seconds", nil).Observe(seconds)
 		if traced != nil {
 			traced.ObservePhase(phase, seconds)
 		}
@@ -843,7 +633,7 @@ func from(v int) model.ProcID { return model.ProcID(v) }
 // with faults injected the caller inspects the Outcome instead — crashed
 // or partitioned-off processors legitimately miss the result flood.
 func Run(net *sim.Network, cfg Config, runCfg sim.RunConfig) (*Outcome, *model.Execution, error) {
-	factory, out, err := NewFactory(net.N(), cfg)
+	factory, out, err := newFactory(net.N(), cfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}

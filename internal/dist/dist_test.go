@@ -147,7 +147,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, _, err := NewFactory(4, tt.cfg); err == nil {
+			if _, _, err := newFactory(4, tt.cfg, nil); err == nil {
 				t.Error("invalid config accepted")
 			}
 		})

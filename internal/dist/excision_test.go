@@ -117,6 +117,37 @@ func TestExcisionSingleLinkLiars(t *testing.T) {
 	}
 }
 
+// TestGossipExcisesSignedLiar: gossip runs the same coordinator round as
+// the leader, so Excision and AuthKeys work there too. A liar signing
+// inflated statistics with its own key passes authentication; the round's
+// consistency checks excise it in the leader's outcome instead of the
+// run failing infeasible.
+func TestGossipExcisesSignedLiar(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	n := 5
+	net, links, starts := setup(t, rng, n, sim.Complete(n), 0.05, 0.2)
+	cfg := Config{
+		Leader: 0, Links: links, Probes: 3, Spacing: 0.01,
+		Warmup: sim.SafeWarmup(starts) + 0.5, Window: 1, ReportGrace: 2,
+		Excision: true, AuthKeys: DeriveKeys(n, 3),
+	}
+	faults := &sim.Faults{Byzantine: []sim.Byzantine{{Proc: 3, Strategy: sim.ByzInflate, Magnitude: 0.5}}}
+	out, _, err := GossipRun(net, cfg, sim.RunConfig{Seed: 13, Faults: faults})
+	if err != nil {
+		t.Fatalf("GossipRun: %v", err)
+	}
+	if len(out.Excised) != 1 || out.Excised[0] != 3 || !out.Degraded {
+		t.Fatalf("excised=%v degraded=%v, want [3] excised, degraded", out.Excised, out.Degraded)
+	}
+	if out.AuthFailures != 0 {
+		t.Fatalf("AuthFailures = %d, want 0 (the lie is signed)", out.AuthFailures)
+	}
+	honest := []int{0, 1, 2, 4}
+	if rho := realizedOver(starts, out.PerNode[0], honest); rho > out.Precision+1e-9 {
+		t.Fatalf("honest realized %v exceeds precision %v", rho, out.Precision)
+	}
+}
+
 // TestExcisionEquivocatorDetected: a liar reporting different statistics
 // to different peers is exposed by the flood itself — the conflicting
 // waves reach the leader through different first hops, the conflict is

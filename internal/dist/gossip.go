@@ -2,24 +2,19 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
-	"clocksync/internal/core"
 	"clocksync/internal/model"
-	"clocksync/internal/obs"
 	"clocksync/internal/sim"
-	"clocksync/internal/trace"
 )
 
-var gLog = obs.For("gossip")
-
 // GossipRun executes the decentralized variant: reports are flooded to
-// everyone (which the protocol already does) and EVERY processor computes
-// the corrections locally once it has all n reports — no leader, no
-// result flood. Each node also fires the report deadline: at clock
+// everyone (which the protocol already does) and EVERY processor runs the
+// coordinator round locally once it has all n reports — no result flood.
+// Each node also fires the report deadline: at clock
 // Warmup+Window+ReportGrace it computes from whichever reports it has, so
 // lost floods and crashed peers degrade the local result instead of
-// wedging it.
+// wedging it. Excision and AuthKeys apply on every node exactly as at the
+// leader; the Outcome's round fields are the leader node's.
 //
 // On a fault-free run all processors compute on identical tables and the
 // returned Outcome additionally asserts exact agreement. With faults
@@ -28,37 +23,12 @@ var gLog = obs.For("gossip")
 // them back together on lossy networks).
 func GossipRun(net *sim.Network, cfg Config, runCfg sim.RunConfig) (*Outcome, *model.Execution, error) {
 	n := net.N()
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(n); err != nil {
+	perNode := make([][]float64, n)
+	factory, out, err := newFactory(n, cfg, perNode)
+	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Excision || cfg.AuthKeys != nil {
-		return nil, nil, fmt.Errorf("dist: excision/authentication is a coordinator feature; the gossip variant does not support it")
-	}
-	runCfg.Faults = withReportMutator(runCfg.Faults, nil)
-	out := &Outcome{
-		Corrections: make([]float64, n),
-		Applied:     make([]bool, n),
-		Precision:   math.NaN(),
-	}
-	perNode := make([][]float64, n)
-	factory := func(p model.ProcID) sim.Protocol {
-		return &gossipProc{
-			proc: proc{
-				cfg:          cfg,
-				n:            n,
-				out:          out,
-				incoming:     make(map[model.ProcID]trace.DirStats),
-				seen:         make(map[model.ProcID]bool),
-				forwarded:    make(map[floodKey]bool),
-				reportLinks:  make(map[model.ProcID][]DirReport),
-				equivocators: make(map[model.ProcID]bool),
-				rejected:     make(map[model.ProcID]bool),
-				deadlineAll:  true,
-			},
-			perNode: perNode,
-		}
-	}
+	runCfg.Faults = withReportMutator(runCfg.Faults, cfg.AuthKeys)
 	exec, err := sim.Run(net, factory, runCfg)
 	if err != nil {
 		return nil, nil, err
@@ -67,202 +37,26 @@ func GossipRun(net *sim.Network, cfg Config, runCfg sim.RunConfig) (*Outcome, *m
 	if out.Err != nil {
 		return out, exec, fmt.Errorf("dist: gossip computation: %w", out.Err)
 	}
-	if runCfg.Faults == nil {
-		for p := 0; p < n; p++ {
-			if perNode[p] == nil {
+	for p := 0; p < n; p++ {
+		if perNode[p] == nil {
+			if runCfg.Faults == nil {
 				return out, exec, fmt.Errorf("dist: p%d never completed its local computation", p)
 			}
-			out.Corrections[p] = perNode[p][p]
-			out.Applied[p] = true
-			// Agreement check: every node's full vector must match node
-			// 0's bit-for-bit — gossiped re-floods replay the identical
-			// deterministic computation, so exact equality is required.
-			for q := 0; q < n; q++ {
-				if perNode[p][q] != perNode[0][q] { //clocklint:allow floateq
-
-					return out, exec, fmt.Errorf("dist: p%d disagrees with p0 on p%d's correction", p, q)
-				}
-			}
+			continue
 		}
-		return out, exec, nil
-	}
-	for p := 0; p < n; p++ {
-		if perNode[p] != nil {
-			out.Corrections[p] = perNode[p][p]
-			out.Applied[p] = true
+		out.Corrections[p] = perNode[p][p]
+		out.Applied[p] = true
+		if runCfg.Faults != nil {
+			continue
+		}
+		// Agreement check: every node's full vector must match node 0's
+		// bit-for-bit — gossiped re-floods replay the identical
+		// deterministic computation, so exact equality is required.
+		for q := 0; q < n; q++ {
+			if perNode[p][q] != perNode[0][q] { //clocklint:allow floateq
+				return out, exec, fmt.Errorf("dist: p%d disagrees with p0 on p%d's correction", p, q)
+			}
 		}
 	}
 	return out, exec, nil
-}
-
-// gossipProc runs the leaderless variant: every node acts like the leader
-// (collect + compute) but floods no result.
-type gossipProc struct {
-	proc
-	perNode [][]float64
-}
-
-var _ sim.Protocol = (*gossipProc)(nil)
-
-func (g *gossipProc) OnReceive(env *sim.Env, via model.ProcID, payload any) {
-	switch msg := payload.(type) {
-	case Probe:
-		g.handleProbe(env, via, msg)
-	case Report:
-		if !g.seen[msg.Origin] {
-			g.absorb(env, msg)
-		}
-		key := floodKey{origin: msg.Origin, round: msg.Round}
-		if g.forwarded[key] {
-			return
-		}
-		g.forwarded[key] = true
-		g.flood(env, via, msg)
-	}
-}
-
-func (g *gossipProc) OnTimer(env *sim.Env, tag int) {
-	switch tag {
-	case timerReport:
-		g.emitGossipReport(env)
-	case timerDeadline:
-		if !g.computed {
-			mDeadlineFires.Inc()
-		}
-		g.computeLocal(env)
-	default:
-		g.proc.OnTimer(env, tag) // probe bursts and report re-floods
-	}
-}
-
-// emitGossipReport freezes and floods the own report, absorbing it into
-// the local table.
-func (g *gossipProc) emitGossipReport(env *sim.Env) {
-	if g.reported {
-		return
-	}
-	g.reported = true
-	rep := Report{Origin: env.Self()}
-	for q, st := range g.incoming {
-		rep.Links = append(rep.Links, DirReport{From: q, To: env.Self(), Stats: st})
-	}
-	for i := 1; i < len(rep.Links); i++ {
-		for j := i; j > 0 && rep.Links[j].From < rep.Links[j-1].From; j-- {
-			rep.Links[j], rep.Links[j-1] = rep.Links[j-1], rep.Links[j]
-		}
-	}
-	g.reportMsg = rep
-	mReportsEmitted.Inc()
-	g.cfg.Trace.AddSimChild("probe", int(env.Self()), 0, g.cfg.Warmup, env.Clock()-g.cfg.Warmup, obs.RootSpanID)
-	gLog.Debug("report emitted", "proc", env.Self(), "links", len(rep.Links), "clock", env.Clock())
-	g.absorb(env, rep)
-	g.forwarded[floodKey{origin: rep.Origin}] = true
-	g.flood(env, from(-1), rep)
-}
-
-// absorb merges a report locally (every gossip node keeps a table) and
-// computes once complete.
-func (g *gossipProc) absorb(env *sim.Env, rep Report) {
-	g.seen[rep.Origin] = true
-	if g.computed {
-		mReportsLate.Inc()
-		return
-	}
-	mReportsAbsorb.Inc()
-	if g.table == nil {
-		g.table = trace.NewTable(g.n, false)
-	}
-	for _, dr := range rep.Links {
-		if dr.To != rep.Origin {
-			g.fail(fmt.Errorf("dist: report from p%d claims stats for p%d", rep.Origin, dr.To))
-			return
-		}
-		if err := g.table.MergeStats(dr.From, dr.To, dr.Stats); err != nil {
-			g.fail(err)
-			return
-		}
-	}
-	g.reports++
-	if g.reports == g.n {
-		g.computeLocal(env)
-	}
-}
-
-// computeLocal runs the centralized pipeline on this node's table — the
-// full table when all reports arrived, the reporting subgraph otherwise.
-func (g *gossipProc) computeLocal(env *sim.Env) {
-	if g.computed {
-		return
-	}
-	g.computed = true
-	if g.table == nil {
-		g.table = trace.NewTable(g.n, false)
-	}
-	self := int(env.Self())
-	isLeader := self == int(g.cfg.Leader)
-	reportAt := g.cfg.Warmup + g.cfg.Window
-	if isLeader {
-		// One designated node anchors the round root so the merged trace
-		// has exactly one RootSpanID span (every node computes, but only
-		// the leader's computation is the canonical outcome).
-		g.cfg.Trace.Add(obs.Span{Phase: "round", Proc: -1, Start: 0, Seconds: env.Clock(),
-			Sim: true, ID: obs.RootSpanID})
-	}
-	g.cfg.Trace.AddSimChild("collect", self, 0, reportAt, env.Clock()-reportAt, obs.RootSpanID)
-	computeSpan, endCompute := g.cfg.Trace.StartChild("compute", self, 0, obs.RootSpanID)
-	links := g.cfg.Links
-	missing := missingProcs(g.n, g.seen)
-	if len(missing) > 0 {
-		links = restrictLinks(links, g.seen)
-		mReportsMissing.Add(int64(len(missing)))
-	}
-	mComputes.Inc()
-	rec := obs.RoundRecord{Session: "gossip"}
-	res, err := core.SynchronizeSystem(g.n, links, g.table, core.DefaultMLSOptions(),
-		core.Options{Root: int(g.cfg.Leader), Centered: g.cfg.Centered,
-			Parallelism: g.cfg.Parallelism, Quality: isLeader, QualityLabel: "gossip",
-			Observer: g.phaseObserver(self, computeSpan, &rec)})
-	endCompute()
-	if err != nil {
-		if isLeader {
-			rec.Outcome, rec.Err, rec.Precision = "failed", err.Error(), -1
-			obs.Rounds.Record(rec)
-		}
-		g.fail(err)
-		return
-	}
-	if len(missing) > 0 {
-		mComputesDegr.Inc()
-	}
-	gLog.Info("node computed locally", "proc", self, "reports", g.reports, "missing", len(missing))
-	g.perNode[self] = append([]float64(nil), res.Corrections...)
-	if isLeader {
-		comp, prec := leaderComponent(res, self)
-		synced := make([]bool, g.n)
-		for _, p := range comp {
-			synced[p] = true
-		}
-		g.out.Precision = prec
-		g.out.LeaderTable = g.table
-		g.out.ReportsSeen = g.reports
-		g.out.Missing = missing
-		g.out.Degraded = len(missing) > 0 || len(comp) < g.n
-		g.out.Synced = synced
-
-		rec.Outcome = "ok"
-		if g.out.Degraded {
-			rec.Outcome = "degraded"
-		}
-		rec.Synced, rec.Missing = len(comp), len(missing)
-		rec.Precision = prec
-		if math.IsNaN(prec) || math.IsInf(prec, 0) {
-			rec.Precision = -1
-		}
-		qr := core.AssessQuality(res)
-		rec.Achieved, rec.Optimal, rec.Ratio = qr.Achieved, qr.Optimal, qr.Ratio
-		if math.IsInf(rec.Ratio, 0) || math.IsNaN(rec.Ratio) {
-			rec.Ratio = -1
-		}
-		obs.Rounds.Record(rec)
-	}
 }

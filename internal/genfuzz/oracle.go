@@ -7,6 +7,7 @@ import (
 
 	"clocksync/internal/baseline"
 	"clocksync/internal/core"
+	"clocksync/internal/dist"
 	"clocksync/internal/model"
 	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
@@ -42,6 +43,10 @@ const (
 	// CatBaseline: a baseline synchronizer achieved a guaranteed
 	// precision below the claimed optimum — impossible if A_max is right.
 	CatBaseline = "baseline-beats-optimum"
+	// CatProtocol: the distributed protocol (internal/dist) disagreed with
+	// the centralized computation on its own table, gossip nodes disagreed
+	// with the leader, or a faulty run broke its precision promise.
+	CatProtocol = "protocol"
 	// CatPanic: some stage of the pipeline panicked.
 	CatPanic = "panic"
 )
@@ -168,7 +173,129 @@ func (o *Oracle) Check(inst *Instance) (fs []Finding) {
 	if inst.Sound && errDense == nil {
 		fs = append(fs, o.checkGroundTruth(inst, built, exec, dense)...)
 	}
+	if inst.Sound {
+		fs = append(fs, checkProtocol(inst, built)...)
+	}
 	return fs
+}
+
+// checkProtocol runs the Section 7 protocol on the instance's network: the
+// leader variant always, the gossip variant when the run is fault-free.
+// Byzantine entries are dropped first — no soundness promise covers a lie
+// that stays inside the envelope. Fault-free (no crash, partition or loss,
+// and a connected topology), the leader's result must be bit-identical to
+// the centralized computation on the table it assembled, and every gossip
+// node's vector to the leader's. Under faults the leader must fail closed
+// or keep its precision promise over the synced processors that applied a
+// correction.
+func checkProtocol(inst *Instance, built *scenario.Built) []Finding {
+	n := inst.Scenario.Processors
+	runCfg := built.RunCfg
+	if f := runCfg.Faults; f != nil {
+		ff := *f
+		ff.Byzantine, ff.Mutator = nil, nil
+		runCfg.Faults = &ff
+		if len(ff.Crashes) == 0 && len(ff.Partitions) == 0 && ff.Loss == 0 {
+			runCfg.Faults = nil
+		}
+	}
+	spread := sim.SafeWarmup(built.Starts)
+	cfg := dist.Config{
+		Leader: 0, Links: built.Links, Probes: 4, Spacing: 0.01,
+		Warmup: spread + 0.5, Window: 2,
+		// A grace past the start spread lets every report reach the leader
+		// on a fault-free run, so its table is the full one.
+		ReportGrace: 2*spread + 10,
+	}
+	faultFree := runCfg.Faults == nil && !lossyLinks(inst.Scenario) && connected(n, built.Links)
+	out, _, err := dist.Run(built.Net, cfg, runCfg)
+	if !faultFree {
+		if err != nil || out.Synced == nil {
+			return nil // failed closed, or the leader never computed
+		}
+		var starts, corr []float64
+		for p, ok := range out.Synced {
+			if ok && out.Applied[p] {
+				starts, corr = append(starts, built.Starts[p]), append(corr, out.Corrections[p])
+			}
+		}
+		if rho, _ := core.Rho(starts, corr); rho > out.Precision+1e-9 {
+			return []Finding{{Category: CatProtocol, Backend: "leader",
+				Detail: fmt.Sprintf("faulty run: realized %v over synced, applied processors exceeds precision %v", rho, out.Precision)}}
+		}
+		return nil
+	}
+	if err != nil {
+		return []Finding{{Category: CatProtocol, Backend: "leader", Detail: fmt.Sprintf("fault-free run: %v", err)}}
+	}
+	if len(out.Missing) > 0 {
+		return []Finding{{Category: CatProtocol, Backend: "leader",
+			Detail: fmt.Sprintf("fault-free run: reports of %v missed the deadline", out.Missing)}}
+	}
+	want, err := core.SynchronizeSystem(n, built.Links, out.LeaderTable, core.DefaultMLSOptions(), core.Options{Root: 0})
+	if err != nil {
+		return []Finding{{Category: CatProtocol, Backend: "leader", Detail: fmt.Sprintf("centralized solve of the leader table: %v", err)}}
+	}
+	if !out.Degraded && !bitsEq(want.Precision, out.Precision) {
+		return []Finding{{Category: CatProtocol, Backend: "leader",
+			Detail: fmt.Sprintf("precision %v, centralized %v", out.Precision, want.Precision)}}
+	}
+	for p := range want.Corrections {
+		if !bitsEq(want.Corrections[p], out.Corrections[p]) {
+			return []Finding{{Category: CatProtocol, Backend: "leader",
+				Detail: fmt.Sprintf("correction p%d: %v, centralized %v", p, out.Corrections[p], want.Corrections[p])}}
+		}
+	}
+	gossip, _, err := dist.GossipRun(built.Net, cfg, runCfg)
+	if err != nil {
+		return []Finding{{Category: CatProtocol, Backend: "gossip", Detail: fmt.Sprintf("fault-free run: %v", err)}}
+	}
+	for p, vec := range gossip.PerNode {
+		for q := range vec {
+			if !bitsEq(vec[q], out.Corrections[q]) {
+				return []Finding{{Category: CatProtocol, Backend: "gossip",
+					Detail: fmt.Sprintf("p%d's correction of p%d: %v, leader %v", p, q, vec[q], out.Corrections[q])}}
+			}
+		}
+	}
+	return nil
+}
+
+// lossyLinks reports whether any link of the scenario drops messages.
+func lossyLinks(sc *scenario.Scenario) bool {
+	if sc.DefaultLink != nil && sc.DefaultLink.Loss > 0 {
+		return true
+	}
+	for _, l := range sc.Links {
+		if l.Loss > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// connected reports whether the links join all n processors.
+func connected(n int, links []core.Link) bool {
+	adj := make([][]int, n)
+	for _, l := range links {
+		adj[l.P] = append(adj[l.P], int(l.Q))
+		adj[l.Q] = append(adj[l.Q], int(l.P))
+	}
+	seen := make([]bool, n)
+	seen[0] = true
+	stack, count := []int{0}, 1
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, q := range adj[p] {
+			if !seen[q] {
+				seen[q] = true
+				count++
+				stack = append(stack, q)
+			}
+		}
+	}
+	return count == n
 }
 
 // diffResults compares an exact backend bit for bit against the dense

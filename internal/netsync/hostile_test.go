@@ -41,10 +41,18 @@ func TestHostileFramesDoNotKillNodes(t *testing.T) {
 	// absorbed, it would inflate the quorum count and mark honest nodes
 	// missing.
 	inject(nodes[0].Addr(), &Message{Type: "report", Origin: -1})
+	// Malformed reports at the coordinator: inverted stats in node 2's
+	// name, and stats claimed for another node (To != Origin). Each is
+	// rejected whole without being stored, so the genuine reports of
+	// nodes 1 and 2 are still accepted.
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 2,
+		Links: []LinkStats{{From: 0, To: 2, Count: 3, Min: 0.2, Max: 0.1}}})
+	inject(nodes[0].Addr(), &Message{Type: "report", Origin: 1,
+		Links: []LinkStats{{From: 0, To: 2, Count: 3, Min: 0.1, Max: 0.2}}})
 
 	waitClusterSound(t, nodes, offsets)
-	if pe := nodes[0].Stats().ProtocolErrors; pe != 2 {
-		t.Fatalf("coordinator ProtocolErrors = %d, want 2", pe)
+	if pe := nodes[0].Stats().ProtocolErrors; pe != 4 {
+		t.Fatalf("coordinator ProtocolErrors = %d, want 4", pe)
 	}
 	if pe := nodes[1].Stats().ProtocolErrors; pe != 1 {
 		t.Fatalf("node 1 ProtocolErrors = %d, want 1", pe)

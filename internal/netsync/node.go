@@ -3,7 +3,6 @@ package netsync
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -14,6 +13,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/trace"
 )
 
@@ -74,8 +74,8 @@ type NetStats struct {
 	AuthFailures int64
 	// ProtocolErrors counts well-formed frames that were invalid in
 	// context — an unexpected type, a report to a non-coordinator, an
-	// out-of-range origin — each of which closes the offending connection
-	// instead of failing the node.
+	// out-of-range origin or sender, a malformed report — each of which
+	// closes the offending connection instead of failing the node.
 	ProtocolErrors int64
 }
 
@@ -279,6 +279,9 @@ type Outcome struct {
 	Degraded bool
 	// Missing lists the nodes whose reports never arrived.
 	Missing []model.ProcID
+	// Excised lists the nodes whose reports the coordinator's consistency
+	// checks threw out (internal/round).
+	Excised []model.ProcID
 	// Synced flags membership in the coordinator's synchronized
 	// component; the precision guarantee covers exactly these nodes.
 	Synced []bool
@@ -297,7 +300,7 @@ type Node struct {
 
 	mu         sync.Mutex
 	incoming   map[model.ProcID]trace.DirStats // per-peer incoming probe stats
-	reports    map[model.ProcID][]LinkStats    // coordinator: collected reports
+	round      *round.Round                    // coordinator: the round collecting reports
 	pending    []*conn                         // coordinator: report conns awaiting results
 	computed   bool                            // coordinator: result already produced
 	result     *Message                        // coordinator: stored result for late reports
@@ -330,10 +333,19 @@ func Start(cfg Config) (*Node, error) {
 		listener: ln,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<32)),
 		incoming: make(map[model.ProcID]trace.DirStats),
-		reports:  make(map[model.ProcID][]LinkStats),
 		stopping: make(chan struct{}),
 		outcome:  make(chan Outcome, 1),
 		errs:     make(chan error, 8),
+	}
+	if cfg.ID == cfg.Coordinator {
+		// The consistency checks always run: an honest report passes all of
+		// them, and reports arrive point to point with duplicates rejected,
+		// so there is no equivocation window to wait out. Quality telemetry
+		// rides on the solve: the coordinator is the one place that sees the
+		// whole instance.
+		n.round = round.New(round.Config{N: cfg.N, Links: cfg.Links, Excision: true,
+			Solve: core.Options{Root: int(cfg.Coordinator), Centered: cfg.Centered,
+				Quality: true, QualityLabel: cfg.Session}})
 	}
 	if cfg.Trace != nil {
 		cfg.Trace.SetTraceID(DeriveTraceID(cfg.Seed))
@@ -501,6 +513,12 @@ func (n *Node) serve(c *conn) {
 				n.noteAuthFailure("probe", m.From, c)
 				return
 			}
+			if int(m.From) < 0 || int(m.From) >= n.cfg.N || m.From == n.cfg.ID {
+				// A probe from no peer would make this node's own report
+				// malformed.
+				n.noteProtoErr(c, "probe from invalid sender %d", m.From)
+				return
+			}
 			n.stats.probesReceived.Add(1)
 			gProbesRecv.Inc()
 			if m.Span != 0 {
@@ -552,8 +570,9 @@ func (n *Node) serve(c *conn) {
 			}
 			// Ownership of the connection moves to the pending list; it is
 			// answered and closed when the result is ready.
-			parked = true
-			n.handleReport(c, m)
+			n.mu.Lock()
+			parked = n.absorbReportLocked(m.Origin, roundLinks(m.Links), c)
+			n.mu.Unlock()
 			return
 		default:
 			// A well-formed frame of a type this side never expects (e.g. a
@@ -585,6 +604,23 @@ func (n *Node) run() {
 			return
 		}
 	}
+	if n.cfg.ID == n.cfg.Coordinator {
+		// Register our own readiness; the links are snapshotted live at
+		// compute time, so late probes into the coordinator still count.
+		// From here on, missing reports hold the result up for at most
+		// ReportGrace: the deadline computes from whichever subset arrived.
+		n.mu.Lock()
+		if !n.computed {
+			n.collectEnd = tr.StartSpan("collect", -1, n.cfg.Round, tr.NewSpanID(-1), obs.RootSpanID)
+		}
+		n.absorbReportLocked(n.cfg.ID, nil, nil)
+		if !n.computed {
+			n.grace = time.AfterFunc(n.cfg.ReportGrace, n.reportDeadline)
+		}
+		n.mu.Unlock()
+		return
+	}
+
 	// Snapshot this node's incoming statistics as its report.
 	n.mu.Lock()
 	report := Message{Type: "report", Origin: n.cfg.ID}
@@ -594,7 +630,7 @@ func (n *Node) run() {
 		})
 	}
 	n.mu.Unlock()
-	if tr != nil && n.cfg.ID != n.cfg.Coordinator {
+	if tr != nil {
 		// Attach the trace context and ship every span recorded so far
 		// (dials, the probe burst, probe receipts) for the coordinator's
 		// cluster-trace reassembly. Must precede signing: the MAC covers
@@ -609,23 +645,6 @@ func (n *Node) run() {
 			n.fail(err)
 			return
 		}
-	}
-
-	if n.cfg.ID == n.cfg.Coordinator {
-		// Register our own readiness; the links are re-snapshotted live at
-		// compute time, so late probes into the coordinator still count.
-		// From here on, missing reports hold the result up for at most
-		// ReportGrace: the deadline computes from whichever subset arrived.
-		n.mu.Lock()
-		if !n.computed {
-			n.collectEnd = tr.StartSpan("collect", -1, n.cfg.Round, tr.NewSpanID(-1), obs.RootSpanID)
-		}
-		n.absorbReportLocked(&report, nil)
-		if !n.computed {
-			n.grace = time.AfterFunc(n.cfg.ReportGrace, n.reportDeadline)
-		}
-		n.mu.Unlock()
-		return
 	}
 
 	// The report connection retries the dial with backoff and, on a broken
@@ -685,7 +704,7 @@ func (n *Node) reportDeadline() {
 	n.stats.graceFires.Add(1)
 	gGraceFires.Inc()
 	nLog.Debug("report grace expired: computing from quorum",
-		"node", n.cfg.ID, "reports", len(n.reports), "n", n.cfg.N)
+		"node", n.cfg.ID, "reports", n.round.Reports(), "n", n.cfg.N)
 	n.computeAndDisseminateLocked()
 }
 
@@ -816,53 +835,52 @@ func (n *Node) sendProbe(c *conn, span obs.SpanID) error {
 	return nil
 }
 
-// handleReport runs on the coordinator for each inbound report connection:
-// absorb, and when complete compute and disseminate.
-func (n *Node) handleReport(c *conn, m *Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.absorbReportLocked(m, c)
-}
-
-// absorbReportLocked merges one report; the caller holds n.mu. conn is nil
+// absorbReportLocked hands one report to the round and, when the round is
+// complete, computes and disseminates; the caller holds n.mu. conn is nil
 // for the coordinator's own report. A report arriving after the deadline
 // already computed is answered immediately with the stored result, so a
-// slow node still receives its correction.
-func (n *Node) absorbReportLocked(m *Message, c *conn) {
+// slow node still receives its correction. A malformed report is a
+// protocol error and is not stored, so its origin's genuine report is
+// still accepted. It reports whether it took ownership of the connection.
+func (n *Node) absorbReportLocked(origin model.ProcID, links []round.DirReport, c *conn) bool {
 	if n.computed {
 		n.stats.lateReports.Add(1)
 		gLateReports.Inc()
 		nLog.Debug("late report answered with stored result",
-			"node", n.cfg.ID, "origin", m.Origin)
+			"node", n.cfg.ID, "origin", origin)
 		if c != nil {
 			_ = c.send(n.result, n.cfg.Timeout)
 			_ = c.close()
 		}
-		return
+		return true
 	}
-	if _, dup := n.reports[m.Origin]; dup {
+	if n.round.Has(origin) {
 		n.stats.duplicateReports.Add(1)
 		gDupReports.Inc()
-		nLog.Debug("duplicate report rejected", "node", n.cfg.ID, "origin", m.Origin)
+		nLog.Debug("duplicate report rejected", "node", n.cfg.ID, "origin", origin)
 		if c != nil {
 			_ = c.send(&Message{Type: "result", Err: "duplicate report"}, n.cfg.Timeout)
 			_ = c.close()
 		}
-		return
+		return true
 	}
-	n.reports[m.Origin] = m.Links
+	if _, err := n.round.Accept(origin, links); err != nil {
+		n.noteProtoErr(c, "%v", err)
+		return false
+	}
 	if c != nil {
 		n.pending = append(n.pending, c)
 	}
-	if len(n.reports) < n.cfg.N {
-		return
+	if n.round.Reports() == n.cfg.N {
+		n.computeAndDisseminateLocked()
 	}
-	n.computeAndDisseminateLocked()
+	return true
 }
 
-// computeAndDisseminateLocked assembles the table from whichever reports
-// arrived, runs the pipeline restricted to the reporting subgraph, and
-// answers every parked report connection. Caller holds n.mu.
+// computeAndDisseminateLocked runs the coordinator round on whichever
+// reports arrived, with this node's own live incoming statistics in place
+// of its early snapshot, and answers every parked report connection.
+// Caller holds n.mu.
 func (n *Node) computeAndDisseminateLocked() {
 	n.computed = true
 	if n.grace != nil {
@@ -874,107 +892,20 @@ func (n *Node) computeAndDisseminateLocked() {
 	}
 	tr := n.cfg.Trace
 	computeSpan, endCompute := tr.StartChild("compute", -1, n.cfg.Round, obs.RootSpanID)
-	rec := obs.RoundRecord{Session: n.cfg.Session, Round: n.cfg.Round}
-	tab := trace.NewTable(n.cfg.N, false)
-	var buildErr error
-	for origin, links := range n.reports {
-		if origin == n.cfg.ID {
-			continue // replaced by the live snapshot below
-		}
-		for _, ls := range links {
-			if ls.To != origin {
-				buildErr = fmt.Errorf("netsync: report from %d claims stats for %d", origin, ls.To)
-				break
-			}
-			st, err := ls.toDirStats()
-			if err != nil {
-				buildErr = err
-				break
-			}
-			if err := tab.MergeStats(ls.From, ls.To, st); err != nil {
-				buildErr = err
-				break
-			}
-		}
+	live := make([]round.DirReport, 0, len(n.incoming))
+	for from, st := range n.incoming {
+		live = append(live, round.DirReport{From: from, To: n.cfg.ID, Stats: st})
 	}
-	// The coordinator's own incoming statistics, live (not the possibly
-	// stale early snapshot).
-	if buildErr == nil {
-		for from, st := range n.incoming {
-			if err := tab.MergeStats(from, n.cfg.ID, st); err != nil {
-				buildErr = err
-				break
-			}
-		}
-	}
-	msg := Message{Type: "result"}
-	var missing []model.ProcID
-	for p := 0; p < n.cfg.N; p++ {
-		if _, ok := n.reports[model.ProcID(p)]; !ok {
-			missing = append(missing, model.ProcID(p))
-		}
-	}
-	if buildErr == nil {
-		// With reports missing, restrict to links with at least one
-		// reporting endpoint: the reporter's incoming statistics cover its
-		// direction (Lemma 6.1) and the assumption bounds cover the other.
-		links := n.cfg.Links
-		if len(missing) > 0 {
-			links = nil
-			for _, l := range n.cfg.Links {
-				_, pOK := n.reports[l.P]
-				_, qOK := n.reports[l.Q]
-				if pOK || qOK {
-					links = append(links, l)
-				}
-			}
-		}
-		// Quality telemetry rides on the solve: the coordinator is the one
-		// place that sees the whole instance, so it publishes the paper's
-		// figures of merit after every compute.
-		opts := core.Options{
-			Root: int(n.cfg.Coordinator), Centered: n.cfg.Centered,
-			Quality: true, QualityLabel: n.cfg.Session,
-			Observer: obs.PhaseFunc(func(phase string, seconds float64) {
-				rec.AddPhase(phase, seconds)
-			}),
-		}
-		if tco := tr.ObserverChild(-1, n.cfg.Round, computeSpan); tco != nil {
-			inner := opts.Observer
-			opts.Observer = obs.PhaseFunc(func(phase string, seconds float64) {
-				inner.ObservePhase(phase, seconds)
-				tco.ObservePhase(phase, seconds)
-			})
-		}
-		res, err := core.SynchronizeSystem(n.cfg.N, links, tab, core.DefaultMLSOptions(), opts)
-		if err != nil {
-			buildErr = err
-		} else {
-			rep := core.AssessQuality(res)
-			rec.Achieved, rec.Optimal, rec.Ratio = rep.Achieved, rep.Optimal, rep.Ratio
-			synced := make([]bool, n.cfg.N)
-			precision := res.Precision
-			for ci, comp := range res.Components {
-				if !containsProc(comp, int(n.cfg.Coordinator)) {
-					continue
-				}
-				precision = res.ComponentPrecision[ci]
-				for _, p := range comp {
-					synced[p] = true
-				}
-				msg.Synced = synced
-				if msg.Degraded = len(missing) > 0 || len(comp) < n.cfg.N; msg.Degraded {
-					msg.Missing = missing
-				}
-				break
-			}
-			msg.Corrections = res.Corrections
-			msg.Precision = precision // finite: the coordinator component's A_max
-		}
-	}
+	n.round.Set(n.cfg.ID, live)
+	res := n.round.Solve(tr.ObserverChild(-1, n.cfg.Round, computeSpan))
 	endCompute()
-	if buildErr != nil {
-		msg.Err = buildErr.Error()
+
+	msg := Message{Type: "result"}
+	if res.Err != nil {
+		msg.Err = res.Err.Error()
+	} else {
+		msg.Corrections, msg.Precision, msg.Degraded = res.Corrections, res.Precision, res.Degraded
+		msg.Missing, msg.Excised, msg.Synced = res.Missing, res.Excised, res.Synced
 	}
 	for _, pc := range n.pending {
 		_ = pc.send(&msg, n.cfg.Timeout)
@@ -982,53 +913,23 @@ func (n *Node) computeAndDisseminateLocked() {
 	}
 	n.pending = nil
 	n.result = &msg
-	n.recordRound(&rec, &msg, buildErr)
+	// File the round into the process flight recorder so it can be
+	// replayed at /debug/rounds or dumped on degraded exit.
+	rec := res.Record
+	rec.Session, rec.Round = n.cfg.Session, n.cfg.Round
+	rec.AuthFailures = int(n.stats.authFailures.Load())
+	rec.WallSeconds = time.Since(n.born).Seconds()
+	obs.Rounds.Record(rec)
 	if n.roundEnd != nil {
 		n.roundEnd()
 		n.roundEnd = nil
 	}
-	if buildErr != nil {
-		n.fail(buildErr)
+	if res.Err != nil {
+		n.fail(res.Err)
 		return
 	}
 	// Apply locally on the coordinator.
 	n.applyResult(&msg)
-}
-
-// recordRound files the finished round into the process flight recorder
-// so it can be replayed at /debug/rounds or dumped on degraded exit.
-func (n *Node) recordRound(rec *obs.RoundRecord, msg *Message, buildErr error) {
-	rec.Precision = msg.Precision
-	if math.IsNaN(rec.Precision) || math.IsInf(rec.Precision, 0) {
-		rec.Precision = -1
-	}
-	rec.Missing = len(msg.Missing)
-	for _, ok := range msg.Synced {
-		if ok {
-			rec.Synced++
-		}
-	}
-	rec.AuthFailures = int(n.stats.authFailures.Load())
-	switch {
-	case buildErr != nil:
-		rec.Outcome = "failed"
-		rec.Err = buildErr.Error()
-	case msg.Degraded:
-		rec.Outcome = "degraded"
-	default:
-		rec.Outcome = "ok"
-	}
-	rec.WallSeconds = time.Since(n.born).Seconds()
-	obs.Rounds.Record(*rec)
-}
-
-func containsProc(comp []int, p int) bool {
-	for _, q := range comp {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // applyResult validates and publishes the outcome for this node.
@@ -1047,6 +948,7 @@ func (n *Node) applyResult(m *Message) {
 		Corrections: append([]float64(nil), m.Corrections...),
 		Degraded:    m.Degraded,
 		Missing:     append([]model.ProcID(nil), m.Missing...),
+		Excised:     append([]model.ProcID(nil), m.Excised...),
 		Synced:      append([]bool(nil), m.Synced...),
 	}
 	n.publishNodeMetrics()

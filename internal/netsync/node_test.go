@@ -8,6 +8,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/delay"
 	"clocksync/internal/model"
+	"clocksync/internal/round"
 )
 
 // startCluster spins up n in-process nodes on loopback with the given
@@ -173,15 +174,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestLinkStatsValidation(t *testing.T) {
-	if _, err := (LinkStats{Count: 0}).toDirStats(); err == nil {
+	check := func(ls LinkStats) error { return round.Validate(2, 1, roundLinks([]LinkStats{ls})) }
+	if check(LinkStats{From: 0, To: 1, Count: 0}) == nil {
 		t.Error("zero count accepted")
 	}
-	if _, err := (LinkStats{Count: 2, Min: 3, Max: 1}).toDirStats(); err == nil {
+	if check(LinkStats{From: 0, To: 1, Count: 2, Min: 3, Max: 1}) == nil {
 		t.Error("inverted stats accepted")
 	}
-	st, err := (LinkStats{Count: 2, Min: 1, Max: 3}).toDirStats()
-	if err != nil || st.Count != 2 {
-		t.Errorf("valid stats rejected: %v %v", st, err)
+	if err := check(LinkStats{From: 0, To: 1, Count: 2, Min: 1, Max: 3}); err != nil {
+		t.Errorf("valid stats rejected: %v", err)
 	}
 }
 

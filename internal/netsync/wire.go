@@ -26,6 +26,7 @@ import (
 
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/trace"
 )
 
@@ -53,6 +54,7 @@ type Message struct {
 	Precision   float64        `json:"precision,omitempty"`
 	Degraded    bool           `json:"degraded,omitempty"`
 	Missing     []model.ProcID `json:"missing,omitempty"`
+	Excised     []model.ProcID `json:"excised,omitempty"`
 	Synced      []bool         `json:"synced,omitempty"`
 	Err         string         `json:"err,omitempty"`
 
@@ -144,15 +146,15 @@ type LinkStats struct {
 	Max   float64      `json:"max"`
 }
 
-// toDirStats converts the wire form back to trace statistics.
-func (ls LinkStats) toDirStats() (trace.DirStats, error) {
-	if ls.Count <= 0 {
-		return trace.DirStats{}, fmt.Errorf("netsync: link stats with count %d", ls.Count)
+// roundLinks converts a report frame's links to the round's form; the
+// round validates them.
+func roundLinks(ls []LinkStats) []round.DirReport {
+	links := make([]round.DirReport, len(ls))
+	for i, l := range ls {
+		links[i] = round.DirReport{From: l.From, To: l.To,
+			Stats: trace.DirStats{Count: l.Count, Min: l.Min, Max: l.Max}}
 	}
-	if ls.Max < ls.Min {
-		return trace.DirStats{}, fmt.Errorf("netsync: inverted link stats [%v,%v]", ls.Min, ls.Max)
-	}
-	return trace.DirStats{Count: ls.Count, Min: ls.Min, Max: ls.Max}, nil
+	return links
 }
 
 // conn wraps a TCP connection with JSON line framing.
