@@ -1,7 +1,8 @@
 // Command benchjson measures the performance-critical benchmarks of the
 // repository — the core SHIFTS pipeline at several sizes, the steady-state
-// Synchronizer reuse path, and the T/F/D experiment series — and emits the
-// results as JSON (BENCH_core.json by default).
+// Synchronizer reuse path, the view reduction (model build and
+// trace.Collect), and the T/F/D experiment series — and emits the results
+// as JSON (BENCH_core.json by default).
 //
 // With -check FILE it instead compares a fresh measurement against a
 // committed baseline and exits non-zero when any benchmark's ns/op
@@ -16,6 +17,9 @@
 //	go run ./cmd/benchjson                   # write BENCH_core.json
 //	go run ./cmd/benchjson -out FILE         # write elsewhere
 //	go run ./cmd/benchjson -check FILE       # regression gate vs baseline
+//
+// A check runs at the baseline's recorded GOMAXPROCS, so both sides of the
+// comparison are measured under the same scheduler conditions.
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 	"clocksync/internal/experiments"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
+	"clocksync/internal/trace"
 )
 
 // Entry is one benchmark measurement.
@@ -60,18 +65,23 @@ func main() {
 	quick := flag.Bool("quick", false, "tiny sizes and iteration counts (smoke testing)")
 	flag.Parse()
 
-	f, err := runSuite(*quick, *check == "")
+	var base *File
+	if *check != "" {
+		var err error
+		if base, err = loadFile(*check); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: load baseline: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("benchjson: measuring at GOMAXPROCS=%d\n", matchProcs(base))
+	}
+
+	f, err := runSuite(*quick, base == nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 
-	if *check != "" {
-		base, err := loadFile(*check)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: load baseline: %v\n", err)
-			os.Exit(1)
-		}
+	if base != nil {
 		failures := compare(base, f, *tol)
 		if len(failures) > 0 {
 			// Before declaring a regression, re-measure just the suspects
@@ -122,6 +132,18 @@ func main() {
 	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(f.Benchmarks), *out)
 }
 
+// matchProcs sets GOMAXPROCS to the baseline's, so a check measures
+// under the conditions the baseline was recorded in: allocation counts
+// and ns/op both depend on the number of Ps (per-P caches, parallel
+// kernels). A baseline without the field leaves the setting alone. It
+// returns the value in effect.
+func matchProcs(base *File) int {
+	if base.GoMaxProcs > 0 {
+		runtime.GOMAXPROCS(base.GoMaxProcs)
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // runSuite measures every benchmark and the calibration workload. The
 // calibration is sampled once before every benchmark (and at both ends)
 // with the global minimum kept, so it reflects the machine's peak speed
@@ -165,8 +187,9 @@ type bench struct {
 }
 
 // suite assembles the measured benchmarks: the pooled Synchronize wrapper
-// across sizes, the zero-allocation Synchronizer reuse path, and one entry
-// per T/F/D experiment.
+// across sizes, the zero-allocation Synchronizer reuse path, the streaming
+// and sparse solves, the view reduction, and one entry per T/F/D
+// experiment.
 func suite(quick bool) []bench {
 	var bs []bench
 
@@ -261,6 +284,34 @@ func suite(quick bool) []bench {
 		})
 	}
 
+	// The Lemma 6.1 view reduction on its own, on the input shape of
+	// clockbench's trace-heavy workload. Build assembles and validates an
+	// execution from its message records; Collect reduces the built
+	// execution to a trace.Table.
+	viewMsgs := 25000
+	if quick {
+		viewMsgs = 2000
+	}
+	b, e, err := viewReduction(16, viewMsgs)
+	if err != nil {
+		panic(fmt.Sprintf("benchjson: view reduction setup: %v", err))
+	}
+	bs = append(bs,
+		bench{
+			name: fmt.Sprintf("ViewReduction/Build/msgs=%dk", viewMsgs/1000),
+			fn: func() error {
+				_, err := b.Build()
+				return err
+			},
+		},
+		bench{
+			name: fmt.Sprintf("ViewReduction/Collect/msgs=%dk", viewMsgs/1000),
+			fn: func() error {
+				_, err := trace.Collect(e, false)
+				return err
+			},
+		})
+
 	for _, id := range expIDs {
 		exp, ok := experiments.ByID(id)
 		if !ok {
@@ -331,6 +382,28 @@ func streamSteadyState(n int, forceBatch bool) (func() error, error) {
 		_, err := st.Corrections()
 		return err
 	}, nil
+}
+
+// viewReduction records msgs messages over the complete graph on n
+// processors, one every millisecond of real time between random endpoints
+// with delays in [0.01, 0.1) s, so messages overtake each other at the
+// receivers. It returns the builder and the execution it builds.
+func viewReduction(n, msgs int) (*model.Builder, *model.Execution, error) {
+	rng := rand.New(rand.NewSource(3))
+	starts := make([]float64, n)
+	for p := range starts {
+		starts[p] = rng.Float64()
+	}
+	b := model.NewBuilder(starts)
+	for k := 0; k < msgs; k++ {
+		from := rng.Intn(n)
+		to := (from + 1 + rng.Intn(n-1)) % n
+		if _, err := b.AddMessageDelay(model.ProcID(from), model.ProcID(to), 1+float64(k)*1e-3, 0.01+0.09*rng.Float64()); err != nil {
+			return nil, nil, err
+		}
+	}
+	e, err := b.Build()
+	return b, e, err
 }
 
 func randomCompleteMLS(n int) [][]float64 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,7 +77,8 @@ func TestQuickSuiteRoundTrip(t *testing.T) {
 	if f.CalibrationNs <= 0 {
 		t.Fatalf("calibration_ns = %v, want > 0", f.CalibrationNs)
 	}
-	for _, name := range []string{"Synchronize/n=8", "Synchronize/n=16", "SynchronizerReuse/n=16", "Experiment/T1"} {
+	for _, name := range []string{"Synchronize/n=8", "Synchronize/n=16", "SynchronizerReuse/n=16",
+		"ViewReduction/Build/msgs=2k", "ViewReduction/Collect/msgs=2k", "Experiment/T1"} {
 		e, ok := f.Benchmarks[name]
 		if !ok {
 			t.Fatalf("missing benchmark %q", name)
@@ -100,5 +102,27 @@ func TestQuickSuiteRoundTrip(t *testing.T) {
 	}
 	if fails := compare(loaded, f, 0.25); len(fails) != 0 {
 		t.Errorf("self-comparison failed: %v", fails)
+	}
+}
+
+// TestMatchProcs: a check measures at the baseline's GOMAXPROCS, and the
+// run records that value; a baseline without the field leaves the
+// setting alone.
+func TestMatchProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	if got := matchProcs(&File{GoMaxProcs: 1}); got != 1 || runtime.GOMAXPROCS(0) != 1 {
+		t.Errorf("matchProcs(baseline at 1) = %d, GOMAXPROCS = %d; want 1", got, runtime.GOMAXPROCS(0))
+	}
+	f, err := runSuite(true, false)
+	if err != nil {
+		t.Fatalf("runSuite: %v", err)
+	}
+	if f.GoMaxProcs != 1 {
+		t.Errorf("check run recorded gomaxprocs %d, want the baseline's 1", f.GoMaxProcs)
+	}
+	runtime.GOMAXPROCS(3)
+	if got := matchProcs(&File{}); got != 3 {
+		t.Errorf("matchProcs(baseline without gomaxprocs) = %d, want 3 (unchanged)", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"clocksync/internal/dist"
+	"clocksync/internal/model"
 	"clocksync/internal/obs"
 	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
@@ -184,14 +185,14 @@ func RunScenarioJSON(data []byte, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %w", err)
 	}
-	msgs, err := exec.Messages()
-	if err != nil {
+	delivered := 0
+	if err := exec.EachMessage(func(model.Message) error { delivered++; return nil }); err != nil {
 		return nil, err
 	}
 	res := &Outcome{
 		Corrections:  out.Corrections,
 		Precision:    out.Precision,
-		Messages:     len(msgs),
+		Messages:     delivered,
 		Starts:       built.Starts,
 		Degraded:     out.Degraded,
 		Missing:      out.Missing,

@@ -57,19 +57,20 @@ func CollectDrifted(e *model.Execution, rates Rates) (*trace.Table, error) {
 	if len(rates) != e.N() {
 		return nil, fmt.Errorf("drift: %d rates for %d processors", len(rates), e.N())
 	}
-	msgs, err := e.Messages()
-	if err != nil {
-		return nil, fmt.Errorf("drift: %w", err)
-	}
 	tab := trace.NewTable(e.N(), false)
-	for _, m := range msgs {
+	var bad error
+	if err := e.EachMessage(func(m model.Message) error {
 		// The ideal clock value IS t - S, so the drifted reading is just
 		// the rate times the ideal reading.
 		send := rates[m.From] * m.SendClock
 		recv := rates[m.To] * m.RecvClock
-		if err := tab.Add(trace.Sample{From: m.From, To: m.To, SendClock: send, RecvClock: recv}); err != nil {
-			return nil, err
+		bad = tab.Add(trace.Sample{From: m.From, To: m.To, SendClock: send, RecvClock: recv})
+		return bad
+	}); err != nil {
+		if bad != nil {
+			return nil, bad
 		}
+		return nil, fmt.Errorf("drift: %w", err)
 	}
 	return tab, nil
 }
@@ -78,14 +79,13 @@ func CollectDrifted(e *model.Execution, rates Rates) (*trace.Table, error) {
 // any message timestamp of the execution: the measurement horizon H used
 // by Inflate.
 func MaxClock(e *model.Execution) (float64, error) {
-	msgs, err := e.Messages()
-	if err != nil {
-		return 0, fmt.Errorf("drift: %w", err)
-	}
 	h := 0.0
-	for _, m := range msgs {
+	if err := e.EachMessage(func(m model.Message) error {
 		h = math.Max(h, math.Abs(m.SendClock))
 		h = math.Max(h, math.Abs(m.RecvClock))
+		return nil
+	}); err != nil {
+		return 0, fmt.Errorf("drift: %w", err)
 	}
 	return h, nil
 }

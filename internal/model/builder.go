@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder assembles an Execution from message records without requiring
@@ -91,8 +92,9 @@ func (b *Builder) Build() (*Execution, error) {
 		})
 	}
 	for _, h := range e.Histories {
-		steps := h.Steps[1:] // keep the start event first
-		sort.SliceStable(steps, func(i, j int) bool { return steps[i].Clock < steps[j].Clock })
+		// Keep the start event first; steps at one clock keep the order
+		// they were added in.
+		slices.SortStableFunc(h.Steps[1:], func(a, b Step) int { return cmp.Compare(a.Clock, b.Clock) })
 	}
 	if err := e.Validate(); err != nil {
 		return nil, err

@@ -11,9 +11,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ProcID identifies a processor (0-based dense index).
@@ -237,57 +238,86 @@ func (m Message) Delay(e *Execution) float64 {
 // computable from the views alone: it equals RecvClock - SendClock.
 func (m Message) EstimatedDelay() float64 { return m.RecvClock - m.SendClock }
 
-// Messages resolves the message correspondence of the execution. It returns
-// an error if any received message was never sent, was sent twice, has
-// mismatched endpoints, or if a sent message is received more than once.
-// (Unreceived messages are permitted: the system may still be "in flight".)
-func (e *Execution) Messages() ([]Message, error) {
-	type sendRec struct {
-		from      ProcID
-		to        ProcID
+// EachMessage resolves the message correspondence of the execution in one
+// pass and calls fn once per delivered message, in receiver order: by
+// receiving processor, then by receipt step. It returns an error if any
+// received message was never sent, was sent twice, has mismatched
+// endpoints, or if a sent message is received more than once. (Unreceived
+// messages are permitted: the system may still be "in flight".) The walk
+// stops at the first failure in that order, a correspondence error or an
+// error of fn, which it returns unchanged.
+func (e *Execution) EachMessage(fn func(Message) error) error {
+	type send struct {
+		from, to  ProcID
 		clock     float64
 		delivered bool
 	}
-	sends := make(map[MsgID]*sendRec)
+	n := e.count(KindSend)
+	sends := make([]send, 0, n)
+	index := make(map[MsgID]int, n)
 	for _, h := range e.Histories {
-		for i, st := range h.Steps {
+		for _, st := range h.Steps {
 			if st.Event.Kind != KindSend {
 				continue
 			}
-			if _, dup := sends[st.Event.Msg]; dup {
-				return nil, fmt.Errorf("model: message %d sent twice", st.Event.Msg)
+			if _, dup := index[st.Event.Msg]; dup {
+				return fmt.Errorf("model: message %d sent twice", st.Event.Msg)
 			}
-			sends[st.Event.Msg] = &sendRec{from: h.Proc, to: st.Event.Peer, clock: h.Steps[i].Clock}
+			index[st.Event.Msg] = len(sends)
+			sends = append(sends, send{from: h.Proc, to: st.Event.Peer, clock: st.Clock})
 		}
 	}
-	var msgs []Message
 	for _, h := range e.Histories {
 		for _, st := range h.Steps {
 			if st.Event.Kind != KindRecv {
 				continue
 			}
-			rec, ok := sends[st.Event.Msg]
+			i, ok := index[st.Event.Msg]
 			if !ok {
-				return nil, fmt.Errorf("model: message %d received by p%d but never sent", st.Event.Msg, h.Proc)
+				return fmt.Errorf("model: message %d received by p%d but never sent", st.Event.Msg, h.Proc)
 			}
+			rec := &sends[i]
 			if rec.delivered {
-				return nil, fmt.Errorf("model: message %d delivered twice", st.Event.Msg)
+				return fmt.Errorf("model: message %d delivered twice", st.Event.Msg)
 			}
 			if rec.to != h.Proc || rec.from != st.Event.Peer {
-				return nil, fmt.Errorf("model: message %d endpoint mismatch: sent p%d->p%d, received by p%d from p%d",
+				return fmt.Errorf("model: message %d endpoint mismatch: sent p%d->p%d, received by p%d from p%d",
 					st.Event.Msg, rec.from, rec.to, h.Proc, st.Event.Peer)
 			}
 			rec.delivered = true
-			msgs = append(msgs, Message{
-				ID:        st.Event.Msg,
-				From:      rec.from,
-				To:        h.Proc,
-				SendClock: rec.clock,
-				RecvClock: st.Clock,
-			})
+			if err := fn(Message{ID: st.Event.Msg, From: rec.from, To: h.Proc, SendClock: rec.clock, RecvClock: st.Clock}); err != nil {
+				return err
+			}
 		}
 	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
+	return nil
+}
+
+// count returns the number of steps of the given kind in the execution.
+func (e *Execution) count(k Kind) int {
+	n := 0
+	for _, h := range e.Histories {
+		for _, st := range h.Steps {
+			if st.Event.Kind == k {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Messages returns the delivered messages of EachMessage in ID order, and
+// fails where EachMessage does. It is for callers that need that order;
+// order-free reductions fold over EachMessage instead.
+func (e *Execution) Messages() ([]Message, error) {
+	msgs := slices.Grow([]Message(nil), e.count(KindRecv)) // nil when nothing is delivered
+	if err := e.EachMessage(func(m Message) error {
+		msgs = append(msgs, m)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(msgs, func(a, b Message) int { return cmp.Compare(a.ID, b.ID) })
 	return msgs, nil
 }
 
@@ -299,16 +329,12 @@ func (e *Execution) Validate() error {
 			return err
 		}
 	}
-	msgs, err := e.Messages()
-	if err != nil {
-		return err
-	}
-	for _, m := range msgs {
+	return e.EachMessage(func(m Message) error {
 		if d := m.Delay(e); math.IsNaN(d) || math.IsInf(d, 0) {
 			return fmt.Errorf("model: message %d has invalid delay %v", m.ID, d)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ValidateTimers checks condition 6 of Section 2.1 in its safe direction:

@@ -225,49 +225,6 @@ func TestEstimatedDelayLemma61(t *testing.T) {
 	}
 }
 
-func TestMessagesCorrespondenceErrors(t *testing.T) {
-	// Received but never sent.
-	e := NewExecution([]float64{0, 0})
-	e.Histories[1].Steps = append(e.Histories[1].Steps, Step{
-		Clock: 1, Event: Event{Kind: KindRecv, Peer: 0, Msg: 7},
-	})
-	if _, err := e.Messages(); err == nil {
-		t.Error("orphan receive: error = nil, want non-nil")
-	}
-
-	// Sent twice.
-	e2 := NewExecution([]float64{0, 0})
-	e2.Histories[0].Steps = append(e2.Histories[0].Steps,
-		Step{Clock: 1, Event: Event{Kind: KindSend, Peer: 1, Msg: 7}},
-		Step{Clock: 2, Event: Event{Kind: KindSend, Peer: 1, Msg: 7}},
-	)
-	if _, err := e2.Messages(); err == nil {
-		t.Error("duplicate send: error = nil, want non-nil")
-	}
-
-	// Delivered twice.
-	e3 := NewExecution([]float64{0, 0})
-	e3.Histories[0].Steps = append(e3.Histories[0].Steps,
-		Step{Clock: 1, Event: Event{Kind: KindSend, Peer: 1, Msg: 7}})
-	e3.Histories[1].Steps = append(e3.Histories[1].Steps,
-		Step{Clock: 2, Event: Event{Kind: KindRecv, Peer: 0, Msg: 7}},
-		Step{Clock: 3, Event: Event{Kind: KindRecv, Peer: 0, Msg: 7}},
-	)
-	if _, err := e3.Messages(); err == nil {
-		t.Error("duplicate delivery: error = nil, want non-nil")
-	}
-
-	// Endpoint mismatch.
-	e4 := NewExecution([]float64{0, 0, 0})
-	e4.Histories[0].Steps = append(e4.Histories[0].Steps,
-		Step{Clock: 1, Event: Event{Kind: KindSend, Peer: 1, Msg: 7}})
-	e4.Histories[2].Steps = append(e4.Histories[2].Steps,
-		Step{Clock: 2, Event: Event{Kind: KindRecv, Peer: 0, Msg: 7}})
-	if _, err := e4.Messages(); err == nil {
-		t.Error("endpoint mismatch: error = nil, want non-nil")
-	}
-}
-
 func TestMessagesUndeliveredOK(t *testing.T) {
 	e := NewExecution([]float64{0, 0})
 	e.Histories[0].Steps = append(e.Histories[0].Steps,

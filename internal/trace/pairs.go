@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clocksync/internal/model"
 )
@@ -33,59 +34,24 @@ type EstPair struct {
 // symmetric bursts) this recovers exactly the same-time pairs the
 // paired-bias model constrains. Unmatched trailing messages are dropped.
 func CollectPairs(e *model.Execution) (map[LinkKey][]EstPair, error) {
-	msgs, err := e.Messages()
-	if err != nil {
-		return nil, fmt.Errorf("trace: resolve messages: %w", err)
-	}
-	type dirMsgs struct {
-		pq, qp []model.Message
-	}
-	byLink := make(map[LinkKey]*dirMsgs)
-	for _, m := range msgs {
-		key := Canon(m.From, m.To)
-		dm := byLink[key]
-		if dm == nil {
-			dm = &dirMsgs{}
-			byLink[key] = dm
-		}
-		if m.From == key.P {
-			dm.pq = append(dm.pq, m)
-		} else {
-			dm.qp = append(dm.qp, m)
-		}
-	}
-	out := make(map[LinkKey][]EstPair, len(byLink))
-	for key, dm := range byLink {
-		sort.Slice(dm.pq, func(i, j int) bool { return dm.pq[i].SendClock < dm.pq[j].SendClock })
-		sort.Slice(dm.qp, func(i, j int) bool { return dm.qp[i].SendClock < dm.qp[j].SendClock })
-		n := len(dm.pq)
-		if len(dm.qp) < n {
-			n = len(dm.qp)
-		}
-		pairs := make([]EstPair, n)
-		for i := 0; i < n; i++ {
-			pairs[i] = EstPair{
-				PQ: dm.pq[i].EstimatedDelay(),
-				QP: dm.qp[i].EstimatedDelay(),
-			}
-		}
-		out[key] = pairs
-	}
-	return out, nil
+	return collectPairs(e, model.Message.EstimatedDelay)
 }
 
 // CollectActualPairs is CollectPairs with actual (real-time) delays; for
 // the verifier only.
 func CollectActualPairs(e *model.Execution) (map[LinkKey][]EstPair, error) {
-	msgs, err := e.Messages()
-	if err != nil {
-		return nil, fmt.Errorf("trace: resolve messages: %w", err)
-	}
+	return collectPairs(e, func(m model.Message) float64 { return m.Delay(e) })
+}
+
+// collectPairs groups one walk of the correspondence by link and
+// direction, ranks each direction by the total order (SendClock, ID), and
+// pairs delay(m) of equal ranks.
+func collectPairs(e *model.Execution, delay func(model.Message) float64) (map[LinkKey][]EstPair, error) {
 	type dirMsgs struct {
 		pq, qp []model.Message
 	}
 	byLink := make(map[LinkKey]*dirMsgs)
-	for _, m := range msgs {
+	if err := e.EachMessage(func(m model.Message) error {
 		key := Canon(m.From, m.To)
 		dm := byLink[key]
 		if dm == nil {
@@ -97,18 +63,23 @@ func CollectActualPairs(e *model.Execution) (map[LinkKey][]EstPair, error) {
 		} else {
 			dm.qp = append(dm.qp, m)
 		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("trace: resolve messages: %w", err)
+	}
+	bySend := func(a, b model.Message) int {
+		if c := cmp.Compare(a.SendClock, b.SendClock); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
 	}
 	out := make(map[LinkKey][]EstPair, len(byLink))
 	for key, dm := range byLink {
-		sort.Slice(dm.pq, func(i, j int) bool { return dm.pq[i].SendClock < dm.pq[j].SendClock })
-		sort.Slice(dm.qp, func(i, j int) bool { return dm.qp[i].SendClock < dm.qp[j].SendClock })
-		n := len(dm.pq)
-		if len(dm.qp) < n {
-			n = len(dm.qp)
-		}
-		pairs := make([]EstPair, n)
-		for i := 0; i < n; i++ {
-			pairs[i] = EstPair{PQ: dm.pq[i].Delay(e), QP: dm.qp[i].Delay(e)}
+		slices.SortFunc(dm.pq, bySend)
+		slices.SortFunc(dm.qp, bySend)
+		pairs := make([]EstPair, min(len(dm.pq), len(dm.qp)))
+		for i := range pairs {
+			pairs[i] = EstPair{PQ: delay(dm.pq[i]), QP: delay(dm.qp[i])}
 		}
 		out[key] = pairs
 	}

@@ -99,3 +99,31 @@ func TestCollectPairsUnmatchedDropped(t *testing.T) {
 		t.Errorf("pairs = %d, want 1 (extra request dropped)", got)
 	}
 }
+
+// TestCollectPairsTiedSendClocks: two P->Q messages sent at the same clock
+// rank by ID, whatever order they arrive in.
+func TestCollectPairsTiedSendClocks(t *testing.T) {
+	b := model.NewBuilder([]float64{0, 0})
+	add := func(from, to model.ProcID, send, recv float64) {
+		t.Helper()
+		if _, err := b.AddMessage(from, to, send, recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(0, 1, 1, 1.5) // lower ID, received second
+	add(0, 1, 1, 1.25)
+	add(1, 0, 2, 2.125)
+	add(1, 0, 3, 3.375)
+	e, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := CollectPairs(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []EstPair{{PQ: 0.5, QP: 0.125}, {PQ: 0.25, QP: 0.375}}
+	if got := pairs[Canon(0, 1)]; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("pairs = %v, want %v", got, want)
+	}
+}

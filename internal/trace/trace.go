@@ -180,36 +180,37 @@ func (t *Table) Pairs(fn func(p, q model.ProcID, pq, qp DirStats)) {
 // Collect reduces an execution's messages to a table of estimated-delay
 // statistics; this is the "local computation on views" of Section 5.
 func Collect(e *model.Execution, keepRaw bool) (*Table, error) {
-	msgs, err := e.Messages()
-	if err != nil {
-		return nil, fmt.Errorf("trace: resolve messages: %w", err)
-	}
-	t := NewTable(e.N(), keepRaw)
-	for _, m := range msgs {
-		if err := t.Add(Sample{From: m.From, To: m.To, SendClock: m.SendClock, RecvClock: m.RecvClock}); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return collect(e, keepRaw, func(m model.Message) Sample {
+		return Sample{From: m.From, To: m.To, SendClock: m.SendClock, RecvClock: m.RecvClock}
+	})
 }
 
 // CollectActual builds a table of *actual* delay statistics from an
 // execution. Only the verifier may use this: real delays are not observable
 // by any correction function.
 func CollectActual(e *model.Execution, keepRaw bool) (*Table, error) {
-	msgs, err := e.Messages()
-	if err != nil {
-		return nil, fmt.Errorf("trace: resolve messages: %w", err)
-	}
-	t := NewTable(e.N(), keepRaw)
-	for _, m := range msgs {
-		d := m.Delay(e)
+	return collect(e, keepRaw, func(m model.Message) Sample {
 		// Encode the actual delay as a sample with SendClock 0 so that
 		// EstimatedDelay() returns d.
 		//clocklint:allow timedomain deliberate encoding: with SendClock 0, d~ degenerates to the actual delay d
-		if err := t.Add(Sample{From: m.From, To: m.To, SendClock: 0, RecvClock: d}); err != nil {
-			return nil, err
+		return Sample{From: m.From, To: m.To, SendClock: 0, RecvClock: m.Delay(e)}
+	})
+}
+
+// collect folds sample(m) for every delivered message into a fresh table,
+// in one walk of the correspondence (Lemma 6.1's linear scan). Statistics
+// do not depend on the walk's order; raw delays are kept in that order.
+func collect(e *model.Execution, keepRaw bool, sample func(model.Message) Sample) (*Table, error) {
+	t := NewTable(e.N(), keepRaw)
+	var bad error
+	if err := e.EachMessage(func(m model.Message) error {
+		bad = t.Add(sample(m))
+		return bad
+	}); err != nil {
+		if bad != nil {
+			return nil, bad
 		}
+		return nil, fmt.Errorf("trace: resolve messages: %w", err)
 	}
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clocksync/internal/core"
+	"clocksync/internal/model"
 	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
@@ -71,8 +72,8 @@ func RunScenarioJSON(data []byte, opts SimOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clocksync: simulate: %w", err)
 	}
-	msgs, err := exec.Messages()
-	if err != nil {
+	delivered := 0
+	if err := exec.EachMessage(func(model.Message) error { delivered++; return nil }); err != nil {
 		return nil, err
 	}
 	tab, err := trace.Collect(exec, false)
@@ -95,7 +96,7 @@ func RunScenarioJSON(data []byte, opts SimOptions) (*Report, error) {
 		Starts:   built.Starts,
 		Result:   res,
 		Realized: realized,
-		Messages: len(msgs),
+		Messages: delivered,
 	}
 	if opts.Verify {
 		trials := opts.Trials
