@@ -2,6 +2,7 @@ package clocksync
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -159,52 +160,55 @@ func streamWorkload(b *testing.B, n int) *Stream {
 }
 
 // BenchmarkStreamUpdate measures the steady-state incremental path: one
-// genuinely tightening (but provably inert) observation plus Corrections
-// served from the certified cache. Allocs/op must read 0; the acceptance
-// gate requires >= 5x below BenchmarkStreamBatchResolve at n=128.
+// genuinely tightening (but provably inert) observation on the slack chord
+// plus Corrections served from the certified cache. Allocs/op must read 0;
+// the acceptance gate requires >= 5x below BenchmarkStreamBatchResolve at
+// n=128.
 func BenchmarkStreamUpdate(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			st := streamWorkload(b, n)
-			defer st.Close()
-			est := 5e5 - 1.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				est -= 1e-6
-				if err := st.Observe(0, ProcID(n/2), 0, est); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := st.Corrections(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			streamTicks(b, n, 0, ProcID(n/2), 5e5-1, func(s StreamStats) int64 { return s.Cached })
 		})
 	}
 }
 
-// BenchmarkStreamBatchResolve runs the identical workload with the
-// fallback threshold forcing a full batch re-solve on every call — the
-// denominator of the incremental speedup.
+// BenchmarkStreamBatchResolve runs the same workload, but each tick lowers
+// the estimate on ring link 0->1. Under SymmetricBounds(1, 3) that link's
+// m~ls is d~min-1, its own shortest path, so the closure entry must move,
+// certification fails and every Corrections re-solves in batch: the
+// denominator of the incremental speedup. The one-ulp step keeps the
+// re-solved instance the one StreamUpdate serves from the cache.
 func BenchmarkStreamBatchResolve(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			st := streamWorkload(b, n)
-			defer st.Close()
-			st.SetFallbackFraction(0)
-			est := 5e5 - 1.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				est -= 1e-6
-				if err := st.Observe(0, ProcID(n/2), 0, est); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := st.Corrections(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			streamTicks(b, n, 0, 1, 2, func(s StreamStats) int64 { return s.Batch })
 		})
+	}
+}
+
+// streamTicks times b.N ticks on the streamWorkload instance. Each tick
+// observes from->to with an estimate one ulp below the last one, starting
+// from est, then calls Corrections. It fails unless the solve-path counter
+// that path reads grew by exactly b.N, so a tick can never silently take
+// the other path.
+func streamTicks(b *testing.B, n int, from, to ProcID, est float64, path func(StreamStats) int64) {
+	st := streamWorkload(b, n)
+	defer st.Close()
+	base := path(st.Stats())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est = math.Nextafter(est, 0)
+		if err := st.Observe(from, to, 0, est); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Corrections(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := path(st.Stats()) - base; got != int64(b.N) {
+		b.Fatalf("%d of %d ticks took the expected solve path (stats %+v)", got, b.N, st.Stats())
 	}
 }
 

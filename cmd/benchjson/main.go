@@ -232,12 +232,12 @@ func suite(quick bool) []bench {
 		})
 	}
 
-	// Streaming steady state: one new (genuinely tightening, but inert)
-	// observation folded into a converged n-node instance, then
-	// Corrections. StreamUpdate serves from the certified cache;
-	// StreamBatch runs the identical workload with the fallback threshold
-	// forcing a full re-solve per call, so the pair measures exactly the
-	// speedup the incremental engine buys.
+	// Streaming steady state: one new, genuinely tightening observation
+	// folded into a converged n-node instance, then Corrections.
+	// StreamUpdate tightens the slack chord, which is certifiably inert, so
+	// it is served from the cache; StreamBatch tightens a ring link whose
+	// own closure entry must move, so it re-solves in batch. The pair
+	// measures the speedup the incremental engine buys.
 	streamN := 128
 	if quick {
 		streamN = 16
@@ -330,10 +330,14 @@ func suite(quick bool) []bench {
 }
 
 // streamSteadyState builds the converged ring-plus-slack-chord workload of
-// the streaming steady-state tests and returns one update step: observe a
-// slightly tighter chord estimate, then ask for Corrections. With
-// forceBatch the fallback threshold is zero, so every step re-solves from
-// scratch instead of certifying the cached result.
+// the streaming steady-state tests and returns one update step: observe an
+// estimate one ulp below the last, then ask for Corrections. By default the
+// estimate is on the slack chord, where no shortest path can use it, so
+// the step is served from the certified cache. With forceBatch it is on
+// ring link 0->1, whose m~ls under SymmetricBounds(1, 3) is d~min-1, its
+// own shortest path: the closure entry moves and the step re-solves in
+// batch, on the same instance up to that ulp. The step fails if a solve
+// takes the other path.
 func streamSteadyState(n int, forceBatch bool) (func() error, error) {
 	ring, err := delay.SymmetricBounds(1, 3)
 	if err != nil {
@@ -367,20 +371,26 @@ func streamSteadyState(n int, forceBatch bool) (func() error, error) {
 	if err := st.Observe(model.ProcID(n/2), 0, 0, 5e5); err != nil {
 		return nil, err
 	}
-	if forceBatch {
-		st.SetFallbackFraction(0)
-	}
 	if _, err := st.Corrections(); err != nil {
 		return nil, err
 	}
-	est := 5e5 - 1.0
+	to, est, batched := model.ProcID(n/2), 5e5-1.0, int64(0)
+	if forceBatch {
+		to, est, batched = 1, 2, 1
+	}
 	return func() error {
-		est -= 1e-6
-		if err := st.Observe(0, model.ProcID(n/2), 0, est); err != nil {
+		est = math.Nextafter(est, 0)
+		if err := st.Observe(0, to, 0, est); err != nil {
 			return err
 		}
-		_, err := st.Corrections()
-		return err
+		before := st.Stats().Batch
+		if _, err := st.Corrections(); err != nil {
+			return err
+		}
+		if st.Stats().Batch-before != batched {
+			return fmt.Errorf("solve took the wrong path (stats %+v)", st.Stats())
+		}
+		return nil
 	}, nil
 }
 

@@ -90,8 +90,8 @@ func main() {
 
 	stats := st.Stats()
 	fmt.Println()
-	fmt.Printf("solve paths: %d cached, %d repaired, %d batch (of %d observations)\n",
-		stats.Cached, stats.Repaired, stats.Batch, stats.Observations)
+	fmt.Printf("solve paths: %d cached, %d batch (of %d observations)\n",
+		stats.Cached, stats.Batch, stats.Observations)
 	fmt.Println("every result above is bit-identical to a from-scratch batch Synchronize;")
 	fmt.Println("the cached solves cost microseconds instead of a full O(n^3) pipeline run.")
 }

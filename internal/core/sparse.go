@@ -6,9 +6,7 @@ import (
 	"math"
 	"time"
 
-	"clocksync/internal/delay"
 	"clocksync/internal/graph"
-	"clocksync/internal/model"
 	"clocksync/internal/obs"
 	"clocksync/internal/trace"
 )
@@ -108,51 +106,15 @@ func scatterCSR(g *graph.CSR, d *graph.Dense) {
 // minimum at Build, exactly the Theorem 5.6 intersection the dense
 // assembly applies.
 func mlsCSRInto(g *graph.CSR, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
-	if tab != nil && tab.N() != n {
-		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
-	}
 	g.Reset(n)
-	empty := trace.NewDirStats()
-	for _, l := range links {
-		if err := l.Validate(n); err != nil {
-			return err
-		}
-		pq, qp := empty, empty
-		if tab != nil {
-			pq = tab.Stats(l.P, l.Q)
-			qp = tab.Stats(l.Q, l.P)
-		}
-		mlsPQ, mlsQP := l.A.MLS(pq, qp)
-		if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
-			return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
-		}
-		p, q := int(l.P), int(l.Q)
-		if err := g.AddEdge(p, q, mlsPQ); err != nil {
+	err := eachMLS(n, links, tab, opts, func(p, q int, w float64) error {
+		if err := g.AddEdge(p, q, w); err != nil {
 			return fmt.Errorf("core: mls[%d][%d]: %v", p, q, err)
 		}
-		if err := g.AddEdge(q, p, mlsQP); err != nil {
-			return fmt.Errorf("core: mls[%d][%d]: %v", q, p, err)
-		}
-	}
-	if opts.AssumeNonnegative && tab != nil {
-		nb := delay.NoBounds()
-		var firstErr error
-		tab.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
-			if firstErr != nil {
-				return
-			}
-			mlsPQ, mlsQP := nb.MLS(pq, qp)
-			if err := g.AddEdge(int(p), int(q), mlsPQ); err != nil {
-				firstErr = fmt.Errorf("core: mls[%d][%d]: %v", p, q, err)
-				return
-			}
-			if err := g.AddEdge(int(q), int(p), mlsQP); err != nil {
-				firstErr = fmt.Errorf("core: mls[%d][%d]: %v", q, p, err)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	g.Build()
 	return nil

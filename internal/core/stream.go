@@ -9,26 +9,17 @@ import (
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
-	"clocksync/internal/trace"
 )
 
 // Streaming solve metrics: how often Corrections was served from the
-// certified cache, by in-place dirty-region repair, or by a full batch
-// re-solve, and how large the dirty sets were.
+// certified cache or by a full batch re-solve, and how large the dirty
+// sets were.
 var (
 	mStreamObs       = obs.Default.Counter("stream.observations")
 	mStreamCached    = obs.Default.Counter("stream.solves.cached")
-	mStreamRepaired  = obs.Default.Counter("stream.solves.repaired")
 	mStreamBatch     = obs.Default.Counter("stream.solves.batch")
 	hStreamDirtyEdge = obs.Default.Histogram("stream.dirty.edges", obs.DefSizeBuckets)
-	hStreamDirtyRgn  = obs.Default.Histogram("stream.dirty.region", obs.DefSizeBuckets)
 )
-
-// DefaultFallbackFraction is the dirty-edge fraction above which Stream
-// abandons incremental repair for a batch re-solve: past this point the
-// wavefronts overlap enough that one Floyd-Warshall pass is cheaper than
-// per-edge repair.
-const DefaultFallbackFraction = 0.25
 
 // Stream is the incremental face of the synchronization pipeline: it
 // accepts observations one at a time, maintains every link's estimated
@@ -36,26 +27,21 @@ const DefaultFallbackFraction = 0.25
 // link's m~ls — see delay.Tightener), and on Corrections reuses the
 // previous solve wherever the tightened edges provably cannot change it.
 //
-// Solve strategy, in order of preference:
+// Every Corrections call is resolved one of two ways, and either way the
+// result is bit-for-bit what a fresh batch solve of the same observations
+// would produce:
 //
 //  1. Cached: every dirty edge passes graph.ClosureEdgeInert against the
-//     cached m~s closure — the previous Result is returned unchanged, and
-//     is bit-for-bit what a fresh batch solve would produce. O(dirty * n),
-//     zero allocations. This is the steady state of a converged system:
-//     once the per-link statistics have stabilized, new observations stop
-//     moving m~ls (or move it without affecting any shortest path).
-//  2. Repaired (opt-in via SetRelaxedRepair): non-inert edges are patched
-//     into the cached closure with graph.ClosureDecreaseEdge, A_max is
-//     recomputed only when the dirty region touches the cached Karp
-//     witness cycle (tightening only lowers cycle means, so an untouched
-//     witness pins A_max exactly), and corrections are re-derived by
-//     Bellman-Ford on the patched closure. Equivalent to a batch solve up
-//     to floating-point summation order — not guaranteed bit-identical,
-//     which is why it is opt-in.
-//  3. Batch: everything else — first call, non-monotone or NaN shift
-//     updates, connectivity growth, dirty fraction above the fallback
-//     threshold, failed certification in strict mode — runs the full
-//     Synchronizer pipeline on the current m~ls.
+//     cached m~s closure, so the previous Result is returned unchanged.
+//     O(dirty * n), zero allocations. This is the steady state of a
+//     converged system: once the per-link statistics have stabilized, new
+//     observations stop moving m~ls (or move it without affecting any
+//     shortest path).
+//  2. Batch: everything else — the first call, a non-monotone or NaN shift
+//     update, or any dirty edge that fails certification — runs the full
+//     Synchronizer pipeline on the current m~ls. The certification is
+//     O(dirty * n), so it never costs more than the O(n^3) batch it can
+//     avoid, whatever fraction of the edges is dirty.
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
@@ -75,20 +61,11 @@ type Stream struct {
 	sync  *Synchronizer // batch pipeline + arenas backing cached results
 	check *Synchronizer // cross-check lane, lazily created
 
-	cur       *resultArena // arena holding the cached solve
-	haveSolve bool
-	exact     bool    // baseline is bit-exact (no relaxed repair since the last batch)
-	fullDirty bool    // monotonicity lost (Grew/NaN): next solve is batch
-	dirty     []int32 // pair indices with >= 1 tightened direction since last solve
-
-	fallbackFrac float64
-	relaxed      bool
-	crossCheck   bool
-
-	// repair scratch
-	rowsScr, colsScr []int
-	touched          []int32
-	edgeMark         []bool // n*n, witness-cycle edge membership
+	cur        *resultArena // arena holding the cached solve
+	haveSolve  bool
+	fullDirty  bool    // monotonicity lost (Grew/NaN): next solve is batch
+	dirty      []int32 // pair indices with >= 1 tightened direction since last solve
+	crossCheck bool
 
 	stats StreamStats
 }
@@ -108,8 +85,10 @@ type pairEntry struct {
 type StreamStats struct {
 	Observations int64 // Observe calls accepted
 	Cached       int64 // served unchanged from the certified cache
-	Repaired     int64 // served by in-place dirty-region repair
-	Batch        int64 // full batch re-solves
+	// Repaired is always zero: Stream has no repair path. The field stays
+	// until the benchmark that reports it drops its stream.repaired column.
+	Repaired int64
+	Batch    int64 // full batch re-solves
 }
 
 // NewStream builds a streaming synchronizer for an n-processor system with
@@ -121,11 +100,10 @@ func NewStream(n int, links []Link, mopts MLSOptions, opts Options) (*Stream, er
 		return nil, fmt.Errorf("core: stream needs at least one processor, got %d", n)
 	}
 	s := &Stream{
-		n:            n,
-		opts:         opts,
-		mopts:        mopts,
-		sync:         NewSynchronizer(),
-		fallbackFrac: DefaultFallbackFraction,
+		n:     n,
+		opts:  opts,
+		mopts: mopts,
+		sync:  NewSynchronizer(),
 	}
 	s.pairOf = make([]int32, n*n)
 	for i := range s.pairOf {
@@ -196,27 +174,9 @@ func (s *Stream) addPair(p, q int, a delay.Assumption) error {
 	return nil
 }
 
-// SetFallbackFraction sets the dirty-edge fraction (dirty directed edges
-// over all constrained directed edges) above which Corrections skips
-// incremental paths and re-solves from scratch. Values <= 0 force batch
-// on any dirt; values >= 1 never force it.
-func (s *Stream) SetFallbackFraction(f float64) {
-	if math.IsNaN(f) {
-		return
-	}
-	s.fallbackFrac = f
-}
-
-// SetRelaxedRepair toggles in-place dirty-region repair (solve strategy 2
-// above). Off — the default — every Corrections result is bit-identical
-// to a fresh batch solve; on, repaired solves are equivalent only up to
-// floating-point summation order.
-func (s *Stream) SetRelaxedRepair(on bool) { s.relaxed = on }
-
 // SetCrossCheck toggles the internal verification mode used by tests and
-// the fuzz harness: every Corrections result is compared against a fresh
-// batch solve on an independent Synchronizer — bitwise when the result
-// came from the cached path, within tolerance for relaxed repairs — and a
+// the fuzz harness: every cached Corrections result is compared bit for bit
+// against a fresh batch solve on an independent Synchronizer, and a
 // mismatch is returned as an error.
 func (s *Stream) SetCrossCheck(on bool) { s.crossCheck = on }
 
@@ -288,57 +248,10 @@ func (s *Stream) Observe(from, to model.ProcID, sendClock, recvClock float64) er
 	return nil
 }
 
-// ObserveStats folds externally reduced per-direction statistics for the
-// ordered pair (from, to) into the stream — the ingestion path for
-// distributed deployments that ship per-link summaries instead of raw
-// samples (the streaming analogue of Recorder.Merge).
-func (s *Stream) ObserveStats(from, to model.ProcID, ds trace.DirStats) error {
-	f, t := int(from), int(to)
-	if f < 0 || f >= s.n || t < 0 || t >= s.n {
-		return fmt.Errorf("core: stats endpoints p%d->p%d out of range [0,%d)", f, t, s.n)
-	}
-	if f == t {
-		return fmt.Errorf("core: self-stats at p%d", f)
-	}
-	if ds.Count > 0 && (math.IsNaN(ds.Min) || math.IsNaN(ds.Max) || ds.Max < ds.Min) {
-		return fmt.Errorf("core: invalid stats %v for p%d->p%d", ds, f, t)
-	}
-	if ds.Count == 0 {
-		return nil
-	}
-	idx := s.pairOf[f*s.n+t]
-	if idx < 0 {
-		if !s.mopts.AssumeNonnegative {
-			return nil
-		}
-		p, q := f, t
-		if p > q {
-			p, q = q, p
-		}
-		if err := s.addPair(p, q, delay.NoBounds()); err != nil {
-			return err
-		}
-		idx = s.pairOf[f*s.n+t]
-	}
-	e := &s.pairs[idx]
-	dPQ, dQP := delay.TightenStats(e.a, f == e.p, ds, &e.st)
-	s.mls.Set(e.p, e.q, e.st.MLSPQ)
-	s.mls.Set(e.q, e.p, e.st.MLSQP)
-	if dPQ == delay.Grew || dQP == delay.Grew {
-		s.fullDirty = true
-	}
-	if (dPQ == delay.Shrank || dQP == delay.Shrank) && !e.dirtyPQ && !e.dirtyQP {
-		s.dirty = append(s.dirty, idx)
-	}
-	e.dirtyPQ = e.dirtyPQ || dPQ == delay.Shrank
-	e.dirtyQP = e.dirtyQP || dQP == delay.Shrank
-	s.stats.Observations++
-	return nil
-}
-
-// Corrections solves the pipeline for the observations so far, reusing as
-// much of the previous solve as can be proven valid. See the Stream type
-// documentation for the solve strategy and the Result reuse contract.
+// Corrections solves the pipeline for the observations so far, returning
+// the previous solve when it is certified unchanged and re-solving in
+// batch otherwise. See the Stream type documentation for the solve rule
+// and the Result reuse contract.
 func (s *Stream) Corrections() (*Result, error) {
 	dirtyEdges := 0
 	for _, idx := range s.dirty {
@@ -352,27 +265,13 @@ func (s *Stream) Corrections() (*Result, error) {
 	}
 	hStreamDirtyEdge.Observe(float64(dirtyEdges))
 
-	if s.haveSolve && !s.fullDirty && !s.overThreshold(dirtyEdges) {
-		if s.allInert() {
-			// Every tightened edge is certified not to move the closure:
-			// the cached result is bit-for-bit the fresh batch answer.
-			s.clearDirty()
-			mStreamCached.Inc()
-			s.stats.Cached++
-			hStreamDirtyRgn.Observe(0)
-			return s.finish(&s.cur.res, s.exact)
-		}
-		if s.relaxed {
-			if res, ok, err := s.repair(); err != nil {
-				return nil, err
-			} else if ok {
-				s.exact = false
-				mStreamRepaired.Inc()
-				s.stats.Repaired++
-				s.publishQuality(res)
-				return s.finish(res, false)
-			}
-		}
+	if s.haveSolve && !s.fullDirty && s.allInert() {
+		// Every tightened edge is certified not to move the closure: the
+		// cached result is bit-for-bit the fresh batch answer.
+		s.clearDirty()
+		mStreamCached.Inc()
+		s.stats.Cached++
+		return s.crossChecked(&s.cur.res)
 	}
 	res, err := s.batchSolve()
 	if err != nil {
@@ -392,16 +291,6 @@ func (s *Stream) publishQuality(res *Result) {
 		return
 	}
 	PublishQuality(res, s.qpairs, s.opts.QualityLabel, nil)
-}
-
-// overThreshold reports whether the dirty directed-edge fraction exceeds
-// the fallback threshold.
-func (s *Stream) overThreshold(dirtyEdges int) bool {
-	total := 2 * len(s.pairs)
-	if total == 0 {
-		return false
-	}
-	return float64(dirtyEdges) > s.fallbackFrac*float64(total)
 }
 
 // allInert certifies every dirty directed edge against the cached closure.
@@ -427,125 +316,6 @@ func (s *Stream) clearDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// repair attempts the in-place dirty-region update on the cached solve.
-// It returns ok == false (with no error) when a precondition fails and the
-// caller must batch instead: multiple sync components, connectivity
-// growth (a previously +Inf closure entry turning finite can merge
-// components), or a tightened edge closing a negative-sum cycle (which
-// the batch path reports as ErrInfeasible).
-func (s *Stream) repair() (*Result, bool, error) {
-	a := s.cur
-	if len(a.comps) != 1 {
-		return nil, false, nil
-	}
-	n := s.n
-	// Preconditions per dirty edge, checked against the still-unmodified
-	// closure; bail before mutating anything.
-	for _, idx := range s.dirty {
-		e := &s.pairs[idx]
-		if e.dirtyPQ && !repairableEdge(&a.ms, e.p, e.q, e.st.MLSPQ) {
-			return nil, false, nil
-		}
-		if e.dirtyQP && !repairableEdge(&a.ms, e.q, e.p, e.st.MLSQP) {
-			return nil, false, nil
-		}
-	}
-
-	if cap(s.rowsScr) < n {
-		s.rowsScr = make([]int, 0, n)
-		s.colsScr = make([]int, 0, n)
-	}
-	s.touched = s.touched[:0]
-	for _, idx := range s.dirty {
-		e := &s.pairs[idx]
-		if e.dirtyPQ {
-			s.touched = graph.ClosureDecreaseEdge(&a.ms, e.p, e.q, e.st.MLSPQ, s.rowsScr, s.colsScr, s.touched)
-		}
-		if e.dirtyQP {
-			s.touched = graph.ClosureDecreaseEdge(&a.ms, e.q, e.p, e.st.MLSQP, s.rowsScr, s.colsScr, s.touched)
-		}
-	}
-	hStreamDirtyRgn.Observe(float64(len(s.touched)))
-	s.clearDirty()
-	if len(s.touched) == 0 {
-		// The edges moved but no closure entry did (within-margin
-		// tightenings): the cached solve still stands.
-		return &a.res, true, nil
-	}
-
-	comp := a.comps[0]
-	aMax := a.res.Precision
-	if s.witnessTouched() {
-		// The dirty region crossed the cached critical cycle: A_max must be
-		// recomputed (it can only have decreased). Otherwise the untouched
-		// witness still attains the old value, and since every cycle mean
-		// only decreased under the pointwise-smaller closure, A_max is
-		// unchanged exactly.
-		kit := s.sync.kit(0)
-		var cyc []int
-		aMax, cyc = s.sync.componentAMax(kit, &a.ms, comp, s.sync.ensurePool(s.opts.Parallelism))
-		a.cycle = append(a.cycle[:0], cyc...)
-		if len(a.cycle) > 0 {
-			a.res.CriticalCycle = a.cycle
-		} else {
-			a.res.CriticalCycle = nil
-		}
-	}
-	a.prec[0] = aMax
-	a.res.Precision = aMax
-	kit := s.sync.kit(0)
-	if err := s.sync.componentCorrections(kit, &a.ms, comp, aMax, s.opts, a.corr, s.sync.ensurePool(s.opts.Parallelism)); err != nil {
-		// Numerical corner (negative-cycle noise): surface exactly as the
-		// batch path would after invalidating the cache.
-		s.haveSolve = false
-		return nil, false, err
-	}
-	return &a.res, true, nil
-}
-
-// repairableEdge reports whether the tightened edge u -> v with weight w
-// satisfies the ClosureDecreaseEdge preconditions against closure ms.
-func repairableEdge(ms *graph.Dense, u, v int, w float64) bool {
-	if math.IsInf(w, 1) {
-		return true // no-op edge
-	}
-	if math.IsInf(ms.At(u, v), 1) {
-		return false // new connectivity: components may merge
-	}
-	if !math.IsNaN(w) && ms.At(v, u)+w < 0 {
-		return false // would close a negative cycle: let batch report it
-	}
-	return !math.IsNaN(w)
-}
-
-// witnessTouched reports whether any repaired closure entry lies on an
-// edge of the cached critical cycle. A nil witness (degenerate extraction)
-// counts as touched, forcing the safe recompute.
-func (s *Stream) witnessTouched() bool {
-	cyc := s.cur.res.CriticalCycle
-	if len(cyc) < 2 {
-		return true
-	}
-	n := s.n
-	if len(s.edgeMark) < n*n {
-		s.edgeMark = make([]bool, n*n)
-	}
-	for k := 0; k+1 < len(cyc); k++ {
-		s.edgeMark[cyc[k]*n+cyc[k+1]] = true
-	}
-	hit := false
-	for _, t := range s.touched {
-		if s.edgeMark[t] {
-			hit = true
-			break
-		}
-	}
-	for k := 0; k+1 < len(cyc); k++ {
-		s.edgeMark[cyc[k]*n+cyc[k+1]] = false
-	}
-	return hit
-}
-
 // batchSolve runs the full pipeline on the current m~ls and installs the
 // result as the new incremental baseline.
 func (s *Stream) batchSolve() (*Result, error) {
@@ -567,16 +337,14 @@ func (s *Stream) batchSolve() (*Result, error) {
 	}
 	s.cur = a
 	s.haveSolve = true
-	s.exact = true
 	s.fullDirty = false
 	s.clearDirty()
 	return res, nil
 }
 
-// finish applies the cross-check hook, when enabled, to a result produced
-// by an incremental path. bitwise selects exact comparison (cached path)
-// versus tolerance comparison (relaxed repair).
-func (s *Stream) finish(res *Result, bitwise bool) (*Result, error) {
+// crossChecked applies the cross-check hook, when enabled, to a result
+// served from the cache: it must equal a fresh batch solve bit for bit.
+func (s *Stream) crossChecked(res *Result) (*Result, error) {
 	if !s.crossCheck {
 		return res, nil
 	}
@@ -590,29 +358,29 @@ func (s *Stream) finish(res *Result, bitwise bool) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: stream cross-check batch solve failed: %w", err)
 	}
-	if err := compareResults(res, fresh, bitwise); err != nil {
+	if err := compareResults(res, fresh); err != nil {
 		return nil, fmt.Errorf("core: stream cross-check mismatch: %w", err)
 	}
 	return res, nil
 }
 
 // compareResults checks an incremental result against a fresh batch
-// result, bitwise or within relative tolerance 1e-9.
-func compareResults(got, want *Result, bitwise bool) error {
+// result bit for bit.
+func compareResults(got, want *Result) error {
 	if len(got.Corrections) != len(want.Corrections) {
 		return fmt.Errorf("corrections length %d vs %d", len(got.Corrections), len(want.Corrections))
 	}
-	if !floatEq(got.Precision, want.Precision, bitwise) {
+	if !sameBits(got.Precision, want.Precision) {
 		return fmt.Errorf("precision %v vs %v", got.Precision, want.Precision)
 	}
 	for i := range got.Corrections {
-		if !floatEq(got.Corrections[i], want.Corrections[i], bitwise) {
+		if !sameBits(got.Corrections[i], want.Corrections[i]) {
 			return fmt.Errorf("corrections[%d] %v vs %v", i, got.Corrections[i], want.Corrections[i])
 		}
 	}
 	for i := range got.MS {
 		for j := range got.MS[i] {
-			if !floatEq(got.MS[i][j], want.MS[i][j], bitwise) {
+			if !sameBits(got.MS[i][j], want.MS[i][j]) {
 				return fmt.Errorf("ms[%d][%d] %v vs %v", i, j, got.MS[i][j], want.MS[i][j])
 			}
 		}
@@ -623,14 +391,4 @@ func compareResults(got, want *Result, bitwise bool) error {
 	return nil
 }
 
-// floatEq compares two floats bitwise or within relative tolerance 1e-9
-// (infinities must match exactly either way).
-func floatEq(a, b float64, bitwise bool) bool {
-	if bitwise {
-		return math.Float64bits(a) == math.Float64bits(b)
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b
-	}
-	return math.Abs(a-b) <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
-}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -139,7 +139,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("trial %d after %d obs: %v", trial, i+1, err)
 			}
 			want := batchReference(t, n, links, samples[:i+1], opts)
-			if err := compareResults(res, want, true); err != nil {
+			if err := compareResults(res, want); err != nil {
 				t.Fatalf("trial %d after %d obs: stream vs independent batch: %v", trial, i+1, err)
 			}
 		}
@@ -206,33 +206,81 @@ func TestStreamCachedPath(t *testing.T) {
 	}
 }
 
-// TestStreamRelaxedRepair forces genuine estimate movement with repair
-// enabled and verifies (via the tolerance cross-check) that repaired
-// solves agree with fresh batch solves, and that repairs actually happen.
-func TestStreamRelaxedRepair(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	n := 6
-	links, samples := randomStreamInstance(t, rng, n, 60)
+// TestStreamWideInertTickCached dirties more than a quarter of the directed
+// edges in one tick, every one of them certifiably inert: the tick must be
+// served from the cache however much of the graph it touches, and the
+// cross-check must find it bit-identical to batch.
+func TestStreamWideInertTickCached(t *testing.T) {
+	ring, err := delay.SymmetricBounds(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slack, err := delay.SymmetricBounds(0, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var links []Link
+	var samples []streamSample
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		links = append(links, Link{P: model.ProcID(i), Q: model.ProcID(j), A: ring})
+		samples = append(samples, streamSample{model.ProcID(i), model.ProcID(j), 0, 2}, streamSample{model.ProcID(j), model.ProcID(i), 0, 2})
+	}
+	// Slack chords from p0: their shifts sit far above every ring path.
+	for c := 2; c < n-1; c++ {
+		links = append(links, Link{P: 0, Q: model.ProcID(c), A: slack})
+		samples = append(samples, streamSample{0, model.ProcID(c), 0, 5e5}, streamSample{model.ProcID(c), 0, 0, 5e5})
+	}
 	st, err := NewStream(n, links, DefaultMLSOptions(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.SetRelaxedRepair(true)
 	st.SetCrossCheck(true)
-	st.SetFallbackFraction(1) // never fall back on dirty volume alone
-
-	for i, s := range samples {
+	for _, s := range samples {
 		if err := st.Observe(s.from, s.to, s.send, s.recv); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Corrections(); err != nil {
-			t.Fatalf("after %d obs: %v", i+1, err)
+	}
+	if _, err := st.Corrections(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One tick tightens both directions of every chord.
+	tick := len(samples)
+	for c := 2; c < n-1; c++ {
+		samples = append(samples, streamSample{0, model.ProcID(c), 0, 5e5 - 1}, streamSample{model.ProcID(c), 0, 0, 5e5 - 1})
+	}
+	for _, s := range samples[tick:] {
+		if err := st.Observe(s.from, s.to, s.send, s.recv); err != nil {
+			t.Fatal(err)
 		}
 	}
-	stats := st.Stats()
-	if stats.Repaired == 0 {
-		t.Fatalf("no repaired solves (stats %+v); repair path untested", stats)
+	dirtyEdges := 0
+	for _, idx := range st.dirty {
+		if st.pairs[idx].dirtyPQ {
+			dirtyEdges++
+		}
+		if st.pairs[idx].dirtyQP {
+			dirtyEdges++
+		}
+	}
+	if total := 2 * len(st.pairs); 4*dirtyEdges <= total {
+		t.Fatalf("tick dirtied %d of %d directed edges, want more than a quarter", dirtyEdges, total)
+	}
+
+	before := st.Stats()
+	res, err := st.Corrections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Cached != before.Cached+1 || got.Batch != before.Batch {
+		t.Fatalf("stats %+v after %+v: wide inert tick not served from the cache", got, before)
+	}
+	want := batchReference(t, n, links, samples, Options{Parallelism: 1})
+	if err := compareResults(res, want); err != nil {
+		t.Fatalf("stream vs batch: %v", err)
 	}
 }
 
@@ -359,7 +407,7 @@ func TestStreamUnlinkedPairs(t *testing.T) {
 		t.Fatal("nonneg ambient assumption did not connect the system")
 	}
 	want := batchReference(t, 3, links, obs, Options{Parallelism: 1})
-	if err := compareResults(res, want, true); err != nil {
+	if err := compareResults(res, want); err != nil {
 		t.Fatalf("stream vs batch: %v", err)
 	}
 
@@ -380,52 +428,6 @@ func TestStreamUnlinkedPairs(t *testing.T) {
 	}
 	if !math.IsInf(res2.Precision, 1) {
 		t.Fatalf("precision %v without ambient assumption, want +Inf", res2.Precision)
-	}
-}
-
-// TestStreamStatsIngestion replays reduced statistics through ObserveStats
-// and compares against the batch pipeline fed via MergeStats.
-func TestStreamStatsIngestion(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	n := 5
-	links, samples := randomStreamInstance(t, rng, n, 80)
-	st, err := NewStream(n, links, DefaultMLSOptions(), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// Reduce the samples into per-site chunks of statistics and ship those.
-	tab := trace.NewTable(n, false)
-	for i := 0; i < len(samples); i += 20 {
-		chunk := trace.NewTable(n, false)
-		for _, s := range samples[i:min(i+20, len(samples))] {
-			if err := chunk.Add(trace.Sample{From: s.from, To: s.to, SendClock: s.send, RecvClock: s.recv}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		chunk.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
-			if pq.Empty() {
-				return
-			}
-			if err := st.ObserveStats(p, q, pq); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.MergeStats(p, q, pq); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	res, err := st.Corrections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SynchronizeSystem(n, links, tab, DefaultMLSOptions(), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compareResults(res, want, true); err != nil {
-		t.Fatalf("stats-ingested stream vs batch: %v", err)
 	}
 }
 

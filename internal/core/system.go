@@ -63,16 +63,29 @@ func MLSMatrix(n int, links []Link, tab *trace.Table, opts MLSOptions) ([][]floa
 }
 
 // mlsMatrixInto is MLSMatrix writing into a reusable dense matrix; the
-// allocation-free core used by Synchronizer.SyncSystem.
+// allocation-free core used by Synchronizer.SyncSystem. Theorem 5.6:
+// multiple assumptions on a pair intersect, so weights combine by minimum.
 func mlsMatrixInto(d *graph.Dense, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
-	if tab != nil && tab.N() != n {
-		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
-	}
 	d.Reset(n)
 	d.Fill(graph.Inf)
 	d.FillDiag(0)
-	empty := trace.NewDirStats()
+	return eachMLS(n, links, tab, opts, func(p, q int, w float64) error {
+		d.Set(p, q, math.Min(d.At(p, q), w))
+		return nil
+	})
+}
 
+// eachMLS reduces the trace to estimated maximal local shifts under the
+// per-link assumptions and hands every directed weight p -> q to sink:
+// both directions of each link, then, with AssumeNonnegative, both
+// directions of every observed pair under NoBounds. A pair with several
+// assumptions yields several weights; the sink combines them. The first
+// error, from validation or from sink, stops the walk.
+func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p, q int, w float64) error) error {
+	if tab != nil && tab.N() != n {
+		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
+	}
+	empty := trace.NewDirStats()
 	for _, l := range links {
 		if err := l.Validate(n); err != nil {
 			return err
@@ -86,22 +99,29 @@ func mlsMatrixInto(d *graph.Dense, n int, links []Link, tab *trace.Table, opts M
 		if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
 			return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
 		}
-		// Theorem 5.6: multiple assumptions on a pair intersect.
 		p, q := int(l.P), int(l.Q)
-		d.Set(p, q, math.Min(d.At(p, q), mlsPQ))
-		d.Set(q, p, math.Min(d.At(q, p), mlsQP))
+		if err := sink(p, q, mlsPQ); err != nil {
+			return err
+		}
+		if err := sink(q, p, mlsQP); err != nil {
+			return err
+		}
 	}
-
-	if opts.AssumeNonnegative && tab != nil {
-		nb := delay.NoBounds()
-		tab.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
-			mlsPQ, mlsQP := nb.MLS(pq, qp)
-			pi, qi := int(p), int(q)
-			d.Set(pi, qi, math.Min(d.At(pi, qi), mlsPQ))
-			d.Set(qi, pi, math.Min(d.At(qi, pi), mlsQP))
-		})
+	if !opts.AssumeNonnegative || tab == nil {
+		return nil
 	}
-	return nil
+	nb := delay.NoBounds()
+	var err error
+	tab.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
+		if err != nil {
+			return
+		}
+		mlsPQ, mlsQP := nb.MLS(pq, qp)
+		if err = sink(int(p), int(q), mlsPQ); err == nil {
+			err = sink(int(q), int(p), mlsQP)
+		}
+	})
+	return err
 }
 
 // SynchronizeSystem is the end-to-end entry point: reduce the trace to

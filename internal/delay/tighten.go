@@ -15,8 +15,8 @@ import (
 // non-increasing in the direction statistics (d~min only shrinks, d~max
 // only grows as messages arrive), so a new observation can only TIGHTEN a
 // link's maximal local shifts. Tightened shifts can only lower
-// shortest-path weights downstream, which is what makes decrease-only
-// closure repair sound.
+// shortest-path weights downstream, which is what lets the incremental
+// synchronizer certify a cached closure as unchanged.
 
 // Obs is one new observation folding into a link's statistics: the
 // estimated delay d~ = recvClock - sendClock and the direction it traveled
@@ -48,7 +48,7 @@ func NewLinkStats() LinkStats {
 // Tightening direction report: how one direction's local shift moved under
 // an update. The built-in models only ever Shrank (or held); Grew flags a
 // non-monotone custom assumption, telling incremental consumers to abandon
-// decrease-only repair for that solve.
+// decrease-only reasoning and re-solve in batch.
 const (
 	Shrank    = -1
 	Unchanged = 0
@@ -160,21 +160,4 @@ func (f flipped) Tighten(obs Obs, st *LinkStats) (dPQ, dQP int) {
 	fold(obs, st)
 	newPQ, newQP := f.MLS(st.PQ, st.QP)
 	return refresh(st, newPQ, newQP)
-}
-
-// TightenStats folds a whole batch of reduced statistics for one direction
-// into st (the streaming analogue of Recorder.Merge / Table.MergeStats,
-// used when peers ship per-link summaries instead of raw samples) and
-// refreshes the shifts. Direction reports follow the Tighten conventions.
-func TightenStats(a Assumption, toQ bool, s trace.DirStats, st *LinkStats) (dPQ, dQP int) {
-	if toQ {
-		st.PQ.Merge(s)
-	} else {
-		st.QP.Merge(s)
-	}
-	newPQ, newQP := a.MLS(st.PQ, st.QP)
-	dPQ = direction(st.MLSPQ, newPQ)
-	dQP = direction(st.MLSQP, newQP)
-	st.MLSPQ, st.MLSQP = newPQ, newQP
-	return dPQ, dQP
 }

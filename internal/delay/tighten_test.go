@@ -125,30 +125,3 @@ func TestTightenReportsGrowth(t *testing.T) {
 		t.Fatalf("NaN shifts report (%d,%d), want (Grew,Grew)", dPQ, dQP)
 	}
 }
-
-// TestTightenStats checks the merged-statistics ingestion path against
-// folding the same stats via the batch MLS.
-func TestTightenStats(t *testing.T) {
-	a, err := SymmetricBounds(0.2, 1.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewLinkStats()
-	s1 := trace.NewDirStats()
-	s1.Add(0.7)
-	s1.Add(1.1)
-	if dPQ, _ := TightenStats(a, true, s1, &st); dPQ != Shrank {
-		t.Fatalf("merge into empty direction: dPQ = %d, want Shrank", dPQ)
-	}
-	s2 := trace.NewDirStats()
-	s2.Add(0.9)
-	TightenStats(a, false, s2, &st)
-
-	batch := NewLinkStats()
-	batch.PQ.Merge(s1)
-	batch.QP.Merge(s2)
-	wantPQ, wantQP := a.MLS(batch.PQ, batch.QP)
-	if st.MLSPQ != wantPQ || st.MLSQP != wantQP {
-		t.Fatalf("streamed shifts (%v,%v) != batch (%v,%v)", st.MLSPQ, st.MLSQP, wantPQ, wantQP)
-	}
-}

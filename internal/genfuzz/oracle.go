@@ -422,9 +422,7 @@ func (o *Oracle) checkStream(inst *Instance, built *scenario.Built, exec *model.
 	// Internal cross-check mode: every Corrections call is compared against
 	// a fresh batch solve inside the Stream itself; a mismatch surfaces as
 	// an error, which the checkpoint comparison below reports as stream
-	// divergence. (Relaxed repair is deliberately left off — it only
-	// promises tolerance-level equivalence, not the bit-identity this
-	// oracle demands.)
+	// divergence.
 	st.SetCrossCheck(true)
 
 	var fs []Finding

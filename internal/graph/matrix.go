@@ -17,8 +17,7 @@
 //   - the dense Synchronizer, and so Stream's batch re-solves and the dist
 //     and netsync coordinators: FloydWarshallDense, SCCDense,
 //     MaxMeanCycleDense, BellmanFordDense;
-//   - Stream's incremental path: ClosureEdgeInert and ClosureDecreaseEdge
-//     on the dense closure;
+//   - Stream's certified cache: ClosureEdgeInert on the dense closure;
 //   - the sparse backend: SCCCSR on the m~ls adjacency, then the dense
 //     kernels per component;
 //   - the hierarchical backend: the dense kernels per cluster and on the

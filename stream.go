@@ -5,8 +5,8 @@ import (
 )
 
 // StreamStats counts how a Stream resolved its Corrections calls: served
-// unchanged from the certified cache, by in-place dirty-region repair, or
-// by a full batch re-solve.
+// unchanged from the certified cache, or by a full batch re-solve.
+// Repaired is always zero.
 type StreamStats = core.StreamStats
 
 // Stream is the incremental interface to the synchronization pipeline for
@@ -15,8 +15,7 @@ type StreamStats = core.StreamStats
 // and Corrections reuses the previous solve wherever the tightened links
 // provably cannot change it — falling back to a full batch solve when
 // they can. Results are always identical to what Synchronize would return
-// for the same observations (bit-for-bit, unless relaxed repair is
-// explicitly enabled).
+// for the same observations, bit-for-bit.
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
@@ -55,18 +54,6 @@ func (st *Stream) Observe(from, to ProcID, sendClock, recvClock float64) error {
 func (st *Stream) Corrections() (*Result, error) {
 	return st.s.Corrections()
 }
-
-// SetRelaxedRepair enables in-place dirty-region repair of the cached
-// solve. Off — the default — every result is bit-identical to a batch
-// solve of the same observations; on, repaired solves are equivalent only
-// up to floating-point summation order, in exchange for avoiding full
-// re-solves when observations genuinely move the estimates.
-func (st *Stream) SetRelaxedRepair(on bool) { st.s.SetRelaxedRepair(on) }
-
-// SetFallbackFraction sets the dirty-edge fraction above which
-// Corrections re-solves from scratch instead of attempting incremental
-// reuse. The default is core.DefaultFallbackFraction.
-func (st *Stream) SetFallbackFraction(f float64) { st.s.SetFallbackFraction(f) }
 
 // Stats returns cumulative solve-path counters for this Stream.
 func (st *Stream) Stats() StreamStats { return st.s.Stats() }

@@ -407,9 +407,11 @@ func TestStreamReplaysD1Inputs(t *testing.T) {
 }
 
 // TestStreamReplaysD2Inputs regenerates the D2 fault-tolerance runs (flood
-// loss and crash series) and feeds the leader's degraded statistics table
-// through ObserveStats — the ingestion path a distributed leader would use
-// — asserting bit-identity against the batch solve of the same table.
+// loss and crash series) and replays each run's delivered messages through
+// Observe, asserting bit-identity against the batch solve of the same
+// messages. Only messages into processors whose report reached the leader
+// are replayed, so the replayed table is degraded the way the leader's is:
+// a crashed processor contributes no incoming statistics.
 func TestStreamReplaysD2Inputs(t *testing.T) {
 	const (
 		seed   = int64(12345)
@@ -444,29 +446,21 @@ func TestStreamReplaysD2Inputs(t *testing.T) {
 			Warmup: sim.SafeWarmup(starts) + 0.5, Window: 1,
 			ReportGrace: 2, Retries: retries,
 		}
-		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: rng.Int63(), Faults: mkFaults(starts, cfg)})
+		out, exec, err := dist.Run(net, cfg, sim.RunConfig{Seed: rng.Int63(), Faults: mkFaults(starts, cfg)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		st, err := core.NewStream(n, links, core.DefaultMLSOptions(), core.Options{Root: 0})
-		if err != nil {
-			t.Fatalf("%s: NewStream: %v", name, err)
+		missing := make(map[clocksync.ProcID]bool, len(out.Missing))
+		for _, p := range out.Missing {
+			missing[p] = true
 		}
-		defer st.Close()
-		st.SetCrossCheck(true)
-		out.LeaderTable.Pairs(func(p, q clocksync.ProcID, pq, qp trace.DirStats) {
-			if !pq.Empty() {
-				if err := st.ObserveStats(p, q, pq); err != nil {
-					t.Fatalf("%s: stats p%d->p%d: %v", name, p, q, err)
-				}
+		var samples []trace.Sample
+		for _, s := range executionSamples(t, exec) {
+			if !missing[s.To] {
+				samples = append(samples, s)
 			}
-			if !qp.Empty() {
-				if err := st.ObserveStats(q, p, qp); err != nil {
-					t.Fatalf("%s: stats p%d->p%d: %v", name, q, p, err)
-				}
-			}
-		})
-		compareStreamBatch(t, st, n, links, out.LeaderTable, core.Options{Root: 0})
+		}
+		replayThroughStream(t, n, links, samples, core.Options{Root: 0})
 	}
 
 	for _, loss := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
