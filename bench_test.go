@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/experiments"
 	"clocksync/internal/graph"
+	"clocksync/internal/trace"
 )
 
 // One benchmark per evaluation table/figure (DESIGN.md section 4). Each
@@ -115,6 +116,56 @@ func BenchmarkSynchronizerReuse(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSparseSystem measures core.SynchronizeSystem from a prebuilt
+// trace.Table on a 66x32 ring of cliques (2112 nodes), the input of
+// clockbench's sparse-2k: the m~ls reduction walks the table's observed
+// pairs, then Auto escalates the component to the hierarchical solver.
+// The same instance is benchjson's SparseSystem/n=2112.
+func BenchmarkSparseSystem(b *testing.B) {
+	const cliques, size = 66, 32
+	a := MustSymmetricBounds(0.05, 0.2)
+	rng := rand.New(rand.NewSource(7))
+	n := cliques * size
+	starts := make([]float64, n)
+	for p := range starts {
+		starts[p] = rng.Float64()
+	}
+	tab := trace.NewTable(n, false)
+	var links []core.Link
+	link := func(p, q int) {
+		links = append(links, core.Link{P: ProcID(p), Q: ProcID(q), A: a})
+		for k := 0; k < 4; k++ {
+			from, to := p, q
+			if k%2 == 1 {
+				from, to = q, p
+			}
+			send := 1 + rng.Float64()
+			recv := send + 0.05 + 0.15*rng.Float64()
+			if err := tab.Add(trace.Sample{From: ProcID(from), To: ProcID(to),
+				SendClock: send - starts[from], RecvClock: recv - starts[to]}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for c := 0; c < cliques; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				link(base+i, base+j)
+			}
+		}
+		link(base, (c+1)%cliques*size)
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.SynchronizeSystem(n, links, tab, core.DefaultMLSOptions(), core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // streamWorkload builds the converged steady-state instance the streaming

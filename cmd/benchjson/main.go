@@ -1,6 +1,7 @@
 // Command benchjson measures the performance-critical benchmarks of the
 // repository — the core SHIFTS pipeline at several sizes, the steady-state
-// Synchronizer reuse path, the view reduction (model build and
+// Synchronizer reuse path, the streaming and sparse solves, a sparse
+// system solved from a trace.Table, the view reduction (model build and
 // trace.Collect), and the T/F/D experiment series — and emits the results
 // as JSON (BENCH_core.json by default).
 //
@@ -188,8 +189,8 @@ type bench struct {
 
 // suite assembles the measured benchmarks: the pooled Synchronize wrapper
 // across sizes, the zero-allocation Synchronizer reuse path, the streaming
-// and sparse solves, the view reduction, and one entry per T/F/D
-// experiment.
+// and sparse solves, the sparse system solve from a trace table, the view
+// reduction, and one entry per T/F/D experiment.
 func suite(quick bool) []bench {
 	var bs []bench
 
@@ -283,6 +284,26 @@ func suite(quick bool) []bench {
 			},
 		})
 	}
+
+	// The same topology entered from a prebuilt trace.Table, as clockbench's
+	// sparse-2k runs it: core.SynchronizeSystem reduces the table to m~ls
+	// (the layer the SparseSolve rows skip), then solves with Auto, which
+	// escalates the 2112-node component to the hierarchical solver.
+	sysCliques := 66
+	if quick {
+		sysCliques = 8
+	}
+	n, links, tab, err := sparseSystem(sysCliques, 32)
+	if err != nil {
+		panic(fmt.Sprintf("benchjson: sparse system setup: %v", err))
+	}
+	bs = append(bs, bench{
+		name: fmt.Sprintf("SparseSystem/n=%d", n),
+		fn: func() error {
+			_, err := core.SynchronizeSystem(n, links, tab, core.DefaultMLSOptions(), core.Options{})
+			return err
+		},
+	})
 
 	// The Lemma 6.1 view reduction on its own, on the input shape of
 	// clockbench's trace-heavy workload. Build assembles and validates an
@@ -392,6 +413,56 @@ func streamSteadyState(n int, forceBatch bool) (func() error, error) {
 		}
 		return nil
 	}, nil
+}
+
+// sparseSystem builds a ring of cliques of size nodes as a system: every
+// pair inside a clique and node 0 of each clique to node 0 of the next is
+// linked under SymmetricBounds(0.05, 0.2) and probed twice each way, with
+// true delays drawn inside those bounds and starts in [0, 1). It returns
+// the processor count, the links and the table of the probes.
+func sparseSystem(cliques, size int) (int, []core.Link, *trace.Table, error) {
+	a, err := delay.SymmetricBounds(0.05, 0.2)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(7))
+	n := cliques * size
+	starts := make([]float64, n)
+	for p := range starts {
+		starts[p] = rng.Float64()
+	}
+	tab := trace.NewTable(n, false)
+	var links []core.Link
+	link := func(p, q int) error {
+		links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
+		for k := 0; k < 4; k++ {
+			from, to := p, q
+			if k%2 == 1 {
+				from, to = q, p
+			}
+			send := 1 + rng.Float64()
+			recv := send + 0.05 + 0.15*rng.Float64()
+			if err := tab.Add(trace.Sample{From: model.ProcID(from), To: model.ProcID(to),
+				SendClock: send - starts[from], RecvClock: recv - starts[to]}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for c := 0; c < cliques; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				if err := link(base+i, base+j); err != nil {
+					return 0, nil, nil, err
+				}
+			}
+		}
+		if err := link(base, (c+1)%cliques*size); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	return n, links, tab, nil
 }
 
 // viewReduction records msgs messages over the complete graph on n

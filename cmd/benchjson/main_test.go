@@ -78,7 +78,7 @@ func TestQuickSuiteRoundTrip(t *testing.T) {
 		t.Fatalf("calibration_ns = %v, want > 0", f.CalibrationNs)
 	}
 	for _, name := range []string{"Synchronize/n=8", "Synchronize/n=16", "SynchronizerReuse/n=16",
-		"ViewReduction/Build/msgs=2k", "ViewReduction/Collect/msgs=2k", "Experiment/T1"} {
+		"SparseSystem/n=256", "ViewReduction/Build/msgs=2k", "ViewReduction/Collect/msgs=2k", "Experiment/T1"} {
 		e, ok := f.Benchmarks[name]
 		if !ok {
 			t.Fatalf("missing benchmark %q", name)

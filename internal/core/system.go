@@ -77,8 +77,8 @@ func mlsMatrixInto(d *graph.Dense, n int, links []Link, tab *trace.Table, opts M
 
 // eachMLS reduces the trace to estimated maximal local shifts under the
 // per-link assumptions and hands every directed weight p -> q to sink:
-// both directions of each link, then, with AssumeNonnegative, both
-// directions of every observed pair under NoBounds. A pair with several
+// both directions of each link, then, with AssumeNonnegative, each
+// direction of every observed pair once under NoBounds. A pair with several
 // assumptions yields several weights; the sink combines them. The first
 // error, from validation or from sink, stops the walk.
 func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p, q int, w float64) error) error {
@@ -116,10 +116,9 @@ func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p
 		if err != nil {
 			return
 		}
-		mlsPQ, mlsQP := nb.MLS(pq, qp)
-		if err = sink(int(p), int(q), mlsPQ); err == nil {
-			err = sink(int(q), int(p), mlsQP)
-		}
+		// Pairs visits both orientations, so each sinks its own p -> q.
+		mlsPQ, _ := nb.MLS(pq, qp)
+		err = sink(int(p), int(q), mlsPQ)
 	})
 	return err
 }

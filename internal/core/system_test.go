@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clocksync/internal/delay"
+	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/trace"
 )
@@ -141,6 +142,72 @@ func TestMLSMatrixAssumeNonnegative(t *testing.T) {
 	}
 	if !math.IsInf(without[0][1], 1) {
 		t.Errorf("mls[0][1] = %v, want +Inf", without[0][1])
+	}
+}
+
+// TestMLSNonnegativeSinksEachDirectionOnce: the AssumeNonnegative pass
+// stages one CSR edge per observed direction, so a table whose active
+// pairs all carry traffic both ways stages exactly 2 per active pair, and
+// the compiled weights equal the dense assembly's.
+func TestMLSNonnegativeSinksEachDirectionOnce(t *testing.T) {
+	const n = 12
+	tab := trace.NewTable(n, false)
+	active := 0
+	for p := 0; p < n; p++ {
+		for q := p + 1; q < n; q++ {
+			if (p*7+q*3)%4 != 0 {
+				continue
+			}
+			active++
+			for k := 0; k < 3; k++ {
+				d := float64(p+q+k) / 10
+				if err := tab.Add(trace.Sample{From: model.ProcID(q), To: model.ProcID(p), RecvClock: d}); err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.Add(trace.Sample{From: model.ProcID(p), To: model.ProcID(q), RecvClock: 2 * d}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if active == 0 {
+		t.Fatal("no active pairs")
+	}
+	var g graph.CSR
+	if err := mlsCSRInto(&g, n, nil, tab, DefaultMLSOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if g.Pending() != 2*active {
+		t.Errorf("staged %d edges for %d active pairs, want %d", g.Pending(), active, 2*active)
+	}
+	dense, err := MLSMatrix(n, nil, tab, DefaultMLSOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := 0
+	for u := 0; u < n; u++ {
+		cols, wgts := g.Row(u)
+		nnz += len(cols)
+		for e, v := range cols {
+			if wgts[e] != dense[u][v] {
+				t.Errorf("mls[%d][%d] = %v, dense %v", u, v, wgts[e], dense[u][v])
+			}
+		}
+	}
+	if nnz != 2*active {
+		t.Errorf("%d compiled edges, want %d", nnz, 2*active)
+	}
+
+	// One-way traffic stages only the observed direction.
+	oneWay := trace.NewTable(3, false)
+	if err := oneWay.Add(trace.Sample{From: 2, To: 0, RecvClock: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mlsCSRInto(&g, 3, nil, oneWay, DefaultMLSOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if g.Pending() != 1 {
+		t.Errorf("one-way pair staged %d edges, want 1", g.Pending())
 	}
 }
 

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"clocksync/internal/model"
 )
@@ -22,22 +24,22 @@ type pairStats struct {
 	Max   float64      `json:"max"`
 }
 
-// MarshalJSON encodes the table's statistics. Raw samples (if retained)
-// are not included; a decoded table always has raw retention off.
+// MarshalJSON encodes the table's statistics, one entry per observed
+// directed pair sorted by (from, to). Raw samples (if retained) are not
+// included; a decoded table always has raw retention off.
 func (t *Table) MarshalJSON() ([]byte, error) {
 	out := tableJSON{Processors: t.n}
-	for p := 0; p < t.n; p++ {
-		for q := 0; q < t.n; q++ {
-			st := t.stats[p][q]
-			if st.Empty() {
-				continue
-			}
-			out.Pairs = append(out.Pairs, pairStats{
-				From: model.ProcID(p), To: model.ProcID(q),
-				Count: st.Count, Min: st.Min, Max: st.Max,
-			})
+	t.Pairs(func(p, q model.ProcID, pq, _ DirStats) {
+		if !pq.Empty() {
+			out.Pairs = append(out.Pairs, pairStats{From: p, To: q, Count: pq.Count, Min: pq.Min, Max: pq.Max})
 		}
-	}
+	})
+	slices.SortFunc(out.Pairs, func(a, b pairStats) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.To, b.To)
+	})
 	return json.Marshal(out)
 }
 

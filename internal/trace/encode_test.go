@@ -2,8 +2,11 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"clocksync/internal/model"
 )
 
 func TestTableJSONRoundTrip(t *testing.T) {
@@ -30,13 +33,59 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if back.N() != 3 {
 		t.Fatalf("N = %d, want 3", back.N())
 	}
-	for p := 0; p < 3; p++ {
-		for q := 0; q < 3; q++ {
-			if tab.stats[p][q] != back.stats[p][q] {
-				t.Errorf("stats[%d][%d]: %v vs %v", p, q, tab.stats[p][q], back.stats[p][q])
+	for p := model.ProcID(0); p < 3; p++ {
+		for q := model.ProcID(0); q < 3; q++ {
+			if tab.Stats(p, q) != back.Stats(p, q) {
+				t.Errorf("stats[%d][%d]: %v vs %v", p, q, tab.Stats(p, q), back.Stats(p, q))
 			}
 		}
 	}
+}
+
+// TestTableJSONBytes pins the wire form: one entry per observed directed
+// pair sorted by (from, to), whatever order the traffic arrived in, and
+// "pairs": null for a silent table.
+func TestTableJSONBytes(t *testing.T) {
+	tab := NewTable(4, true)
+	for _, s := range []Sample{
+		{From: 2, To: 1, SendClock: 0.1, RecvClock: 0.3},
+		{From: 0, To: 3, SendClock: 1, RecvClock: -2.5},
+		{From: 1, To: 2, SendClock: 5, RecvClock: 5.125},
+		{From: 2, To: 1, SendClock: 1, RecvClock: 1e-9},
+		{From: 3, To: 0, SendClock: 0, RecvClock: 1e21},
+		{From: 0, To: 1, SendClock: 0, RecvClock: 7},
+	} {
+		if err := tab.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.MergeStats(3, 2, DirStats{Count: 4, Min: -0.75, Max: 12}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"processors":4,"pairs":[` +
+		`{"from":0,"to":1,"count":1,"min":7,"max":7},` +
+		`{"from":0,"to":3,"count":1,"min":-3.5,"max":-3.5},` +
+		`{"from":1,"to":2,"count":1,"min":0.125,"max":0.125},` +
+		`{"from":2,"to":1,"count":2,"min":-0.999999999,"max":0.19999999999999998},` +
+		`{"from":3,"to":0,"count":1,"min":1e+21,"max":1e+21},` +
+		`{"from":3,"to":2,"count":4,"min":-0.75,"max":12}]}`
+	for _, x := range []*Table{tab, decode(t, want)} {
+		if got, err := json.Marshal(x); err != nil || string(got) != want {
+			t.Errorf("Marshal = %s, %v\nwant %s", got, err, want)
+		}
+	}
+	if got, err := json.Marshal(NewTable(3, false)); err != nil || string(got) != `{"processors":3,"pairs":null}` {
+		t.Errorf("empty Marshal = %s, %v", got, err)
+	}
+}
+
+func decode(t *testing.T, data string) *Table {
+	t.Helper()
+	var tab Table
+	if err := json.Unmarshal([]byte(data), &tab); err != nil {
+		t.Fatal(err)
+	}
+	return &tab
 }
 
 func TestTableJSONEmpty(t *testing.T) {
@@ -107,6 +156,21 @@ func TestMergeStatsValidation(t *testing.T) {
 	}
 	if err := tab.MergeStats(0, 1, DirStats{Count: 2, Min: 5, Max: 1}); err == nil {
 		t.Error("inverted stats accepted")
+	}
+	for _, bad := range []DirStats{
+		{Count: 1, Min: math.Inf(-1), Max: 1},
+		{Count: 1, Min: 1, Max: math.Inf(1)},
+		{Count: 3, Min: math.Inf(-1), Max: math.Inf(1)},
+		{Count: 1, Min: math.NaN(), Max: 1},
+		{Count: -1, Min: 1, Max: 1},
+	} {
+		err := tab.MergeStats(1, 0, bad)
+		if err == nil || !strings.Contains(err.Error(), "p1->p0") {
+			t.Errorf("MergeStats(%v) = %v, want an error naming p1->p0", bad, err)
+		}
+	}
+	if tab.Active(0, 1) {
+		t.Error("rejected stats opened the pair")
 	}
 	if err := tab.MergeStats(0, 1, DirStats{Count: 2, Min: 1, Max: 5}); err != nil {
 		t.Errorf("valid stats rejected: %v", err)

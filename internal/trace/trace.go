@@ -87,13 +87,21 @@ func (d DirStats) String() string {
 	return fmt.Sprintf("{n=%d min=%g max=%g}", d.Count, d.Min, d.Max)
 }
 
-// Table holds DirStats for every ordered processor pair of an n-processor
-// system, plus the raw per-pair delays when retention is enabled.
+// Table holds DirStats for the ordered processor pairs of an n-processor
+// system that carried traffic, plus their raw delays when retention is
+// enabled. Silent pairs cost one int32 of index each and nothing else:
+// slot maps (from, to) to a cell of the observed-direction slab, with
+// slot 0 the shared empty cell of every silent pair. Pairs visits the
+// unordered pairs with traffic in the order their first sample (or first
+// non-empty MergeStats) arrived, each in the orientation of that first
+// sample, then reversed.
 type Table struct {
-	n      int
-	stats  [][]DirStats // [from][to]
-	keep   bool
-	delays [][][]float64 // raw estimated delays, if keep
+	n     int
+	slot  []int32     // [from*n+to] -> index into cells; 0 = silent
+	cells []DirStats  // cells[0] is the empty cell; the rest have traffic
+	raw   [][]float64 // raw estimated delays parallel to cells, if keepRaw
+	links []LinkKey   // unordered pairs with traffic, by first arrival
+	keep  bool
 }
 
 // NewTable returns an empty table for n processors. If keepRaw is set, raw
@@ -101,25 +109,42 @@ type Table struct {
 // admissibility checks and the verifier; costs memory proportional to the
 // trace).
 func NewTable(n int, keepRaw bool) *Table {
-	t := &Table{n: n, keep: keepRaw}
-	t.stats = make([][]DirStats, n)
-	for i := range t.stats {
-		t.stats[i] = make([]DirStats, n)
-		for j := range t.stats[i] {
-			t.stats[i][j] = NewDirStats()
-		}
-	}
+	t := &Table{n: n, slot: make([]int32, n*n), cells: []DirStats{NewDirStats()}, keep: keepRaw}
 	if keepRaw {
-		t.delays = make([][][]float64, n)
-		for i := range t.delays {
-			t.delays[i] = make([][]float64, n)
-		}
+		t.raw = [][]float64{nil}
 	}
 	return t
 }
 
 // N returns the number of processors.
 func (t *Table) N() int { return t.n }
+
+// at returns the slot index of the ordered pair (from, to), panicking on
+// endpoints out of range as a nested slice would.
+func (t *Table) at(from, to model.ProcID) int {
+	if uint(from) >= uint(t.n) || uint(to) >= uint(t.n) {
+		panic(fmt.Sprintf("trace: pair p%d->p%d out of range [0,%d)", from, to, t.n))
+	}
+	return int(from)*t.n + int(to)
+}
+
+// open gives the silent ordered pair at slot index i a cell of its own,
+// registering the unordered pair on its first traffic in either
+// direction, and returns the cell's index. An index past int32 needs more
+// than 2^31 observed directions (n above 46 000); it would wrap negative
+// and panic on the next slab read, never alias another cell.
+func (t *Table) open(i, from, to int) int32 {
+	c := int32(len(t.cells))
+	t.slot[i] = c
+	t.cells = append(t.cells, NewDirStats())
+	if t.keep {
+		t.raw = append(t.raw, nil)
+	}
+	if t.slot[to*t.n+from] == 0 {
+		t.links = append(t.links, LinkKey{P: model.ProcID(from), Q: model.ProcID(to)})
+	}
+	return c
+}
 
 // Add records one sample. Self-samples and out-of-range endpoints are
 // rejected.
@@ -135,15 +160,20 @@ func (t *Table) Add(s Sample) error {
 	if math.IsNaN(est) || math.IsInf(est, 0) {
 		return fmt.Errorf("trace: sample p%d->p%d has invalid estimated delay %v", from, to, est)
 	}
-	t.stats[from][to].Add(est)
+	i := from*t.n + to
+	c := t.slot[i]
+	if c == 0 {
+		c = t.open(i, from, to)
+	}
+	t.cells[c].Add(est)
 	if t.keep {
-		t.delays[from][to] = append(t.delays[from][to], est)
+		t.raw[c] = append(t.raw[c], est)
 	}
 	return nil
 }
 
 // Stats returns the statistics for the ordered pair (from, to).
-func (t *Table) Stats(from, to model.ProcID) DirStats { return t.stats[from][to] }
+func (t *Table) Stats(from, to model.ProcID) DirStats { return t.cells[t.slot[t.at(from, to)]] }
 
 // Raw returns the retained estimated delays for (from, to); nil when raw
 // retention is off or the link is silent. The returned slice is owned by
@@ -152,28 +182,26 @@ func (t *Table) Raw(from, to model.ProcID) []float64 {
 	if !t.keep {
 		return nil
 	}
-	return t.delays[from][to]
+	return t.raw[t.slot[t.at(from, to)]]
 }
 
 // Active reports whether any traffic was observed in either direction
 // between p and q.
 func (t *Table) Active(p, q model.ProcID) bool {
-	return !t.stats[p][q].Empty() || !t.stats[q][p].Empty()
+	return t.slot[t.at(p, q)] != 0 || t.slot[t.at(q, p)] != 0
 }
 
 // Pairs calls fn for every ordered pair (p,q), p != q, with traffic in at
-// least one direction between them.
+// least one direction between them: for each unordered pair in the order
+// of its first traffic, fn(p, q, ...) in the orientation of that first
+// sample, then fn(q, p, ...). The walk is O(observed pairs) and reads the
+// table only, so concurrent walks are safe.
 func (t *Table) Pairs(fn func(p, q model.ProcID, pq, qp DirStats)) {
-	for p := 0; p < t.n; p++ {
-		for q := 0; q < t.n; q++ {
-			if p == q {
-				continue
-			}
-			if t.stats[p][q].Empty() && t.stats[q][p].Empty() {
-				continue
-			}
-			fn(model.ProcID(p), model.ProcID(q), t.stats[p][q], t.stats[q][p])
-		}
+	for _, k := range t.links {
+		pq := t.cells[t.slot[int(k.P)*t.n+int(k.Q)]]
+		qp := t.cells[t.slot[int(k.Q)*t.n+int(k.P)]]
+		fn(k.P, k.Q, pq, qp)
+		fn(k.Q, k.P, qp, pq)
 	}
 }
 
@@ -219,6 +247,8 @@ func collect(e *model.Execution, keepRaw bool, sample func(model.Message) Sample
 // (from, to) into the table. It is the ingestion path for distributed
 // protocols that ship reduced per-link statistics instead of raw samples;
 // raw retention (if enabled) is unaffected, since no samples exist.
+// Non-empty statistics must have finite Min <= Max, as every sample Add
+// accepts has a finite delay.
 func (t *Table) MergeStats(from, to model.ProcID, s DirStats) error {
 	f, o := int(from), int(to)
 	if f < 0 || f >= t.n || o < 0 || o >= t.n {
@@ -227,9 +257,20 @@ func (t *Table) MergeStats(from, to model.ProcID, s DirStats) error {
 	if f == o {
 		return fmt.Errorf("trace: self-stats at p%d", f)
 	}
-	if s.Count > 0 && (math.IsNaN(s.Min) || math.IsNaN(s.Max) || s.Max < s.Min) {
+	if s.Count < 0 || (s.Count > 0 && !(s.Min <= s.Max)) {
 		return fmt.Errorf("trace: invalid stats %v for p%d->p%d", s, f, o)
 	}
-	t.stats[f][o].Merge(s)
+	if s.Count == 0 {
+		return nil
+	}
+	if math.IsInf(s.Min, 0) || math.IsInf(s.Max, 0) {
+		return fmt.Errorf("trace: stats %v for p%d->p%d have a non-finite delay", s, f, o)
+	}
+	i := f*t.n + o
+	c := t.slot[i]
+	if c == 0 {
+		c = t.open(i, f, o)
+	}
+	t.cells[c].Merge(s)
 	return nil
 }

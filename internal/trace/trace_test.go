@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -133,6 +135,42 @@ func TestTablePairsAndActive(t *testing.T) {
 	if len(visited) != 2 {
 		t.Fatalf("Pairs visited %v, want both orientations of (0,1)", visited)
 	}
+}
+
+// TestTableConcurrentReaders: reads never mutate the table, so several
+// goroutines may walk and query one table at once (run under -race).
+func TestTableConcurrentReaders(t *testing.T) {
+	tab := NewTable(6, true)
+	for i := 0; i < 40; i++ { // i%6 != (5i+1)%6: 4i+1 is odd
+		if err := tab.Add(Sample{From: model.ProcID(i % 6), To: model.ProcID((i*5 + 1) % 6), RecvClock: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			count := 0
+			tab.Pairs(func(p, q model.ProcID, pq, _ DirStats) {
+				count += pq.Count + len(tab.Raw(p, q))
+				if !tab.Active(q, p) || tab.Stats(p, q) != pq {
+					t.Errorf("Pairs(%d,%d) disagrees with Stats/Active", p, q)
+				}
+			})
+			if count != 2*40 { // each sample once in Count, once in Raw
+				t.Errorf("walk counted %d, want 80", count)
+			}
+			if got, err := json.Marshal(tab); err != nil || string(got) != string(want) {
+				t.Errorf("concurrent Marshal = %s, %v", got, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // buildExec creates an execution with one message in each direction between
