@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"clocksync/internal/core"
+	"clocksync/internal/dist"
 	"clocksync/internal/experiments"
 	"clocksync/internal/graph"
+	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
 
@@ -163,6 +165,52 @@ func BenchmarkSparseSystem(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.SynchronizeSystem(n, links, tab, core.DefaultMLSOptions(), core.Options{}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkProtocolRound measures one round of the §7 leader protocol on
+// the simulator with clockbench protocol-faulty's fault mix: 48 nodes on
+// a random connected graph (edge probability 0.15), 4 probes per link
+// direction, 2 re-floods, 1% message loss, an inflating Byzantine
+// reporter, a crash before the victim's report, authenticated reports and
+// excision. The simulator and the floods are nearly all of it; the
+// leader's solve is a sliver. The same instance is benchjson's
+// ProtocolRound/n=48.
+func BenchmarkProtocolRound(b *testing.B) {
+	const n = 48
+	rng := rand.New(rand.NewSource(5))
+	pairs := sim.RandomConnected(rng, n, 0.15)
+	a := MustSymmetricBounds(0.05, 0.2)
+	links := make([]core.Link, len(pairs))
+	for i, e := range pairs {
+		links[i] = core.Link{P: ProcID(e.P), Q: ProcID(e.Q), A: a}
+	}
+	net, err := sim.NewNetwork(sim.UniformStarts(rng, n, 1), pairs, func(sim.Pair) sim.LinkDelays {
+		return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.2})
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := dist.Config{
+		Leader: 0, Links: links, Probes: 4, Spacing: 0.01, Warmup: 1.5, Window: 1,
+		ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: dist.DeriveKeys(n, 9),
+	}
+	faults := &sim.Faults{
+		Loss:      0.01,
+		Byzantine: []sim.Byzantine{{Proc: n - 1, Strategy: sim.ByzInflate, Magnitude: 0.25}},
+		Crashes:   []sim.Crash{{Proc: n / 2, At: cfg.Warmup + cfg.Window/2}},
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: 11, Faults: faults})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !out.Degraded || len(out.Excised) == 0 {
+				b.Fatalf("fault mix not exercised: degraded %v, excised %v", out.Degraded, out.Excised)
 			}
 		}
 	})

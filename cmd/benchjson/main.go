@@ -2,7 +2,8 @@
 // repository — the core SHIFTS pipeline at several sizes, the steady-state
 // Synchronizer reuse path, the streaming and sparse solves, a sparse
 // system solved from a trace.Table, the view reduction (model build and
-// trace.Collect), and the T/F/D experiment series — and emits the results
+// trace.Collect), one simulated round of the leader protocol, and the
+// T/F/D experiment series — and emits the results
 // as JSON (BENCH_core.json by default).
 //
 // With -check FILE it instead compares a fresh measurement against a
@@ -36,9 +37,11 @@ import (
 
 	"clocksync/internal/core"
 	"clocksync/internal/delay"
+	"clocksync/internal/dist"
 	"clocksync/internal/experiments"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
+	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
 
@@ -190,7 +193,7 @@ type bench struct {
 // suite assembles the measured benchmarks: the pooled Synchronize wrapper
 // across sizes, the zero-allocation Synchronizer reuse path, the streaming
 // and sparse solves, the sparse system solve from a trace table, the view
-// reduction, and one entry per T/F/D experiment.
+// reduction, one protocol round, and one entry per T/F/D experiment.
 func suite(quick bool) []bench {
 	var bs []bench
 
@@ -333,6 +336,19 @@ func suite(quick bool) []bench {
 			},
 		})
 
+	// One round of the §7 leader protocol on the simulator with
+	// clockbench protocol-faulty's fault mix: the simulator round (event
+	// loop, execution builder) and the floods.
+	roundN := 48
+	if quick {
+		roundN = 16
+	}
+	round, err := protocolRound(roundN)
+	if err != nil {
+		panic(fmt.Sprintf("benchjson: protocol round setup: %v", err))
+	}
+	bs = append(bs, bench{name: fmt.Sprintf("ProtocolRound/n=%d", roundN), fn: round})
+
 	for _, id := range expIDs {
 		exp, ok := experiments.ByID(id)
 		if !ok {
@@ -463,6 +479,50 @@ func sparseSystem(cliques, size int) (int, []core.Link, *trace.Table, error) {
 		}
 	}
 	return n, links, tab, nil
+}
+
+// protocolRound returns one round of the leader protocol on n nodes of a
+// random connected graph (edge probability 0.15) with 4 probes per link
+// direction, 2 re-floods, 1% message loss, an inflating Byzantine
+// reporter, a crash before the victim's report, authenticated reports and
+// excision; the round fails unless it excised the liar and computed
+// degraded. The instance is BenchmarkProtocolRound's.
+func protocolRound(n int) (func() error, error) {
+	rng := rand.New(rand.NewSource(5))
+	pairs := sim.RandomConnected(rng, n, 0.15)
+	a, err := delay.SymmetricBounds(0.05, 0.2)
+	if err != nil {
+		return nil, err
+	}
+	links := make([]core.Link, len(pairs))
+	for i, e := range pairs {
+		links[i] = core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: a}
+	}
+	net, err := sim.NewNetwork(sim.UniformStarts(rng, n, 1), pairs, func(sim.Pair) sim.LinkDelays {
+		return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.2})
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg := dist.Config{
+		Leader: 0, Links: links, Probes: 4, Spacing: 0.01, Warmup: 1.5, Window: 1,
+		ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: dist.DeriveKeys(n, 9),
+	}
+	faults := &sim.Faults{
+		Loss:      0.01,
+		Byzantine: []sim.Byzantine{{Proc: n - 1, Strategy: sim.ByzInflate, Magnitude: 0.25}},
+		Crashes:   []sim.Crash{{Proc: n / 2, At: cfg.Warmup + cfg.Window/2}},
+	}
+	return func() error {
+		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: 11, Faults: faults})
+		if err != nil {
+			return err
+		}
+		if !out.Degraded || len(out.Excised) == 0 {
+			return fmt.Errorf("fault mix not exercised: degraded %v, excised %v", out.Degraded, out.Excised)
+		}
+		return nil
+	}, nil
 }
 
 // viewReduction records msgs messages over the complete graph on n

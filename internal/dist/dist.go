@@ -265,13 +265,13 @@ func newFactory(n int, cfg Config, perNode [][]float64) (sim.ProtocolFactory, *O
 			session:   session,
 			perNode:   perNode,
 			incoming:  make(map[model.ProcID]trace.DirStats),
-			seen:      make(map[model.ProcID]bool),
-			forwarded: make(map[floodKey]bool),
+			forwarded: newFloodSet(n),
 			rejected:  make(map[model.ProcID]bool),
 		}
 		if perNode != nil || p == cfg.Leader {
 			// Only the leader publishes quality telemetry: every gossip node
 			// computes, but the leader's computation is the canonical one.
+			pr.seen = make(map[model.ProcID]bool)
 			pr.round = round.New(round.Config{N: n, Links: cfg.Links, Excision: cfg.Excision,
 				Solve: core.Options{Root: int(cfg.Leader), Centered: cfg.Centered,
 					Parallelism: cfg.Parallelism, Quality: p == cfg.Leader, QualityLabel: session}})
@@ -298,6 +298,37 @@ type floodKey struct {
 
 func resultKey(round int) floodKey { return floodKey{origin: from(-1), round: round} }
 
+// floodSet is the set of flood waves a processor has forwarded. Waves of
+// origins -1..n-1 with rounds 0..63, every honest wave, are bits of one
+// word per origin; any other wave (a forged origin or round) goes to a
+// map, so membership is exact for every key.
+type floodSet struct {
+	rounds []uint64 // by origin+1: bit r set when round r was forwarded
+	other  map[floodKey]bool
+}
+
+func newFloodSet(n int) floodSet { return floodSet{rounds: make([]uint64, n+1)} }
+
+// add inserts the wave and reports whether it was new.
+func (s *floodSet) add(k floodKey) bool {
+	if o := int(k.origin) + 1; o >= 0 && o < len(s.rounds) && k.round >= 0 && k.round < 64 {
+		bit := uint64(1) << k.round
+		if s.rounds[o]&bit != 0 {
+			return false
+		}
+		s.rounds[o] |= bit
+		return true
+	}
+	if s.other[k] {
+		return false
+	}
+	if s.other == nil {
+		s.other = make(map[floodKey]bool)
+	}
+	s.other[k] = true
+	return true
+}
+
 type proc struct {
 	cfg     Config
 	n       int
@@ -308,8 +339,8 @@ type proc struct {
 	incoming  map[model.ProcID]trace.DirStats // per-neighbor incoming probe stats
 	reported  bool
 	reportMsg Report                // own frozen report, for retries
-	seen      map[model.ProcID]bool // absorbed report origins
-	forwarded map[floodKey]bool     // flood forwarding dedup per (origin, round)
+	seen      map[model.ProcID]bool // computing node: absorbed report origins
+	forwarded floodSet              // flood forwarding dedup per (origin, round)
 	resultSet bool                  // correction applied
 	rounds    int                   // own re-flood round counter (reports and, at the leader, results)
 
@@ -419,7 +450,7 @@ func (pr *proc) emitReport(env *sim.Env) {
 	pr.cfg.Trace.AddSimChild("probe", int(env.Self()), 0, pr.cfg.Warmup, env.Clock()-pr.cfg.Warmup, obs.RootSpanID)
 	dLog.Debug("report emitted", "proc", env.Self(), "links", len(rep.Links), "clock", env.Clock())
 	pr.acceptReport(env, rep)
-	pr.forwarded[floodKey{origin: rep.Origin}] = true
+	pr.forwarded.add(floodKey{origin: rep.Origin})
 	pr.flood(env, from(-1), rep)
 }
 
@@ -433,7 +464,7 @@ func (pr *proc) refloodReport(env *sim.Env) {
 	mReportRefloods.Inc()
 	rep := pr.reportMsg
 	rep.Round = pr.rounds
-	pr.forwarded[floodKey{origin: rep.Origin, round: rep.Round}] = true
+	pr.forwarded.add(floodKey{origin: rep.Origin, round: rep.Round})
 	pr.flood(env, from(-1), rep)
 }
 
@@ -454,24 +485,21 @@ func (pr *proc) refloodResult(env *sim.Env) {
 // forwards each (origin, round) wave once.
 func (pr *proc) handleReport(env *sim.Env, via model.ProcID, rep Report) {
 	pr.acceptReport(env, rep)
-	key := floodKey{origin: rep.Origin, round: rep.Round}
-	if pr.forwarded[key] {
-		return
+	if pr.forwarded.add(floodKey{origin: rep.Origin, round: rep.Round}) {
+		pr.flood(env, via, rep)
 	}
-	pr.forwarded[key] = true
-	pr.flood(env, via, rep)
 }
 
-// acceptReport marks the origin seen and, on a computing node,
+// acceptReport, on a computing node, marks the origin seen,
 // authenticates the wave (when keyed) and hands it to the round, which
 // rejects malformed reports, checks later versions for equivocation and
 // stores the first valid one.
 func (pr *proc) acceptReport(env *sim.Env, rep Report) {
-	first := !pr.seen[rep.Origin]
-	pr.seen[rep.Origin] = true
 	if pr.round == nil {
 		return
 	}
+	first := !pr.seen[rep.Origin]
+	pr.seen[rep.Origin] = true
 	if pr.computed {
 		if first {
 			mReportsLate.Inc()
@@ -583,12 +611,9 @@ func (pr *proc) handleResult(env *sim.Env, via model.ProcID, msg ResultMsg) {
 			pr.out.Applied[self] = true
 		}
 	}
-	key := resultKey(msg.Round)
-	if pr.forwarded[key] {
-		return
+	if pr.forwarded.add(resultKey(msg.Round)) {
+		pr.flood(env, via, msg)
 	}
-	pr.forwarded[key] = true
-	pr.flood(env, via, msg)
 }
 
 // flood forwards a payload to every neighbor except the one it arrived

@@ -247,24 +247,15 @@ func (m Message) EstimatedDelay() float64 { return m.RecvClock - m.SendClock }
 // stops at the first failure in that order, a correspondence error or an
 // error of fn, which it returns unchanged.
 func (e *Execution) EachMessage(fn func(Message) error) error {
-	type send struct {
-		from, to  ProcID
-		clock     float64
-		delivered bool
-	}
-	n := e.count(KindSend)
-	sends := make([]send, 0, n)
-	index := make(map[MsgID]int, n)
+	sends := e.indexSends()
 	for _, h := range e.Histories {
 		for _, st := range h.Steps {
 			if st.Event.Kind != KindSend {
 				continue
 			}
-			if _, dup := index[st.Event.Msg]; dup {
+			if !sends.add(st.Event.Msg, sendRec{from: h.Proc, to: st.Event.Peer, clock: st.Clock}) {
 				return fmt.Errorf("model: message %d sent twice", st.Event.Msg)
 			}
-			index[st.Event.Msg] = len(sends)
-			sends = append(sends, send{from: h.Proc, to: st.Event.Peer, clock: st.Clock})
 		}
 	}
 	for _, h := range e.Histories {
@@ -272,11 +263,10 @@ func (e *Execution) EachMessage(fn func(Message) error) error {
 			if st.Event.Kind != KindRecv {
 				continue
 			}
-			i, ok := index[st.Event.Msg]
-			if !ok {
+			rec := sends.find(st.Event.Msg)
+			if rec == nil {
 				return fmt.Errorf("model: message %d received by p%d but never sent", st.Event.Msg, h.Proc)
 			}
-			rec := &sends[i]
 			if rec.delivered {
 				return fmt.Errorf("model: message %d delivered twice", st.Event.Msg)
 			}
@@ -289,6 +279,82 @@ func (e *Execution) EachMessage(fn func(Message) error) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// sendRec is one send as the correspondence walk records it.
+type sendRec struct {
+	from, to  ProcID
+	clock     float64
+	sent      bool
+	delivered bool
+}
+
+// sendIndex finds sends by message ID. When the IDs are dense (they span
+// at most twice as many values as there are sends, as Builder's 1..m do)
+// the records sit in a slice indexed by ID - lo; otherwise a map indexes
+// them.
+type sendIndex struct {
+	lo     MsgID
+	dense  []sendRec // by ID - lo; nil when sparse
+	recs   []sendRec // sparse: in walk order
+	sparse map[MsgID]int
+}
+
+// indexSends counts the sends and the range of their IDs and sizes the
+// index for them.
+func (e *Execution) indexSends() *sendIndex {
+	n, lo, hi := 0, MsgID(0), MsgID(0)
+	for _, h := range e.Histories {
+		for _, st := range h.Steps {
+			if st.Event.Kind != KindSend {
+				continue
+			}
+			if id := st.Event.Msg; n == 0 {
+				lo, hi = id, id
+			} else {
+				lo, hi = min(lo, id), max(hi, id)
+			}
+			n++
+		}
+	}
+	// The span in uint64 cannot overflow: hi >= lo.
+	if span := uint64(hi) - uint64(lo); n > 0 && span < 2*uint64(n) {
+		return &sendIndex{lo: lo, dense: make([]sendRec, span+1)}
+	}
+	return &sendIndex{recs: make([]sendRec, 0, n), sparse: make(map[MsgID]int, n)}
+}
+
+// add records a send; it reports false when the ID was already sent.
+func (x *sendIndex) add(id MsgID, r sendRec) bool {
+	r.sent = true
+	if x.dense != nil {
+		slot := &x.dense[id-x.lo]
+		if slot.sent {
+			return false
+		}
+		*slot = r
+		return true
+	}
+	if _, dup := x.sparse[id]; dup {
+		return false
+	}
+	x.sparse[id] = len(x.recs)
+	x.recs = append(x.recs, r)
+	return true
+}
+
+// find returns the send of an ID, or nil when it was never sent.
+func (x *sendIndex) find(id MsgID) *sendRec {
+	if x.dense != nil {
+		if id < x.lo || uint64(id)-uint64(x.lo) >= uint64(len(x.dense)) || !x.dense[id-x.lo].sent {
+			return nil
+		}
+		return &x.dense[id-x.lo]
+	}
+	if i, ok := x.sparse[id]; ok {
+		return &x.recs[i]
 	}
 	return nil
 }

@@ -136,15 +136,22 @@ func TestBuildTiedClocksStable(t *testing.T) {
 }
 
 // decodeExecution turns fuzz bytes into an execution: the first byte
-// picks 2..5 processors, then every five bytes append one step (processor,
-// kind, peer, message ID, clock increment) to a history. Peers may be the
-// processor itself or out of range, IDs collide often, and some steps
-// break the history's well-formedness on purpose.
+// picks 2..5 processors and the ID mode, then every five bytes append one
+// step (processor, kind, peer, message ID, clock increment) to a history.
+// Peers may be the processor itself or out of range, IDs collide often,
+// and some steps break the history's well-formedness on purpose. In one
+// mode IDs are small and nearly consecutive (-7..7), like Builder's, so
+// EachMessage indexes sends in a slice; in the other they are multiples
+// of 2^40, which a map indexes.
 func decodeExecution(data []byte) *model.Execution {
 	if len(data) == 0 {
 		return model.NewExecution([]float64{0, 0})
 	}
 	n := 2 + int(data[0]%4)
+	mod, shift := int8(16), 40
+	if data[0]&4 != 0 {
+		mod, shift = 8, 0
+	}
 	starts := make([]float64, n)
 	for p := range starts {
 		starts[p] = float64(p) / 4
@@ -160,7 +167,7 @@ func decodeExecution(data []byte) *model.Execution {
 		h.Steps = append(h.Steps, model.Step{Clock: clock, Event: model.Event{
 			Kind: kinds[int(data[1])%len(kinds)],
 			Peer: model.ProcID(int(data[2]) % (n + 1)),
-			Msg:  model.MsgID(int64(int8(data[3])%16) << 40),
+			Msg:  model.MsgID(int64(int8(data[3])%mod) << shift),
 		}})
 	}
 	return e
@@ -224,6 +231,10 @@ func FuzzMessageWalk(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 3, 1, 2, 1, 0, 3, 2, 1, 1, 0, 3, 0})    // delivered twice
 	f.Add([]byte{3, 0, 0, 2, 5, 0, 1, 0, 2, 5, 255, 2, 1, 0, 5, 1})  // sent twice, out of order
 	f.Add([]byte{0, 1, 0, 0, 7, 2, 0, 0, 1, 7, 2, 1, 5, 0, 0, 0, 1}) // start mid-history
+	// Small IDs: the slice index.
+	f.Add([]byte{4, 0, 0, 1, 1, 1, 0, 0, 1, 2, 1, 1, 1, 0, 2, 1, 1, 1, 0, 1, 0}) // receipts out of ID order
+	f.Add([]byte{5, 0, 0, 1, 1, 1, 0, 0, 1, 3, 1, 1, 1, 0, 2, 1})                // a gap in the range, received
+	f.Add([]byte{4, 0, 0, 1, 1, 1, 0, 0, 1, 2, 1, 1, 1, 0, 253, 1})              // an ID below the range, received
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := decodeExecution(data)
 		want, ok := naiveMessages(e)

@@ -1,12 +1,13 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
 	"math/rand"
+	"slices"
 
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
@@ -35,8 +36,18 @@ var (
 // with their delay models.
 type Network struct {
 	starts []float64
-	links  map[Pair]LinkDelays // canonical orientation P < Q
-	adj    [][]int
+	adj    [][]int // neighbors in link order
+	hops   [][]hop // per sender, sorted by receiver
+}
+
+// hop is one link as a sender sees it: the receiver, the link's delay
+// model, and the model's optional interfaces, asserted once.
+type hop struct {
+	to   int
+	pq   bool // the sender is the canonical P
+	d    LinkDelays
+	ta   TimeAware // d as a TimeAware, or nil
+	loss LossModel // d as a LossModel, or nil
 }
 
 // NewNetwork builds a network. starts[p] is the real time of p's start
@@ -49,8 +60,8 @@ func NewNetwork(starts []float64, links []Pair, delays func(Pair) LinkDelays) (*
 	}
 	net := &Network{
 		starts: append([]float64(nil), starts...),
-		links:  make(map[Pair]LinkDelays, len(links)),
 		adj:    make([][]int, n),
+		hops:   make([][]hop, n),
 	}
 	for _, e := range links {
 		c := orderPair(e.P, e.Q)
@@ -58,9 +69,15 @@ func NewNetwork(starts []float64, links []Pair, delays func(Pair) LinkDelays) (*
 		if d == nil {
 			return nil, fmt.Errorf("sim: nil delay model for link (%d,%d)", c.P, c.Q)
 		}
-		net.links[c] = d
+		ta, _ := d.(TimeAware)
+		loss, _ := d.(LossModel)
 		net.adj[c.P] = append(net.adj[c.P], c.Q)
 		net.adj[c.Q] = append(net.adj[c.Q], c.P)
+		net.hops[c.P] = append(net.hops[c.P], hop{to: c.Q, pq: true, d: d, ta: ta, loss: loss})
+		net.hops[c.Q] = append(net.hops[c.Q], hop{to: c.P, d: d, ta: ta, loss: loss})
+	}
+	for _, hs := range net.hops {
+		slices.SortFunc(hs, func(a, b hop) int { return cmp.Compare(a.to, b.to) })
 	}
 	return net, nil
 }
@@ -74,44 +91,54 @@ func (net *Network) Starts() []float64 { return append([]float64(nil), net.start
 // Neighbors returns p's neighbors. The slice is owned by the network.
 func (net *Network) Neighbors(p model.ProcID) []int { return net.adj[p] }
 
-// Links returns the canonical link set.
+// Links returns the canonical link set, sorted.
 func (net *Network) Links() []Pair {
-	out := make([]Pair, 0, len(net.links))
-	for e := range net.links {
-		out = append(out, e)
-	}
-	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	links := []Pair{}
+	for p, hs := range net.hops {
+		for _, h := range hs {
+			if h.pq {
+				links = append(links, Pair{P: p, Q: h.to})
+			}
 		}
 	}
-	return out
+	return links
 }
 
 // Delays returns the delay model of the canonical link {p,q}, or nil.
-func (net *Network) Delays(p, q int) LinkDelays { return net.links[orderPair(p, q)] }
-
-func less(a, b Pair) bool { return a.P < b.P || (a.P == b.P && a.Q < b.Q) }
-
-// sampleDelay draws a delay for the directed hop from -> to of a message
-// sent at real time now. Time-aware link models receive the send time.
-func (net *Network) sampleDelay(rng *rand.Rand, from, to int, now float64) (float64, error) {
-	c := orderPair(from, to)
-	ld, ok := net.links[c]
-	if !ok {
-		return 0, fmt.Errorf("sim: no link between %d and %d", from, to)
+func (net *Network) Delays(p, q int) LinkDelays {
+	if h := net.hop(p, q); h != nil {
+		return h.d
 	}
+	return nil
+}
+
+// hop returns the link from -> to, or nil when there is none.
+func (net *Network) hop(from, to int) *hop {
+	if from < 0 || from >= len(net.hops) {
+		return nil
+	}
+	hs := net.hops[from]
+	i, ok := slices.BinarySearchFunc(hs, to, func(h hop, to int) int { return cmp.Compare(h.to, to) })
+	if !ok {
+		return nil
+	}
+	return &hs[i]
+}
+
+// sample draws a delay for a message over the hop sent at real time now.
+// Time-aware link models receive the send time.
+func (h *hop) sample(rng *rand.Rand, now float64) (float64, error) {
 	var d float64
-	if ta, isTA := ld.(TimeAware); isTA {
-		d = ta.SampleAt(rng, now, from == c.P)
-	} else if from == c.P {
-		d = ld.SamplePQ(rng)
-	} else {
-		d = ld.SampleQP(rng)
+	switch {
+	case h.ta != nil:
+		d = h.ta.SampleAt(rng, now, h.pq)
+	case h.pq:
+		d = h.d.SamplePQ(rng)
+	default:
+		d = h.d.SampleQP(rng)
 	}
 	if math.IsNaN(d) || d < 0 || math.IsInf(d, 0) {
-		return 0, fmt.Errorf("sim: sampler %v produced invalid delay %v", ld, d)
+		return 0, fmt.Errorf("sim: sampler %v produced invalid delay %v", h.d, d)
 	}
 	return d, nil
 }
@@ -132,7 +159,9 @@ type Protocol interface {
 // ProtocolFactory creates the protocol instance for processor p.
 type ProtocolFactory func(p model.ProcID) Protocol
 
-// Env is a processor's interface to the engine during a callback.
+// Env is a processor's interface to the engine during a callback. It is
+// valid only during the callback it is passed to: the engine reuses one
+// Env for every event of a run, so a protocol must not keep it.
 type Env struct {
 	engine *engine
 	self   int
@@ -175,7 +204,7 @@ func (e *Env) SetTimer(atClock float64, tag int) error {
 		}
 		return err
 	}
-	e.engine.push(event{time: at, kind: evTimer, proc: e.self, tag: tag})
+	e.engine.push(at, event{kind: evTimer, proc: e.self, tag: tag})
 	if e.engine.recordTimers {
 		e.engine.timers = append(e.engine.timers, timerTrack{
 			proc:   e.self,
@@ -193,44 +222,88 @@ const (
 	evTimer
 )
 
+// event is the body of a scheduled event. Bodies sit in the engine's slab;
+// the heap orders pointer-free keys that index them.
 type event struct {
-	time    float64
-	seq     int64 // FIFO tie-break for equal times: determinism
 	kind    int
 	proc    int // processor the event happens at
-	from    int // sender, for evDeliver
 	payload any
-	sendRel float64 // sender clock at send, for evDeliver
-	tag     int     // timer tag, for evTimer
+	send    model.SendRef // the logged send, for evDeliver
+	tag     int           // timer tag, for evTimer
 }
 
-type eventQueue []event
+// key orders one scheduled event: by time, then by seq, the FIFO
+// tie-break that makes equal-time events deterministic. slot indexes the
+// event's body.
+type key struct {
+	time float64
+	seq  int64
+	slot int32
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (a key) before(b key) bool {
 	// Exact tie detection is the point: equal-time events must fall
 	// through to the deterministic seq order, never epsilon-merge.
-	if q[i].time != q[j].time { //clocklint:allow floateq
-
-		return q[i].time < q[j].time
+	if a.time != b.time { //clocklint:allow floateq
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+
+// queue is a binary min-heap of event keys. Since (time, seq) is a total
+// order, any correct heap pops the same sequence.
+type queue []key
+
+func (q *queue) push(k key) {
+	h := append(*q, k)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = k
+	*q = h
+}
+
+func (q *queue) pop() key {
+	h := *q
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 type engine struct {
 	net     *Network
 	rng     *rand.Rand
-	queue   eventQueue
+	queue   queue
+	events  []event // slab of event bodies, indexed by key.slot
+	free    []int32 // free slots of events
 	seq     int64
+	env     Env // the one Env of the run, rebound per event
 	procs   []Protocol
 	builder *model.Builder
 	horizon float64
@@ -253,14 +326,32 @@ type timerTrack struct {
 	fired  bool
 }
 
-func (en *engine) push(ev event) {
-	ev.seq = en.seq
+// push schedules an event at real time at.
+func (en *engine) push(at float64, ev event) {
+	var slot int32
+	if n := len(en.free); n > 0 {
+		slot = en.free[n-1]
+		en.free = en.free[:n-1]
+		en.events[slot] = ev
+	} else {
+		slot = int32(len(en.events))
+		en.events = append(en.events, ev)
+	}
+	en.queue.push(key{time: at, seq: en.seq, slot: slot})
 	en.seq++
-	heap.Push(&en.queue, ev)
+}
+
+// pop removes the next event and frees its slot.
+func (en *engine) pop() (float64, event) {
+	k := en.queue.pop()
+	ev := en.events[k.slot]
+	en.events[k.slot] = event{} // drop the payload reference
+	en.free = append(en.free, k.slot)
+	return k.time, ev
 }
 
 func (en *engine) send(from, to int, payload any, now float64) error {
-	c := orderPair(from, to)
+	h := en.net.hop(from, to)
 	mSent.Inc()
 	// Byzantine senders lie in their payloads before any loss model sees
 	// the message, so loss filters act on what actually travels.
@@ -288,7 +379,7 @@ func (en *engine) send(from, to int, payload any, now float64) error {
 		}
 		return nil // injected per-message loss
 	}
-	if lm, ok := en.net.links[c].(LossModel); ok && lm.MaybeLose(en.rng, now, from == c.P) {
+	if h != nil && h.loss != nil && h.loss.MaybeLose(en.rng, now, h.pq) {
 		en.sent++
 		mDropLink.Inc()
 		if simLog.Enabled(context.Background(), slog.LevelDebug) {
@@ -296,7 +387,10 @@ func (en *engine) send(from, to int, payload any, now float64) error {
 		}
 		return nil // lost in transit: sent but never delivered
 	}
-	d, err := en.net.sampleDelay(en.rng, from, to, now)
+	if h == nil {
+		return fmt.Errorf("sim: no link between %d and %d", from, to)
+	}
+	d, err := h.sample(en.rng, now)
 	if err != nil {
 		return err
 	}
@@ -305,14 +399,11 @@ func (en *engine) send(from, to int, payload any, now float64) error {
 		return fmt.Errorf("sim: message p%d->p%d arrives at real %v before receiver start %v; increase protocol warmup",
 			from, to, arrive, en.net.starts[to])
 	}
-	en.push(event{
-		time:    arrive,
-		kind:    evDeliver,
-		proc:    to,
-		from:    from,
-		payload: payload,
-		sendRel: now - en.net.starts[from],
-	})
+	ref, err := en.builder.Send(model.ProcID(from), model.ProcID(to), now-en.net.starts[from])
+	if err != nil {
+		return err
+	}
+	en.push(arrive, event{kind: evDeliver, proc: to, payload: payload, send: ref})
 	en.sent++
 	return nil
 }
@@ -369,8 +460,9 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 			return nil, fmt.Errorf("sim: factory returned nil protocol for p%d", p)
 		}
 	}
+	en.env.engine = en
 	for p, s := range net.starts {
-		en.push(event{time: s, kind: evStart, proc: p})
+		en.push(s, event{kind: evStart, proc: p})
 	}
 	mRuns.Inc()
 	simLog.Debug("run starting", "n", net.N(), "seed", cfg.Seed,
@@ -378,44 +470,41 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 
 	processed := 0
 	firstEvent, lastEvent := 0.0, 0.0
-	for en.queue.Len() > 0 {
-		ev, ok := heap.Pop(&en.queue).(event)
-		if !ok {
-			return nil, fmt.Errorf("sim: corrupt event queue")
-		}
-		if cfg.Horizon > 0 && ev.time > cfg.Horizon {
+	for len(en.queue) > 0 {
+		at, ev := en.pop()
+		if cfg.Horizon > 0 && at > cfg.Horizon {
 			continue // past the horizon: discard
 		}
-		if ev.time >= en.crashAt[ev.proc] {
+		if at >= en.crashAt[ev.proc] {
 			mEventsCrashed.Inc()
 			continue // crashed: no receives, no timers, no start
 		}
 		processed++
 		mEvents.Inc()
-		if processed == 1 || ev.time < firstEvent {
-			firstEvent = ev.time
+		if processed == 1 || at < firstEvent {
+			firstEvent = at
 		}
-		if ev.time > lastEvent {
-			lastEvent = ev.time
+		if at > lastEvent {
+			lastEvent = at
 		}
 		if processed > maxEvents {
 			return nil, fmt.Errorf("sim: exceeded %d events; runaway protocol?", maxEvents)
 		}
-		env := &Env{engine: en, self: ev.proc, now: ev.time}
+		env := &en.env
+		env.self, env.now = ev.proc, at
 		switch ev.kind {
 		case evStart:
 			en.procs[ev.proc].OnStart(env)
 		case evDeliver:
 			mDelivered.Inc()
-			recvRel := ev.time - net.starts[ev.proc]
-			if _, err := en.builder.AddMessage(model.ProcID(ev.from), model.ProcID(ev.proc), ev.sendRel, recvRel); err != nil {
+			if _, err := en.builder.Deliver(ev.send, at-net.starts[ev.proc]); err != nil {
 				return nil, err
 			}
-			en.procs[ev.proc].OnReceive(env, model.ProcID(ev.from), ev.payload)
+			en.procs[ev.proc].OnReceive(env, ev.send.From(), ev.payload)
 		case evTimer:
 			mTimersFired.Inc()
 			if en.recordTimers {
-				en.markTimerFired(ev.proc, ev.time-net.starts[ev.proc])
+				en.markTimerFired(ev.proc, at-net.starts[ev.proc])
 			}
 			en.procs[ev.proc].OnTimer(env, ev.tag)
 		}

@@ -393,3 +393,48 @@ func TestRecordTimersHorizonLeavesUnfired(t *testing.T) {
 		t.Error("expected some set-but-unfired timers past the horizon")
 	}
 }
+
+// TestRunAllocs bounds the engine's allocations on a fixed Burst run: at
+// most one per sent message (the protocol boxes each payload, a float64
+// clock reading, into an interface) plus O(n) for the protocols, the
+// per-processor logs and the slab and heap growth. An engine that
+// allocates per event (a boxed heap entry, a fresh Env) cannot meet it.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, k = 8, 25
+	starts := make([]float64, n)
+	for p := range starts {
+		starts[p] = float64(p) / 10
+	}
+	net, err := NewNetwork(starts, Complete(n), func(Pair) LinkDelays {
+		return Symmetric(Uniform{Lo: 0.01, Hi: 0.2})
+	})
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	factory := NewBurstFactory(k, 0.01, SafeWarmup(starts))
+	sent := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		e, err := Run(net, factory, RunConfig{Seed: 1})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		sent = 0
+		for _, h := range e.Histories {
+			for _, st := range h.Steps {
+				if st.Event.Kind == model.KindSend {
+					sent++
+				}
+			}
+		}
+	})
+	if want := n * k * (n - 1); sent != want {
+		t.Fatalf("sent %d messages, want %d", sent, want)
+	}
+	if limit := float64(sent + 16*n + 64); allocs > limit {
+		t.Errorf("Run made %.0f allocations for %d messages on %d processors, want at most %.0f", allocs, sent, n, limit)
+	}
+	t.Logf("%.0f allocations, %d messages", allocs, sent)
+}
