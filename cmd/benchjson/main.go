@@ -1,10 +1,10 @@
-// Command benchjson measures the performance-critical benchmarks of the
-// repository — the core SHIFTS pipeline at several sizes, the steady-state
+// Command benchjson measures the benchmark cases of internal/benchcase —
+// the core SHIFTS pipeline at several sizes, the steady-state
 // Synchronizer reuse path, the streaming and sparse solves, a sparse
 // system solved from a trace.Table, the view reduction (model build and
-// trace.Collect), one simulated round of the leader protocol, and the
-// T/F/D experiment series — and emits the results
-// as JSON (BENCH_core.json by default).
+// trace.Collect), one simulated round of the leader protocol, the
+// recorder, an end-to-end scenario and every registered experiment — and
+// emits the results as JSON (BENCH_core.json by default).
 //
 // With -check FILE it instead compares a fresh measurement against a
 // committed baseline and exits non-zero when any benchmark's ns/op
@@ -26,6 +26,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -35,14 +36,8 @@ import (
 	"sort"
 	"time"
 
-	"clocksync/internal/core"
-	"clocksync/internal/delay"
-	"clocksync/internal/dist"
-	"clocksync/internal/experiments"
+	"clocksync/internal/benchcase"
 	"clocksync/internal/graph"
-	"clocksync/internal/model"
-	"clocksync/internal/sim"
-	"clocksync/internal/trace"
 )
 
 // Entry is one benchmark measurement.
@@ -66,36 +61,44 @@ func main() {
 	out := flag.String("out", "BENCH_core.json", "file to write measurements to")
 	check := flag.String("check", "", "baseline file to compare against instead of writing")
 	tol := flag.Float64("tol", 0.25, "allowed relative ns/op regression in -check mode")
-	quick := flag.Bool("quick", false, "tiny sizes and iteration counts (smoke testing)")
 	flag.Parse()
+	if err := run(*out, *check, *tol); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+func run(out, check string, tol float64) error {
 	var base *File
-	if *check != "" {
+	if check != "" {
 		var err error
-		if base, err = loadFile(*check); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: load baseline: %v\n", err)
-			os.Exit(1)
+		if base, err = loadFile(check); err != nil {
+			return fmt.Errorf("load baseline: %w", err)
 		}
 		fmt.Printf("benchjson: measuring at GOMAXPROCS=%d\n", matchProcs(base))
 	}
 
-	f, err := runSuite(*quick, base == nil)
+	ops, release, err := setUp(benchcase.All())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
+	}
+	defer release()
+	f, err := runSuite(ops, base == nil)
+	if err != nil {
+		return err
 	}
 
 	if base != nil {
-		failures := compare(base, f, *tol)
+		failures := compare(base, f, tol)
 		if len(failures) > 0 {
-			// Before declaring a regression, re-measure just the suspects
-			// with escalating round counts: on shared runners a noisy round
-			// is far more likely than a real slowdown, and the minimum over
-			// extra rounds converges to the true cost. A genuine regression
-			// survives every retry.
+			// Before declaring a regression, re-measure just the suspects,
+			// on the ops already built, with escalating round counts: on
+			// shared runners a noisy round is far more likely than a real
+			// slowdown, and the minimum over extra rounds converges to the
+			// true cost. A genuine regression survives every retry.
 			fns := map[string]func() error{}
-			for _, b := range suite(*quick) {
-				fns[b.name] = b.fn
+			for _, o := range ops {
+				fns[o.name] = o.run
 			}
 			for attempt := 0; attempt < 2 && len(failures) > 0; attempt++ {
 				rounds, targetNs := 9+6*attempt, 60e6*float64(attempt+1)
@@ -109,31 +112,30 @@ func main() {
 						f.Benchmarks[r.name] = e
 					}
 				}
-				failures = compare(base, f, *tol)
+				failures = compare(base, f, tol)
 			}
 		}
 		for _, r := range failures {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", r.msg)
 		}
 		if len(failures) > 0 {
-			os.Exit(1)
+			return errors.New("regression gate failed")
 		}
 		fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline (calibration %.0f ns vs %.0f ns)\n",
-			len(f.Benchmarks), *tol*100, f.CalibrationNs, base.CalibrationNs)
-		return
+			len(f.Benchmarks), tol*100, f.CalibrationNs, base.CalibrationNs)
+		return nil
 	}
 
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return err
 	}
-	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(f.Benchmarks), *out)
+	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(f.Benchmarks), out)
+	return nil
 }
 
 // matchProcs sets GOMAXPROCS to the baseline's, so a check measures
@@ -148,7 +150,36 @@ func matchProcs(base *File) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runSuite measures every benchmark and the calibration workload. The
+// op is one built case, ready to measure.
+type op struct {
+	name string
+	run  func() error
+}
+
+// setUp builds every case, in list order, before the first is measured,
+// so each case is measured with every setup live. It returns the ops and
+// one release for all of them.
+func setUp(cases []benchcase.Case) ([]op, func(), error) {
+	ops := make([]op, 0, len(cases))
+	var releases []func()
+	releaseAll := func() {
+		for _, r := range releases {
+			r()
+		}
+	}
+	for _, c := range cases {
+		run, release, err := c.Setup()
+		if err != nil {
+			releaseAll()
+			return nil, nil, fmt.Errorf("%s: setup: %w", c.Name, err)
+		}
+		ops = append(ops, op{c.Name, run})
+		releases = append(releases, release)
+	}
+	return ops, releaseAll, nil
+}
+
+// runSuite measures every op and the calibration workload. The
 // calibration is sampled once before every benchmark (and at both ends)
 // with the global minimum kept, so it reflects the machine's peak speed
 // over the same time span the benchmarks ran in — a single calibration
@@ -160,404 +191,25 @@ func matchProcs(base *File) int {
 // best-case cost, so scheduler noise can only produce false passes —
 // never false failures — while a genuine regression beyond the tolerance
 // still exceeds the median baseline from every round.
-func runSuite(quick, baseline bool) (*File, error) {
+func runSuite(ops []op, baseline bool) (*File, error) {
 	f := &File{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]Entry{},
 	}
-	cal := newCalibrator(quick)
+	cal := newCalibrator()
 	cal.round()
 
-	rounds, targetNs := 5, 30e6
-	if quick {
-		rounds, targetNs = 2, 2e6
-	}
-	for _, b := range suite(quick) {
+	for _, o := range ops {
 		cal.round()
-		e, err := measure(rounds, targetNs, b.fn, baseline)
+		e, err := measure(5, 30e6, o.run, baseline)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.name, err)
+			return nil, fmt.Errorf("%s: %w", o.name, err)
 		}
-		f.Benchmarks[b.name] = e
+		f.Benchmarks[o.name] = e
 	}
 	cal.round()
 	f.CalibrationNs = cal.best
 	return f, nil
-}
-
-type bench struct {
-	name string
-	fn   func() error
-}
-
-// suite assembles the measured benchmarks: the pooled Synchronize wrapper
-// across sizes, the zero-allocation Synchronizer reuse path, the streaming
-// and sparse solves, the sparse system solve from a trace table, the view
-// reduction, one protocol round, and one entry per T/F/D experiment.
-func suite(quick bool) []bench {
-	var bs []bench
-
-	sizes := []int{8, 16, 32, 64, 128}
-	expIDs := []string{
-		"T1", "T2", "T3", "T4", "T5", "T6", "T7",
-		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8",
-		"D1", "D2",
-	}
-	if quick {
-		sizes = []int{8, 16}
-		expIDs = []string{"T1"}
-	}
-
-	for _, n := range sizes {
-		mls := randomCompleteMLS(n)
-		bs = append(bs, bench{
-			name: fmt.Sprintf("Synchronize/n=%d", n),
-			fn: func() error {
-				_, err := core.Synchronize(mls, core.Options{})
-				return err
-			},
-		})
-	}
-
-	reuseN := 64
-	if quick {
-		reuseN = 16
-	}
-	{
-		mls := randomCompleteMLS(reuseN)
-		s := core.NewSynchronizer()
-		opts := core.Options{Parallelism: 1}
-		bs = append(bs, bench{
-			name: fmt.Sprintf("SynchronizerReuse/n=%d", reuseN),
-			fn: func() error {
-				_, err := s.Sync(mls, opts)
-				return err
-			},
-		})
-	}
-
-	// Streaming steady state: one new, genuinely tightening observation
-	// folded into a converged n-node instance, then Corrections.
-	// StreamUpdate tightens the slack chord, which is certifiably inert, so
-	// it is served from the cache; StreamBatch tightens a ring link whose
-	// own closure entry must move, so it re-solves in batch. The pair
-	// measures the speedup the incremental engine buys.
-	streamN := 128
-	if quick {
-		streamN = 16
-	}
-	for _, forceBatch := range []bool{false, true} {
-		name := fmt.Sprintf("StreamUpdate/n=%d", streamN)
-		if forceBatch {
-			name = fmt.Sprintf("StreamBatch/n=%d", streamN)
-		}
-		fn, err := streamSteadyState(streamN, forceBatch)
-		if err != nil {
-			panic(fmt.Sprintf("benchjson: stream setup: %v", err))
-		}
-		bs = append(bs, bench{name: name, fn: fn})
-	}
-
-	// Sparse-native solves: ring-of-cliques topologies through the held
-	// Synchronizer's CSR entry point with the hierarchical backend — the
-	// regime the dense pipeline cannot touch (an n x n matrix at n=10k is
-	// ~800 MB). Entries share the calibrated ns/op and alloc gates with
-	// everything else; compare() additionally enforces an absolute
-	// bytes-per-op ceiling on the 10k entry.
-	sparse := []struct {
-		name    string
-		cliques int
-	}{{"SparseSolve/n=1k", 33}} // 33 cliques of 32 = 1056 > the m~s materialization cap
-	if !quick {
-		sparse = append(sparse, struct {
-			name    string
-			cliques int
-		}{"SparseSolve/n=10k", 313}) // 10016 nodes
-	}
-	for _, sz := range sparse {
-		rng := rand.New(rand.NewSource(7))
-		g := graph.SparseRingOfCliques(rng, sz.cliques, 32, 0.01, 1)
-		s := core.NewSynchronizer()
-		opts := core.Options{Solver: core.SolverHierarchical}
-		bs = append(bs, bench{
-			name: sz.name,
-			fn: func() error {
-				_, err := s.SyncCSR(g, opts)
-				return err
-			},
-		})
-	}
-
-	// The same topology entered from a prebuilt trace.Table, as clockbench's
-	// sparse-2k runs it: core.SynchronizeSystem reduces the table to m~ls
-	// (the layer the SparseSolve rows skip), then solves with Auto, which
-	// escalates the 2112-node component to the hierarchical solver.
-	sysCliques := 66
-	if quick {
-		sysCliques = 8
-	}
-	n, links, tab, err := sparseSystem(sysCliques, 32)
-	if err != nil {
-		panic(fmt.Sprintf("benchjson: sparse system setup: %v", err))
-	}
-	bs = append(bs, bench{
-		name: fmt.Sprintf("SparseSystem/n=%d", n),
-		fn: func() error {
-			_, err := core.SynchronizeSystem(n, links, tab, core.DefaultMLSOptions(), core.Options{})
-			return err
-		},
-	})
-
-	// The Lemma 6.1 view reduction on its own, on the input shape of
-	// clockbench's trace-heavy workload. Build assembles and validates an
-	// execution from its message records; Collect reduces the built
-	// execution to a trace.Table.
-	viewMsgs := 25000
-	if quick {
-		viewMsgs = 2000
-	}
-	b, e, err := viewReduction(16, viewMsgs)
-	if err != nil {
-		panic(fmt.Sprintf("benchjson: view reduction setup: %v", err))
-	}
-	bs = append(bs,
-		bench{
-			name: fmt.Sprintf("ViewReduction/Build/msgs=%dk", viewMsgs/1000),
-			fn: func() error {
-				_, err := b.Build()
-				return err
-			},
-		},
-		bench{
-			name: fmt.Sprintf("ViewReduction/Collect/msgs=%dk", viewMsgs/1000),
-			fn: func() error {
-				_, err := trace.Collect(e, false)
-				return err
-			},
-		})
-
-	// One round of the §7 leader protocol on the simulator with
-	// clockbench protocol-faulty's fault mix: the simulator round (event
-	// loop, execution builder) and the floods.
-	roundN := 48
-	if quick {
-		roundN = 16
-	}
-	round, err := protocolRound(roundN)
-	if err != nil {
-		panic(fmt.Sprintf("benchjson: protocol round setup: %v", err))
-	}
-	bs = append(bs, bench{name: fmt.Sprintf("ProtocolRound/n=%d", roundN), fn: round})
-
-	for _, id := range expIDs {
-		exp, ok := experiments.ByID(id)
-		if !ok {
-			continue
-		}
-		run := exp.Run
-		bs = append(bs, bench{
-			name: "Experiment/" + id,
-			fn: func() error {
-				_, err := run(12345)
-				return err
-			},
-		})
-	}
-	return bs
-}
-
-// streamSteadyState builds the converged ring-plus-slack-chord workload of
-// the streaming steady-state tests and returns one update step: observe an
-// estimate one ulp below the last, then ask for Corrections. By default the
-// estimate is on the slack chord, where no shortest path can use it, so
-// the step is served from the certified cache. With forceBatch it is on
-// ring link 0->1, whose m~ls under SymmetricBounds(1, 3) is d~min-1, its
-// own shortest path: the closure entry moves and the step re-solves in
-// batch, on the same instance up to that ulp. The step fails if a solve
-// takes the other path.
-func streamSteadyState(n int, forceBatch bool) (func() error, error) {
-	ring, err := delay.SymmetricBounds(1, 3)
-	if err != nil {
-		return nil, err
-	}
-	slack, err := delay.SymmetricBounds(0, 1e6)
-	if err != nil {
-		return nil, err
-	}
-	links := make([]core.Link, 0, n+1)
-	for i := 0; i < n; i++ {
-		links = append(links, core.Link{P: model.ProcID(i), Q: model.ProcID((i + 1) % n), A: ring})
-	}
-	links = append(links, core.Link{P: 0, Q: model.ProcID(n / 2), A: slack})
-	st, err := core.NewStream(n, links, core.DefaultMLSOptions(), core.Options{Parallelism: 1})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		if err := st.Observe(model.ProcID(i), model.ProcID(j), 0, 2); err != nil {
-			return nil, err
-		}
-		if err := st.Observe(model.ProcID(j), model.ProcID(i), 0, 2); err != nil {
-			return nil, err
-		}
-	}
-	if err := st.Observe(0, model.ProcID(n/2), 0, 5e5); err != nil {
-		return nil, err
-	}
-	if err := st.Observe(model.ProcID(n/2), 0, 0, 5e5); err != nil {
-		return nil, err
-	}
-	if _, err := st.Corrections(); err != nil {
-		return nil, err
-	}
-	to, est, batched := model.ProcID(n/2), 5e5-1.0, int64(0)
-	if forceBatch {
-		to, est, batched = 1, 2, 1
-	}
-	return func() error {
-		est = math.Nextafter(est, 0)
-		if err := st.Observe(0, to, 0, est); err != nil {
-			return err
-		}
-		before := st.Stats().Batch
-		if _, err := st.Corrections(); err != nil {
-			return err
-		}
-		if st.Stats().Batch-before != batched {
-			return fmt.Errorf("solve took the wrong path (stats %+v)", st.Stats())
-		}
-		return nil
-	}, nil
-}
-
-// sparseSystem builds a ring of cliques of size nodes as a system: every
-// pair inside a clique and node 0 of each clique to node 0 of the next is
-// linked under SymmetricBounds(0.05, 0.2) and probed twice each way, with
-// true delays drawn inside those bounds and starts in [0, 1). It returns
-// the processor count, the links and the table of the probes.
-func sparseSystem(cliques, size int) (int, []core.Link, *trace.Table, error) {
-	a, err := delay.SymmetricBounds(0.05, 0.2)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(7))
-	n := cliques * size
-	starts := make([]float64, n)
-	for p := range starts {
-		starts[p] = rng.Float64()
-	}
-	tab := trace.NewTable(n, false)
-	var links []core.Link
-	link := func(p, q int) error {
-		links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
-		for k := 0; k < 4; k++ {
-			from, to := p, q
-			if k%2 == 1 {
-				from, to = q, p
-			}
-			send := 1 + rng.Float64()
-			recv := send + 0.05 + 0.15*rng.Float64()
-			if err := tab.Add(trace.Sample{From: model.ProcID(from), To: model.ProcID(to),
-				SendClock: send - starts[from], RecvClock: recv - starts[to]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for c := 0; c < cliques; c++ {
-		base := c * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				if err := link(base+i, base+j); err != nil {
-					return 0, nil, nil, err
-				}
-			}
-		}
-		if err := link(base, (c+1)%cliques*size); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return n, links, tab, nil
-}
-
-// protocolRound returns one round of the leader protocol on n nodes of a
-// random connected graph (edge probability 0.15) with 4 probes per link
-// direction, 2 re-floods, 1% message loss, an inflating Byzantine
-// reporter, a crash before the victim's report, authenticated reports and
-// excision; the round fails unless it excised the liar and computed
-// degraded. The instance is BenchmarkProtocolRound's.
-func protocolRound(n int) (func() error, error) {
-	rng := rand.New(rand.NewSource(5))
-	pairs := sim.RandomConnected(rng, n, 0.15)
-	a, err := delay.SymmetricBounds(0.05, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	links := make([]core.Link, len(pairs))
-	for i, e := range pairs {
-		links[i] = core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: a}
-	}
-	net, err := sim.NewNetwork(sim.UniformStarts(rng, n, 1), pairs, func(sim.Pair) sim.LinkDelays {
-		return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.2})
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfg := dist.Config{
-		Leader: 0, Links: links, Probes: 4, Spacing: 0.01, Warmup: 1.5, Window: 1,
-		ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: dist.DeriveKeys(n, 9),
-	}
-	faults := &sim.Faults{
-		Loss:      0.01,
-		Byzantine: []sim.Byzantine{{Proc: n - 1, Strategy: sim.ByzInflate, Magnitude: 0.25}},
-		Crashes:   []sim.Crash{{Proc: n / 2, At: cfg.Warmup + cfg.Window/2}},
-	}
-	return func() error {
-		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: 11, Faults: faults})
-		if err != nil {
-			return err
-		}
-		if !out.Degraded || len(out.Excised) == 0 {
-			return fmt.Errorf("fault mix not exercised: degraded %v, excised %v", out.Degraded, out.Excised)
-		}
-		return nil
-	}, nil
-}
-
-// viewReduction records msgs messages over the complete graph on n
-// processors, one every millisecond of real time between random endpoints
-// with delays in [0.01, 0.1) s, so messages overtake each other at the
-// receivers. It returns the builder and the execution it builds.
-func viewReduction(n, msgs int) (*model.Builder, *model.Execution, error) {
-	rng := rand.New(rand.NewSource(3))
-	starts := make([]float64, n)
-	for p := range starts {
-		starts[p] = rng.Float64()
-	}
-	b := model.NewBuilder(starts)
-	for k := 0; k < msgs; k++ {
-		from := rng.Intn(n)
-		to := (from + 1 + rng.Intn(n-1)) % n
-		if _, err := b.AddMessageDelay(model.ProcID(from), model.ProcID(to), 1+float64(k)*1e-3, 0.01+0.09*rng.Float64()); err != nil {
-			return nil, nil, err
-		}
-	}
-	e, err := b.Build()
-	return b, e, err
-}
-
-func randomCompleteMLS(n int) [][]float64 {
-	rng := rand.New(rand.NewSource(1))
-	mls := graph.NewMatrix(n, 0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				mls[i][j] = 0.1 + rng.Float64()
-			}
-		}
-	}
-	return mls
 }
 
 // calibrator times the fixed reference workload — serial dense
@@ -570,11 +222,8 @@ type calibrator struct {
 	best   float64
 }
 
-func newCalibrator(quick bool) *calibrator {
-	n, iters := 64, 10
-	if quick {
-		n, iters = 16, 5
-	}
+func newCalibrator() *calibrator {
+	const n, iters = 64, 10
 	rng := rand.New(rand.NewSource(99))
 	src := graph.NewDense(n)
 	for i := 0; i < n; i++ {

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"clocksync/internal/benchcase"
 )
 
 func TestCompare(t *testing.T) {
@@ -67,22 +70,42 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-// TestQuickSuiteRoundTrip runs the tiny suite for real, writes the JSON,
-// and checks a run against itself — the self-comparison must always pass.
+// quickOps builds a named two-case subset of the list: one
+// microsecond-scale case and one experiment.
+func quickOps(t *testing.T) []op {
+	t.Helper()
+	var cases []benchcase.Case
+	for _, c := range benchcase.All() {
+		if c.Name == "Synchronize/n=8" || c.Name == "Experiment/T1" {
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) != 2 {
+		t.Fatalf("found %d of the 2 quick cases", len(cases))
+	}
+	ops, release, err := setUp(cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(release)
+	return ops
+}
+
+// TestQuickSuiteRoundTrip measures a two-case subset for real, writes
+// the JSON, and checks a run against itself — the self-comparison must
+// always pass.
 func TestQuickSuiteRoundTrip(t *testing.T) {
-	f, err := runSuite(true, true)
+	f, err := runSuite(quickOps(t), true)
 	if err != nil {
 		t.Fatalf("runSuite: %v", err)
 	}
 	if f.CalibrationNs <= 0 {
 		t.Fatalf("calibration_ns = %v, want > 0", f.CalibrationNs)
 	}
-	for _, name := range []string{"Synchronize/n=8", "Synchronize/n=16", "SynchronizerReuse/n=16",
-		"SparseSystem/n=256", "ViewReduction/Build/msgs=2k", "ViewReduction/Collect/msgs=2k", "Experiment/T1"} {
-		e, ok := f.Benchmarks[name]
-		if !ok {
-			t.Fatalf("missing benchmark %q", name)
-		}
+	if len(f.Benchmarks) != 2 {
+		t.Errorf("got %d benchmarks, want 2", len(f.Benchmarks))
+	}
+	for name, e := range f.Benchmarks {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s: ns_per_op = %v, want > 0", name, e.NsPerOp)
 		}
@@ -114,7 +137,7 @@ func TestMatchProcs(t *testing.T) {
 	if got := matchProcs(&File{GoMaxProcs: 1}); got != 1 || runtime.GOMAXPROCS(0) != 1 {
 		t.Errorf("matchProcs(baseline at 1) = %d, GOMAXPROCS = %d; want 1", got, runtime.GOMAXPROCS(0))
 	}
-	f, err := runSuite(true, false)
+	f, err := runSuite(quickOps(t), false)
 	if err != nil {
 		t.Fatalf("runSuite: %v", err)
 	}
@@ -124,5 +147,52 @@ func TestMatchProcs(t *testing.T) {
 	runtime.GOMAXPROCS(3)
 	if got := matchProcs(&File{}); got != 3 {
 		t.Errorf("matchProcs(baseline without gomaxprocs) = %d, want 3 (unchanged)", got)
+	}
+}
+
+// TestLedgerMatchesCases: every row of the committed BENCH_core.json
+// names a case and every case has a row. compare ignores rows present on
+// one side only, so without this a renamed or new case would silently
+// stay out of the gate.
+func TestLedgerMatchesCases(t *testing.T) {
+	ledger, err := loadFile("../../BENCH_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]bool{}
+	for _, c := range benchcase.All() {
+		if cases[c.Name] {
+			t.Errorf("case %s is listed twice", c.Name)
+		}
+		cases[c.Name] = true
+		if _, ok := ledger.Benchmarks[c.Name]; !ok {
+			t.Errorf("case %s has no row in BENCH_core.json", c.Name)
+		}
+	}
+	for name := range ledger.Benchmarks {
+		if !cases[name] {
+			t.Errorf("BENCH_core.json row %s names no case", name)
+		}
+	}
+}
+
+// TestSetUpNamesFailingCase: a setup error names its case and releases
+// the cases built before it.
+func TestSetUpNamesFailingCase(t *testing.T) {
+	released := 0
+	cases := []benchcase.Case{
+		{Name: "ok", Setup: func() (func() error, func(), error) {
+			return func() error { return nil }, func() { released++ }, nil
+		}},
+		{Name: "broken", Setup: func() (func() error, func(), error) {
+			return nil, nil, errors.New("no input")
+		}},
+	}
+	_, _, err := setUp(cases)
+	if err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Errorf("setUp error = %v, want one naming the broken case", err)
+	}
+	if released != 1 {
+		t.Errorf("released %d built cases, want 1", released)
 	}
 }
