@@ -25,17 +25,27 @@ import (
 //     into intra-cluster segments between boundary nodes and cross
 //     edges. Karp on D yields λ_B, a certified lower bound on the true
 //     A_max (every B-cycle is a cycle of the full complete digraph);
-//  4. synchronize the boundary (Bellman-Ford over λ − D), extend into
+//  4. bound each cluster's A_max^c against λ_B (fanned across lanes):
+//     graph.MeanCycleBelow certifies A_max^c < λ_B by a margin far above
+//     rounding in O(kc²) per Bellman-Ford pass, and only a cluster that
+//     fails the check runs Karp on its sub-components;
+//  5. synchronize the boundary (Bellman-Ford over λ − D), extend into
 //     cluster interiors by multi-source Bellman-Ford over λ − m~s^c with
 //     the boundary corrections pinned, and compose.
 //
 // The working precision λ = max(λ_B, max_c A_max^c) guarantees both
-// Bellman-Ford stages are free of negative cycles. The reported
+// Bellman-Ford stages are free of negative cycles. A certified cluster
+// counts as A_max^c = 0: its Karp value would lie below λ_B (and a
+// cluster with any cycle cannot pass when λ_B ≤ 0), so it could never
+// have moved λ, and λ, the corrections and λ̂ are bit for bit those of
+// running Karp on every cluster. The reported
 // component precision is NOT λ but the a-posteriori certificate λ̂: the
 // exact maximum of m~s(p,q) + f(q) − f(p) over intra-cluster pairs plus
 // a sound decomposition bound over cross-cluster pairs, so
 // Result.ComponentPrecision is always a valid guaranteed bound (≥ the
 // unknown optimum, with s.lowerB holding the certified lower bound λ_B).
+// Observer timing charges the Karp run of step 3 and all of step 4 to
+// karp_amax.
 func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, comp []int, opts Options, pool *graph.Pool, t *phaseTimer) error {
 	k := len(comp)
 	L := opts.clusterSizeOrDefault()
@@ -182,11 +192,10 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	}
 	ident := s.ident(max(maxKc, nb))
 
-	// ---- Per-cluster exact closures and their A_max, fanned across lanes.
+	// ---- Per-cluster exact closures, fanned across lanes.
 	msI := make([]*graph.Dense, nclusters)
-	aMaxI := make([]float64, nclusters)
 	clErr := make([]error, nclusters)
-	solveCluster := func(c int, scc *graph.SCCScratch, karp *graph.KarpScratch) error {
+	closeCluster := func(c, _ int) error {
 		members := clNodes[clPtr[c]:clPtr[c+1]]
 		kc := len(members)
 		W := graph.NewDense(kc)
@@ -212,32 +221,6 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			return err
 		}
 		msI[c] = W
-		// A_max^c over the cluster's sub-components (the intra subgraph
-		// need not be strongly connected even inside an SCC).
-		ncc := graph.SCCDense(W, scc)
-		aM := 0.0
-		if ncc == 1 {
-			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], karp, nil); ok {
-				aM = mc.Mean
-			}
-		} else {
-			sub := make([]int, 0, kc)
-			for cc := 0; cc < ncc; cc++ {
-				sub = sub[:0]
-				for li := 0; li < kc; li++ {
-					if scc.CompOf[li] == cc {
-						sub = append(sub, li)
-					}
-				}
-				if len(sub) <= 1 {
-					continue
-				}
-				if mc, ok := graph.MaxMeanCycleDense(W, sub, karp, nil); ok && mc.Mean > aM {
-					aM = mc.Mean
-				}
-			}
-		}
-		aMaxI[c] = aM
 		return nil
 	}
 	lanes := 1
@@ -247,25 +230,29 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			lanes = nclusters
 		}
 	}
-	if lanes > 1 {
-		sccs := make([]graph.SCCScratch, lanes)
-		karps := make([]graph.KarpScratch, lanes)
-		pool.Run(lanes, func(part int) {
-			for c := part; c < nclusters; c += lanes {
-				clErr[c] = solveCluster(c, &sccs[part], &karps[part])
+	// forClusters runs fn on every cluster, striped across the lanes, and
+	// returns the lowest-index error.
+	forClusters := func(fn func(c, part int) error) error {
+		if lanes > 1 {
+			pool.Run(lanes, func(part int) {
+				for c := part; c < nclusters; c += lanes {
+					clErr[c] = fn(c, part)
+				}
+			})
+		} else {
+			for c := 0; c < nclusters; c++ {
+				clErr[c] = fn(c, 0)
 			}
-		})
-	} else {
-		var scc graph.SCCScratch
-		var karp graph.KarpScratch
-		for c := 0; c < nclusters; c++ {
-			clErr[c] = solveCluster(c, &scc, &karp)
 		}
+		for _, e := range clErr {
+			if e != nil {
+				return e
+			}
+		}
+		return nil
 	}
-	for _, e := range clErr {
-		if e != nil {
-			return e
-		}
+	if err := forClusters(closeCluster); err != nil {
+		return err
 	}
 
 	// ---- Contracted boundary graph and its exact closure D.
@@ -321,6 +308,57 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		if mc, ok := graph.MaxMeanCycleDense(H, ident[:nb], &karp, pool); ok {
 			lambdaB = mc.Mean
 		}
+	}
+	// A_max^c matters only where it exceeds λ_B, so a cluster certified
+	// below λ_B keeps A_max^c = 0. The rest run Karp per sub-component
+	// (the intra subgraph need not be strongly connected even inside an
+	// SCC); the certificate covers every sub-component at once, since no
+	// cycle leaves its sub-component.
+	aMaxI := make([]float64, nclusters)
+	karpRuns := make([]int, lanes)
+	dists := make([][]float64, lanes)
+	sccs := make([]graph.SCCScratch, lanes)
+	karps := make([]graph.KarpScratch, lanes)
+	for part := range dists {
+		dists[part] = make([]float64, maxKc)
+	}
+	clusterAMax := func(c, part int) error {
+		W := msI[c]
+		if graph.MeanCycleBelow(W, lambdaB, dists[part]) {
+			return nil
+		}
+		kc := W.N()
+		scc, karp := &sccs[part], &karps[part]
+		ncc := graph.SCCDense(W, scc)
+		aM := 0.0
+		if ncc == 1 {
+			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], karp, nil); ok {
+				aM = mc.Mean
+			}
+		} else {
+			sub := make([]int, 0, kc)
+			for cc := 0; cc < ncc; cc++ {
+				sub = sub[:0]
+				for li := 0; li < kc; li++ {
+					if scc.CompOf[li] == cc {
+						sub = append(sub, li)
+					}
+				}
+				if len(sub) <= 1 {
+					continue
+				}
+				if mc, ok := graph.MaxMeanCycleDense(W, sub, karp, nil); ok && mc.Mean > aM {
+					aM = mc.Mean
+				}
+			}
+		}
+		aMaxI[c] = aM
+		karpRuns[part]++
+		return nil
+	}
+	_ = forClusters(clusterAMax) // clusterAMax cannot fail
+	for _, r := range karpRuns {
+		s.clusterKarp[ci] += r
 	}
 	lambdaUse := lambdaB
 	for _, aM := range aMaxI {
@@ -416,26 +454,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		return nil
 	}
 	runExtend := func(transposed bool, hb, out []float64) error {
-		for i := range clErr {
-			clErr[i] = nil
-		}
-		if lanes > 1 {
-			pool.Run(lanes, func(part int) {
-				for c := part; c < nclusters; c += lanes {
-					clErr[c] = extendCluster(c, transposed, hb, out)
-				}
-			})
-		} else {
-			for c := 0; c < nclusters; c++ {
-				clErr[c] = extendCluster(c, transposed, hb, out)
-			}
-		}
-		for _, e := range clErr {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+		return forClusters(func(c, _ int) error { return extendCluster(c, transposed, hb, out) })
 	}
 	if err := runExtend(false, h, f); err != nil {
 		return err

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 
+	"clocksync/internal/delay"
 	"clocksync/internal/graph"
+	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/trace"
 )
 
 // hierInstance builds a ring-of-cliques instance big enough that a forced
@@ -182,31 +188,135 @@ func TestHierarchicalQualityGauges(t *testing.T) {
 	}
 }
 
-// TestHierarchicalTimedSerial: an Observer forces the serial path with
-// per-phase timers; the hierarchical stages must attribute their work
-// without panicking and cover all three phases.
-func TestHierarchicalTimedSerial(t *testing.T) {
-	mls, _ := hierInstance(t, 71, 6, 20) // n = 120
-	var phases []string
-	_, err := Synchronize(mls, Options{
-		Solver:      SolverHierarchical,
-		ClusterSize: 20,
-		Observer: obs.PhaseFunc(func(ph string, _ float64) {
-			phases = append(phases, ph)
-		}),
-	})
+// TestHierarchicalDeterminism pins the hierarchical solver bit for bit on
+// one forced-hierarchical instance of each graph.Sparse* family: per
+// family, a SHA-256 over the Precision, ComponentPrecision,
+// Corrections and certified lower bound λ_B of every solve across two
+// ClusterSizes, Centered off and on, and Parallelism 1 and 2. The digests
+// were generated by the solver that ran Karp on every cluster; skipping a
+// cluster's Karp run must not move a single bit.
+func TestHierarchicalDeterminism(t *testing.T) {
+	want := map[string]string{
+		"ring-of-cliques":  "ee79aab07f8ff4ad6cdaffaea50e1becf02d069d752efeec50666e5b476d5d62",
+		"random-geometric": "81f35c6bab4619f48351f23dbcb8fbb5eeee380317a8b800b5ca9cce8461907b",
+		"bounded-degree":   "291e56685360cdb51bc748d7f6deacb19d0cb3c4a88f3b5d5d6089e5b4f5f37e",
+	}
+	rng := rand.New(rand.NewSource(19))
+	families := []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"ring-of-cliques", graph.SparseRingOfCliques(rng, 12, 20, 0.01, 1)},
+		{"random-geometric", graph.SparseRandomGeometric(rng, 300, 0.12, 8, 0.01, 1)},
+		{"bounded-degree", graph.SparseBoundedDegree(rng, 300, 4, 0.01, 1)},
+	}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			s := NewSynchronizer()
+			defer s.Close()
+			h := sha256.New()
+			karpRuns := 0
+			bits := func(xs ...float64) {
+				var b [8]byte
+				for _, x := range xs {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+					h.Write(b[:])
+				}
+			}
+			for _, cs := range []int{24, 48} {
+				for _, centered := range []bool{false, true} {
+					for _, par := range []int{1, 2} {
+						res, err := s.SyncCSR(fam.g, Options{
+							Solver: SolverHierarchical, ClusterSize: cs,
+							Centered: centered, Parallelism: par,
+						})
+						if err != nil {
+							t.Fatalf("cs=%d centered=%v par=%d: %v", cs, centered, par, err)
+						}
+						bits(res.Precision)
+						bits(res.ComponentPrecision...)
+						bits(res.Corrections...)
+						bits(s.lowerB[:len(res.Components)]...)
+						for _, r := range s.clusterKarp {
+							karpRuns += r
+						}
+					}
+				}
+			}
+			// The inputs must exercise both sides of the A_max check: the
+			// ring of cliques certifies every cluster, the bounded-degree
+			// graph sends some clusters to Karp.
+			switch fam.name {
+			case "ring-of-cliques":
+				if karpRuns != 0 {
+					t.Errorf("%d cluster Karp runs, want 0", karpRuns)
+				}
+			case "bounded-degree":
+				if karpRuns == 0 {
+					t.Error("no cluster fell back to Karp")
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[fam.name] {
+				t.Errorf("digest = %s, want %s", got, want[fam.name])
+			}
+		})
+	}
+}
+
+// TestHierarchicalSkipsClusterKarp: on the 2112-node ring of cliques of
+// the SparseSystem/n=2112 benchmark case (the ring clockbench's sparse-2k
+// solves, with other delays) SynchronizeSystem escalates to the
+// hierarchical solver, λ_B dominates every cluster's maximum mean cycle,
+// and the certificate proves it for every cluster, so no cluster runs
+// Karp.
+func TestHierarchicalSkipsClusterKarp(t *testing.T) {
+	const cliques, size = 66, 32
+	n := cliques * size
+	a, err := delay.SymmetricBounds(0.05, 0.2)
 	if err != nil {
-		t.Fatalf("Synchronize: %v", err)
+		t.Fatal(err)
 	}
-	want := map[string]bool{"estimate": false, "karp_amax": false, "corrections": false}
-	for _, ph := range phases {
-		if _, ok := want[ph]; ok {
-			want[ph] = true
+	rng := rand.New(rand.NewSource(7))
+	starts := make([]float64, n)
+	for p := range starts {
+		starts[p] = rng.Float64()
+	}
+	tab := trace.NewTable(n, false)
+	var links []Link
+	link := func(p, q int) {
+		links = append(links, Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
+		for k := 0; k < 4; k++ {
+			from, to := p, q
+			if k%2 == 1 {
+				from, to = q, p
+			}
+			send := 1 + rng.Float64()
+			recv := send + 0.05 + 0.15*rng.Float64()
+			if err := tab.Add(trace.Sample{From: model.ProcID(from), To: model.ProcID(to),
+				SendClock: send - starts[from], RecvClock: recv - starts[to]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("phase %q never observed (got %v)", name, phases)
+	for c := 0; c < cliques; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				link(base+i, base+j)
+			}
 		}
+		link(base, (c+1)%cliques*size)
+	}
+	s := NewSynchronizer()
+	defer s.Close()
+	res, err := s.SyncSystem(n, links, tab, DefaultMLSOptions(), Options{})
+	if err != nil {
+		t.Fatalf("SyncSystem: %v", err)
+	}
+	if len(res.Components) != 1 || res.CriticalCycle != nil {
+		t.Fatalf("%d components, critical cycle %v: want one component solved hierarchically", len(res.Components), res.CriticalCycle)
+	}
+	if got := s.clusterKarp[0]; got != 0 {
+		t.Errorf("%d clusters ran Karp, want 0", got)
 	}
 }

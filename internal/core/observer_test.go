@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"clocksync/internal/graph"
 	"clocksync/internal/obs"
@@ -49,5 +50,44 @@ func TestSynchronizePhaseObserver(t *testing.T) {
 		if plain.Corrections[p] != observed.Corrections[p] {
 			t.Errorf("correction p%d differs under observation", p)
 		}
+	}
+}
+
+// TestHierarchicalTimedSerial: an Observer forces the serial path with
+// per-phase timers. A forced-hierarchical solve reports each phase once,
+// the phases sum to no more than the call's wall time, and the per-cluster
+// A_max checks land in karp_amax, not estimate.
+func TestHierarchicalTimedSerial(t *testing.T) {
+	mls, _ := hierInstance(t, 71, 6, 20) // n = 120
+	phases := map[string]float64{}
+	calls := map[string]int{}
+	start := time.Now()
+	_, err := Synchronize(mls, Options{
+		Solver:      SolverHierarchical,
+		ClusterSize: 20,
+		Observer: obs.PhaseFunc(func(ph string, s float64) {
+			phases[ph] = s
+			calls[ph]++
+		}),
+	})
+	wall := time.Since(start).Seconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, ph := range []string{"estimate", "karp_amax", "corrections"} {
+		if calls[ph] != 1 {
+			t.Errorf("phase %q reported %d times, want 1", ph, calls[ph])
+		}
+		if phases[ph] < 0 {
+			t.Errorf("phase %q duration %v < 0", ph, phases[ph])
+		}
+		sum += phases[ph]
+	}
+	if sum > wall {
+		t.Errorf("phases sum to %v s, more than the call's %v s", sum, wall)
+	}
+	if phases["karp_amax"] <= 0 {
+		t.Errorf("karp_amax = %v, want > 0", phases["karp_amax"])
 	}
 }

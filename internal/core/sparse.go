@@ -206,6 +206,8 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 	// ident() is then a read-only slice below the lane fan-out.
 	s.ident(maxComp)
 	s.lowerB = growFloats(s.lowerB, nc)
+	s.clusterKarp = growInts(s.clusterKarp, nc)
+	clear(s.clusterKarp)
 	if cap(s.hierQ) < nc {
 		s.hierQ = make([][]float64, nc)
 	}

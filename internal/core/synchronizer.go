@@ -46,13 +46,15 @@ type Synchronizer struct {
 	// when the hierarchical solver needs undirected partitioning), the
 	// node -> local component index map, an identity permutation for local
 	// kernels, and the per-component certified lower bounds + per-cluster
-	// quality samples of the hierarchical solver.
-	csr      graph.CSR
-	csrT     graph.CSR
-	localIdx []int
-	identity []int
-	lowerB   []float64
-	hierQ    [][]float64
+	// quality samples of the hierarchical solver, and per component the
+	// number of clusters whose A_max fell back to Karp.
+	csr         graph.CSR
+	csrT        graph.CSR
+	localIdx    []int
+	identity    []int
+	lowerB      []float64
+	hierQ       [][]float64
+	clusterKarp []int
 
 	arenas [2]resultArena
 	flip   int

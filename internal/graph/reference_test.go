@@ -222,34 +222,53 @@ func identity(n int) []int {
 	return comp
 }
 
-// FuzzDenseKernels decodes a matrix of n <= 8 nodes from bytes — weights
-// are multiples of 1/8 in [-2, 6), so every path sum is exact, and a
-// quarter of the entries are absent — and checks every production kernel
-// against the references: Floyd-Warshall bitwise, maximum mean cycles
-// within 1e-9 with a cycle achieving the mean, and SCC partitions.
-func FuzzDenseKernels(f *testing.F) {
+// fuzzWeights decodes a weight matrix of 2 <= n <= 8 nodes from fuzz
+// bytes (nil for empty input): the first byte picks n, then one byte per
+// off-diagonal entry in row-major order gives a multiple of 1/8 in
+// [-2, 6), so every path sum is exact, or +Inf for a quarter of the byte
+// values and for entries past the end of the input. The diagonal is 0.
+func fuzzWeights(data []byte) [][]float64 {
+	if len(data) == 0 {
+		return nil
+	}
+	n := 2 + int(data[0])%7
+	data = data[1:]
+	w := NewMatrix(n, Inf)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				w[i][j] = 0
+				continue
+			}
+			if k := i*n + j; k < len(data) && data[k] < 192 {
+				w[i][j] = float64(int(data[k]%64)-16) / 8
+			}
+		}
+	}
+	return w
+}
+
+// addFuzzSeeds adds the seed corpus shared by the fuzzWeights targets.
+func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 20, 200, 0})
 	f.Add([]byte{3, 0, 9, 250, 40, 0, 17, 0, 3, 0, 99, 0, 7, 1, 2, 3, 0})
 	f.Add([]byte{6, 5, 200, 13, 37, 201, 90, 255, 18, 44, 3, 71, 8, 30, 220, 65, 12})
+	f.Add([]byte{0, 0, 40, 50}) // one 2-cycle of mean 3.625
+}
+
+// FuzzDenseKernels decodes a matrix with fuzzWeights and checks every
+// production kernel against the references: Floyd-Warshall bitwise,
+// maximum mean cycles within 1e-9 with a cycle achieving the mean, and SCC
+// partitions.
+func FuzzDenseKernels(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		w := fuzzWeights(data)
+		if w == nil {
 			return
 		}
-		n := 2 + int(data[0])%7
-		data = data[1:]
-		w := NewMatrix(n, Inf)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					w[i][j] = 0
-					continue
-				}
-				if k := i*n + j; k < len(data) && data[k] < 192 {
-					w[i][j] = float64(int(data[k]%64)-16) / 8
-				}
-			}
-		}
+		n := len(w)
 
 		var scc SCCScratch
 		nc := SCCDense(mustDense(t, w), &scc)
@@ -314,6 +333,65 @@ func FuzzDenseKernels(f *testing.F) {
 				t.Fatalf("component %v: no cycle", comp)
 			}
 			checkCycleMean(t, sub, mc, want)
+		}
+	})
+}
+
+// FuzzMeanCycleBelow checks the certificate against the references on the
+// closure of a fuzzWeights matrix, the input the hierarchical solver hands
+// it. Soundness: whenever it certifies a bound lambda (swept over
+// multiples of 1/16 in [-2, 7]), Karp on every closure component returns
+// a mean of at most lambda. Margin: it refuses the exact maximum mean
+// cycle as the bound and accepts that mean plus 1/8 (any bound at all when
+// the closure has no cycle).
+func FuzzMeanCycleBelow(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := fuzzWeights(data)
+		if w == nil {
+			return
+		}
+		ref, ok := refFloydWarshall(w)
+		if !ok {
+			return
+		}
+		n := len(ref)
+		d := mustDense(t, ref)
+		dist := make([]float64, n)
+
+		var scc SCCScratch
+		var karp KarpScratch
+		nc := SCCDense(d, &scc)
+		for k := -32; k <= 112; k++ {
+			lambda := float64(k) / 16
+			if !MeanCycleBelow(d, lambda, dist) {
+				continue
+			}
+			for c := 0; c < nc; c++ {
+				var comp []int
+				for v := 0; v < n; v++ {
+					if scc.CompOf[v] == c {
+						comp = append(comp, v)
+					}
+				}
+				if mc, ok := MaxMeanCycleDense(d, comp, &karp, nil); ok && mc.Mean > lambda {
+					t.Fatalf("certified at %v, but component %v has mean %v", lambda, comp, mc.Mean)
+				}
+			}
+		}
+
+		mean, found := refMaxMeanCycle(ref)
+		if !found {
+			if !MeanCycleBelow(d, -2, dist) {
+				t.Fatal("no cycle, yet not certified")
+			}
+			return
+		}
+		if MeanCycleBelow(d, mean, dist) {
+			t.Fatalf("certified at the maximum mean %v itself", mean)
+		}
+		if !MeanCycleBelow(d, mean+0.125, dist) {
+			t.Fatalf("not certified at the maximum mean %v plus 1/8", mean)
 		}
 	})
 }
