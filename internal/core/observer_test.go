@@ -91,3 +91,31 @@ func TestHierarchicalTimedSerial(t *testing.T) {
 		t.Errorf("karp_amax = %v, want > 0", phases["karp_amax"])
 	}
 }
+
+// TestRootOutOfRangeReportsNoPhase: every solver rejects an out-of-range
+// Root before any solve work, so the observer sees no phase at all.
+func TestRootOutOfRangeReportsNoPhase(t *testing.T) {
+	const n = 8
+	mls := graph.NewMatrix(n, 0.5)
+	for i := 0; i < n; i++ {
+		mls[i][i] = 0
+	}
+	for _, solver := range []Solver{SolverDense, SolverSparse, SolverHierarchical} {
+		for _, root := range []int{-1, n} {
+			var seen []string
+			_, err := Synchronize(mls, Options{
+				Root:   root,
+				Solver: solver,
+				Observer: obs.PhaseFunc(func(ph string, _ float64) {
+					seen = append(seen, ph)
+				}),
+			})
+			if err == nil {
+				t.Errorf("solver %v root %d: no error", solver, root)
+			}
+			if len(seen) != 0 {
+				t.Errorf("solver %v root %d: reported phases %v before rejecting the root", solver, root, seen)
+			}
+		}
+	}
+}

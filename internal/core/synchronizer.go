@@ -274,6 +274,9 @@ func (s *Synchronizer) nextArena(n int, withMS bool) *resultArena {
 // run executes estimate closure, component split, A_max, and corrections
 // on a prepared arena. mark is the start of the "estimate" phase.
 func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) (*Result, error) {
+	if opts.Root < 0 || (n > 0 && opts.Root >= n) {
+		return nil, fmt.Errorf("core: root %d out of range [0,%d)", opts.Root, n)
+	}
 	timed := opts.Observer != nil
 	var clk obs.Clock
 	if timed {
@@ -290,9 +293,6 @@ func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) 
 	}
 	if timed {
 		opts.Observer.ObservePhase("estimate", clk.Now().Sub(mark).Seconds())
-	}
-	if opts.Root < 0 || (n > 0 && opts.Root >= n) {
-		return nil, fmt.Errorf("core: root %d out of range [0,%d)", opts.Root, n)
 	}
 
 	s.buildComponents(a, n)

@@ -11,35 +11,50 @@ func benchGraph(n int, p float64) *Dense {
 	return RandomStronglyConnected(rng, n, p, 0.1, 1.0)
 }
 
+// benchSizes and benchLanes span the sizes and lane counts the lane
+// thresholds (fwMinLaneWork, karpMinLaneWork) are measured on.
+var (
+	benchSizes = []int{16, 64, 128, 256, 512, 1024}
+	benchLanes = []int{1, 2}
+)
+
 func BenchmarkFloydWarshallDense(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
+	for _, n := range benchSizes {
 		src := benchGraph(n, 0.2)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			d := NewDense(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.CopyFrom(src)
-				if err := FloydWarshallDense(d, nil); err != nil {
-					b.Fatal(err)
+		for _, lanes := range benchLanes {
+			b.Run(fmt.Sprintf("n=%d/lanes=%d", n, lanes), func(b *testing.B) {
+				pool := NewPool(lanes)
+				defer pool.Close()
+				d := NewDense(n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d.CopyFrom(src)
+					if err := FloydWarshallDense(d, pool); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 func BenchmarkKarpMaxMeanCycleDense(b *testing.B) {
-	for _, n := range []int{16, 64, 128} {
+	for _, n := range benchSizes {
 		src := benchGraph(n, 1.0) // complete: the pipeline's actual workload
 		comp := identity(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var scratch KarpScratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := MaxMeanCycleDense(src, comp, &scratch, nil); !ok {
-					b.Fatal("no cycle")
+		for _, lanes := range benchLanes {
+			b.Run(fmt.Sprintf("n=%d/lanes=%d", n, lanes), func(b *testing.B) {
+				pool := NewPool(lanes)
+				defer pool.Close()
+				var scratch KarpScratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, ok := MaxMeanCycleDense(src, comp, &scratch, pool); !ok {
+						b.Fatal("no cycle")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

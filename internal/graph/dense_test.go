@@ -61,7 +61,8 @@ func poolsUnderTest(t *testing.T) []*Pool {
 }
 
 // TestFloydWarshallDenseMatchesClassic: the dense kernel is bit-identical
-// to the textbook triple loop, for every pool size.
+// to the textbook triple loop, for every pool size. The pool runs all its
+// lanes: at these sizes fwMinLaneWork would keep the kernel inline.
 func TestFloydWarshallDenseMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pools := poolsUnderTest(t)
@@ -71,7 +72,7 @@ func TestFloydWarshallDenseMatchesClassic(t *testing.T) {
 		want, wantOK := refFloydWarshall(w)
 		for _, pool := range pools {
 			d := mustDense(t, w)
-			gotErr := FloydWarshallDense(d, pool)
+			gotErr := floydWarshallLanes(d, pool, pool.Lanes())
 			if (gotErr == nil) != wantOK {
 				t.Fatalf("n=%d lanes=%d: err %v, reference feasible %v", n, pool.Lanes(), gotErr, wantOK)
 			}
@@ -146,6 +147,8 @@ func TestSCCDenseMatchesClassic(t *testing.T) {
 // TestMaxMeanCycleDenseMatchesClassic: on complete matrices (the
 // pipeline's actual workload) the cycle mean matches simple-cycle
 // enumeration within float tolerance, and the reported cycle achieves it.
+// The pool runs all its lanes, below karpMinLaneWork, and must give the
+// serial mean bit for bit.
 func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var scratch KarpScratch
@@ -157,12 +160,18 @@ func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 		if !ok {
 			t.Fatal("reference found no cycle")
 		}
+		var serial float64
 		for _, pool := range pools {
-			got, ok := MaxMeanCycleDense(mustDense(t, w), identity(n), &scratch, pool)
+			got, ok := maxMeanCycleLanes(mustDense(t, w), identity(n), &scratch, pool, pool.Lanes())
 			if !ok {
 				t.Fatalf("n=%d: dense found no cycle", n)
 			}
 			checkCycleMean(t, w, got, want)
+			if pool == nil {
+				serial = got.Mean
+			} else if math.Float64bits(got.Mean) != math.Float64bits(serial) {
+				t.Fatalf("n=%d lanes=%d: mean %v, serial %v", n, pool.Lanes(), got.Mean, serial)
+			}
 		}
 	}
 }

@@ -57,13 +57,8 @@ func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int) error {
 			if math.IsInf(du, 1) {
 				continue
 			}
-			row := w.data[u*n : u*n+n]
-			for v, wv := range row {
-				if nd := du + wv; nd < dist[v] {
-					dist[v] = nd
-					parent[v] = u
-					changed = true
-				}
+			if bfRelaxRow(dist, parent, w.data[u*n:u*n+n], du, u) {
+				changed = true
 			}
 		}
 		if !changed {

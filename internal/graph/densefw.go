@@ -19,9 +19,13 @@ import "math"
 // here) see a single tile and zero overhead.
 const fwTile = 2048
 
-// fwParallelMinRows is the minimum number of rows per lane worth the
-// barrier traffic; below it the kernel runs inline.
-const fwParallelMinRows = 16
+// fwMinLaneWork is the least number of cells a lane must relax per pivot
+// to pay for the barrier that ends the pivot; below it the kernel runs
+// inline. BenchmarkFloydWarshallDense with the AVX2 row kernel on a
+// 2-vCPU x86 host: 2 lanes lose at n=256 (32k cells each, 4.4 → 4.9 ms),
+// break even at n=512 (131k) and win from n=640 (205k, 93 → 84 ms; at
+// n=1024, 456 → 325 ms).
+const fwMinLaneWork = 160_000
 
 // FloydWarshallDense runs Floyd-Warshall in place on d (entries are direct
 // edge weights, +Inf absent, diagonal 0) using up to pool.Lanes() lanes.
@@ -31,8 +35,13 @@ const fwParallelMinRows = 16
 // metric. Results are bit-identical to the classic triple loop for every
 // pool size.
 func FloydWarshallDense(d *Dense, pool *Pool) error {
+	return floydWarshallLanes(d, pool, laneCount(pool, d.n*d.n, fwMinLaneWork))
+}
+
+// floydWarshallLanes is FloydWarshallDense on a fixed number of lanes
+// (at most pool.Lanes()).
+func floydWarshallLanes(d *Dense, pool *Pool, lanes int) error {
 	n := d.n
-	lanes := laneCount(pool, n, fwParallelMinRows)
 	if lanes <= 1 {
 		for k := 0; k < n; k++ {
 			fwRelaxRows(d, k, 0, n)
@@ -60,12 +69,11 @@ func FloydWarshallDense(d *Dense, pool *Pool) error {
 }
 
 // fwRelaxRows applies pivot k to rows [lo, hi), tiling the column loop.
-// The inner loop is branchless: every element stores min(d[i][j], d[i][k] +
-// d[k][j]), which the compiler lowers to a predictable MIN sequence —
-// no data-dependent branch to mispredict — and dik + (+Inf) = +Inf never
-// beats a stored distance, so absent pivot-row entries need no explicit
-// test. Inputs are NaN-free by validation, so min agrees exactly with the
-// classic compare-and-store.
+// The inner loop (fwRowMin) is branchless: every element stores
+// min(d[i][j], d[i][k] + d[k][j]) — no data-dependent branch to
+// mispredict — and dik + (+Inf) = +Inf never beats a stored distance, so
+// absent pivot-row entries need no explicit test. Inputs are NaN-free by
+// validation, so min agrees exactly with the classic compare-and-store.
 func fwRelaxRows(d *Dense, k, lo, hi int) {
 	n := d.n
 	dk := d.data[k*n : k*n+n]
@@ -87,10 +95,7 @@ func fwRelaxRows(d *Dense, k, lo, hi int) {
 			if math.IsInf(dik, 1) {
 				continue
 			}
-			row := di[jb:je]
-			for j, dkj := range tile {
-				row[j] = min(row[j], dik+dkj)
-			}
+			fwRowMin(di[jb:je], tile, dik)
 		}
 	}
 }

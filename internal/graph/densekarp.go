@@ -37,9 +37,13 @@ func (s *KarpScratch) reset(m int) {
 	s.cycle = s.cycle[:0]
 }
 
-// karpMinCols is the minimum number of columns per lane in the parallel
-// walk-table update.
-const karpMinCols = 32
+// karpMinLaneWork is the least number of sums a lane must reduce per walk
+// length to pay for the barrier that ends the step; below it the walk
+// table is filled inline. BenchmarkKarpMaxMeanCycleDense with the AVX2
+// reduction on a 2-vCPU x86 host: 2 lanes lose at n=384 (74k sums each,
+// 21.6 → 24.9 ms), break even at n=512 (131k) and win from n=640 (205k,
+// 110 → 91 ms; at n=1024, 482 → 359 ms).
+const karpMinLaneWork = 160_000
 
 // MaxMeanCycleDense computes the maximum mean cycle of the complete
 // digraph induced by ms on the node subset comp: the edge u -> v carries
@@ -51,10 +55,17 @@ const karpMinCols = 32
 // aliases the scratch and is valid until the next call with the same
 // scratch.
 //
-// The walk table is updated column-parallel per walk length with the
-// min-reduction over sources in fixed ascending order, so the cycle mean
-// is bit-identical for every pool size.
+// The walk table is updated column-parallel per walk length; each entry is
+// a min-reduction over sources, which no split or order changes for
+// NaN-free inputs, so the cycle mean is bit-identical for every pool size.
 func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanCycle, bool) {
+	m := len(comp)
+	return maxMeanCycleLanes(ms, comp, s, pool, laneCount(pool, m*m, karpMinLaneWork))
+}
+
+// maxMeanCycleLanes is MaxMeanCycleDense with the walk table filled on a
+// fixed number of lanes (at most pool.Lanes()).
+func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes int) (MeanCycle, bool) {
 	m := len(comp)
 	if m <= 1 {
 		// The complete-digraph view has no self-loops, so singletons (and
@@ -86,7 +97,6 @@ func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanC
 		d[v] = Inf
 	}
 	d[0] = 0
-	lanes := laneCount(pool, m, karpMinCols)
 	if lanes <= 1 {
 		for k := 1; k <= m; k++ {
 			karpRelaxCols(s, m, k, 0, m)
@@ -131,30 +141,15 @@ func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanC
 	return MeanCycle{Mean: -lambda, Cycle: cycle}, true
 }
 
-// karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1. The
-// min-reduction runs branchless on four independent accumulators so the
-// loop is bound by add/min throughput, not by the latency chain of a
-// single running minimum; min over NaN-free floats is associative and
-// commutative, so the striped reduction is bit-identical to a sequential
-// scan for any lane split.
+// karpRelaxCols computes D[k][v] for v in [lo, hi) from row k-1. Each
+// entry is a min-reduction over sources (karpMinSum); min over NaN-free
+// floats is associative and commutative, so the result is bit-identical
+// to a sequential scan for any lane split.
 func karpRelaxCols(s *KarpScratch, m, k, lo, hi int) {
 	prev := s.d[(k-1)*m : k*m]
 	cur := s.d[k*m : (k+1)*m]
 	for v := lo; v < hi; v++ {
-		row := s.wT.Row(v)[:len(prev)]
-		b0, b1, b2, b3 := Inf, Inf, Inf, Inf
-		u := 0
-		for ; u+4 <= len(prev); u += 4 {
-			b0 = min(b0, prev[u]+row[u])
-			b1 = min(b1, prev[u+1]+row[u+1])
-			b2 = min(b2, prev[u+2]+row[u+2])
-			b3 = min(b3, prev[u+3]+row[u+3])
-		}
-		best := min(min(b0, b1), min(b2, b3))
-		for ; u < len(prev); u++ {
-			best = min(best, prev[u]+row[u])
-		}
-		cur[v] = best
+		cur[v] = karpMinSum(prev, s.wT.Row(v))
 	}
 }
 

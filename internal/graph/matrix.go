@@ -25,6 +25,10 @@
 //
 // MaxMeanCycleCSR also backs MaxMeanCycleDense on subsets with absent
 // edges. Weights are float64; NaN and -Inf never appear in valid inputs.
+//
+// The dense kernels' O(n³) inner loops are the min-plus kernels of
+// minplus.go: Go loops everywhere, AVX2 assembly on amd64 CPUs that have
+// it, bit-identical either way.
 package graph
 
 import "math"

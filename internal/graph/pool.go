@@ -127,11 +127,11 @@ func shardRange(n, parts, part int) (lo, hi int) {
 }
 
 // laneCount bounds the number of lanes so each lane gets at least minPer
-// units of work; returns at least 1.
-func laneCount(pool *Pool, n, minPer int) int {
+// of the work units; returns at least 1.
+func laneCount(pool *Pool, work, minPer int) int {
 	lanes := pool.Lanes()
-	if minPer > 0 && lanes > n/minPer {
-		lanes = n / minPer
+	if minPer > 0 && lanes > work/minPer {
+		lanes = work / minPer
 	}
 	if lanes < 1 {
 		lanes = 1
