@@ -21,7 +21,9 @@
 //	go run ./cmd/benchjson -check FILE       # regression gate vs baseline
 //
 // A check runs at the baseline's recorded GOMAXPROCS, so both sides of the
-// comparison are measured under the same scheduler conditions.
+// comparison are measured under the same scheduler conditions. The file
+// also records whether the dense kernels ran their vector bodies; a check
+// on a host where that differs says so above its REGRESSION lines.
 package main
 
 import (
@@ -52,8 +54,12 @@ type File struct {
 	// CalibrationNs is the duration of the fixed calibration workload on
 	// the machine that produced this file; benchmark entries are compared
 	// across machines as NsPerOp / CalibrationNs.
-	CalibrationNs float64          `json:"calibration_ns"`
-	GoMaxProcs    int              `json:"gomaxprocs"`
+	CalibrationNs float64 `json:"calibration_ns"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	// VectorKernels records whether the dense min-plus kernels ran their
+	// AVX2 bodies (graph.VectorKernels). Nil in a file recorded before
+	// the field existed.
+	VectorKernels *bool            `json:"vector_kernels,omitempty"`
 	Benchmarks    map[string]Entry `json:"benchmarks"`
 }
 
@@ -115,6 +121,9 @@ func run(out, check string, tol float64) error {
 				failures = compare(base, f, tol)
 			}
 		}
+		if note := hostMismatch(base, f); note != "" {
+			fmt.Fprintln(os.Stderr, note)
+		}
 		for _, r := range failures {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", r.msg)
 		}
@@ -148,6 +157,27 @@ func matchProcs(base *File) int {
 		runtime.GOMAXPROCS(base.GoMaxProcs)
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// hostMismatch returns a one-line note when the baseline was recorded
+// with the vector kernels in the other state than this run: the dense
+// rows then time different code, and their failures say more about the
+// host than about the change. It returns "" when the states match or
+// the baseline did not record one.
+func hostMismatch(base, cur *File) string {
+	if base.VectorKernels == nil || cur.VectorKernels == nil || *base.VectorKernels == *cur.VectorKernels {
+		return ""
+	}
+	return fmt.Sprintf("benchjson: the baseline was recorded with vector kernels %s and this host runs them %s; "+
+		"failures on the dense rows may be a host mismatch, not a regression",
+		onOff(*base.VectorKernels), onOff(*cur.VectorKernels))
+}
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
 }
 
 // op is one built case, ready to measure.
@@ -192,9 +222,11 @@ func setUp(cases []benchcase.Case) ([]op, func(), error) {
 // never false failures — while a genuine regression beyond the tolerance
 // still exceeds the median baseline from every round.
 func runSuite(ops []op, baseline bool) (*File, error) {
+	vector := graph.VectorKernels()
 	f := &File{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Benchmarks: map[string]Entry{},
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		VectorKernels: &vector,
+		Benchmarks:    map[string]Entry{},
 	}
 	cal := newCalibrator()
 	cal.round()
@@ -270,13 +302,26 @@ func scalarFloydWarshall(d *graph.Dense) {
 	}
 }
 
+// minOps is the fewest ops the rounds of one measurement cover. A case
+// slower than the round target runs one op per round, and the best of a
+// handful of single ops is at the mercy of host load; such cases get
+// more rounds instead.
+const minOps = 15
+
+// roundsFor returns the round count that covers at least minOps ops at
+// iters ops per round.
+func roundsFor(rounds, iters int) int {
+	return max(rounds, (minOps+iters-1)/iters)
+}
+
 // measure times fn over several rounds and reports either the fastest
 // round (median=false, the standard noise-robust estimator for a check)
 // or the median round (median=true, a typical cost for a baseline). The
 // per-round iteration count is auto-calibrated from a warmup run so every
 // round takes roughly targetNs regardless of how fast fn is;
 // sub-microsecond workloads then amortize timer granularity and
-// scheduler jitter away.
+// scheduler jitter away. Slow cases get at least minOps ops in all
+// (roundsFor).
 func measure(rounds int, targetNs float64, fn func() error, median bool) (Entry, error) {
 	start := time.Now()
 	if err := fn(); err != nil { // warmup + duration probe
@@ -291,6 +336,7 @@ func measure(rounds int, targetNs float64, fn func() error, median bool) (Entry,
 		}
 	}
 
+	rounds = roundsFor(rounds, iters)
 	samples := make([]Entry, 0, rounds)
 	var m0, m1 runtime.MemStats
 	for r := 0; r < rounds; r++ {

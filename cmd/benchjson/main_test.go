@@ -196,3 +196,37 @@ func TestSetUpNamesFailingCase(t *testing.T) {
 		t.Errorf("released %d built cases, want 1", released)
 	}
 }
+
+// TestMeasureMinOps: a case slower than the round target still gets
+// minOps timed ops, one per round, beside the warmup op.
+func TestMeasureMinOps(t *testing.T) {
+	calls := 0
+	if _, err := measure(5, 1, func() error { calls++; return nil }, false); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1+minOps {
+		t.Errorf("measure ran %d ops, want 1 warmup + %d", calls, minOps)
+	}
+	for _, c := range []struct{ rounds, iters, want int }{
+		{5, 1, minOps}, {5, 2, (minOps + 1) / 2}, {5, minOps, 5}, {20, 1, max(20, minOps)},
+	} {
+		if got := roundsFor(c.rounds, c.iters); got != c.want {
+			t.Errorf("roundsFor(%d, %d) = %d, want %d", c.rounds, c.iters, got, c.want)
+		}
+	}
+}
+
+// TestHostMismatch: a check names a host whose vector-kernel state
+// differs from the baseline's, and says nothing when the states match
+// or the baseline recorded none.
+func TestHostMismatch(t *testing.T) {
+	on, off := true, false
+	if note := hostMismatch(&File{VectorKernels: &on}, &File{VectorKernels: &off}); !strings.Contains(note, "host mismatch") {
+		t.Errorf("on vs off: note %q, want one naming a host mismatch", note)
+	}
+	for _, base := range []*bool{&off, nil} {
+		if note := hostMismatch(&File{VectorKernels: base}, &File{VectorKernels: &off}); note != "" {
+			t.Errorf("baseline %v vs off: note %q, want none", base, note)
+		}
+	}
+}

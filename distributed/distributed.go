@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"clocksync/internal/dist"
-	"clocksync/internal/model"
 	"clocksync/internal/obs"
 	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
@@ -108,8 +107,9 @@ type Outcome struct {
 	// Precision is the optimal guaranteed precision of the leader's
 	// synchronized component.
 	Precision float64
-	// Messages is the total number of delivered messages (probes plus
-	// report and result floods).
+	// Messages is the total number of delivered messages: probes plus
+	// the report and result floods, which the protocol counts as it
+	// receives them (the floods are not part of the simulated execution).
 	Messages int
 	// Starts is the simulator's ground-truth start vector.
 	Starts []float64
@@ -181,18 +181,14 @@ func RunScenarioJSON(data []byte, cfg Config) (*Outcome, error) {
 	}
 	runCfg := built.RunCfg
 	runCfg.Trace = cfg.Trace // the engine's sim.run span joins the round trace
-	out, exec, err := runFn(built.Net, dcfg, runCfg)
+	out, _, err := runFn(built.Net, dcfg, runCfg)
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %w", err)
-	}
-	delivered := 0
-	if err := exec.EachMessage(func(model.Message) error { delivered++; return nil }); err != nil {
-		return nil, err
 	}
 	res := &Outcome{
 		Corrections:  out.Corrections,
 		Precision:    out.Precision,
-		Messages:     delivered,
+		Messages:     out.Delivered,
 		Starts:       built.Starts,
 		Degraded:     out.Degraded,
 		Missing:      out.Missing,

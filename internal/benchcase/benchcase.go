@@ -255,52 +255,63 @@ func sparseSystem(cliques, size int) Case {
 // the input shape of clockbench's trace-heavy workload: msgs messages
 // over the complete graph on n processors, one every millisecond of real
 // time between random endpoints with delays in [0.01, 0.1) s, so
-// messages overtake each other at the receivers. Build assembles and
-// validates an execution from the message records; Collect reduces the
-// built execution to a trace.Table. Both ops share one recording, built
-// by whichever setup runs first, so benchjson holds one recording live
-// while it measures, as when these rows were recorded.
+// messages overtake each other at the receivers. Build logs the message
+// records into a fresh builder and builds it, so every op pays the sort
+// of the out-of-order receiver logs and the validation; an op cannot
+// keep the recording outside the timer, so the row times recording plus
+// Build. Collect reduces one built execution to a trace.Table. Both
+// cases share the records and that execution, made by whichever setup
+// runs first.
 func viewReduction(n, msgs int) []Case {
+	type record struct {
+		from, to    model.ProcID
+		sendReal, d float64
+	}
 	var (
-		b *model.Builder
-		e *model.Execution
+		starts  []float64
+		records []record
+		e       *model.Execution
 	)
-	record := func() error {
+	build := func() (*model.Execution, error) {
+		b := model.NewBuilder(starts)
+		for _, r := range records {
+			if _, err := b.AddMessageDelay(r.from, r.to, r.sendReal, r.d); err != nil {
+				return nil, err
+			}
+		}
+		return b.Build()
+	}
+	setup := func() error {
 		if e != nil {
 			return nil
 		}
 		rng := rand.New(rand.NewSource(3))
-		starts := make([]float64, n)
+		starts = make([]float64, n)
 		for p := range starts {
 			starts[p] = rng.Float64()
 		}
-		rb := model.NewBuilder(starts)
-		for k := 0; k < msgs; k++ {
+		records = make([]record, msgs)
+		for k := range records {
 			from := rng.Intn(n)
 			to := (from + 1 + rng.Intn(n-1)) % n
-			if _, err := rb.AddMessageDelay(model.ProcID(from), model.ProcID(to), 1+float64(k)*1e-3, 0.01+0.09*rng.Float64()); err != nil {
-				return err
-			}
+			records[k] = record{model.ProcID(from), model.ProcID(to), 1 + float64(k)*1e-3, 0.01 + 0.09*rng.Float64()}
 		}
-		re, err := rb.Build()
-		if err != nil {
-			return err
-		}
-		b, e = rb, re
-		return nil
+		var err error
+		e, err = build()
+		return err
 	}
 	return []Case{
 		{fmt.Sprintf("ViewReduction/Build/msgs=%dk", msgs/1000), func() (func() error, func(), error) {
 			return func() error {
-				_, err := b.Build()
+				_, err := build()
 				return err
-			}, nop, record()
+			}, nop, setup()
 		}},
 		{fmt.Sprintf("ViewReduction/Collect/msgs=%dk", msgs/1000), func() (func() error, func(), error) {
 			return func() error {
 				_, err := trace.Collect(e, false)
 				return err
-			}, nop, record()
+			}, nop, setup()
 		}},
 	}
 }

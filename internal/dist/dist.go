@@ -31,10 +31,14 @@
 //
 // Per the paper's own caveat, the result is optimal with respect to the
 // measurement traffic only: the report and result floods themselves carry
-// timing information the corrections do not exploit. The package exists
-// to demonstrate the end-to-end distributed flow and to quantify that
-// caveat (experiment D-class); the centralized API remains the primary
-// interface.
+// timing information the corrections do not exploit. The floods therefore
+// travel as control traffic (sim.Env.SendControl): delivered like every
+// other message, but not logged, so the execution Run and GossipRun
+// return is the measurement execution, the probes alone, which is the one
+// Lemma 6.1 reduces to the leader's table. Outcome.Delivered counts all
+// deliveries. The package exists to demonstrate the end-to-end
+// distributed flow and to quantify that caveat (experiment D-class); the
+// centralized API remains the primary interface.
 package dist
 
 import (
@@ -237,6 +241,10 @@ type Outcome struct {
 	// AuthFailures counts report origins with at least one version
 	// rejected by MAC verification. Requires Config.AuthKeys.
 	AuthFailures int
+	// Delivered counts the messages delivered to live processors:
+	// probes, reports, re-floods and results. Only the probes are in the
+	// run's execution.
+	Delivered int
 }
 
 // newFactory returns a protocol factory and the shared Outcome it fills
@@ -401,6 +409,7 @@ func (pr *proc) OnTimer(env *sim.Env, tag int) {
 
 // OnReceive dispatches by payload type.
 func (pr *proc) OnReceive(env *sim.Env, from model.ProcID, payload any) {
+	pr.out.Delivered++
 	switch msg := payload.(type) {
 	case Probe:
 		pr.handleProbe(env, from, msg)
@@ -617,13 +626,14 @@ func (pr *proc) handleResult(env *sim.Env, via model.ProcID, msg ResultMsg) {
 }
 
 // flood forwards a payload to every neighbor except the one it arrived
-// from (-1 for locally originated messages).
+// from (-1 for locally originated messages). Floods are control traffic:
+// their timing is never measured, so they stay out of the execution.
 func (pr *proc) flood(env *sim.Env, via model.ProcID, payload any) {
 	for _, q := range env.Neighbors() {
 		if model.ProcID(q) == via {
 			continue
 		}
-		if err := env.Send(model.ProcID(q), payload); err != nil {
+		if err := env.SendControl(model.ProcID(q), payload); err != nil {
 			return
 		}
 	}
@@ -656,7 +666,10 @@ func from(v int) model.ProcID { return model.ProcID(v) }
 // Run wires the protocol to a network and executes it to quiescence. On a
 // fault-free run (runCfg.Faults nil) every processor must end up applied;
 // with faults injected the caller inspects the Outcome instead — crashed
-// or partitioned-off processors legitimately miss the result flood.
+// or partitioned-off processors legitimately miss the result flood. The
+// returned execution holds the measurement traffic only: the probes, with
+// message IDs numbered densely in delivery order. Outcome.Delivered
+// counts the floods as well.
 func Run(net *sim.Network, cfg Config, runCfg sim.RunConfig) (*Outcome, *model.Execution, error) {
 	factory, out, err := newFactory(net.N(), cfg, nil)
 	if err != nil {

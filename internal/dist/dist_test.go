@@ -287,9 +287,9 @@ func TestGossipMatchesLeader(t *testing.T) {
 	}
 }
 
-// TestGossipFewerMessagesThanLeaderPlusResult: gossip skips the result
-// flood, so with identical seeds it sends no more messages than the
-// leader variant.
+// TestGossipMessageCount: gossip skips the result flood, so with
+// identical seeds it delivers strictly fewer messages than the leader
+// variant, while both executions hold the same probes.
 func TestGossipMessageCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	net, links, starts := setup(t, rng, 6, sim.Ring(6), 0.05, 0.15)
@@ -297,13 +297,16 @@ func TestGossipMessageCount(t *testing.T) {
 		Leader: 0, Links: links, Probes: 2, Spacing: 0.01,
 		Warmup: sim.SafeWarmup(starts) + 0.5, Window: 4,
 	}
-	_, leadExec, err := Run(net, cfg, sim.RunConfig{Seed: 9})
+	leadOut, leadExec, err := Run(net, cfg, sim.RunConfig{Seed: 9})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	_, gossExec, err := GossipRun(net, cfg, sim.RunConfig{Seed: 9})
+	gossOut, gossExec, err := GossipRun(net, cfg, sim.RunConfig{Seed: 9})
 	if err != nil {
 		t.Fatalf("GossipRun: %v", err)
+	}
+	if gossOut.Delivered >= leadOut.Delivered {
+		t.Errorf("gossip delivered %d, leader %d: expected strictly fewer (no result flood)", gossOut.Delivered, leadOut.Delivered)
 	}
 	lm, err := leadExec.Messages()
 	if err != nil {
@@ -313,8 +316,43 @@ func TestGossipMessageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gm) >= len(lm) {
-		t.Errorf("gossip messages %d, leader %d: expected strictly fewer (no result flood)", len(gm), len(lm))
+	if len(gm) != len(lm) || leadOut.Delivered <= len(lm) {
+		t.Errorf("executions hold %d (gossip) and %d (leader) messages of %d delivered: want the same probes, fewer than delivered",
+			len(gm), len(lm), leadOut.Delivered)
+	}
+}
+
+// TestExecutionHoldsProbesOnly: the execution of a fault-free run whose
+// window admits every probe is the measurement execution: exactly
+// 2 x Probes messages per link, and its Lemma 6.1 reduction is the
+// leader's table bit for bit. DirStats keeps Count, Min and Max only, so
+// the order the samples arrive in does not matter.
+func TestExecutionHoldsProbesOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	pairs := sim.RandomConnected(rng, 9, 0.4)
+	net, links, starts := setup(t, rng, 9, pairs, 0.05, 0.2)
+	out, exec := runDist(t, net, links, starts, 5)
+	msgs, err := exec.Messages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * 4 * len(pairs); len(msgs) != want || out.Delivered <= want {
+		t.Fatalf("execution holds %d messages of %d delivered, want the %d probes", len(msgs), out.Delivered, want)
+	}
+	table, err := trace.Collect(exec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(s trace.DirStats) [3]uint64 {
+		return [3]uint64{uint64(s.Count), math.Float64bits(s.Min), math.Float64bits(s.Max)}
+	}
+	for p := 0; p < 9; p++ {
+		for q := 0; q < 9; q++ {
+			got, want := table.Stats(model.ProcID(p), model.ProcID(q)), out.LeaderTable.Stats(model.ProcID(p), model.ProcID(q))
+			if bits(got) != bits(want) {
+				t.Errorf("p%d->p%d: execution reduces to %v, leader table holds %v", p, q, got, want)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 // wedging it. Excision and AuthKeys apply on every node exactly as at the
 // leader; the Outcome's round fields are the leader node's.
 //
+// As with Run, the returned execution holds the probes only.
+//
 // On a fault-free run all processors compute on identical tables and the
 // returned Outcome additionally asserts exact agreement. With faults
 // injected, nodes may see different report subsets; the per-node vectors

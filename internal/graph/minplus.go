@@ -13,6 +13,10 @@ package graph
 // striped reduction in karpMinSum matches any sequential scan. Every
 // output of the dense kernels is therefore bit-identical on both paths.
 
+// VectorKernels reports whether the min-plus kernels run their AVX2
+// bodies on this host.
+func VectorKernels() bool { return useAVX2 }
+
 // fwRowMin sets row[j] = min(row[j], dik+tile[j]) for every j: one pivot
 // row applied to one row of the Floyd-Warshall closure. tile must be at
 // least as long as row.

@@ -32,9 +32,6 @@ type SendRef struct {
 	build int32 // the builder's Build count at Send
 }
 
-// From returns the sender of the send.
-func (r SendRef) From() ProcID { return r.from }
-
 // pending is the message ID of a logged send not yet delivered. Builder
 // IDs start at 1.
 const pending MsgID = 0

@@ -186,7 +186,21 @@ func (e *Env) Neighbors() []int { return e.engine.net.adj[e.self] }
 // delay, receipt before the receiver's start) abort the run even if the
 // protocol ignores the returned error.
 func (e *Env) Send(to model.ProcID, payload any) error {
-	err := e.engine.send(e.self, int(to), payload, e.now)
+	return e.send(to, payload, true)
+}
+
+// SendControl transmits a message exactly like Send — the same fault,
+// loss and delay draws, the same delivery order, the same OnReceive —
+// but leaves it out of the run's execution: neither its send nor its
+// receipt is logged, and it takes no message ID. It is for protocol
+// traffic whose timing the synchronization never reads (report and
+// result floods), so the execution holds only the measurement messages.
+func (e *Env) SendControl(to model.ProcID, payload any) error {
+	return e.send(to, payload, false)
+}
+
+func (e *Env) send(to model.ProcID, payload any, logged bool) error {
+	err := e.engine.send(e.self, int(to), payload, e.now, logged)
 	if err != nil && e.engine.err == nil {
 		e.engine.err = err
 	}
@@ -227,8 +241,10 @@ const (
 type event struct {
 	kind    int
 	proc    int // processor the event happens at
+	from    int // sender, for evDeliver
 	payload any
-	send    model.SendRef // the logged send, for evDeliver
+	logged  bool          // evDeliver of a logged send (Send, not SendControl)
+	send    model.SendRef // the logged send, when logged
 	tag     int           // timer tag, for evTimer
 }
 
@@ -350,7 +366,8 @@ func (en *engine) pop() (float64, event) {
 	return k.time, ev
 }
 
-func (en *engine) send(from, to int, payload any, now float64) error {
+// send transmits one message; logged records it in the builder.
+func (en *engine) send(from, to int, payload any, now float64, logged bool) error {
 	h := en.net.hop(from, to)
 	mSent.Inc()
 	// Byzantine senders lie in their payloads before any loss model sees
@@ -399,11 +416,15 @@ func (en *engine) send(from, to int, payload any, now float64) error {
 		return fmt.Errorf("sim: message p%d->p%d arrives at real %v before receiver start %v; increase protocol warmup",
 			from, to, arrive, en.net.starts[to])
 	}
-	ref, err := en.builder.Send(model.ProcID(from), model.ProcID(to), now-en.net.starts[from])
-	if err != nil {
-		return err
+	ev := event{kind: evDeliver, proc: to, from: from, payload: payload, logged: logged}
+	if logged {
+		ref, err := en.builder.Send(model.ProcID(from), model.ProcID(to), now-en.net.starts[from])
+		if err != nil {
+			return err
+		}
+		ev.send = ref
 	}
-	en.push(arrive, event{kind: evDeliver, proc: to, payload: payload, send: ref})
+	en.push(arrive, ev)
 	en.sent++
 	return nil
 }
@@ -434,7 +455,9 @@ type RunConfig struct {
 }
 
 // Run simulates the protocol on the network and returns the resulting
-// formal execution.
+// formal execution: every logged message (Env.Send) and, with
+// RecordTimers, the timers. Control messages (Env.SendControl) are
+// delivered but not part of it.
 func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution, error) {
 	maxEvents := cfg.MaxEvents
 	if maxEvents == 0 {
@@ -497,10 +520,12 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 			en.procs[ev.proc].OnStart(env)
 		case evDeliver:
 			mDelivered.Inc()
-			if _, err := en.builder.Deliver(ev.send, at-net.starts[ev.proc]); err != nil {
-				return nil, err
+			if ev.logged {
+				if _, err := en.builder.Deliver(ev.send, at-net.starts[ev.proc]); err != nil {
+					return nil, err
+				}
 			}
-			en.procs[ev.proc].OnReceive(env, ev.send.From(), ev.payload)
+			en.procs[ev.proc].OnReceive(env, model.ProcID(ev.from), ev.payload)
 		case evTimer:
 			mTimersFired.Inc()
 			if en.recordTimers {

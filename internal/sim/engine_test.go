@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -437,4 +438,152 @@ func TestRunAllocs(t *testing.T) {
 		t.Errorf("Run made %.0f allocations for %d messages on %d processors, want at most %.0f", allocs, sent, n, limit)
 	}
 	t.Logf("%.0f allocations, %d messages", allocs, sent)
+}
+
+// mixProto sends k rounds of numbered messages to every neighbor and
+// answers each first-round message once; a payload travels through
+// SendControl when control(payload) holds, through Send otherwise. Every
+// receipt is logged.
+type mixProto struct {
+	k, sent int
+	warmup  float64
+	control func(payload int) bool
+	got     *[]receipt
+}
+
+type receipt struct {
+	clock    float64
+	to, from model.ProcID
+	payload  int
+}
+
+// mixPayload encodes the sender, the round and the receiver; replies set
+// bit 30.
+func mixPayload(from model.ProcID, round, to int) int { return int(from)<<16 | round<<8 | to }
+
+func (m *mixProto) send(env *Env, to model.ProcID, payload int) {
+	m.sent++
+	if m.control(payload) {
+		_ = env.SendControl(to, payload)
+	} else {
+		_ = env.Send(to, payload)
+	}
+}
+
+func (m *mixProto) OnStart(env *Env) {
+	for r := 0; r < m.k; r++ {
+		_ = env.SetTimer(m.warmup+0.01*float64(r), r)
+	}
+}
+
+func (m *mixProto) OnTimer(env *Env, round int) {
+	for _, q := range env.Neighbors() {
+		m.send(env, model.ProcID(q), mixPayload(env.Self(), round, q))
+	}
+}
+
+func (m *mixProto) OnReceive(env *Env, from model.ProcID, payload any) {
+	v := payload.(int)
+	*m.got = append(*m.got, receipt{clock: env.Clock(), to: env.Self(), from: from, payload: v})
+	if v&(1<<30) == 0 && (v>>8)&0xff == 0 {
+		m.send(env, from, v|1<<30)
+	}
+}
+
+// TestSendControl: a control message is delivered exactly like a logged
+// one, through the same loss, partition and delay draws and in the same
+// event order, to OnReceive with its sender and payload, but it is never
+// part of the execution; the logged messages keep dense IDs in delivery
+// order.
+func TestSendControl(t *testing.T) {
+	const n, k = 6, 5
+	starts := UniformStarts(rand.New(rand.NewSource(4)), n, 0.5)
+	net, err := NewNetwork(starts, Complete(n), func(Pair) LinkDelays {
+		return Symmetric(Uniform{Lo: 0.01, Hi: 0.2})
+	})
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	faults := &Faults{Loss: 0.2, Partitions: []Partition{{P: 0, Q: 1, From: 0, Until: math.Inf(1)}}}
+	run := func(control func(int) bool) ([]receipt, int, *model.Execution) {
+		var got []receipt
+		sent := 0
+		protos := make([]*mixProto, n)
+		e, err := Run(net, func(p model.ProcID) Protocol {
+			protos[p] = &mixProto{k: k, warmup: SafeWarmup(starts), control: control, got: &got}
+			return protos[p]
+		}, RunConfig{Seed: 8, Faults: faults})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for _, pr := range protos {
+			sent += pr.sent
+		}
+		return got, sent, e
+	}
+	odd := func(v int) bool { return v%2 == 1 }
+	logged, sent, loggedExec := run(func(int) bool { return false })
+	control, _, controlExec := run(func(int) bool { return true })
+	mixed, _, mixedExec := run(odd)
+
+	if !slices.Equal(control, logged) || !slices.Equal(mixed, logged) {
+		t.Fatal("control sends changed the deliveries: RNG draws or event order differ from logged sends")
+	}
+	if len(logged) == 0 || len(logged) >= sent {
+		t.Fatalf("%d of %d messages delivered: want loss to drop some", len(logged), sent)
+	}
+	for _, r := range logged {
+		sender, receiver := model.ProcID(r.payload>>16&0xff), model.ProcID(r.payload&0xff)
+		if r.payload&(1<<30) != 0 {
+			sender, receiver = receiver, sender // a reply
+		}
+		if r.from != sender || r.to != receiver {
+			t.Fatalf("receipt %+v: want sender p%d and receiver p%d", r, sender, receiver)
+		}
+		if min(r.from, r.to) == 0 && max(r.from, r.to) == 1 {
+			t.Fatalf("receipt %+v crossed the partitioned link {0,1}", r)
+		}
+	}
+
+	for name, tc := range map[string]struct {
+		e      *model.Execution
+		logged func(int) bool
+	}{
+		"logged":  {loggedExec, func(int) bool { return true }},
+		"control": {controlExec, func(int) bool { return false }},
+		"mixed":   {mixedExec, func(v int) bool { return !odd(v) }},
+	} {
+		var want []receipt
+		for _, r := range logged {
+			if tc.logged(r.payload) {
+				want = append(want, r)
+			}
+		}
+		msgs, err := tc.e.Messages()
+		if err != nil {
+			t.Fatalf("%s: Messages: %v", name, err)
+		}
+		if len(msgs) != len(want) || stepCount(tc.e, model.KindSend) != len(want) {
+			t.Fatalf("%s: execution holds %d messages (%d sends), want the %d logged deliveries",
+				name, len(msgs), stepCount(tc.e, model.KindSend), len(want))
+		}
+		for i, m := range msgs {
+			w := want[i]
+			if m.ID != model.MsgID(i+1) || m.From != w.from || m.To != w.to || m.RecvClock != w.clock { //clocklint:allow floateq
+				t.Fatalf("%s: message %d = %+v, want ID %d for delivery %+v", name, i, m, i+1, w)
+			}
+		}
+	}
+}
+
+func stepCount(e *model.Execution, k model.Kind) int {
+	c := 0
+	for _, h := range e.Histories {
+		for _, st := range h.Steps {
+			if st.Event.Kind == k {
+				c++
+			}
+		}
+	}
+	return c
 }

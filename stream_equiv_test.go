@@ -407,9 +407,9 @@ func TestStreamReplaysD1Inputs(t *testing.T) {
 }
 
 // TestStreamReplaysD2Inputs regenerates the D2 fault-tolerance runs (flood
-// loss and crash series) and replays each run's delivered messages through
-// Observe, asserting bit-identity against the batch solve of the same
-// messages. Only messages into processors whose report reached the leader
+// loss and crash series) and replays each run's probe messages, the
+// measurement traffic its execution holds, through Observe, asserting
+// bit-identity against the batch solve of the same messages. Only messages into processors whose report reached the leader
 // are replayed, so the replayed table is degraded the way the leader's is:
 // a crashed processor contributes no incoming statistics.
 func TestStreamReplaysD2Inputs(t *testing.T) {
