@@ -7,12 +7,12 @@
 // emits the results as JSON (BENCH_core.json by default).
 //
 // With -check FILE it instead compares a fresh measurement against a
-// committed baseline and exits non-zero when any benchmark's ns/op
-// regressed by more than the tolerance. Raw nanoseconds are not compared
-// across machines: every run also measures a fixed calibration workload
-// (a scalar Floyd-Warshall loop on a pinned 64-node instance), and the
-// gate compares ns/op *relative to the calibration* of the same run, which
-// cancels out the speed of the host.
+// committed baseline and exits non-zero when any benchmark's ns/op,
+// allocs/op or bytes/op regressed by more than the tolerance. Raw
+// nanoseconds are not compared across machines: every run also measures
+// a fixed calibration workload (a scalar Floyd-Warshall loop on a pinned
+// 64-node instance), and the gate compares ns/op *relative to the
+// calibration* of the same run, which cancels out the speed of the host.
 //
 // Usage:
 //
@@ -323,8 +323,14 @@ func roundsFor(rounds, iters int) int {
 // scheduler jitter away. Slow cases get at least minOps ops in all
 // (roundsFor).
 func measure(rounds int, targetNs float64, fn func() error, median bool) (Entry, error) {
+	// Two warmup ops: a double-buffered result (core.Synchronizer) grows
+	// its second buffer on the second call, which would otherwise land in
+	// the first measured round. The second also probes the duration.
+	if err := fn(); err != nil {
+		return Entry{}, err
+	}
 	start := time.Now()
-	if err := fn(); err != nil { // warmup + duration probe
+	if err := fn(); err != nil {
 		return Entry{}, err
 	}
 	one := float64(time.Since(start).Nanoseconds())
@@ -384,10 +390,16 @@ type regression struct {
 	msg  string
 }
 
-// compare returns one regression per benchmark whose calibrated ns/op (or
-// allocation count) regressed beyond tol relative to the baseline.
-// Benchmarks present on only one side are ignored (suites may grow), as are
-// allocation counts below a small absolute floor (GC bookkeeping noise).
+// bytesFloor is the absolute bytes/op slack of the gate, on top of the
+// relative tolerance: a few small runtime and pool refills that land in
+// one measured round, not a change in what an op allocates.
+const bytesFloor = 4096
+
+// compare returns one regression per benchmark whose calibrated ns/op,
+// allocation count or allocated bytes regressed beyond tol relative to
+// the baseline. Benchmarks present on only one side are ignored (suites
+// may grow), as are allocation counts and bytes below a small absolute
+// floor (GC bookkeeping noise).
 func compare(base, cur *File, tol float64) []regression {
 	var failures []regression
 	names := make([]string, 0, len(base.Benchmarks))
@@ -413,12 +425,18 @@ func compare(base, cur *File, tol float64) []regression {
 				"%s: calibrated ns/op %.3f vs baseline %.3f (+%.0f%%, tolerance %.0f%%)",
 				name, curRatio, baseRatio, (curRatio/baseRatio-1)*100, tol*100)})
 		}
-		// Allocation counts are machine-independent; allow the same relative
-		// slack plus a small absolute floor for GC/runtime bookkeeping.
+		// Allocation counts and bytes are machine-independent; allow the
+		// same relative slack plus a small absolute floor for GC/runtime
+		// bookkeeping.
 		if c.AllocsPerOp > b.AllocsPerOp*(1+tol)+8 {
 			failures = append(failures, regression{name, fmt.Sprintf(
 				"%s: allocs/op %.1f vs baseline %.1f",
 				name, c.AllocsPerOp, b.AllocsPerOp)})
+		}
+		if c.BytesPerOp > b.BytesPerOp*(1+tol)+bytesFloor {
+			failures = append(failures, regression{name, fmt.Sprintf(
+				"%s: bytes/op %.0f vs baseline %.0f",
+				name, c.BytesPerOp, b.BytesPerOp)})
 		}
 	}
 	// The streaming acceptance criterion is absolute, not baseline-relative:

@@ -59,6 +59,20 @@ func TestCompare(t *testing.T) {
 		t.Errorf("alloc regression: got %v, want one allocs/op failure", fails)
 	}
 
+	// So does a bytes/op explosion at the same allocation count, but not
+	// a few bytes over a zero baseline.
+	bloated := &File{
+		CalibrationNs: 1000,
+		Benchmarks: map[string]Entry{
+			"Synchronize/n=8": {NsPerOp: 5000, AllocsPerOp: 8, BytesPerOp: bytesFloor + 1},
+			"Experiment/T1":   {NsPerOp: 2e6, AllocsPerOp: 100, BytesPerOp: bytesFloor},
+		},
+	}
+	fails = compare(base, bloated, 0.25)
+	if len(fails) != 1 || fails[0].name != "Synchronize/n=8" || !strings.Contains(fails[0].msg, "bytes/op") {
+		t.Errorf("bytes regression: got %v, want one Synchronize/n=8 bytes/op failure", fails)
+	}
+
 	// Benchmarks missing from the current run are ignored (suites may grow
 	// or shrink between commits without breaking the gate).
 	partial := &File{
@@ -198,14 +212,14 @@ func TestSetUpNamesFailingCase(t *testing.T) {
 }
 
 // TestMeasureMinOps: a case slower than the round target still gets
-// minOps timed ops, one per round, beside the warmup op.
+// minOps timed ops, one per round, beside the two warmup ops.
 func TestMeasureMinOps(t *testing.T) {
 	calls := 0
 	if _, err := measure(5, 1, func() error { calls++; return nil }, false); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1+minOps {
-		t.Errorf("measure ran %d ops, want 1 warmup + %d", calls, minOps)
+	if calls != 2+minOps {
+		t.Errorf("measure ran %d ops, want 2 warmup + %d", calls, minOps)
 	}
 	for _, c := range []struct{ rounds, iters, want int }{
 		{5, 1, minOps}, {5, 2, (minOps + 1) / 2}, {5, minOps, 5}, {20, 1, max(20, minOps)},

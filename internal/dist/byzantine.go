@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 
 	"clocksync/internal/model"
@@ -51,29 +52,53 @@ func DeriveKeys(n int, seed int64) [][]byte {
 // content and must verify under the same MAC.
 func reportMAC(key []byte, origin model.ProcID, links []DirReport) []byte {
 	mac := hmac.New(sha256.New, key)
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		mac.Write(buf[:])
-	}
-	put(uint64(int64(origin)))
-	for _, dr := range links {
-		put(uint64(int64(dr.From)))
-		put(uint64(int64(dr.To)))
-		put(uint64(int64(dr.Stats.Count)))
-		put(math.Float64bits(dr.Stats.Min))
-		put(math.Float64bits(dr.Stats.Max))
-	}
+	mac.Write(appendReportContent(make([]byte, 0, 8+40*len(links)), origin, links))
 	return mac.Sum(nil)
 }
 
-// verifyReportMAC checks a report's MAC under the claimed origin's key in
-// constant time; an origin outside the keyring never verifies.
-func verifyReportMAC(keys [][]byte, rep Report) bool {
-	if int(rep.Origin) < 0 || int(rep.Origin) >= len(keys) {
+// appendReportContent appends the bytes a report MAC covers to b.
+func appendReportContent(b []byte, origin model.ProcID, links []DirReport) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(origin)))
+	for _, dr := range links {
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.From)))
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.To)))
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.Stats.Count)))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(dr.Stats.Min))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(dr.Stats.Max))
+	}
+	return b
+}
+
+// macVerifier checks report MACs under a keyring. It keeps one keyed HMAC
+// per origin, built on first use and Reset between reports, which yields
+// the same MAC as a fresh hmac.New without rekeying every time.
+type macVerifier struct {
+	keys [][]byte
+	macs []hash.Hash // by origin; nil until the origin's first report
+	buf  []byte      // the report content being verified
+	sum  [sha256.Size]byte
+}
+
+// verify checks a report's MAC under the claimed origin's key in constant
+// time; an origin outside the keyring never verifies.
+func (v *macVerifier) verify(rep Report) bool {
+	o := int(rep.Origin)
+	if o < 0 || o >= len(v.keys) {
 		return false
 	}
-	return hmac.Equal(reportMAC(keys[rep.Origin], rep.Origin, rep.Links), rep.MAC)
+	if v.macs == nil {
+		v.macs = make([]hash.Hash, len(v.keys))
+	}
+	mac := v.macs[o]
+	if mac == nil {
+		mac = hmac.New(sha256.New, v.keys[o])
+		v.macs[o] = mac
+	} else {
+		mac.Reset()
+	}
+	v.buf = appendReportContent(v.buf[:0], rep.Origin, rep.Links)
+	mac.Write(v.buf)
+	return hmac.Equal(mac.Sum(v.sum[:0]), rep.MAC)
 }
 
 // withReportMutator installs the dist report mutator on fault schedules

@@ -280,6 +280,7 @@ func newFactory(n int, cfg Config, perNode [][]float64) (sim.ProtocolFactory, *O
 			// Only the leader publishes quality telemetry: every gossip node
 			// computes, but the leader's computation is the canonical one.
 			pr.seen = make(map[model.ProcID]bool)
+			pr.auth.keys = cfg.AuthKeys
 			pr.round = round.New(round.Config{N: n, Links: cfg.Links, Excision: cfg.Excision,
 				Solve: core.Options{Root: int(cfg.Leader), Centered: cfg.Centered,
 					Parallelism: cfg.Parallelism, Quality: p == cfg.Leader, QualityLabel: session}})
@@ -356,6 +357,7 @@ type proc struct {
 	// is nil on nodes that never compute.
 	round    *round.Round
 	rejected map[model.ProcID]bool // origins with a MAC-rejected version
+	auth     macVerifier           // keyed computing node: report MAC checks
 	computed bool
 	result   ResultMsg
 }
@@ -414,9 +416,9 @@ func (pr *proc) OnReceive(env *sim.Env, from model.ProcID, payload any) {
 	case Probe:
 		pr.handleProbe(env, from, msg)
 	case Report:
-		pr.handleReport(env, from, msg)
+		pr.handleReport(env, from, payload)
 	case ResultMsg:
-		pr.handleResult(env, from, msg)
+		pr.handleResult(env, from, payload)
 	}
 }
 
@@ -491,11 +493,13 @@ func (pr *proc) refloodResult(env *sim.Env) {
 
 // handleReport absorbs every wave (later waves matter: conflicting
 // versions of an already-stored origin are the equivocation signal) and
-// forwards each (origin, round) wave once.
-func (pr *proc) handleReport(env *sim.Env, via model.ProcID, rep Report) {
+// forwards each (origin, round) wave once. The Report arrives boxed and
+// is forwarded in the same box, so a wave is boxed once, where it starts.
+func (pr *proc) handleReport(env *sim.Env, via model.ProcID, payload any) {
+	rep := payload.(Report)
 	pr.acceptReport(env, rep)
 	if pr.forwarded.add(floodKey{origin: rep.Origin, round: rep.Round}) {
-		pr.flood(env, via, rep)
+		pr.flood(env, via, payload)
 	}
 }
 
@@ -516,7 +520,7 @@ func (pr *proc) acceptReport(env *sim.Env, rep Report) {
 		}
 		return
 	}
-	if pr.cfg.AuthKeys != nil && !verifyReportMAC(pr.cfg.AuthKeys, rep) {
+	if pr.cfg.AuthKeys != nil && !pr.auth.verify(rep) {
 		if !pr.rejected[rep.Origin] {
 			pr.rejected[rep.Origin] = true
 			mReportsAuth.Inc()
@@ -610,8 +614,9 @@ func (pr *proc) compute(env *sim.Env) {
 }
 
 // handleResult applies the first result seen and forwards each round's
-// wave once.
-func (pr *proc) handleResult(env *sim.Env, via model.ProcID, msg ResultMsg) {
+// wave once, in the box it arrived in (see handleReport).
+func (pr *proc) handleResult(env *sim.Env, via model.ProcID, payload any) {
+	msg := payload.(ResultMsg)
 	if !pr.resultSet {
 		pr.resultSet = true
 		self := int(env.Self())
@@ -621,7 +626,7 @@ func (pr *proc) handleResult(env *sim.Env, via model.ProcID, msg ResultMsg) {
 		}
 	}
 	if pr.forwarded.add(resultKey(msg.Round)) {
-		pr.flood(env, via, msg)
+		pr.flood(env, via, payload)
 	}
 }
 

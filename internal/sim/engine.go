@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
@@ -36,8 +38,9 @@ var (
 // with their delay models.
 type Network struct {
 	starts []float64
-	adj    [][]int // neighbors in link order
-	hops   [][]hop // per sender, sorted by receiver
+	adj    [][]int   // neighbors in link order
+	hops   [][]hop   // per sender, sorted by receiver
+	to     [][]int32 // per sender, hops[from][i].to, the search keys of hop
 }
 
 // hop is one link as a sender sees it: the receiver, the link's delay
@@ -76,8 +79,13 @@ func NewNetwork(starts []float64, links []Pair, delays func(Pair) LinkDelays) (*
 		net.hops[c.P] = append(net.hops[c.P], hop{to: c.Q, pq: true, d: d, ta: ta, loss: loss})
 		net.hops[c.Q] = append(net.hops[c.Q], hop{to: c.P, d: d, ta: ta, loss: loss})
 	}
-	for _, hs := range net.hops {
+	net.to = make([][]int32, n)
+	for p, hs := range net.hops {
 		slices.SortFunc(hs, func(a, b hop) int { return cmp.Compare(a.to, b.to) })
+		net.to[p] = make([]int32, len(hs))
+		for i, h := range hs {
+			net.to[p][i] = int32(h.to)
+		}
 	}
 	return net, nil
 }
@@ -114,15 +122,16 @@ func (net *Network) Delays(p, q int) LinkDelays {
 
 // hop returns the link from -> to, or nil when there is none.
 func (net *Network) hop(from, to int) *hop {
-	if from < 0 || from >= len(net.hops) {
+	n := len(net.hops)
+	if from < 0 || from >= n || to < 0 || to >= n {
 		return nil
 	}
-	hs := net.hops[from]
-	i, ok := slices.BinarySearchFunc(hs, to, func(h hop, to int) int { return cmp.Compare(h.to, to) })
+	// Search the receivers alone, 4 bytes a probe instead of a whole hop.
+	i, ok := slices.BinarySearch(net.to[from], int32(to))
 	if !ok {
 		return nil
 	}
-	return &hs[i]
+	return &net.hops[from][i]
 }
 
 // sample draws a delay for a message over the hop sent at real time now.
@@ -210,17 +219,24 @@ func (e *Env) send(to model.ProcID, payload any, logged bool) error {
 // SetTimer schedules OnTimer(tag) at the given clock time, which must not
 // be in the past.
 func (e *Env) SetTimer(atClock float64, tag int) error {
-	at := e.engine.net.starts[e.self] + atClock
+	en := e.engine
+	at := en.net.starts[e.self] + atClock
 	if at < e.now {
 		err := fmt.Errorf("sim: p%d set timer for clock %v in the past", e.self, atClock)
-		if e.engine.err == nil {
-			e.engine.err = err
+		if en.err == nil {
+			en.err = err
 		}
 		return err
 	}
-	e.engine.push(at, event{kind: evTimer, proc: e.self, tag: tag})
-	if e.engine.recordTimers {
-		e.engine.timers = append(e.engine.timers, timerTrack{
+	ev := event{kind: evTimer, proc: e.self, tag: tag}
+	if en.recordTimers {
+		ev.from = len(en.timers) // the track this timer's firing marks
+	}
+	if err := en.push(at, &ev); err != nil {
+		return err
+	}
+	if en.recordTimers {
+		en.timers = append(en.timers, timerTrack{
 			proc:   e.self,
 			setAt:  e.Clock(),
 			fireAt: atClock,
@@ -236,88 +252,175 @@ const (
 	evTimer
 )
 
-// event is the body of a scheduled event. Bodies sit in the engine's slab;
-// the heap orders pointer-free keys that index them.
+// event is the body of a scheduled event. Bodies sit in the run's slab;
+// the queue holds the int32 slots that index them.
 type event struct {
+	at      float64 // real time of the event
+	seq     int64   // push order: the FIFO tie-break among equal times
 	kind    int
 	proc    int // processor the event happens at
-	from    int // sender, for evDeliver
+	from    int // sender, for evDeliver; the timers index, for a recorded evTimer
 	payload any
 	logged  bool          // evDeliver of a logged send (Send, not SendControl)
 	send    model.SendRef // the logged send, when logged
 	tag     int           // timer tag, for evTimer
 }
 
-// key orders one scheduled event: by time, then by seq, the FIFO
-// tie-break that makes equal-time events deterministic. slot indexes the
-// event's body.
-type key struct {
-	time float64
-	seq  int64
-	slot int32
+// order maps a time to a key whose unsigned order is the time's order:
+// the IEEE bits with the sign bit flipped for non-negative times and every
+// bit flipped for negative ones. -0 is folded into +0 first, so equal
+// times get equal keys and fall through to the seq tie-break.
+func order(t float64) uint64 {
+	if t == 0 { //clocklint:allow floateq -0 and +0 must share a key
+		t = 0
+	}
+	b := math.Float64bits(t)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-func (a key) before(b key) bool {
-	// Exact tie detection is the point: equal-time events must fall
-	// through to the deterministic seq order, never epsilon-merge.
-	if a.time != b.time { //clocklint:allow floateq
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+// scratch is a run's event storage: the slab of event bodies, its free
+// slots and the queue over them. Runs take one from scratchPool and put
+// it back empty, so each run reuses the capacity earlier runs grew.
+//
+// The queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan
+// 1990). It relies on the engine's contract that no event is scheduled
+// before the last popped one: messages arrive at now+d with d >= 0 and
+// SetTimer refuses the past. Every queued key is then >= last, the key
+// of the last popped event, and a slot sits in bucket b = bits.Len64(key
+// ^ last): bucket 0 (ready) holds the keys equal to last, bucket b > 0
+// those whose highest bit differing from last is bit b-1. Since (time,
+// seq) is a total order, the queue pops exactly the sequence any correct
+// priority queue on (time, seq) pops.
+type scratch struct {
+	events []event
+	free   slots // free slots of events
+
+	last    uint64
+	mask    uint64    // bit b-1 set when bucket b > 0 is non-empty
+	ready   slots     // bucket 0 in seq order, from head on
+	head    int       // next entry of ready to pop
+	buckets [64]slots // buckets[b-1] is bucket b
+	size    int       // queued events
 }
 
-// queue is a binary min-heap of event keys. Since (time, seq) is a total
-// order, any correct heap pops the same sequence.
-type queue []key
-
-func (q *queue) push(k key) {
-	h := append(*q, k)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !k.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = k
-	*q = h
+// slots is a list of event slots that keeps its length apart from its
+// backing array: adding and removing entries then stores no pointer, and
+// so takes no GC write barrier, once the array has grown.
+type slots struct {
+	buf []int32 // buf[:n] is the list; buf[n:] is spare
+	n   int
 }
 
-func (q *queue) pop() key {
-	h := *q
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+func (l *slots) add(slot int32) {
+	if l.n < len(l.buf) {
+		l.buf[l.n] = slot
+	} else {
+		l.buf = append(l.buf, slot)
 	}
-	if len(h) > 0 {
-		h[i] = last
+	l.n++
+}
+
+func (l *slots) list() []int32 { return l.buf[:l.n] }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release empties s, dropping every payload it still holds, and returns
+// it to the pool.
+func (s *scratch) release() {
+	clear(s.events)
+	s.events = s.events[:0]
+	s.free.n, s.ready.n = 0, 0
+	for b := range s.buckets {
+		s.buckets[b].n = 0
 	}
-	*q = h
-	return top
+	s.last, s.mask, s.head, s.size = 0, 0, 0, 0
+	scratchPool.Put(s)
+}
+
+// push queues an event at real time at. A time whose key is below the
+// last popped one breaks the monotone contract the queue relies on; the
+// push is refused rather than misordered.
+func (s *scratch) push(at float64, seq int64, ev *event) error {
+	k := order(at)
+	if k < s.last {
+		return fmt.Errorf("sim: internal error: event at real %v queued after a later one was processed", at)
+	}
+	var slot int32
+	if s.free.n > 0 {
+		s.free.n--
+		slot = s.free.buf[s.free.n]
+		s.events[slot] = *ev
+	} else {
+		slot = int32(len(s.events))
+		s.events = append(s.events, *ev)
+	}
+	s.events[slot].at, s.events[slot].seq = at, seq
+	s.place(slot, k)
+	s.size++
+	return nil
+}
+
+// place files a slot with key k into its bucket against the current last.
+func (s *scratch) place(slot int32, k uint64) {
+	b := bits.Len64(k ^ s.last)
+	if b == 0 {
+		s.ready.add(slot)
+		return
+	}
+	s.buckets[b-1].add(slot)
+	s.mask |= 1 << (b - 1)
+}
+
+// pop removes the next event in (time, seq) order and frees its slot. It
+// returns the event's body, valid until the next push, and its payload,
+// whose reference the slab drops. The queue must not be empty.
+func (s *scratch) pop() (*event, any) {
+	if s.head == s.ready.n {
+		s.refill()
+	}
+	slot := s.ready.buf[s.head]
+	if s.head++; s.head == s.ready.n {
+		s.ready.n, s.head = 0, 0
+	}
+	ev := &s.events[slot]
+	payload := ev.payload
+	ev.payload = nil
+	s.free.add(slot)
+	s.size--
+	return ev, payload
+}
+
+// refill, with ready empty, makes the smallest key of the lowest
+// non-empty bucket the new last and files that bucket's slots again
+// against it. Each lands in a lower bucket (they agree with the new last
+// above the bucket's bit), the minimum's into ready, which is then sorted
+// by seq: later pushes at the same key carry larger seqs and append.
+func (s *scratch) refill() {
+	i := bits.TrailingZeros64(s.mask)
+	b := s.buckets[i].list()
+	last := order(s.events[b[0]].at)
+	for _, slot := range b[1:] {
+		last = min(last, order(s.events[slot].at))
+	}
+	s.last = last
+	for _, slot := range b {
+		s.place(slot, order(s.events[slot].at))
+	}
+	s.buckets[i].n = 0
+	s.mask &^= 1 << i
+	if s.ready.n > 1 {
+		events := s.events
+		slices.SortFunc(s.ready.list(), func(a, b int32) int { return cmp.Compare(events[a].seq, events[b].seq) })
+	}
 }
 
 type engine struct {
 	net     *Network
 	rng     *rand.Rand
-	queue   queue
-	events  []event // slab of event bodies, indexed by key.slot
-	free    []int32 // free slots of events
+	s       *scratch // event slab and queue, from scratchPool
 	seq     int64
 	env     Env // the one Env of the run, rebound per event
 	procs   []Protocol
@@ -342,33 +445,24 @@ type timerTrack struct {
 	fired  bool
 }
 
-// push schedules an event at real time at.
-func (en *engine) push(at float64, ev event) {
-	var slot int32
-	if n := len(en.free); n > 0 {
-		slot = en.free[n-1]
-		en.free = en.free[:n-1]
-		en.events[slot] = ev
-	} else {
-		slot = int32(len(en.events))
-		en.events = append(en.events, ev)
-	}
-	en.queue.push(key{time: at, seq: en.seq, slot: slot})
+// push schedules an event at real time at; a refused push aborts the run.
+func (en *engine) push(at float64, ev *event) error {
+	err := en.s.push(at, en.seq, ev)
 	en.seq++
-}
-
-// pop removes the next event and frees its slot.
-func (en *engine) pop() (float64, event) {
-	k := en.queue.pop()
-	ev := en.events[k.slot]
-	en.events[k.slot] = event{} // drop the payload reference
-	en.free = append(en.free, k.slot)
-	return k.time, ev
+	if err != nil && en.err == nil {
+		en.err = err
+	}
+	return err
 }
 
 // send transmits one message; logged records it in the builder.
 func (en *engine) send(from, to int, payload any, now float64, logged bool) error {
+	// A missing link is a protocol bug, not a fault to inject: it aborts
+	// the run before any mutator, partition or loss draw could hide it.
 	h := en.net.hop(from, to)
+	if h == nil {
+		return fmt.Errorf("sim: no link between %d and %d", from, to)
+	}
 	mSent.Inc()
 	// Byzantine senders lie in their payloads before any loss model sees
 	// the message, so loss filters act on what actually travels.
@@ -396,16 +490,13 @@ func (en *engine) send(from, to int, payload any, now float64, logged bool) erro
 		}
 		return nil // injected per-message loss
 	}
-	if h != nil && h.loss != nil && h.loss.MaybeLose(en.rng, now, h.pq) {
+	if h.loss != nil && h.loss.MaybeLose(en.rng, now, h.pq) {
 		en.sent++
 		mDropLink.Inc()
 		if simLog.Enabled(context.Background(), slog.LevelDebug) {
 			simLog.Debug("message dropped: link loss model", "from", from, "to", to, "at", now)
 		}
 		return nil // lost in transit: sent but never delivered
-	}
-	if h == nil {
-		return fmt.Errorf("sim: no link between %d and %d", from, to)
 	}
 	d, err := h.sample(en.rng, now)
 	if err != nil {
@@ -424,7 +515,9 @@ func (en *engine) send(from, to int, payload any, now float64, logged bool) erro
 		}
 		ev.send = ref
 	}
-	en.push(arrive, ev)
+	if err := en.push(arrive, &ev); err != nil {
+		return err
+	}
 	en.sent++
 	return nil
 }
@@ -469,6 +562,7 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 	en := &engine{
 		net:          net,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		s:            scratchPool.Get().(*scratch),
 		builder:      model.NewBuilder(net.starts),
 		horizon:      cfg.Horizon,
 		recordTimers: cfg.RecordTimers,
@@ -476,6 +570,7 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 		crashAt:      cfg.Faults.crashTimes(net.N()),
 		byz:          cfg.Faults.byzantineOf(net.N()),
 	}
+	defer en.s.release()
 	en.procs = make([]Protocol, net.N())
 	for p := range en.procs {
 		en.procs[p] = factory(model.ProcID(p))
@@ -485,7 +580,9 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 	}
 	en.env.engine = en
 	for p, s := range net.starts {
-		en.push(s, event{kind: evStart, proc: p})
+		if err := en.push(s, &event{kind: evStart, proc: p}); err != nil {
+			return nil, err
+		}
 	}
 	mRuns.Inc()
 	simLog.Debug("run starting", "n", net.N(), "seed", cfg.Seed,
@@ -493,8 +590,9 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 
 	processed := 0
 	firstEvent, lastEvent := 0.0, 0.0
-	for len(en.queue) > 0 {
-		at, ev := en.pop()
+	for en.s.size > 0 {
+		ev, payload := en.s.pop()
+		at := ev.at
 		if cfg.Horizon > 0 && at > cfg.Horizon {
 			continue // past the horizon: discard
 		}
@@ -525,11 +623,11 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 					return nil, err
 				}
 			}
-			en.procs[ev.proc].OnReceive(env, model.ProcID(ev.from), ev.payload)
+			en.procs[ev.proc].OnReceive(env, model.ProcID(ev.from), payload)
 		case evTimer:
 			mTimersFired.Inc()
 			if en.recordTimers {
-				en.markTimerFired(ev.proc, at-net.starts[ev.proc])
+				en.timers[ev.from].fired = true
 			}
 			en.procs[ev.proc].OnTimer(env, ev.tag)
 		}
@@ -549,16 +647,4 @@ func Run(net *Network, factory ProtocolFactory, cfg RunConfig) (*model.Execution
 		}
 	}
 	return en.builder.Build()
-}
-
-// markTimerFired flags the earliest-set unfired timer of proc scheduled
-// for the given clock time.
-func (en *engine) markTimerFired(proc int, fireAt float64) {
-	for i := range en.timers {
-		tr := &en.timers[i]
-		if !tr.fired && tr.proc == proc && math.Abs(tr.fireAt-fireAt) < 1e-12 {
-			tr.fired = true
-			return
-		}
-	}
 }

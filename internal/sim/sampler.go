@@ -4,6 +4,13 @@
 // topology builders, simple measurement protocols, and an event engine
 // that produces formal executions (package model) for the synchronizer and
 // verifier to consume.
+//
+// The engine processes events in (real time, push order) order, and no
+// event may be scheduled before the one being processed: a message
+// arrives at its send time plus a delay >= 0, and Env.SetTimer refuses
+// the past. The event queue relies on that monotone-push contract; a
+// push that broke it would abort the run with an internal error rather
+// than be delivered out of order.
 package sim
 
 import (
