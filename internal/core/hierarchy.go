@@ -310,14 +310,14 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		}
 	}
 	// A_max^c matters only where it exceeds λ_B, so a cluster certified
-	// below λ_B keeps A_max^c = 0. The rest run Karp per sub-component
-	// (the intra subgraph need not be strongly connected even inside an
-	// SCC); the certificate covers every sub-component at once, since no
-	// cycle leaves its sub-component.
+	// below λ_B keeps A_max^c = 0. The rest run Karp, which splits a
+	// cluster closure that is not strongly connected (the intra subgraph
+	// need not be, even inside an SCC) into its sub-components; the
+	// certificate covers every sub-component at once, since no cycle
+	// leaves its sub-component.
 	aMaxI := make([]float64, nclusters)
 	karpRuns := make([]int, lanes)
 	dists := make([][]float64, lanes)
-	sccs := make([]graph.SCCScratch, lanes)
 	karps := make([]graph.KarpScratch, lanes)
 	for part := range dists {
 		dists[part] = make([]float64, maxKc)
@@ -327,32 +327,9 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		if graph.MeanCycleBelow(W, lambdaB, dists[part]) {
 			return nil
 		}
-		kc := W.N()
-		scc, karp := &sccs[part], &karps[part]
-		ncc := graph.SCCDense(W, scc)
-		aM := 0.0
-		if ncc == 1 {
-			if mc, ok := graph.MaxMeanCycleDense(W, ident[:kc], karp, nil); ok {
-				aM = mc.Mean
-			}
-		} else {
-			sub := make([]int, 0, kc)
-			for cc := 0; cc < ncc; cc++ {
-				sub = sub[:0]
-				for li := 0; li < kc; li++ {
-					if scc.CompOf[li] == cc {
-						sub = append(sub, li)
-					}
-				}
-				if len(sub) <= 1 {
-					continue
-				}
-				if mc, ok := graph.MaxMeanCycleDense(W, sub, karp, nil); ok && mc.Mean > aM {
-					aM = mc.Mean
-				}
-			}
+		if mc, ok := graph.MaxMeanCycleDense(W, ident[:W.N()], &karps[part], nil); ok {
+			aMaxI[c] = mc.Mean
 		}
-		aMaxI[c] = aM
 		karpRuns[part]++
 		return nil
 	}

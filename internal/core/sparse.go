@@ -121,8 +121,8 @@ func mlsCSRInto(g *graph.CSR, n int, links []Link, tab *trace.Table, opts MLSOpt
 }
 
 // phaseTimer accumulates per-stage durations for the observer on the
-// serial sparse path (nil when no observer is attached; every method is
-// nil-safe, so callers mark phases unconditionally).
+// serial component path (nil when no observer is attached; every method
+// is nil-safe, so callers mark phases unconditionally).
 type phaseTimer struct {
 	clk  obs.Clock
 	karp time.Duration
@@ -225,95 +225,35 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 		res.MS = a.msRows
 	}
 
-	single := nc == 1
-	if pool != nil && nc > 1 && !timed {
-		if err := s.runSparseComponentsParallel(a, g, pool, opts, thresh, withMS); err != nil {
-			return nil, err
-		}
-	} else {
-		var t *phaseTimer
-		if timed {
-			t = &phaseTimer{clk: clk}
-		}
-		kit := s.kit(0)
-		for ci, comp := range a.comps {
-			cycle, err := s.solveSparseComponent(kit, g, a, ci, comp, opts, thresh, withMS, pool, t)
-			if err != nil {
-				return nil, err
-			}
-			if single {
-				res.Precision = a.prec[ci]
-				if cycle != nil {
-					a.cycle = append(a.cycle[:0], cycle...)
-					res.CriticalCycle = a.cycle
-				}
-			}
-		}
-		if timed {
-			total := clk.Now().Sub(mark)
-			est := total - t.karp - t.corr
-			if est < 0 {
-				est = 0
-			}
-			opts.Observer.ObservePhase("estimate", est.Seconds())
-			opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
-			opts.Observer.ObservePhase("corrections", t.corr.Seconds())
-		}
+	var t *phaseTimer
+	if timed {
+		t = &phaseTimer{clk: clk}
 	}
-	if !single {
-		res.Precision = math.Inf(1)
+	if err := s.solveComponents(a, g, opts, thresh, withMS, pool, t); err != nil {
+		return nil, err
+	}
+	if timed {
+		total := clk.Now().Sub(mark)
+		est := total - t.karp - t.corr
+		if est < 0 {
+			est = 0
+		}
+		opts.Observer.ObservePhase("estimate", est.Seconds())
+		opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
+		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
 	}
 	return res, nil
 }
 
-// runSparseComponentsParallel fans components across pool lanes with
-// per-lane kits, exactly like the dense runComponentsParallel: disjoint
-// outputs, deterministic lowest-index error.
-func (s *Synchronizer) runSparseComponentsParallel(a *resultArena, g *graph.CSR, pool *graph.Pool, opts Options, thresh int, withMS bool) error {
-	nc := len(a.comps)
-	lanes := pool.Lanes()
-	if lanes > nc {
-		lanes = nc
-	}
-	s.kit(lanes - 1)
-	pool.Run(lanes, func(part int) {
-		kit := s.kits[part]
-		for ci := part; ci < nc; ci += lanes {
-			_, err := s.solveSparseComponent(kit, g, a, ci, a.comps[ci], opts, thresh, withMS, nil, nil)
-			s.compErr[ci] = err
-		}
-	})
-	for ci := 0; ci < nc; ci++ {
-		if s.compErr[ci] != nil {
-			return s.compErr[ci]
-		}
-	}
-	return nil
-}
-
-// solveSparseComponent solves one sync component: exactly (local dense
-// closure, identical floats to the dense pipeline) when it fits the
-// threshold, hierarchically otherwise. It fills a.prec[ci], s.lowerB[ci]
-// and the component's correction slots; the returned critical cycle (in
-// global processor ids) aliases kit scratch and is only produced on the
-// exact path.
-func (s *Synchronizer) solveSparseComponent(kit *compKit, g *graph.CSR, a *resultArena, ci int, comp []int, opts Options, thresh int, withMS bool, pool *graph.Pool, t *phaseTimer) ([]int, error) {
+// closeComponent is the sparse pipeline's exact GLOBAL ESTIMATES on one
+// sync component: it extracts the component-local m~ls submatrix of g
+// into kit.ms and closes it, copying the closure into the arena's m~s
+// when withMS. Shortest paths between same-component nodes never leave
+// the component, and Floyd-Warshall visits the surviving pivots in the
+// same ascending order, so the local closure reproduces the global one
+// bit for bit on this block.
+func (s *Synchronizer) closeComponent(kit *compKit, g *graph.CSR, a *resultArena, comp []int, withMS bool, pool *graph.Pool) error {
 	k := len(comp)
-	if k == 1 {
-		a.corr[comp[0]] = 0
-		a.prec[ci] = 0
-		s.lowerB[ci] = 0
-		return nil, nil
-	}
-	if k > thresh {
-		return nil, s.solveHierComponent(g, a, ci, comp, opts, pool, t)
-	}
-
-	// Exact path: extract the component-local m~ls submatrix and close it.
-	// Shortest paths between same-component nodes never leave the
-	// component, and Floyd-Warshall visits the surviving pivots in the
-	// same ascending order, so the local closure reproduces the global
-	// one bit for bit on this block.
 	kit.ms.Reset(k)
 	kit.ms.Fill(graph.Inf)
 	kit.ms.FillDiag(0)
@@ -329,9 +269,9 @@ func (s *Synchronizer) solveSparseComponent(kit *compKit, g *graph.CSR, a *resul
 	}
 	if err := graph.FloydWarshallDense(&kit.ms, pool); err != nil {
 		if errors.Is(err, graph.ErrNegativeCycle) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+			return fmt.Errorf("%w: %v", ErrInfeasible, err)
 		}
-		return nil, err
+		return err
 	}
 	if withMS {
 		for li, p := range comp {
@@ -342,35 +282,7 @@ func (s *Synchronizer) solveSparseComponent(kit *compKit, g *graph.CSR, a *resul
 			}
 		}
 	}
-
-	var m time.Time
-	if t != nil {
-		m = t.clk.Now()
-	}
-	ident := s.ident(k)
-	aMax, cycle := 0.0, []int(nil)
-	if mc, ok := graph.MaxMeanCycleDense(&kit.ms, ident, &kit.karp, pool); ok {
-		aMax = mc.Mean
-		cycle = mc.Cycle
-	}
-	a.prec[ci] = aMax
-	s.lowerB[ci] = aMax
-	if t != nil {
-		now := t.clk.Now()
-		t.karp += now.Sub(m)
-		m = now
-	}
-	if err := s.componentCorrectionsLocal(kit, &kit.ms, comp, aMax, opts, a.corr, pool); err != nil {
-		return nil, err
-	}
-	if t != nil {
-		t.corr += t.clk.Now().Sub(m)
-	}
-	// The cycle came back in local indices; translate in place.
-	for i, v := range cycle {
-		cycle[i] = comp[v]
-	}
-	return cycle, nil
+	return nil
 }
 
 // ident returns the identity permutation 0..k-1, grown lazily.

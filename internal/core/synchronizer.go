@@ -303,50 +303,16 @@ func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) 
 	res.Components = a.comps
 	res.ComponentPrecision = a.prec
 
-	// SHIFTS per sync component. Disconnected components are independent,
-	// so with a pool and no observer (whose per-phase attribution needs
-	// the serial order) they fan out across lanes with per-lane scratch.
-	single := len(a.comps) == 1
-	if pool != nil && len(a.comps) > 1 && !timed {
-		if err := s.runComponentsParallel(a, pool, opts); err != nil {
-			return nil, err
-		}
-	} else {
-		var karpDur, corrDur time.Duration
-		kit := s.kit(0)
-		for ci, comp := range a.comps {
-			if timed {
-				mark = clk.Now()
-			}
-			aMax, cycle := s.componentAMax(kit, &a.ms, comp, pool)
-			if timed {
-				karpDur += clk.Now().Sub(mark)
-			}
-			a.prec[ci] = aMax
-			if timed {
-				mark = clk.Now()
-			}
-			if err := s.componentCorrections(kit, &a.ms, comp, aMax, opts, a.corr, pool); err != nil {
-				return nil, err
-			}
-			if timed {
-				corrDur += clk.Now().Sub(mark)
-			}
-			if single {
-				res.Precision = aMax
-				if cycle != nil {
-					a.cycle = append(a.cycle[:0], cycle...)
-					res.CriticalCycle = a.cycle
-				}
-			}
-		}
-		if timed {
-			opts.Observer.ObservePhase("karp_amax", karpDur.Seconds())
-			opts.Observer.ObservePhase("corrections", corrDur.Seconds())
-		}
+	var t *phaseTimer
+	if timed {
+		t = &phaseTimer{clk: clk}
 	}
-	if !single {
-		res.Precision = math.Inf(1)
+	if err := s.solveComponents(a, nil, opts, 0, false, pool, t); err != nil {
+		return nil, err
+	}
+	if timed {
+		opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
+		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
 	}
 	return res, nil
 }
@@ -408,100 +374,132 @@ func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
 	}
 }
 
-// runComponentsParallel fans the per-component work across pool lanes with
-// per-lane scratch kits. Output locations are disjoint per component, so
-// results are bit-identical to the serial order; the lowest-index
-// component error wins, also deterministically.
-func (s *Synchronizer) runComponentsParallel(a *resultArena, pool *graph.Pool, opts Options) error {
+// solveComponents runs SHIFTS on every sync component of the arena (see
+// solveComponent for g, thresh and withMS). Disconnected components are
+// independent, so with a pool and no observer (whose per-phase
+// attribution needs the serial order) they fan out across lanes with
+// per-lane scratch kits, the inner kernels then serial. Output locations
+// are disjoint per component, so results are bit-identical to the serial
+// order; the lowest-index component error wins, also deterministically.
+// A single component sets the Result's precision and critical cycle;
+// several set the precision to +Inf.
+func (s *Synchronizer) solveComponents(a *resultArena, g *graph.CSR, opts Options, thresh int, withMS bool, pool *graph.Pool, t *phaseTimer) error {
 	nc := len(a.comps)
-	lanes := pool.Lanes()
-	if lanes > nc {
-		lanes = nc
+	if pool != nil && nc > 1 && t == nil {
+		lanes := min(pool.Lanes(), nc)
+		s.kit(lanes - 1) // grow the kit set before the lanes race to it
+		pool.Run(lanes, func(part int) {
+			kit := s.kits[part]
+			for ci := part; ci < nc; ci += lanes {
+				_, s.compErr[ci] = s.solveComponent(kit, g, a, ci, opts, thresh, withMS, nil, nil)
+			}
+		})
+		for ci := 0; ci < nc; ci++ {
+			if s.compErr[ci] != nil {
+				return s.compErr[ci]
+			}
+		}
+	} else {
+		kit := s.kit(0)
+		for ci := range a.comps {
+			cycle, err := s.solveComponent(kit, g, a, ci, opts, thresh, withMS, pool, t)
+			if err != nil {
+				return err
+			}
+			if nc == 1 && cycle != nil {
+				a.cycle = append(a.cycle[:0], cycle...)
+				a.res.CriticalCycle = a.cycle
+			}
+		}
 	}
-	s.kit(lanes - 1) // grow the kit set before the lanes race to it
-	pool.Run(lanes, func(part int) {
-		kit := s.kits[part]
-		for ci := part; ci < nc; ci += lanes {
-			comp := a.comps[ci]
-			// Inner kernels run serial: the pool's lanes are spoken for.
-			aMax, _ := s.componentAMax(kit, &a.ms, comp, nil)
-			a.prec[ci] = aMax
-			s.compErr[ci] = s.componentCorrections(kit, &a.ms, comp, aMax, opts, a.corr, nil)
-		}
-	})
-	for ci := 0; ci < nc; ci++ {
-		if s.compErr[ci] != nil {
-			return s.compErr[ci]
-		}
+	a.res.Precision = math.Inf(1)
+	if nc == 1 {
+		a.res.Precision = a.prec[0]
 	}
 	return nil
 }
 
+// solveComponent runs SHIFTS on sync component ci: A_max on its closure
+// block, then the corrections. The dense pipeline (g nil) reads the block
+// from the arena's closure; the sparse pipeline closes the component of g
+// into kit.ms (closeComponent) or, above thresh nodes, hands it to the
+// hierarchical solver. It fills a.prec[ci], on the sparse pipeline also
+// s.lowerB[ci], and the component's correction slots; the returned
+// critical cycle, in processor ids, aliases kit scratch and is nil on the
+// hierarchical path.
+func (s *Synchronizer) solveComponent(kit *compKit, g *graph.CSR, a *resultArena, ci int, opts Options, thresh int, withMS bool, pool *graph.Pool, t *phaseTimer) ([]int, error) {
+	comp := a.comps[ci]
+	ms, idx := &a.ms, comp
+	if g != nil {
+		k := len(comp)
+		if k == 1 {
+			a.corr[comp[0]] = 0
+			a.prec[ci] = 0
+			s.lowerB[ci] = 0
+			return nil, nil
+		}
+		if k > thresh {
+			return nil, s.solveHierComponent(g, a, ci, comp, opts, pool, t)
+		}
+		if err := s.closeComponent(kit, g, a, comp, withMS, pool); err != nil {
+			return nil, err
+		}
+		ms, idx = &kit.ms, s.ident(k)
+	}
+	m := t.mark()
+	aMax, cycle := s.componentAMax(kit, ms, idx, pool)
+	a.prec[ci] = aMax
+	t.addKarp(&m)
+	if err := s.componentCorrections(kit, ms, idx, comp, aMax, opts, a.corr, pool); err != nil {
+		return nil, err
+	}
+	t.addCorr(&m)
+	if g != nil {
+		s.lowerB[ci] = aMax
+		// Karp ran on local indices; translate the cycle in place.
+		for i, v := range cycle {
+			cycle[i] = comp[v]
+		}
+	}
+	return cycle, nil
+}
+
 // componentAMax computes A_max for one sync component: the maximum mean
-// cycle of m~s over the complete digraph on the component (Theorem 4.6).
-// The returned cycle aliases kit scratch.
-func (s *Synchronizer) componentAMax(kit *compKit, ms *graph.Dense, comp []int, pool *graph.Pool) (float64, []int) {
-	if len(comp) <= 1 {
+// cycle of the closure block ms read through idx, over the complete
+// digraph on the component (Theorem 4.6). The returned cycle, mapped
+// through idx, aliases kit scratch.
+func (s *Synchronizer) componentAMax(kit *compKit, ms *graph.Dense, idx []int, pool *graph.Pool) (float64, []int) {
+	if len(idx) <= 1 {
 		return 0, nil
 	}
-	mc, ok := graph.MaxMeanCycleDense(ms, comp, &kit.karp, pool)
+	mc, ok := graph.MaxMeanCycleDense(ms, idx, &kit.karp, pool)
 	if !ok {
 		return 0, nil
 	}
 	return mc.Mean, mc.Cycle
 }
 
-// componentCorrections implements step 2 of SHIFTS on one component:
-// corrections are dist_w(root, p) with w(p,q) = aMax - m~s(p,q) (no
-// negative cycles by the definition of A_max); centered mode uses
+// componentCorrections implements step 2 of SHIFTS on one component,
+// reading m~s(comp[a], comp[b]) as ms[idx[a]][idx[b]]: corrections are
+// dist_w(root, p) with w(p,q) = aMax - m~s(p,q) (no negative cycles by
+// the definition of A_max); centered mode uses
 // (dist_w(root,p) - dist_w(p,root))/2, running the forward and reverse
 // Bellman-Ford passes on two lanes when a pool is available.
-func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, comp []int, aMax float64, opts Options, out []float64, pool *graph.Pool) error {
+func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, idx, comp []int, aMax float64, opts Options, out []float64, pool *graph.Pool) error {
 	k := len(comp)
 	if k == 1 {
 		out[comp[0]] = 0
 		return nil
 	}
 	kit.w.Reset(k)
-	for a, p := range comp {
+	for a, p := range idx {
 		src := ms.Row(p)
 		dst := kit.w.Row(a)
-		for b, q := range comp {
+		for b, q := range idx {
 			dst[b] = aMax - src[q]
 		}
 		dst[a] = graph.Inf // no self edges
 	}
-	return s.correctionsFromWeights(kit, comp, opts, out, pool)
-}
-
-// componentCorrectionsLocal is componentCorrections reading a
-// component-local k×k closure (row a / column b are comp[a] / comp[b])
-// instead of the global matrix — the sparse pipeline's variant. The
-// weight construction touches the same float values in the same order,
-// so corrections are bit-identical to the dense path.
-func (s *Synchronizer) componentCorrectionsLocal(kit *compKit, localMs *graph.Dense, comp []int, aMax float64, opts Options, out []float64, pool *graph.Pool) error {
-	k := len(comp)
-	if k == 1 {
-		out[comp[0]] = 0
-		return nil
-	}
-	kit.w.Reset(k)
-	for a := 0; a < k; a++ {
-		src := localMs.Row(a)
-		dst := kit.w.Row(a)
-		for b := 0; b < k; b++ {
-			dst[b] = aMax - src[b]
-		}
-		dst[a] = graph.Inf // no self edges
-	}
-	return s.correctionsFromWeights(kit, comp, opts, out, pool)
-}
-
-// correctionsFromWeights runs the Bellman-Ford step of SHIFTS on the
-// prepared kit.w weights and scatters distances to the component's
-// global slots.
-func (s *Synchronizer) correctionsFromWeights(kit *compKit, comp []int, opts Options, out []float64, pool *graph.Pool) error {
-	k := len(comp)
 	rootLocal := 0
 	if slices.Contains(comp, opts.Root) {
 		rootLocal = slices.Index(comp, opts.Root)

@@ -198,7 +198,7 @@ func (g *gen) ringOfCliques(n int) (int, []sim.Pair) {
 			pairs = append(pairs, sim.Pair{P: u, Q: v})
 		}
 	}
-	return n, dedupe(pairs)
+	return n, sim.DedupePairs(pairs)
 }
 
 // chordRing is a ring plus random chords with small bounded degree — an
@@ -217,7 +217,7 @@ func (g *gen) chordRing(n int) (int, []sim.Pair) {
 		}
 		pairs = append(pairs, sim.Pair{P: min(i, j), Q: max(i, j)})
 	}
-	return n, dedupe(pairs)
+	return n, sim.DedupePairs(pairs)
 }
 
 // barbell joins two cliques by a long path — maximal diameter pressure on
@@ -240,7 +240,7 @@ func (g *gen) barbell(n int) (int, []sim.Pair) {
 	for i := k - 1; i < n-k; i++ {
 		pairs = append(pairs, sim.Pair{P: i, Q: i + 1})
 	}
-	return n, dedupe(pairs)
+	return n, sim.DedupePairs(pairs)
 }
 
 // disconnected unions two independent components, exercising +Inf
@@ -257,25 +257,7 @@ func (g *gen) disconnected(n int) (int, []sim.Pair) {
 	for _, e := range sim.Ring(n - cut) {
 		pairs = append(pairs, sim.Pair{P: e.P + cut, Q: e.Q + cut})
 	}
-	return n, dedupe(pairs)
-}
-
-func dedupe(in []sim.Pair) []sim.Pair {
-	seen := make(map[sim.Pair]bool, len(in))
-	out := in[:0]
-	for _, e := range in {
-		p, q := e.P, e.Q
-		if p > q {
-			p, q = q, p
-		}
-		c := sim.Pair{P: p, Q: q}
-		if p == q || seen[c] {
-			continue
-		}
-		seen[c] = true
-		out = append(out, c)
-	}
-	return out
+	return n, sim.DedupePairs(pairs)
 }
 
 // envelope is the support of a generated sampler: every delay it can

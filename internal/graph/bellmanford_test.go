@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// edge is a directed, weighted edge of a test graph.
+type edge struct {
+	from, to int
+	weight   float64
+}
+
 // denseFromEdges returns the weight matrix of an edge list: +Inf absent,
 // 0 diagonal, parallel edges and self-loops min-combined into their entry.
 func denseFromEdges(n int, edges []edge) *Dense {

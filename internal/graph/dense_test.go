@@ -176,8 +176,8 @@ func TestMaxMeanCycleDenseMatchesClassic(t *testing.T) {
 	}
 }
 
-// TestMaxMeanCycleDenseSubset: non-trivial subsets and the slow fallback
-// for subsets with absent edges.
+// TestMaxMeanCycleDenseSubset: non-trivial subsets, complete and with
+// absent edges.
 func TestMaxMeanCycleDenseSubset(t *testing.T) {
 	var scratch KarpScratch
 	d := NewDense(4)
@@ -198,10 +198,10 @@ func TestMaxMeanCycleDenseSubset(t *testing.T) {
 			t.Fatalf("cycle %v leaves the subset", mc.Cycle)
 		}
 	}
-	// Fallback path: subset with a missing edge.
+	// Split path: subset with a missing edge.
 	mc, ok = MaxMeanCycleDense(d, []int{0, 1, 3}, &scratch, nil)
 	if !ok || math.Abs(mc.Mean-3) > 1e-12 {
-		t.Fatalf("fallback cycle: %+v ok=%v, want mean 3", mc, ok)
+		t.Fatalf("split cycle: %+v ok=%v, want mean 3", mc, ok)
 	}
 	// Singletons and empty subsets carry no cycle.
 	if _, ok := MaxMeanCycleDense(d, []int{2}, &scratch, nil); ok {
@@ -209,6 +209,81 @@ func TestMaxMeanCycleDenseSubset(t *testing.T) {
 	}
 	if _, ok := MaxMeanCycleDense(d, nil, &scratch, nil); ok {
 		t.Fatal("empty subset reported a cycle")
+	}
+}
+
+// subsetRows returns w restricted to comp, in comp's local indices.
+func subsetRows(w [][]float64, comp []int) [][]float64 {
+	sub := NewMatrix(len(comp), Inf)
+	for a, p := range comp {
+		for b, q := range comp {
+			sub[a][b] = w[p][q]
+		}
+	}
+	return sub
+}
+
+// TestMaxMeanCycleDenseSplit: subsets with absent entries take the SCC
+// split. Each case is checked against simple-cycle enumeration, and the
+// cycle is checked in ms ids.
+func TestMaxMeanCycleDenseSplit(t *testing.T) {
+	// 0..1 mean 1, then 2 -> 3 -> 4 -> 2 mean 3, then 5..6 mean 3 again,
+	// then 7..8 mean 2, joined one way along the order; node 9 is a sink.
+	multi := denseFromEdges(10, []edge{
+		{0, 1, 0.5}, {1, 0, 1.5}, {1, 2, 9},
+		{2, 3, 1}, {3, 4, 5}, {4, 2, 3}, {4, 5, 9},
+		{5, 6, 2}, {6, 5, 4}, {6, 7, 9},
+		{7, 8, 2}, {8, 7, 2}, {8, 9, 9},
+	}).Rows()
+	// A chordless ring on 5 of 7 nodes, listed out of order.
+	ring := NewMatrix(7, Inf)
+	for i, p := range []int{6, 1, 4, 2, 0} {
+		ring[p][[]int{6, 1, 4, 2, 0}[(i+1)%5]] = float64(i) - 1.5
+	}
+	for _, tt := range []struct {
+		name   string
+		w      [][]float64
+		comp   []int
+		wantOK bool
+	}{
+		{"chordless ring", ring, []int{6, 1, 4, 2, 0}, true},
+		{"ring in a larger subset", ring, []int{0, 1, 2, 3, 4, 5, 6}, true},
+		{"later component wins, with a tie", multi, identity(10), true},
+		{"subset of components", multi, []int{9, 8, 7, 1, 0}, true},
+		{"acyclic", multi, []int{1, 2, 4, 6, 8}, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			want, wantOK := refMaxMeanCycle(subsetRows(tt.w, tt.comp))
+			if wantOK != tt.wantOK {
+				t.Fatalf("reference ok = %v", wantOK)
+			}
+			var karp KarpScratch
+			mc, ok := MaxMeanCycleDense(mustDense(t, tt.w), tt.comp, &karp, nil)
+			if ok != wantOK {
+				t.Fatalf("ok = %v, reference %v", ok, wantOK)
+			}
+			if ok {
+				checkCycleMean(t, tt.w, mc, want)
+			}
+		})
+	}
+}
+
+// TestMaxMeanCycleDenseSplitAllocs: the SCC split allocates nothing on
+// warm scratch.
+func TestMaxMeanCycleDenseSplitAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	w := randomDense(rng, 24, 0.08, -1, 2)
+	d := mustDense(t, w)
+	comp := identity(24)
+	var scc SCCScratch
+	if nc := SCCDense(d, &scc); nc < 2 {
+		t.Fatalf("%d components, want a split", nc)
+	}
+	var karp KarpScratch
+	MaxMeanCycleDense(d, comp, &karp, nil)
+	if allocs := testing.AllocsPerRun(20, func() { MaxMeanCycleDense(d, comp, &karp, nil) }); allocs != 0 {
+		t.Fatalf("%v allocs per call, want 0", allocs)
 	}
 }
 

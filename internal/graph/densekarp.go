@@ -4,11 +4,12 @@ import "math"
 
 // KarpScratch holds every buffer MaxMeanCycleDense needs: the negated
 // transposed weight matrix, the O(m^2) walk table D[k][v],
-// shortest-path potentials, and the tight-subgraph DFS state. The zero
-// value is ready; buffers grow to the largest component seen and are then
-// reused, so steady-state calls allocate nothing.
+// shortest-path potentials, the tight-subgraph DFS state and, for subsets
+// that are not complete, the SCC split. The zero value is ready; buffers
+// grow to the largest subset seen and are then reused, so steady-state
+// calls allocate nothing.
 type KarpScratch struct {
-	wT     Dense     // wT[v][u] = -w(u -> v); diagonal +Inf
+	wT     Dense     // wT[v][u] = -w(u -> v); absent and diagonal +Inf
 	d      []float64 // (m+1) x m table, row-major
 	pot    []float64
 	color  []int
@@ -16,10 +17,18 @@ type KarpScratch struct {
 	stackV []int
 	stackI []int
 	cycle  []int
+
+	// The SCC split of a subset with absent entries: the components of
+	// wT, one component's block of wT and its ms ids, and the best cycle
+	// so far, which later components must not overwrite.
+	scc     SCCScratch
+	members []int
+	sub     Dense
+	ids     []int
+	best    []int
 }
 
 func (s *KarpScratch) reset(m int) {
-	s.wT.Reset(m)
 	if cap(s.d) < (m+1)*m {
 		s.d = make([]float64, (m+1)*m)
 	}
@@ -45,15 +54,16 @@ func (s *KarpScratch) reset(m int) {
 // 110 → 91 ms; at n=1024, 482 → 359 ms).
 const karpMinLaneWork = 160_000
 
-// MaxMeanCycleDense computes the maximum mean cycle of the complete
-// digraph induced by ms on the node subset comp: the edge u -> v carries
-// weight ms[comp[u]][comp[v]], diagonal ignored. The fast path needs every
-// off-diagonal subset entry finite — exactly what a Floyd-Warshall closure
-// restricted to one strongly connected component yields; a subset with
-// +Inf entries falls back to MaxMeanCycleCSR on its finite entries, which
-// returns the maximum over the subset's components. The returned cycle
-// aliases the scratch and is valid until the next call with the same
-// scratch.
+// MaxMeanCycleDense computes the maximum mean cycle of the digraph induced
+// by ms on the node subset comp: the edge u -> v carries weight
+// ms[comp[u]][comp[v]] where that entry is finite, diagonal ignored. When
+// every off-diagonal subset entry is finite — a Floyd-Warshall closure
+// restricted to one strongly connected component — Karp's walk table runs
+// once from local node 0. Otherwise the subset is split into its strongly
+// connected components and the walk table runs on each one of at least two
+// nodes; the first maximum in component order wins. The second return
+// value is false when the subset is acyclic. The returned cycle aliases
+// the scratch and is valid until the next call with the same scratch.
 //
 // The walk table is updated column-parallel per walk length; each entry is
 // a min-reduction over sources, which no split or order changes for
@@ -63,8 +73,8 @@ func MaxMeanCycleDense(ms *Dense, comp []int, s *KarpScratch, pool *Pool) (MeanC
 	return maxMeanCycleLanes(ms, comp, s, pool, laneCount(pool, m*m, karpMinLaneWork))
 }
 
-// maxMeanCycleLanes is MaxMeanCycleDense with the walk table filled on a
-// fixed number of lanes (at most pool.Lanes()).
+// maxMeanCycleLanes is MaxMeanCycleDense with the walk table filled on at
+// most the given number of lanes, itself at most pool.Lanes().
 func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes int) (MeanCycle, bool) {
 	m := len(comp)
 	if m <= 1 {
@@ -72,23 +82,73 @@ func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes 
 		// empty subsets) carry no cycle.
 		return MeanCycle{}, false
 	}
-	s.reset(m)
 
 	// Build the negated transpose (Karp's minimum variant on negated
 	// weights yields the maximum); wT rows make both the walk-table update
 	// and the potential relaxation stream contiguous memory.
+	s.wT.Reset(m)
+	complete := true
 	for v := 0; v < m; v++ {
 		row := s.wT.Row(v)
 		cv := comp[v]
 		for u := 0; u < m; u++ {
 			x := ms.At(comp[u], cv)
 			if math.IsInf(x, 1) {
-				return maxMeanCycleSubsetSlow(ms, comp)
+				complete = complete && u == v // the diagonal does not count
+				row[u] = Inf
+				continue
 			}
 			row[u] = -x
 		}
 		row[v] = Inf // no self-loops
 	}
+	if complete {
+		return s.walk(&s.wT, comp, pool, lanes)
+	}
+
+	// A transpose has the components of the original; Karp from local
+	// node 0 is exact on each, complete or not.
+	nc := SCCDense(&s.wT, &s.scc)
+	best, found := MeanCycle{}, false
+	for c := 0; c < nc; c++ {
+		s.members = s.members[:0]
+		for v, cv := range s.scc.CompOf {
+			if cv == c {
+				s.members = append(s.members, v)
+			}
+		}
+		k := len(s.members)
+		if k < 2 {
+			continue
+		}
+		s.sub.Reset(k)
+		s.ids = s.ids[:0]
+		for a, v := range s.members {
+			src, dst := s.wT.Row(v), s.sub.Row(a)
+			for b, u := range s.members {
+				dst[b] = src[u]
+			}
+			s.ids = append(s.ids, comp[v])
+		}
+		mc, ok := s.walk(&s.sub, s.ids, pool, min(lanes, laneCount(pool, k*k, karpMinLaneWork)))
+		if !ok || (found && mc.Mean <= best.Mean) {
+			continue
+		}
+		best, found = MeanCycle{Mean: mc.Mean}, true
+		if mc.Cycle != nil {
+			s.best = append(s.best[:0], mc.Cycle...)
+			best.Cycle = s.best
+		}
+	}
+	return best, found
+}
+
+// walk runs Karp's walk table on the m×m negated transpose wT from local
+// node 0 and maps the critical cycle through ids. Exact when the digraph
+// of wT's finite entries is strongly connected.
+func (s *KarpScratch) walk(wT *Dense, ids []int, pool *Pool, lanes int) (MeanCycle, bool) {
+	m := wT.N()
+	s.reset(m)
 
 	// D[k][v] = min total negated weight of a walk with exactly k edges
 	// from local node 0 to v.
@@ -99,14 +159,14 @@ func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes 
 	d[0] = 0
 	if lanes <= 1 {
 		for k := 1; k <= m; k++ {
-			karpRelaxCols(s, m, k, 0, m)
+			karpRelaxCols(wT, d, m, k, 0, m)
 		}
 	} else {
 		bar := NewBarrier(lanes)
 		pool.Run(lanes, func(part int) {
 			lo, hi := shardRange(m, lanes, part)
 			for k := 1; k <= m; k++ {
-				karpRelaxCols(s, m, k, lo, hi)
+				karpRelaxCols(wT, d, m, k, lo, hi)
 				bar.Wait()
 			}
 		})
@@ -137,7 +197,7 @@ func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes 
 		return MeanCycle{}, false
 	}
 
-	cycle := criticalCycleDense(s, m, comp, lambda)
+	cycle := criticalCycleDense(s, wT, ids, lambda)
 	return MeanCycle{Mean: -lambda, Cycle: cycle}, true
 }
 
@@ -145,27 +205,27 @@ func maxMeanCycleLanes(ms *Dense, comp []int, s *KarpScratch, pool *Pool, lanes 
 // entry is a min-reduction over sources (karpMinSum); min over NaN-free
 // floats is associative and commutative, so the result is bit-identical
 // to a sequential scan for any lane split.
-func karpRelaxCols(s *KarpScratch, m, k, lo, hi int) {
-	prev := s.d[(k-1)*m : k*m]
-	cur := s.d[k*m : (k+1)*m]
+func karpRelaxCols(wT *Dense, d []float64, m, k, lo, hi int) {
+	prev := d[(k-1)*m : k*m]
+	cur := d[k*m : (k+1)*m]
 	for v := lo; v < hi; v++ {
-		cur[v] = karpMinSum(prev, s.wT.Row(v))
+		cur[v] = karpMinSum(prev, wT.Row(v))
 	}
 }
 
-// criticalCycleDense finds a cycle whose negated mean equals lambda, as
-// criticalCycle does: shortest-path potentials under reduced weights, then
-// a DFS for a back edge in the tight subgraph. The cycle slice aliases the
+// criticalCycleDense finds a cycle whose negated mean equals lambda in the
+// digraph of wT's finite entries: shortest-path potentials under reduced
+// weights, then a DFS for a back edge in the tight subgraph, whose every
+// cycle is critical. The cycle is mapped through ids and aliases the
 // scratch.
-func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int {
+func criticalCycleDense(s *KarpScratch, wT *Dense, ids []int, lambda float64) []int {
+	m := wT.N()
 	scale := 1.0 + math.Abs(lambda)
 	for v := 0; v < m; v++ {
-		row := s.wT.Row(v)
-		for u := 0; u < m; u++ {
-			if u == v {
-				continue
-			}
-			if a := math.Abs(row[u]); a > scale {
+		for _, x := range wT.Row(v) {
+			// Absent edges and the diagonal are +Inf; a scale they set
+			// would count every absent edge as tight.
+			if a := math.Abs(x); a > scale && !math.IsInf(x, 1) {
 				scale = a
 			}
 		}
@@ -181,7 +241,7 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 	for pass := 0; pass < m; pass++ {
 		changed := false
 		for v := 0; v < m; v++ {
-			row := s.wT.Row(v)
+			row := wT.Row(v)
 			pv := pot[v]
 			for u, pu := range pot {
 				if u == v {
@@ -202,7 +262,7 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 	// Iterative DFS over the implicit tight subgraph: edge u -> v is tight
 	// when its reduced weight closes the potential gap within tolerance.
 	tight := func(u, v int) bool {
-		return math.Abs(pot[u]+s.wT.At(v, u)-lambda-pot[v]) <= 2*tol
+		return math.Abs(pot[u]+wT.At(v, u)-lambda-pot[v]) <= 2*tol
 	}
 	const (
 		white = 0
@@ -245,14 +305,14 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 						s.cycle = append(s.cycle, u)
 					}
 					s.cycle = append(s.cycle, w)
-					// Reverse and map to ms coordinates, closing the loop.
+					// Reverse and map through ids, closing the loop.
 					for i, j := 0, len(s.cycle)-1; i < j; i, j = i+1, j-1 {
 						s.cycle[i], s.cycle[j] = s.cycle[j], s.cycle[i]
 					}
 					for i, u := range s.cycle {
-						s.cycle[i] = comp[u]
+						s.cycle[i] = ids[u]
 					}
-					s.cycle = append(s.cycle, comp[w])
+					s.cycle = append(s.cycle, ids[w])
 					return normalizeCycle(s.cycle)
 				}
 				if advanced {
@@ -268,25 +328,4 @@ func criticalCycleDense(s *KarpScratch, m int, comp []int, lambda float64) []int
 		}
 	}
 	return nil
-}
-
-// maxMeanCycleSubsetSlow is the fallback for subsets with absent edges:
-// compile the subset's finite entries into a CSR and run the per-component
-// Karp, remapping the cycle to ms coordinates. Allocating, but only
-// reachable on inputs that are not closure components.
-func maxMeanCycleSubsetSlow(ms *Dense, comp []int) (MeanCycle, bool) {
-	g := NewCSR(len(comp))
-	for a, p := range comp {
-		for b, q := range comp {
-			g.MustAddEdge(a, b, ms.At(p, q))
-		}
-	}
-	mc, ok := MaxMeanCycleCSR(g)
-	if !ok {
-		return MeanCycle{}, false
-	}
-	for i, v := range mc.Cycle {
-		mc.Cycle[i] = comp[v]
-	}
-	return mc, true
 }

@@ -73,17 +73,12 @@ func TestMaxMeanCycleTable(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			w := denseFromEdges(tt.n, tt.edges)
 			var karp KarpScratch
-			for _, run := range []func() (MeanCycle, bool){
-				func() (MeanCycle, bool) { return MaxMeanCycleCSR(csrOf(w.Rows())) },
-				func() (MeanCycle, bool) { return MaxMeanCycleDense(w, identity(tt.n), &karp, nil) },
-			} {
-				mc, ok := run()
-				if ok != tt.wantOK {
-					t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
-				}
-				if ok {
-					checkCycleMean(t, w.Rows(), mc, tt.want)
-				}
+			mc, ok := MaxMeanCycleDense(w, identity(tt.n), &karp, nil)
+			if ok != tt.wantOK {
+				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
+			}
+			if ok {
+				checkCycleMean(t, w.Rows(), mc, tt.want)
 			}
 		})
 	}
@@ -96,14 +91,7 @@ func TestMaxMeanCycleMatchesBruteForce(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		w := randomDense(rng, n, 0.45, -4, 4)
 		want, wantOK := refMaxMeanCycle(w)
-		mc, ok := MaxMeanCycleCSR(csrOf(w))
-		if ok != wantOK {
-			t.Fatalf("trial %d: ok = %v, brute = %v", trial, ok, wantOK)
-		}
-		if ok {
-			checkCycleMean(t, w, mc, want)
-		}
-		mc, ok = MaxMeanCycleDense(mustDense(t, w), identity(n), &karp, nil)
+		mc, ok := MaxMeanCycleDense(mustDense(t, w), identity(n), &karp, nil)
 		if ok != wantOK {
 			t.Fatalf("trial %d: dense ok = %v, brute = %v", trial, ok, wantOK)
 		}
@@ -113,8 +101,8 @@ func TestMaxMeanCycleMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestMaxMeanCycleMatrix: a matrix with absent entries takes the CSR
-// fallback of MaxMeanCycleDense.
+// TestMaxMeanCycleMatrix: a matrix with absent entries takes the SCC split
+// of MaxMeanCycleDense.
 func TestMaxMeanCycleMatrix(t *testing.T) {
 	w := NewMatrix(3, Inf)
 	w[0][1] = 2
@@ -131,10 +119,11 @@ func TestMaxMeanCycleMatrix(t *testing.T) {
 }
 
 func TestMaxMeanCycleEmptyAndSingle(t *testing.T) {
-	if _, ok := MaxMeanCycleCSR(NewCSR(0)); ok {
+	var karp KarpScratch
+	if _, ok := MaxMeanCycleDense(NewDense(0), nil, &karp, nil); ok {
 		t.Error("empty graph reported a cycle")
 	}
-	if _, ok := MaxMeanCycleCSR(NewCSR(1)); ok {
+	if _, ok := MaxMeanCycleDense(NewDense(1), identity(1), &karp, nil); ok {
 		t.Error("single node reported a cycle")
 	}
 }

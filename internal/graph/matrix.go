@@ -1,16 +1,17 @@
 // Package graph is the weighted-digraph substrate of the clock
-// synchronization pipeline. It has two representations, and each of the
-// paper's four graph operations exists once:
+// synchronization pipeline. Each of the paper's four graph operations
+// (closure, maximum mean cycle, root distances, component split) has one
+// implementation, on Dense; CSR adds only the component split of a sparse
+// input that has no closure yet:
 //
 //   - Dense, a flat n×n matrix with +Inf for an absent edge. It carries
-//     every closure: FloydWarshallDense (GLOBAL ESTIMATES, Theorem 5.5),
-//     MaxMeanCycleDense (Karp's A_max, §4.4), BellmanFordDense and
+//     every graph operation: FloydWarshallDense (GLOBAL ESTIMATES, Theorem
+//     5.5), MaxMeanCycleDense (Karp's A_max, §4.4), BellmanFordDense and
 //     BellmanFordDenseFrom (the corrections, Theorem 4.6) and SCCDense
 //     (the sync-component split).
 //   - CSR, a compressed-sparse-row adjacency. It carries the sparse input
-//     before any closure exists: SCCCSR splits it into components, and
-//     AllPairsJohnsonCSR and MaxMeanCycleCSR solve it without an n×n
-//     matrix.
+//     before any closure exists: SCCCSR splits it into components, which
+//     the sparse backend then closes one Dense block at a time.
 //
 // The solve paths use them as follows:
 //
@@ -23,8 +24,9 @@
 //   - the hierarchical backend: the dense kernels per cluster and on the
 //     contracted boundary graph, then BellmanFordDenseFrom.
 //
-// MaxMeanCycleCSR also backs MaxMeanCycleDense on subsets with absent
-// edges. Weights are float64; NaN and -Inf never appear in valid inputs.
+// MaxMeanCycleDense takes any node subset: on one whose entries are not
+// all finite it runs SCCDense and Karp per component. Weights are float64;
+// NaN and -Inf never appear in valid inputs.
 //
 // The dense kernels' O(n³) inner loops are the min-plus kernels of
 // minplus.go: Go loops everywhere, AVX2 assembly on amd64 CPUs that have

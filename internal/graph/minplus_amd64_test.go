@@ -129,7 +129,8 @@ func FuzzMinPlusKernels(f *testing.F) {
 
 // TestDenseKernelsVectorMatchGo runs each dense kernel on the Go loops and
 // on the AVX2 kernels and requires identical bits: Floyd-Warshall
-// matrices, Karp means and cycles, Bellman-Ford distances and parents.
+// matrices, Karp means and cycles (on the closure and, through the SCC
+// split, on the raw matrix), Bellman-Ford distances and parents.
 func TestDenseKernelsVectorMatchGo(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("CPU without AVX2: the Go loops are the only kernels")
@@ -143,11 +144,20 @@ func TestDenseKernelsVectorMatchGo(t *testing.T) {
 			n = 128
 		}
 		w := randomDense(rng, n, 0.3, -0.2, 1.0)
+		if trial%4 == 1 {
+			// No edge from the upper half back to the lower: the matrix
+			// and its closure split into several components.
+			for i := n / 2; i < n; i++ {
+				for j := 0; j < n/2; j++ {
+					w[i][j] = Inf
+				}
+			}
+		}
 		type out struct {
 			fw        []float64
 			fwErr     error
-			mc        MeanCycle
-			ok        bool
+			mc, raw   MeanCycle
+			ok, rawOK bool
 			dist, bfm []float64
 			par, bfp  []int
 			bfErr     error
@@ -157,6 +167,9 @@ func TestDenseKernelsVectorMatchGo(t *testing.T) {
 			useAVX2 = vector
 			var o out
 			d := mustDense(t, w)
+			mc, ok := MaxMeanCycleDense(d, identity(n), &karp, nil)
+			o.raw = MeanCycle{Mean: mc.Mean, Cycle: append([]int(nil), mc.Cycle...)}
+			o.rawOK = ok
 			o.fwErr = FloydWarshallDense(d, nil)
 			o.fw = append([]float64(nil), d.Data()...)
 			if o.fwErr == nil {
@@ -189,6 +202,10 @@ func TestDenseKernelsVectorMatchGo(t *testing.T) {
 		if got.ok != want.ok || math.Float64bits(got.mc.Mean) != math.Float64bits(want.mc.Mean) ||
 			!slices.Equal(got.mc.Cycle, want.mc.Cycle) {
 			t.Fatalf("n=%d: MaxMeanCycleDense %v %v, Go loops %v %v", n, got.mc, got.ok, want.mc, want.ok)
+		}
+		if got.rawOK != want.rawOK || math.Float64bits(got.raw.Mean) != math.Float64bits(want.raw.Mean) ||
+			!slices.Equal(got.raw.Cycle, want.raw.Cycle) {
+			t.Fatalf("n=%d: MaxMeanCycleDense on the raw matrix %v %v, Go loops %v %v", n, got.raw, got.rawOK, want.raw, want.rawOK)
 		}
 		if got.bfErr != want.bfErr || !sameBits(got.dist, want.dist) || !slices.Equal(got.par, want.par) {
 			t.Fatalf("n=%d: BellmanFordDense differs (err %v / %v)", n, got.bfErr, want.bfErr)

@@ -255,12 +255,16 @@ func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{3, 0, 9, 250, 40, 0, 17, 0, 3, 0, 99, 0, 7, 1, 2, 3, 0})
 	f.Add([]byte{6, 5, 200, 13, 37, 201, 90, 255, 18, 44, 3, 71, 8, 30, 220, 65, 12})
 	f.Add([]byte{0, 0, 40, 50}) // one 2-cycle of mean 3.625
+	// Two 2-cycles of means 1 and 3 joined one way by 1 -> 2 (weight -1).
+	f.Add([]byte{2, 255, 24, 255, 255, 24, 255, 8, 255, 255, 255, 255, 40, 255, 255, 40, 255})
+	// The chordless ring 0 -> 1 -> 2 -> 0 with a pendant 2 -> 3.
+	f.Add([]byte{2, 255, 20, 255, 255, 255, 255, 28, 255, 12, 255, 255, 30, 255, 255, 255, 255})
 }
 
 // FuzzDenseKernels decodes a matrix with fuzzWeights and checks every
 // production kernel against the references: Floyd-Warshall bitwise,
-// maximum mean cycles within 1e-9 with a cycle achieving the mean, and SCC
-// partitions.
+// maximum mean cycles within 1e-9 with a cycle achieving the mean, on the
+// raw matrix and on each closure component, and SCC partitions.
 func FuzzDenseKernels(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -273,22 +277,15 @@ func FuzzDenseKernels(f *testing.F) {
 		var scc SCCScratch
 		nc := SCCDense(mustDense(t, w), &scc)
 		checkSCC(t, w, scc.CompOf, nc)
-		g := csrOf(w)
-		nc = SCCCSR(g, &scc)
+		nc = SCCCSR(csrOf(w), &scc)
 		checkSCC(t, w, scc.CompOf, nc)
 
+		// The raw matrix is rarely complete, so this drives the SCC split.
 		want, wantOK := refMaxMeanCycle(w)
 		var karp KarpScratch
 		mc, ok := MaxMeanCycleDense(mustDense(t, w), identity(n), &karp, nil)
 		if ok != wantOK {
 			t.Fatalf("MaxMeanCycleDense ok = %v, reference %v", ok, wantOK)
-		}
-		if ok {
-			checkCycleMean(t, w, mc, want)
-		}
-		mc, ok = MaxMeanCycleCSR(g)
-		if ok != wantOK {
-			t.Fatalf("MaxMeanCycleCSR ok = %v, reference %v", ok, wantOK)
 		}
 		if ok {
 			checkCycleMean(t, w, mc, want)

@@ -89,7 +89,7 @@ func Torus(w, h int) []Pair {
 			out = append(out, Pair{id(x, y), id(x, y+1)})
 		}
 	}
-	return dedupePairs(out)
+	return DedupePairs(out)
 }
 
 // Tree returns a complete b-ary tree on n processors (node i's parent is
@@ -175,7 +175,10 @@ func orderPair(a, b int) Pair {
 	return Pair{a, b}
 }
 
-func dedupePairs(in []Pair) []Pair {
+// DedupePairs orders each pair (P < Q), drops self-loops and duplicates,
+// and keeps first occurrences in input order. It reuses in's backing
+// array.
+func DedupePairs(in []Pair) []Pair {
 	seen := make(map[Pair]bool, len(in))
 	out := in[:0]
 	for _, e := range in {
