@@ -22,8 +22,9 @@
 //
 // A check runs at the baseline's recorded GOMAXPROCS, so both sides of the
 // comparison are measured under the same scheduler conditions. The file
-// also records whether the dense kernels ran their vector bodies; a check
-// on a host where that differs says so above its REGRESSION lines.
+// also records the level the dense min-plus kernels ran at (go, avx2 or
+// avx512); a check on a host where that differs says so above its
+// REGRESSION lines and names the rows that time those kernels.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"clocksync/internal/benchcase"
@@ -56,11 +58,28 @@ type File struct {
 	// across machines as NsPerOp / CalibrationNs.
 	CalibrationNs float64 `json:"calibration_ns"`
 	GoMaxProcs    int     `json:"gomaxprocs"`
-	// VectorKernels records whether the dense min-plus kernels ran their
-	// AVX2 bodies (graph.VectorKernels). Nil in a file recorded before
-	// the field existed.
-	VectorKernels *bool            `json:"vector_kernels,omitempty"`
+	// VectorKernels records the level the dense min-plus kernels ran at
+	// (graph.KernelLevel). Empty in a file recorded before the field
+	// existed.
+	VectorKernels KernelLevel      `json:"vector_kernels,omitempty"`
 	Benchmarks    map[string]Entry `json:"benchmarks"`
+}
+
+// KernelLevel is a min-plus kernel level: "go", "avx2" or "avx512". Files
+// recorded before the levels existed hold a boolean, whether the AVX2
+// bodies ran; it reads as "avx2" when true and "go" when false.
+type KernelLevel string
+
+func (l *KernelLevel) UnmarshalJSON(data []byte) error {
+	var on bool
+	if json.Unmarshal(data, &on) == nil {
+		*l = "go"
+		if on {
+			*l = "avx2"
+		}
+		return nil
+	}
+	return json.Unmarshal(data, (*string)(l))
 }
 
 func main() {
@@ -160,24 +179,25 @@ func matchProcs(base *File) int {
 }
 
 // hostMismatch returns a one-line note when the baseline was recorded
-// with the vector kernels in the other state than this run: the dense
-// rows then time different code, and their failures say more about the
-// host than about the change. It returns "" when the states match or
-// the baseline did not record one.
+// at another kernel level than this run: the rows that time the dense
+// kernels (benchcase.TimesDenseKernels), which it names, then time
+// different code, and their failures say more about the host than about
+// the change. It returns "" when the levels match or the baseline did
+// not record one.
 func hostMismatch(base, cur *File) string {
-	if base.VectorKernels == nil || cur.VectorKernels == nil || *base.VectorKernels == *cur.VectorKernels {
+	if base.VectorKernels == "" || cur.VectorKernels == "" || base.VectorKernels == cur.VectorKernels {
 		return ""
 	}
-	return fmt.Sprintf("benchjson: the baseline was recorded with vector kernels %s and this host runs them %s; "+
-		"failures on the dense rows may be a host mismatch, not a regression",
-		onOff(*base.VectorKernels), onOff(*cur.VectorKernels))
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
+	var rows []string
+	for name := range base.Benchmarks {
+		if benchcase.TimesDenseKernels(name) {
+			rows = append(rows, name)
+		}
 	}
-	return "off"
+	sort.Strings(rows)
+	return fmt.Sprintf("benchjson: the baseline was recorded with the %s min-plus kernels and this host runs %s; "+
+		"failures on the rows that time them may be a host mismatch, not a regression: %s",
+		base.VectorKernels, cur.VectorKernels, strings.Join(rows, ", "))
 }
 
 // op is one built case, ready to measure.
@@ -222,10 +242,9 @@ func setUp(cases []benchcase.Case) ([]op, func(), error) {
 // never false failures — while a genuine regression beyond the tolerance
 // still exceeds the median baseline from every round.
 func runSuite(ops []op, baseline bool) (*File, error) {
-	vector := graph.VectorKernels()
 	f := &File{
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		VectorKernels: &vector,
+		VectorKernels: KernelLevel(graph.KernelLevel()),
 		Benchmarks:    map[string]Entry{},
 	}
 	cal := newCalibrator()

@@ -230,17 +230,54 @@ func TestMeasureMinOps(t *testing.T) {
 	}
 }
 
-// TestHostMismatch: a check names a host whose vector-kernel state
-// differs from the baseline's, and says nothing when the states match
-// or the baseline recorded none.
+// TestHostMismatch: a check names a host whose kernel level differs from
+// the baseline's, and the baseline rows that time the dense kernels, and
+// says nothing when the levels match or the baseline recorded none.
 func TestHostMismatch(t *testing.T) {
-	on, off := true, false
-	if note := hostMismatch(&File{VectorKernels: &on}, &File{VectorKernels: &off}); !strings.Contains(note, "host mismatch") {
-		t.Errorf("on vs off: note %q, want one naming a host mismatch", note)
-	}
-	for _, base := range []*bool{&off, nil} {
-		if note := hostMismatch(&File{VectorKernels: base}, &File{VectorKernels: &off}); note != "" {
-			t.Errorf("baseline %v vs off: note %q, want none", base, note)
+	rows := map[string]Entry{"Synchronize/n=8": {}, "Kernels/Karp/n=128": {}, "Observe": {}, "Experiment/P1": {}}
+	note := hostMismatch(&File{VectorKernels: "avx2", Benchmarks: rows}, &File{VectorKernels: "avx512"})
+	for _, want := range []string{"host mismatch", "avx2", "avx512", "Kernels/Karp/n=128, Synchronize/n=8"} {
+		if !strings.Contains(note, want) {
+			t.Errorf("avx2 vs avx512: note %q, want one naming %q", note, want)
 		}
+	}
+	for _, row := range []string{"Observe", "Experiment/P1"} {
+		if strings.Contains(note, row) {
+			t.Errorf("note %q names %s, which does not time the dense kernels", note, row)
+		}
+	}
+	for _, base := range []KernelLevel{"avx512", ""} {
+		if note := hostMismatch(&File{VectorKernels: base, Benchmarks: rows}, &File{VectorKernels: "avx512"}); note != "" {
+			t.Errorf("baseline %q vs avx512: note %q, want none", base, note)
+		}
+	}
+}
+
+// TestKernelLevelJSON: the header writes the level as a string and reads
+// the boolean of older files, true as avx2 and false as go.
+func TestKernelLevelJSON(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want KernelLevel
+	}{
+		{`{"vector_kernels": true}`, "avx2"},
+		{`{"vector_kernels": false}`, "go"},
+		{`{"vector_kernels": "avx512"}`, "avx512"},
+		{`{}`, ""},
+	} {
+		var f File
+		if err := json.Unmarshal([]byte(c.in), &f); err != nil {
+			t.Fatalf("%s: %v", c.in, err)
+		}
+		if f.VectorKernels != c.want {
+			t.Errorf("%s: level %q, want %q", c.in, f.VectorKernels, c.want)
+		}
+	}
+	out, err := json.Marshal(File{VectorKernels: "avx512"})
+	if err != nil || !strings.Contains(string(out), `"vector_kernels":"avx512"`) {
+		t.Errorf("marshal: %s, %v; want the level as a string", out, err)
+	}
+	if err := json.Unmarshal([]byte(`{"vector_kernels": 3}`), new(File)); err == nil {
+		t.Error("a number reads as a level; want an error")
 	}
 }

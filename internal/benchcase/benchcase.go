@@ -62,7 +62,30 @@ func All() []Case {
 	for _, n := range []int{8, 32} {
 		cs = append(cs, stream(n, false), stream(n, true))
 	}
-	return append(cs, observe(), scenarioEndToEnd())
+	cs = append(cs, observe(), scenarioEndToEnd())
+	return append(cs,
+		kernelFloydWarshall(128),
+		kernelFloydWarshall(256), // sparse-2k's cluster size
+		kernelKarp(128),
+		kernelBellmanFord(128),
+	)
+}
+
+// TimesDenseKernels reports whether the named case spends most of its
+// time in the dense min-plus kernels of internal/graph, so that its time
+// depends on the kernel level the host runs (graph.KernelLevel). The
+// experiments named are those whose rows moved with the kernel bodies.
+func TimesDenseKernels(name string) bool {
+	for _, prefix := range []string{"Kernels/", "Synchronize/", "SynchronizerReuse/", "StreamBatch/", "SparseSolve/", "SparseSystem/"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	switch name {
+	case "Experiment/A1", "Experiment/A3", "Experiment/F2", "Experiment/F4", "Experiment/T3", "Experiment/T5", "Experiment/T6":
+		return true
+	}
+	return false
 }
 
 func nop() {}
@@ -435,6 +458,59 @@ func scenarioEndToEnd() Case {
 		return func() error {
 			_, err := clocksync.RunScenarioJSON(cfg, clocksync.SimOptions{})
 			return err
+		}, nop, nil
+	}}
+}
+
+// kernelGraph is the input of the Kernels cases: a strongly connected
+// n-node graph with edge density p and weights in [0.1, 1], as
+// internal/graph's kernel benchmarks build it.
+func kernelGraph(n int, p float64) *graph.Dense {
+	return graph.RandomStronglyConnected(rand.New(rand.NewSource(7)), n, p, 0.1, 1.0)
+}
+
+// kernelFloydWarshall measures the GLOBAL ESTIMATES closure alone
+// (Theorem 5.5): graph.FloydWarshallDense on one lane, from a fresh copy
+// of a graph of density 0.2.
+func kernelFloydWarshall(n int) Case {
+	return Case{fmt.Sprintf("Kernels/FloydWarshall/n=%d", n), func() (func() error, func(), error) {
+		src, d := kernelGraph(n, 0.2), graph.NewDense(n)
+		return func() error {
+			d.CopyFrom(src)
+			return graph.FloydWarshallDense(d, nil)
+		}, nop, nil
+	}}
+}
+
+// kernelKarp measures A_max alone (Theorem 4.6): Karp's walk table and
+// the critical cycle, graph.MaxMeanCycleDense on one lane, on a complete
+// graph, the closure the pipeline hands it.
+func kernelKarp(n int) Case {
+	return Case{fmt.Sprintf("Kernels/Karp/n=%d", n), func() (func() error, func(), error) {
+		src := kernelGraph(n, 1)
+		comp := make([]int, n)
+		for i := range comp {
+			comp[i] = i
+		}
+		var scratch graph.KarpScratch
+		return func() error {
+			if _, ok := graph.MaxMeanCycleDense(src, comp, &scratch, nil); !ok {
+				return fmt.Errorf("Kernels/Karp/n=%d: no cycle", n)
+			}
+			return nil
+		}, nop, nil
+	}}
+}
+
+// kernelBellmanFord measures the relaxation behind the corrections:
+// graph.BellmanFordDense from node 0 on a graph of density 0.3.
+func kernelBellmanFord(n int) Case {
+	return Case{fmt.Sprintf("Kernels/BellmanFord/n=%d", n), func() (func() error, func(), error) {
+		src := kernelGraph(n, 0.3)
+		src.FillDiag(graph.Inf)
+		dist, parent := make([]float64, n), make([]int, n)
+		return func() error {
+			return graph.BellmanFordDense(src, 0, dist, parent)
 		}, nop, nil
 	}}
 }

@@ -384,10 +384,20 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	if opts.Centered {
 		fRev = make([]float64, k)
 	}
-	extendCluster := func(c int, transposed bool, hb, out []float64) error {
+	// Each lane builds its clusters' weights and distances in its own
+	// scratch, sized once for the largest cluster (dists is free again
+	// once the certificates ran).
+	wcs := make([]graph.Dense, lanes)
+	pars := make([][]int, lanes)
+	for part := range pars {
+		wcs[part].Reset(maxKc)
+		pars[part] = make([]int, maxKc)
+	}
+	extendCluster := func(c, part int, transposed bool, hb, out []float64) error {
 		members := clNodes[clPtr[c]:clPtr[c+1]]
 		kc := len(members)
-		Wc := graph.NewDense(kc)
+		Wc := &wcs[part]
+		Wc.Reset(kc)
 		for x := 0; x < kc; x++ {
 			row := Wc.Row(x)
 			for y := 0; y < kc; y++ {
@@ -405,8 +415,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			}
 			row[x] = graph.Inf
 		}
-		dist := make([]float64, kc)
-		parc := make([]int, kc)
+		dist, parc := dists[part][:kc], pars[part][:kc]
 		for i := range dist {
 			dist[i] = graph.Inf
 			parc[i] = -1
@@ -431,7 +440,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 		return nil
 	}
 	runExtend := func(transposed bool, hb, out []float64) error {
-		return forClusters(func(c, _ int) error { return extendCluster(c, transposed, hb, out) })
+		return forClusters(func(c, part int) error { return extendCluster(c, part, transposed, hb, out) })
 	}
 	if err := runExtend(false, h, f); err != nil {
 		return err

@@ -14,7 +14,7 @@ func benchGraph(n int, p float64) *Dense {
 // benchSizes and benchLanes span the sizes and lane counts the lane
 // thresholds (fwMinLaneWork, karpMinLaneWork) are measured on.
 var (
-	benchSizes = []int{16, 64, 128, 256, 512, 1024}
+	benchSizes = []int{16, 64, 128, 256, 384, 512, 640, 1024}
 	benchLanes = []int{1, 2}
 )
 

@@ -62,7 +62,9 @@ func BellmanFordDenseFrom(w *Dense, dist []float64, parent []int) error {
 			}
 		}
 		if !changed {
-			break
+			// A pass that relaxed nothing left every du+w[u][v] >=
+			// dist[v], so the check below cannot fire.
+			return nil
 		}
 	}
 	// One more pass: any relaxation now implies a reachable negative cycle.

@@ -21,10 +21,12 @@ const fwTile = 2048
 
 // fwMinLaneWork is the least number of cells a lane must relax per pivot
 // to pay for the barrier that ends the pivot; below it the kernel runs
-// inline. BenchmarkFloydWarshallDense with the AVX2 row kernel on a
-// 2-vCPU x86 host: 2 lanes lose at n=256 (32k cells each, 4.4 → 4.9 ms),
-// break even at n=512 (131k) and win from n=640 (205k, 93 → 84 ms; at
-// n=1024, 456 → 325 ms).
+// inline. BenchmarkFloydWarshallDense with the AVX-512 row kernel and
+// the lane count forced, median of 3 at -cpu 2 on a 2-vCPU Xeon: 2 lanes
+// lose at n=256 (32k cells each, 3.15 → 3.41 ms) and n=384 (74k, 10.9 →
+// 14.2 ms), break even at n=512 (131k, 36.6 → 35.7 ms) and win from
+// n=640 (205k, 95.1 → 75.2 ms; at n=1024, 424 → 272 ms). The AVX2 kernel
+// broke even at the same size.
 const fwMinLaneWork = 160_000
 
 // FloydWarshallDense runs Floyd-Warshall in place on d (entries are direct

@@ -48,10 +48,12 @@ func (s *KarpScratch) reset(m int) {
 
 // karpMinLaneWork is the least number of sums a lane must reduce per walk
 // length to pay for the barrier that ends the step; below it the walk
-// table is filled inline. BenchmarkKarpMaxMeanCycleDense with the AVX2
-// reduction on a 2-vCPU x86 host: 2 lanes lose at n=384 (74k sums each,
-// 21.6 → 24.9 ms), break even at n=512 (131k) and win from n=640 (205k,
-// 110 → 91 ms; at n=1024, 482 → 359 ms).
+// table is filled inline. BenchmarkKarpMaxMeanCycleDense with the
+// AVX-512 reduction and the lane count forced, median of 3 at -cpu 2 on
+// a 2-vCPU Xeon: 2 lanes lose at n=256 (33k sums each, 3.20 → 3.69 ms)
+// and n=384 (74k, 8.73 → 11.3 ms), break even at n=512 (131k, 36.1 →
+// 36.3 ms) and win from n=640 (205k, 91.2 → 75.4 ms; at n=1024, 430 →
+// 286 ms). The AVX2 reduction broke even at the same size.
 const karpMinLaneWork = 160_000
 
 // MaxMeanCycleDense computes the maximum mean cycle of the digraph induced
@@ -208,7 +210,11 @@ func (s *KarpScratch) walk(wT *Dense, ids []int, pool *Pool, lanes int) (MeanCyc
 func karpRelaxCols(wT *Dense, d []float64, m, k, lo, hi int) {
 	prev := d[(k-1)*m : k*m]
 	cur := d[k*m : (k+1)*m]
-	for v := lo; v < hi; v++ {
+	v := lo
+	for ; v+4 <= hi; v += 4 {
+		karpMinSum4(prev, wT.data[v*m:(v+4)*m], (*[4]float64)(cur[v:v+4]))
+	}
+	for ; v < hi; v++ {
 		cur[v] = karpMinSum(prev, wT.Row(v))
 	}
 }
@@ -234,6 +240,15 @@ func criticalCycleDense(s *KarpScratch, wT *Dense, ids []int, lambda float64) []
 
 	// Bellman-Ford from an implicit super-source (all potentials start 0);
 	// reduced weights have no negative cycles, so m passes converge.
+	//
+	// A row is scanned only when its least candidate, min over u of
+	// (pot[u]+row[u])-lambda, beats pv-tol. The scan only lowers pv, so
+	// when the least candidate does not beat the starting pv no candidate
+	// does, and the scan would change nothing. Subtracting lambda is
+	// monotone in the rounded sum, so the least candidate is the rounded
+	// least sum minus lambda: one karpMinSum over the row. That sum also
+	// counts u = v, which the scan skips; it can only add a scan that
+	// changes nothing, never drop one.
 	pot := s.pot
 	for i := range pot {
 		pot[i] = 0
@@ -243,6 +258,9 @@ func criticalCycleDense(s *KarpScratch, wT *Dense, ids []int, lambda float64) []
 		for v := 0; v < m; v++ {
 			row := wT.Row(v)
 			pv := pot[v]
+			if !(karpMinSum(pot, row)-lambda < pv-tol) {
+				continue
+			}
 			for u, pu := range pot {
 				if u == v {
 					continue

@@ -1,26 +1,32 @@
 package graph
 
-// useAVX2 selects the vector bodies of the min-plus kernels. It is set
-// once at init and read-only afterwards.
-var useAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// state: CPUID leaf 1 (OSXSAVE, AVX), XCR0 bits 1-2 (SSE and AVX state),
-// and CPUID leaf 7 EBX bit 5 (AVX2).
-func cpuHasAVX2() bool {
+// cpuKernelLevel returns the widest kernel level this CPU and OS run.
+// AVX2 needs CPUID leaf 1 (OSXSAVE, AVX), XCR0 bits 1-2 (SSE and AVX
+// state) and CPUID leaf 7 EBX bit 5. AVX-512 needs AVX2, leaf 7 EBX bits
+// 16 (F), 17 (DQ, for VRANGEPD) and 31 (VL, for its ymm and xmm forms),
+// and XCR0 bits 1-2 and 5-7 (opmask and the upper zmm state).
+func cpuKernelLevel() int {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return levelGo
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx1, _ := cpuid(1, 0); ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+		return levelGo
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
+	xcr0, _ := xgetbv()
+	if xcr0&6 != 6 {
+		return levelGo
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
+	if ebx7&(1<<5) == 0 {
+		return levelGo
+	}
+	const avx512 = 1<<16 | 1<<17 | 1<<31
+	if ebx7&avx512 == avx512 && xcr0&0xE6 == 0xE6 {
+		return levelAVX512
+	}
+	return levelAVX2
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -35,3 +41,15 @@ func karpMinSumAVX2(prev, row []float64) float64
 
 //go:noescape
 func bfRelaxRowAVX2(dist []float64, parent []int, row []float64, du float64, u int) bool
+
+//go:noescape
+func fwRowMinAVX512(row, tile []float64, dik float64)
+
+//go:noescape
+func karpMinSumAVX512(prev, row []float64) float64
+
+//go:noescape
+func karpMinSum4AVX512(prev, rows []float64, out *[4]float64)
+
+//go:noescape
+func bfRelaxRowAVX512(dist []float64, parent []int, row []float64, du float64, u int) bool

@@ -223,3 +223,251 @@ bfdone:
 	SETNE     ret+88(FP)
 	VZEROUPPER
 	RET
+
+// The AVX-512 bodies. Each min is one VRANGEPD $4: imm bits 1:0 = 00 pick
+// the minimum and bits 3:2 = 01 take the sign from the comparison, which
+// equals Go's min on NaN-free input, ±0 ties included (see minplus.go).
+// Tails shorter than a zmm run under a lane mask (kernelTailMask), so no
+// scalar loop remains; masked loads and stores never touch the lanes past
+// the slice.
+
+// kernelTailMask sets K1 to the low CX lanes. It clobbers BX and expects
+// 0 < CX < 8.
+#define kernelTailMask \
+	MOVL  $1, BX  \
+	SHLL  CX, BX  \
+	DECL  BX      \
+	KMOVW BX, K1
+
+// func fwRowMinAVX512(row, tile []float64, dik float64)
+// row[j] = min(row[j], dik+tile[j]) for j < len(row).
+TEXT ·fwRowMinAVX512(SB), NOSPLIT, $0-56
+	MOVQ row_base+0(FP), DI
+	MOVQ row_len+8(FP), CX
+	MOVQ tile_base+24(FP), SI
+	VBROADCASTSD dik+48(FP), Z0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+
+fw16z:
+	CMPQ AX, DX
+	JAE  fw8z
+	VADDPD   (SI)(AX*8), Z0, Z1
+	VADDPD   64(SI)(AX*8), Z0, Z2
+	VRANGEPD $4, (DI)(AX*8), Z1, Z1
+	VRANGEPD $4, 64(DI)(AX*8), Z2, Z2
+	VMOVUPD  Z1, (DI)(AX*8)
+	VMOVUPD  Z2, 64(DI)(AX*8)
+	ADDQ     $16, AX
+	JMP      fw16z
+
+fw8z:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JA   fwtailz
+	VADDPD   (SI)(AX*8), Z0, Z1
+	VRANGEPD $4, (DI)(AX*8), Z1, Z1
+	VMOVUPD  Z1, (DI)(AX*8)
+	MOVQ     BX, AX
+
+fwtailz:
+	SUBQ AX, CX
+	JZ   fwdonez
+	kernelTailMask
+	VMOVUPD  (SI)(AX*8), K1, Z1
+	VMOVUPD  (DI)(AX*8), K1, Z2
+	VADDPD   Z1, Z0, K1, Z1
+	VRANGEPD $4, Z2, Z1, K1, Z1
+	VMOVUPD  Z1, K1, (DI)(AX*8)
+
+fwdonez:
+	VZEROUPPER
+	RET
+
+// func karpMinSumAVX512(prev, row []float64) float64
+// min over u < len(prev) of prev[u]+row[u]; +Inf when empty.
+TEXT ·karpMinSumAVX512(SB), NOSPLIT, $0-56
+	MOVQ prev_base+0(FP), SI
+	MOVQ prev_len+8(FP), CX
+	MOVQ row_base+24(FP), DI
+	MOVQ $0x7FF0000000000000, AX
+	VPBROADCASTQ AX, Z0
+	VMOVAPD Z0, Z1
+	VMOVAPD Z0, Z2
+	VMOVAPD Z0, Z3
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-32, DX
+
+karp32z:
+	CMPQ AX, DX
+	JAE  karp8z
+	VMOVUPD  (SI)(AX*8), Z4
+	VMOVUPD  64(SI)(AX*8), Z5
+	VMOVUPD  128(SI)(AX*8), Z6
+	VMOVUPD  192(SI)(AX*8), Z7
+	VADDPD   (DI)(AX*8), Z4, Z4
+	VADDPD   64(DI)(AX*8), Z5, Z5
+	VADDPD   128(DI)(AX*8), Z6, Z6
+	VADDPD   192(DI)(AX*8), Z7, Z7
+	VRANGEPD $4, Z4, Z0, Z0
+	VRANGEPD $4, Z5, Z1, Z1
+	VRANGEPD $4, Z6, Z2, Z2
+	VRANGEPD $4, Z7, Z3, Z3
+	ADDQ     $32, AX
+	JMP      karp32z
+
+karp8z:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JA   karptailz
+	VMOVUPD  (SI)(AX*8), Z4
+	VADDPD   (DI)(AX*8), Z4, Z4
+	VRANGEPD $4, Z4, Z0, Z0
+	MOVQ     BX, AX
+	JMP      karp8z
+
+karptailz:
+	SUBQ AX, CX
+	JZ   karpreducez
+	kernelTailMask
+	VMOVUPD  (SI)(AX*8), K1, Z4
+	VMOVUPD  (DI)(AX*8), K1, Z5
+	VADDPD   Z5, Z4, K1, Z4
+	VRANGEPD $4, Z4, Z1, K1, Z1
+
+karpreducez:
+	VRANGEPD      $4, Z1, Z0, Z0
+	VRANGEPD      $4, Z3, Z2, Z2
+	VRANGEPD      $4, Z2, Z0, Z0
+	VEXTRACTF64X4 $1, Z0, Y1
+	VRANGEPD      $4, Y1, Y0, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VRANGEPD      $4, X1, X0, X0
+	VPERMILPD     $1, X0, X1
+	VRANGEPD      $4, X1, X0, X0
+	VMOVSD        X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func bfRelaxRowAVX512(dist []float64, parent []int, row []float64, du float64, u int) bool
+// Where du+row[v] < dist[v]: dist[v] = du+row[v], parent[v] = u. Reports
+// whether any v changed. The strict less-than (LT_OQ) goes to a mask
+// register, which drives the stores of dist and parent.
+TEXT ·bfRelaxRowAVX512(SB), NOSPLIT, $0-89
+	MOVQ dist_base+0(FP), DI
+	MOVQ parent_base+24(FP), R8
+	MOVQ row_base+48(FP), SI
+	MOVQ row_len+56(FP), CX
+	VBROADCASTSD du+72(FP), Z0
+	VPBROADCASTQ u+80(FP), Z1
+	KXORW K2, K2, K2
+	XORQ  AX, AX
+	MOVQ  CX, DX
+	ANDQ  $-8, DX
+
+bf8z:
+	CMPQ AX, DX
+	JAE  bftailz
+	VADDPD    (SI)(AX*8), Z0, Z3
+	VCMPPD    $0x11, (DI)(AX*8), Z3, K3
+	VMOVUPD   Z3, K3, (DI)(AX*8)
+	VMOVDQU64 Z1, K3, (R8)(AX*8)
+	KORW      K3, K2, K2
+	ADDQ      $8, AX
+	JMP       bf8z
+
+bftailz:
+	SUBQ AX, CX
+	JZ   bfdonez
+	kernelTailMask
+	VMOVUPD   (SI)(AX*8), K1, Z3
+	VMOVUPD   (DI)(AX*8), K1, Z4
+	VADDPD    Z3, Z0, K1, Z3
+	VCMPPD    $0x11, Z4, Z3, K1, K3
+	VMOVUPD   Z3, K3, (DI)(AX*8)
+	VMOVDQU64 Z1, K3, (R8)(AX*8)
+	KORW      K3, K2, K2
+
+bfdonez:
+	KORTESTW K2, K2
+	SETNE    ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func karpMinSum4AVX512(prev, rows []float64, out *[4]float64)
+// out[i] = min over u < len(prev) of prev[u]+rows[i*len(prev)+u], for the
+// four rows laid back to back in rows: four columns of Karp's walk table
+// sharing the loads of prev, one accumulator each. The four accumulators
+// reduce together: 256-bit halves, then 128-bit quarters, then pairs,
+// and VCOMPRESSPD stores lanes 0, 2, 4 and 6.
+TEXT ·karpMinSum4AVX512(SB), NOSPLIT, $0-56
+	MOVQ prev_base+0(FP), SI
+	MOVQ prev_len+8(FP), CX
+	MOVQ rows_base+24(FP), DI
+	MOVQ out+48(FP), R9
+	LEAQ (DI)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	LEAQ (R11)(CX*8), R12
+	MOVQ $0x7FF0000000000000, AX
+	VPBROADCASTQ AX, Z0
+	VMOVAPD Z0, Z1
+	VMOVAPD Z0, Z2
+	VMOVAPD Z0, Z3
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+
+karp4c:
+	CMPQ AX, DX
+	JAE  karp4ctail
+	VMOVUPD  (SI)(AX*8), Z4
+	VADDPD   (DI)(AX*8), Z4, Z5
+	VADDPD   (R10)(AX*8), Z4, Z6
+	VADDPD   (R11)(AX*8), Z4, Z7
+	VADDPD   (R12)(AX*8), Z4, Z8
+	VRANGEPD $4, Z5, Z0, Z0
+	VRANGEPD $4, Z6, Z1, Z1
+	VRANGEPD $4, Z7, Z2, Z2
+	VRANGEPD $4, Z8, Z3, Z3
+	ADDQ     $8, AX
+	JMP      karp4c
+
+karp4ctail:
+	SUBQ AX, CX
+	JZ   karp4creduce
+	kernelTailMask
+	VMOVUPD  (SI)(AX*8), K1, Z4
+	VMOVUPD  (DI)(AX*8), K1, Z5
+	VMOVUPD  (R10)(AX*8), K1, Z6
+	VMOVUPD  (R11)(AX*8), K1, Z7
+	VMOVUPD  (R12)(AX*8), K1, Z8
+	VADDPD   Z5, Z4, K1, Z5
+	VADDPD   Z6, Z4, K1, Z6
+	VADDPD   Z7, Z4, K1, Z7
+	VADDPD   Z8, Z4, K1, Z8
+	VRANGEPD $4, Z5, Z0, K1, Z0
+	VRANGEPD $4, Z6, Z1, K1, Z1
+	VRANGEPD $4, Z7, Z2, K1, Z2
+	VRANGEPD $4, Z8, Z3, K1, Z3
+
+karp4creduce:
+	// Z4 = [Z0 lo, Z1 lo] against [Z0 hi, Z1 hi]; Z6 likewise for Z2, Z3.
+	VSHUFF64X2 $0x44, Z1, Z0, Z4
+	VSHUFF64X2 $0xEE, Z1, Z0, Z5
+	VRANGEPD   $4, Z5, Z4, Z4
+	VSHUFF64X2 $0x44, Z3, Z2, Z6
+	VSHUFF64X2 $0xEE, Z3, Z2, Z7
+	VRANGEPD   $4, Z7, Z6, Z6
+	// Even 128-bit quarters against odd: one pair of lanes per column.
+	VSHUFF64X2 $0x88, Z6, Z4, Z5
+	VSHUFF64X2 $0xDD, Z6, Z4, Z7
+	VRANGEPD   $4, Z7, Z5, Z5
+	VPERMILPD  $0x55, Z5, Z7
+	VRANGEPD   $4, Z7, Z5, Z5
+	MOVL       $0x55, BX
+	KMOVW      BX, K2
+	VCOMPRESSPD Z5, K2, (R9)
+	VZEROUPPER
+	RET

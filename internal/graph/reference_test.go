@@ -264,15 +264,29 @@ func addFuzzSeeds(f *testing.F) {
 // FuzzDenseKernels decodes a matrix with fuzzWeights and checks every
 // production kernel against the references: Floyd-Warshall bitwise,
 // maximum mean cycles within 1e-9 with a cycle achieving the mean, on the
-// raw matrix and on each closure component, and SCC partitions.
+// raw matrix and on each closure component, and SCC partitions. It also
+// runs the kernels at every vector level the CPU has and requires the
+// bits of the Go loops (runDenseKernels).
 func FuzzDenseKernels(f *testing.F) {
 	addFuzzSeeds(f)
+	levels := vectorLevels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := fuzzWeights(data)
 		if w == nil {
 			return
 		}
 		n := len(w)
+
+		var goOut denseOutputs
+		var lk KarpScratch
+		AtKernelLevel("go", func() { goOut = runDenseKernels(t, w, int64(len(data)), &lk) })
+		for _, level := range levels {
+			var got denseOutputs
+			AtKernelLevel(level, func() { got = runDenseKernels(t, w, int64(len(data)), &lk) })
+			if d := got.diff(goOut); d != "" {
+				t.Fatalf("%s: %s", level, d)
+			}
+		}
 
 		var scc SCCScratch
 		nc := SCCDense(mustDense(t, w), &scc)
