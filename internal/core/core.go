@@ -132,9 +132,10 @@ type Options struct {
 
 	// Parallelism bounds the worker lanes used by the graph kernels
 	// (Floyd-Warshall row shards, Karp walk-table columns, the two
-	// Bellman-Ford passes of centered mode, and disconnected sync
-	// components). 0 means GOMAXPROCS; 1 forces the serial path. Results
-	// are bit-identical for every value.
+	// Bellman-Ford passes of centered mode, disconnected sync components,
+	// and the clusters of a hierarchical component: their closures,
+	// A_max checks and interior corrections). 0 means GOMAXPROCS; 1
+	// forces the serial path. Results are bit-identical for every value.
 	Parallelism int
 }
 
@@ -194,10 +195,7 @@ func GlobalEstimates(mls [][]float64) ([][]float64, error) {
 		return nil, err
 	}
 	d.FillDiag(0)
-	if err := graph.FloydWarshallDense(d, nil); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
+	if err := closeDense(d, nil); err != nil {
 		return nil, err
 	}
 	return d.Rows(), nil

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"clocksync/internal/graph"
 )
@@ -29,9 +29,17 @@ import (
 //     graph.MeanCycleBelow certifies A_max^c < λ_B by a margin far above
 //     rounding in O(kc²) per Bellman-Ford pass, and only a cluster that
 //     fails the check runs Karp on its sub-components;
-//  5. synchronize the boundary (Bellman-Ford over λ − D), extend into
-//     cluster interiors by multi-source Bellman-Ford over λ − m~s^c with
-//     the boundary corrections pinned, and compose.
+//  5. synchronize the boundary (Bellman-Ford over λ − D from its first
+//     node), extend into cluster interiors by multi-source Bellman-Ford
+//     over λ − m~s^c with the boundary corrections pinned (fanned across
+//     lanes), and compose.
+//
+// Steps 2 to 5 run the block steps of the exact path: closeBlock for the
+// cluster closures, closeDense for D, componentAMax for λ_B and each
+// A_max^c, and correctionDistances for both Bellman-Ford stages, striped
+// across lanes by stripe. Their scratch is the lane's compKit; the
+// clusters, D and the layout live in the caller's kit (kit.hier, kit.ms)
+// and are reused across solves.
 //
 // The working precision λ = max(λ_B, max_c A_max^c) guarantees both
 // Bellman-Ford stages are free of negative cycles. A certified cluster
@@ -46,7 +54,8 @@ import (
 // unknown optimum, with s.lowerB holding the certified lower bound λ_B).
 // Observer timing charges the Karp run of step 3 and all of step 4 to
 // karp_amax.
-func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, comp []int, opts Options, pool *graph.Pool, t *phaseTimer) error {
+func (s *Synchronizer) solveHierComponent(kit *compKit, g *graph.CSR, a *resultArena, ci int, comp []int, opts Options, pool *graph.Pool, t *phaseTimer) error {
+	h := &kit.hier
 	k := len(comp)
 	L := opts.clusterSizeOrDefault()
 	c0 := s.scc.CompOf[comp[0]]
@@ -55,7 +64,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	// ---- Partition: BFS graph growing in ascending seed order, then two
 	// refinement sweeps moving each node to the cluster holding most of
 	// its neighbors (deterministic; cluster sizes stay in [1, 2L)).
-	clusterOf := make([]int, k)
+	clusterOf := grow(&h.clusterOf, k)
 	for i := range clusterOf {
 		clusterOf[i] = -1
 	}
@@ -74,7 +83,7 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			}
 		}
 	}
-	queue := make([]int, 0, k)
+	queue := grow(&h.queue, k)[:0]
 	nclusters := 0
 	for seed := 0; seed < k; seed++ {
 		if clusterOf[seed] != -1 {
@@ -98,13 +107,15 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	if nclusters < 2 {
 		return fmt.Errorf("core: internal: hierarchical partition of a %d-node component produced %d clusters", k, nclusters)
 	}
-	clSize := make([]int, nclusters)
+	clSize := grow(&h.clSize, nclusters)
+	clear(clSize)
 	for _, c := range clusterOf {
 		clSize[c]++
 	}
 	{
-		cnt := make([]int, nclusters)
-		touched := make([]int, 0, 16)
+		cnt := grow(&h.cnt, nclusters)
+		clear(cnt)
+		touched := h.touched[:0]
 		for sweep := 0; sweep < 2; sweep++ {
 			for v := 0; v < k; v++ {
 				cur := clusterOf[v]
@@ -138,32 +149,36 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 				touched = touched[:0]
 			}
 		}
+		h.touched = touched
 	}
 
-	// ---- Cluster layout: members grouped per cluster, ascending within.
-	clPtr := make([]int, nclusters+1)
+	// ---- Cluster layout: positions 0..k-1 list the component cluster by
+	// cluster, cluster c at positions clPtr[c]..clPtr[c+1]-1 in ascending
+	// node order; nodes maps a position to its processor and at a local
+	// index to its position. Per-node vectors from here on are indexed by
+	// position.
+	clPtr := grow(&h.clPtr, nclusters+1)
+	clear(clPtr)
 	for _, c := range clusterOf {
 		clPtr[c+1]++
 	}
-	maxKc := 0
 	for c := 0; c < nclusters; c++ {
-		if clPtr[c+1] > maxKc {
-			maxKc = clPtr[c+1]
-		}
 		clPtr[c+1] += clPtr[c]
 	}
-	clNodes := make([]int, k)
-	clIdx := make([]int, k)
-	fill := append([]int(nil), clPtr[:nclusters]...)
-	for v := 0; v < k; v++ {
-		c := clusterOf[v]
-		clIdx[v] = fill[c] - clPtr[c]
-		clNodes[fill[c]] = v
+	nodes := grow(&h.nodes, k)
+	at := grow(&h.at, k)
+	fill := append(queue[:0], clPtr[:nclusters]...) // the queue is free again
+	for v, c := range clusterOf {
+		at[v] = fill[c]
+		nodes[fill[c]] = comp[v]
 		fill[c]++
 	}
 
-	// ---- Boundary nodes: endpoints of cross-cluster edges.
-	isB := make([]bool, k)
+	// ---- Boundary nodes: endpoints of cross-cluster edges. B lists their
+	// local indices ascending; hIdx maps a position to its index in B, -1
+	// off the boundary.
+	isB := grow(&h.isB, k)
+	clear(isB)
 	for v := 0; v < k; v++ {
 		cols, _ := g.Row(comp[v])
 		for _, q := range cols {
@@ -172,17 +187,17 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			}
 			u := localOf[q]
 			if clusterOf[u] != clusterOf[v] {
-				isB[v] = true
-				isB[u] = true
+				isB[at[v]] = true
+				isB[at[u]] = true
 			}
 		}
 	}
-	hIdx := make([]int, k)
-	B := make([]int, 0, k)
+	hIdx := grow(&h.hIdx, k)
+	B := grow(&h.B, k)[:0]
 	for v := 0; v < k; v++ {
-		hIdx[v] = -1
-		if isB[v] {
-			hIdx[v] = len(B)
+		hIdx[at[v]] = -1
+		if isB[at[v]] {
+			hIdx[at[v]] = len(B)
 			B = append(B, v)
 		}
 	}
@@ -190,96 +205,39 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	if nb == 0 {
 		return fmt.Errorf("core: internal: hierarchical partition of a %d-node component found no boundary nodes", k)
 	}
-	ident := s.ident(max(maxKc, nb))
 
 	// ---- Per-cluster exact closures, fanned across lanes.
-	msI := make([]*graph.Dense, nclusters)
-	clErr := make([]error, nclusters)
-	closeCluster := func(c, _ int) error {
-		members := clNodes[clPtr[c]:clPtr[c+1]]
-		kc := len(members)
-		W := graph.NewDense(kc)
-		W.Fill(graph.Inf)
-		W.FillDiag(0)
-		for li, v := range members {
-			row := W.Row(li)
-			cols, wgts := g.Row(comp[v])
-			for e, q := range cols {
-				if s.scc.CompOf[q] != c0 {
-					continue
-				}
-				u := localOf[q]
-				if clusterOf[u] == c {
-					row[clIdx[u]] = wgts[e]
-				}
-			}
-		}
-		if err := graph.FloydWarshallDense(W, nil); err != nil {
-			if errors.Is(err, graph.ErrNegativeCycle) {
-				return fmt.Errorf("%w: %v", ErrInfeasible, err)
-			}
-			return err
-		}
-		msI[c] = W
-		return nil
-	}
-	lanes := 1
-	if pool != nil {
-		lanes = pool.Lanes()
-		if lanes > nclusters {
-			lanes = nclusters
-		}
-	}
-	// forClusters runs fn on every cluster, striped across the lanes, and
-	// returns the lowest-index error.
-	forClusters := func(fn func(c, part int) error) error {
-		if lanes > 1 {
-			pool.Run(lanes, func(part int) {
-				for c := part; c < nclusters; c += lanes {
-					clErr[c] = fn(c, part)
-				}
-			})
-		} else {
-			for c := 0; c < nclusters; c++ {
-				clErr[c] = fn(c, 0)
-			}
-		}
-		for _, e := range clErr {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
-	}
-	if err := forClusters(closeCluster); err != nil {
+	cl := grow(&h.cl, nclusters)
+	if err := stripe(s, nclusters, kit, pool, true, clusterClosure{h, g}); err != nil {
 		return err
 	}
 
-	// ---- Contracted boundary graph and its exact closure D.
-	H := graph.NewDense(nb)
+	// ---- Contracted boundary graph and its exact closure D, in kit.ms.
+	H := &kit.ms
+	H.Reset(nb)
 	H.Fill(graph.Inf)
 	H.FillDiag(0)
 	for c := 0; c < nclusters; c++ {
-		members := clNodes[clPtr[c]:clPtr[c+1]]
-		for _, v := range members {
-			if !isB[v] {
+		lo, hi := clPtr[c], clPtr[c+1]
+		for i := lo; i < hi; i++ {
+			if !isB[i] {
 				continue
 			}
-			rowW := msI[c].Row(clIdx[v])
-			rowH := H.Row(hIdx[v])
-			for _, u := range members {
-				if u == v || !isB[u] {
+			rowW := cl[c].Row(i - lo)
+			rowH := H.Row(hIdx[i])
+			for j := lo; j < hi; j++ {
+				if j == i || !isB[j] {
 					continue
 				}
-				if x := rowW[clIdx[u]]; x < rowH[hIdx[u]] {
-					rowH[hIdx[u]] = x
+				if x := rowW[j-lo]; x < rowH[hIdx[j]] {
+					rowH[hIdx[j]] = x
 				}
 			}
 		}
 	}
 	for _, v := range B {
 		cols, wgts := g.Row(comp[v])
-		rowH := H.Row(hIdx[v])
+		rowH := H.Row(hIdx[at[v]])
 		for e, q := range cols {
 			if s.scc.CompOf[q] != c0 {
 				continue
@@ -288,170 +246,67 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			if clusterOf[u] == clusterOf[v] {
 				continue
 			}
-			if w := wgts[e]; w < rowH[hIdx[u]] {
-				rowH[hIdx[u]] = w
+			if w := wgts[e]; w < rowH[hIdx[at[u]]] {
+				rowH[hIdx[at[u]]] = w
 			}
 		}
 	}
-	if err := graph.FloydWarshallDense(H, pool); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			return fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
+	if err := closeDense(H, pool); err != nil {
 		return err
 	}
 
 	// ---- λ_B (certified lower bound) and the working precision λ.
 	m := t.mark()
-	lambdaB := 0.0
-	{
-		var karp graph.KarpScratch
-		if mc, ok := graph.MaxMeanCycleDense(H, ident[:nb], &karp, pool); ok {
-			lambdaB = mc.Mean
-		}
-	}
+	lambdaB, _ := s.componentAMax(kit, H, s.ident(nb), pool)
 	// A_max^c matters only where it exceeds λ_B, so a cluster certified
 	// below λ_B keeps A_max^c = 0. The rest run Karp, which splits a
 	// cluster closure that is not strongly connected (the intra subgraph
 	// need not be, even inside an SCC) into its sub-components; the
 	// certificate covers every sub-component at once, since no cycle
 	// leaves its sub-component.
-	aMaxI := make([]float64, nclusters)
-	karpRuns := make([]int, lanes)
-	dists := make([][]float64, lanes)
-	karps := make([]graph.KarpScratch, lanes)
-	for part := range dists {
-		dists[part] = make([]float64, maxKc)
-	}
-	clusterAMax := func(c, part int) error {
-		W := msI[c]
-		if graph.MeanCycleBelow(W, lambdaB, dists[part]) {
-			return nil
+	grow(&h.aMax, nclusters)
+	grow(&h.karp, nclusters)
+	_ = stripe(s, nclusters, kit, pool, true, clusterAMax{h, lambdaB}) // cannot fail
+	lambda := lambdaB
+	for c, aM := range h.aMax {
+		if aM > lambda {
+			lambda = aM
 		}
-		if mc, ok := graph.MaxMeanCycleDense(W, ident[:W.N()], &karps[part], nil); ok {
-			aMaxI[c] = mc.Mean
-		}
-		karpRuns[part]++
-		return nil
-	}
-	_ = forClusters(clusterAMax) // clusterAMax cannot fail
-	for _, r := range karpRuns {
-		s.clusterKarp[ci] += r
-	}
-	lambdaUse := lambdaB
-	for _, aM := range aMaxI {
-		if aM > lambdaUse {
-			lambdaUse = aM
+		if h.karp[c] {
+			s.clusterKarp[ci]++
 		}
 	}
 	t.addKarp(&m)
 
-	// ---- Boundary corrections h over weights λ − D.
-	bfBoundary := func(transposed bool, dist []float64, parent []int) error {
-		Wh := graph.NewDense(nb)
-		for x := 0; x < nb; x++ {
-			row := Wh.Row(x)
-			if transposed {
-				for y := 0; y < nb; y++ {
-					row[y] = lambdaUse - H.At(y, x)
-				}
-			} else {
-				rowD := H.Row(x)
-				for y := 0; y < nb; y++ {
-					row[y] = lambdaUse - rowD[y]
-				}
-			}
-			row[x] = graph.Inf
-		}
-		return s.rootDistancesDense(Wh, 0, dist, parent)
+	// ---- Boundary corrections over weights λ − D, then their extension
+	// into the cluster interiors from the boundary nodes pinned at them.
+	hb := grow(&kit.dist, nb)
+	var hbRev []float64
+	if opts.Centered {
+		hbRev = grow(&kit.distTo, nb)
 	}
-	h := make([]float64, nb)
-	par := make([]int, nb)
-	if err := bfBoundary(false, h, par); err != nil {
+	if err := kit.correctionDistances(H, s.ident(nb), lambda, 0, hb, hbRev, pool); err != nil {
 		return err
 	}
-	var hRev []float64
-	if opts.Centered {
-		hRev = make([]float64, nb)
-		if err := bfBoundary(true, hRev, par); err != nil {
-			return err
-		}
-	}
-
-	// ---- Extend into cluster interiors: multi-source Bellman-Ford over
-	// λ − m~s^c with the boundary corrections pinned, per cluster.
-	f := make([]float64, k)
+	f := grow(&h.f, k)
 	var fRev []float64
 	if opts.Centered {
-		fRev = make([]float64, k)
+		fRev = grow(&h.fRev, k)
 	}
-	// Each lane builds its clusters' weights and distances in its own
-	// scratch, sized once for the largest cluster (dists is free again
-	// once the certificates ran).
-	wcs := make([]graph.Dense, lanes)
-	pars := make([][]int, lanes)
-	for part := range pars {
-		wcs[part].Reset(maxKc)
-		pars[part] = make([]int, maxKc)
+	for i := range f {
+		f[i] = graph.Inf
+		if fRev != nil {
+			fRev[i] = graph.Inf
+		}
 	}
-	extendCluster := func(c, part int, transposed bool, hb, out []float64) error {
-		members := clNodes[clPtr[c]:clPtr[c+1]]
-		kc := len(members)
-		Wc := &wcs[part]
-		Wc.Reset(kc)
-		for x := 0; x < kc; x++ {
-			row := Wc.Row(x)
-			for y := 0; y < kc; y++ {
-				var w float64
-				if transposed {
-					w = msI[c].At(y, x)
-				} else {
-					w = msI[c].At(x, y)
-				}
-				if math.IsInf(w, 1) {
-					row[y] = graph.Inf
-				} else {
-					row[y] = lambdaUse - w
-				}
-			}
-			row[x] = graph.Inf
+	for x, v := range B {
+		f[at[v]] = hb[x]
+		if fRev != nil {
+			fRev[at[v]] = hbRev[x]
 		}
-		dist, parc := dists[part][:kc], pars[part][:kc]
-		for i := range dist {
-			dist[i] = graph.Inf
-			parc[i] = -1
-		}
-		for li, v := range members {
-			if isB[v] {
-				dist[li] = hb[hIdx[v]]
-			}
-		}
-		if err := graph.BellmanFordDenseFrom(Wc, dist, parc); err != nil {
-			if errors.Is(err, graph.ErrNegativeCycle) {
-				return fmt.Errorf("%w: correction weights have a negative cycle", ErrInfeasible)
-			}
-			return err
-		}
-		for li, v := range members {
-			if math.IsInf(dist[li], 1) {
-				return fmt.Errorf("core: internal: hierarchical extension left p%d unreachable from its cluster boundary", comp[v])
-			}
-			out[v] = dist[li]
-		}
-		return nil
 	}
-	runExtend := func(transposed bool, hb, out []float64) error {
-		return forClusters(func(c, part int) error { return extendCluster(c, part, transposed, hb, out) })
-	}
-	if err := runExtend(false, h, f); err != nil {
+	if err := stripe(s, nclusters, kit, pool, true, clusterExtension{h, lambda, opts.Centered}); err != nil {
 		return err
-	}
-	if opts.Centered {
-		if err := runExtend(true, hRev, fRev); err != nil {
-			return err
-		}
-		for v := range f {
-			f[v] = (f[v] - fRev[v]) / 2
-		}
 	}
 
 	// ---- Normalize to the component root and scatter.
@@ -459,9 +314,9 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	if opts.Root >= 0 && opts.Root < len(s.scc.CompOf) && s.scc.CompOf[opts.Root] == c0 {
 		rootNode = opts.Root
 	}
-	shift := f[localOf[rootNode]]
-	for v := 0; v < k; v++ {
-		a.corr[comp[v]] = f[v] - shift
+	shift := f[at[localOf[rootNode]]]
+	for i, p := range nodes {
+		a.corr[p] = f[i] - shift
 	}
 
 	// ---- Certificate λ̂ ≥ max over ordered pairs of m~s(p,q)+f(q)−f(p).
@@ -470,20 +325,21 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	// D(b,b') + m~s^j(b',q) for EVERY boundary pair (b,b'), so
 	// exit_i + γ_ij + enter_j with minimizing b, b' per endpoint bounds
 	// it. All three factor maxima are computable in O(Σ kc² + |B|²).
-	cb := make([]float64, nclusters)
-	maxExit := make([]float64, nclusters)
-	maxEnter := make([]float64, nclusters)
+	cb := grow(&h.cb, nclusters)
+	maxExit := grow(&h.exit, nclusters)
+	maxEnter := grow(&h.enter, nclusters)
 	intraMax := 0.0
 	for c := 0; c < nclusters; c++ {
-		members := clNodes[clPtr[c]:clPtr[c+1]]
+		lo, kc := clPtr[c], clPtr[c+1]-clPtr[c]
 		intra := 0.0
 		exitM := math.Inf(-1)
 		enterM := math.Inf(-1)
-		for li, v := range members {
-			row := msI[c].Row(li)
+		for li := 0; li < kc; li++ {
+			v := lo + li
+			row := cl[c].Row(li)
 			bestOut := math.Inf(1)
-			for lj, u := range members {
-				x := row[lj]
+			for lj, x := range row {
+				u := lo + lj
 				if lj != li && !math.IsInf(x, 1) {
 					if b := x + f[u] - f[v]; b > intra {
 						intra = b
@@ -497,11 +353,12 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 				exitM = b
 			}
 			bestIn := math.Inf(1)
-			for lj, u := range members {
+			for lj := 0; lj < kc; lj++ {
+				u := lo + lj
 				if !isB[u] {
 					continue
 				}
-				if x := msI[c].At(lj, li); x-f[u] < bestIn {
+				if x := cl[c].At(lj, li); x-f[u] < bestIn {
 					bestIn = x - f[u]
 				}
 			}
@@ -516,15 +373,16 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 			intraMax = intra
 		}
 	}
-	gamma := make([]float64, nclusters*nclusters)
+	gamma := grow(&h.gamma, nclusters*nclusters)
 	for i := range gamma {
 		gamma[i] = math.Inf(-1)
 	}
 	for x, v := range B {
 		rowD := H.Row(x)
 		base := clusterOf[v] * nclusters
+		fv := f[at[v]]
 		for y, u := range B {
-			if b := rowD[y] + f[u] - f[v]; b > gamma[base+clusterOf[u]] {
+			if b := rowD[y] + f[at[u]] - fv; b > gamma[base+clusterOf[u]] {
 				gamma[base+clusterOf[u]] = b
 			}
 		}
@@ -546,7 +404,83 @@ func (s *Synchronizer) solveHierComponent(g *graph.CSR, a *resultArena, ci int, 
 	a.prec[ci] = lambdaHat
 	s.lowerB[ci] = lambdaB
 	if opts.Quality {
-		s.hierQ[ci] = cb
+		s.hierQ[ci] = slices.Clone(cb) // cb is kit scratch the next component reuses
+	}
+	return nil
+}
+
+// hierScratch is the hierarchical solver's state for one component, kept
+// on the caller's kit and reused across solves. The partition vectors are
+// indexed by local index, the per-node vectors after the layout step by
+// position.
+type hierScratch struct {
+	clusterOf, clSize, cnt, touched, queue []int // partition
+	clPtr, nodes, at                       []int // layout
+	isB                                    []bool
+	hIdx, B                                []int
+	cl                                     []graph.Dense // per-cluster closures m~s^c
+	aMax                                   []float64
+	karp                                   []bool // cluster c ran Karp
+	f, fRev                                []float64
+	cb, exit, enter, gamma                 []float64 // certificate
+}
+
+// clusterClosure closes cluster c's intra-cluster block of g into h.cl[c].
+type clusterClosure struct {
+	h *hierScratch
+	g *graph.CSR
+}
+
+func (j clusterClosure) run(_ *Synchronizer, c int, kit *compKit, pool *graph.Pool) error {
+	h := j.h
+	return kit.closeBlock(&h.cl[c], j.g, h.nodes[h.clPtr[c]:h.clPtr[c+1]], pool)
+}
+
+// clusterAMax sets h.aMax[c] to cluster c's A_max^c, or to 0 when
+// graph.MeanCycleBelow certifies it below lambdaB; h.karp[c] records
+// whether Karp ran.
+type clusterAMax struct {
+	h       *hierScratch
+	lambdaB float64
+}
+
+func (j clusterAMax) run(s *Synchronizer, c int, kit *compKit, pool *graph.Pool) error {
+	W := &j.h.cl[c]
+	certified := graph.MeanCycleBelow(W, j.lambdaB, grow(&kit.dist, W.N()))
+	j.h.aMax[c], j.h.karp[c] = 0, !certified
+	if !certified {
+		j.h.aMax[c], _ = s.componentAMax(kit, W, s.ident(W.N()), pool)
+	}
+	return nil
+}
+
+// clusterExtension extends the boundary corrections pinned in h.f (and
+// h.fRev when centered) over cluster c's interior and combines the two
+// directions.
+type clusterExtension struct {
+	h        *hierScratch
+	lambda   float64
+	centered bool
+}
+
+func (j clusterExtension) run(s *Synchronizer, c int, kit *compKit, pool *graph.Pool) error {
+	h := j.h
+	lo, hi := h.clPtr[c], h.clPtr[c+1]
+	f := h.f[lo:hi]
+	var fRev []float64
+	if j.centered {
+		fRev = h.fRev[lo:hi]
+	}
+	if err := kit.correctionDistances(&h.cl[c], s.ident(hi-lo), j.lambda, -1, f, fRev, pool); err != nil {
+		return err
+	}
+	for x := range f {
+		if math.IsInf(f[x], 1) || (fRev != nil && math.IsInf(fRev[x], 1)) {
+			return fmt.Errorf("core: internal: hierarchical extension left p%d unreachable from its cluster boundary", h.nodes[lo+x])
+		}
+		if fRev != nil {
+			f[x] = (f[x] - fRev[x]) / 2
+		}
 	}
 	return nil
 }

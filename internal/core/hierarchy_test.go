@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"clocksync/internal/delay"
@@ -132,6 +133,17 @@ func TestHierarchicalMultiComponent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hierarchical: %v", err)
 	}
+	// At Parallelism 4 the two components run on different outer lanes,
+	// so on different scratch kits; the bits must be the serial ones.
+	serial, err := Synchronize(mls, Options{
+		Solver:      SolverHierarchical,
+		ClusterSize: 16,
+		Parallelism: 1,
+	})
+	if err != nil {
+		t.Fatalf("hierarchical serial: %v", err)
+	}
+	compareResultsBitIdentical(t, "outer lanes", serial, hier)
 	if !math.IsInf(hier.Precision, 1) {
 		t.Fatalf("global precision %v, want +Inf across components", hier.Precision)
 	}
@@ -318,5 +330,54 @@ func TestHierarchicalSkipsClusterKarp(t *testing.T) {
 	}
 	if got := s.clusterKarp[0]; got != 0 {
 		t.Errorf("%d clusters ran Karp, want 0", got)
+	}
+}
+
+// TestHierarchicalWarmAllocs: once warm, a hierarchical solve keeps its
+// closures, boundary graph, layout and Bellman-Ford scratch in the
+// Synchronizer, so it allocates a small constant that does not grow with
+// the instance: the same object count on a 240-node and a 2112-node ring
+// of cliques, and at most 16 objects and 4 KiB per solve.
+func TestHierarchicalWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	counts := map[string]float64{}
+	for _, tc := range []struct {
+		name                   string
+		cliques, size, cluster int
+	}{
+		{"12x20", 12, 20, 24},
+		{"66x32", 66, 32, 0},
+	} {
+		g := graph.SparseRingOfCliques(rand.New(rand.NewSource(7)), tc.cliques, tc.size, 0.01, 1)
+		s := NewSynchronizer()
+		opts := Options{Solver: SolverHierarchical, ClusterSize: tc.cluster, Parallelism: 1}
+		solve := func() {
+			if _, err := s.SyncCSR(g, opts); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		for warm := 0; warm < 3; warm++ {
+			solve()
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		objs := testing.AllocsPerRun(runs, solve)
+		s.Close()
+		t.Logf("%s: %v objects, %d B per solve", tc.name, objs, bytes)
+		if objs > 16 || bytes > 4<<10 {
+			t.Errorf("%s: warm solve allocates %v objects and %d B, want at most 16 and 4096", tc.name, objs, bytes)
+		}
+		counts[tc.name] = objs
+	}
+	if counts["12x20"] != counts["66x32"] {
+		t.Errorf("object counts differ across ring sizes: %v", counts)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -178,7 +177,7 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 	// closure-invariant.
 	nc := graph.SCCCSR(g, &s.scc)
 	s.layoutComponents(a, n, nc)
-	s.localIdx = growInts(s.localIdx, n)
+	grow(&s.localIdx, n)
 	maxComp := 0
 	for _, comp := range a.comps {
 		if len(comp) > maxComp {
@@ -205,8 +204,8 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 	// cluster/boundary subsets are all bounded by the component size):
 	// ident() is then a read-only slice below the lane fan-out.
 	s.ident(maxComp)
-	s.lowerB = growFloats(s.lowerB, nc)
-	s.clusterKarp = growInts(s.clusterKarp, nc)
+	grow(&s.lowerB, nc)
+	grow(&s.clusterKarp, nc)
 	clear(s.clusterKarp)
 	if cap(s.hierQ) < nc {
 		s.hierQ = make([][]float64, nc)
@@ -227,7 +226,8 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 
 	var t *phaseTimer
 	if timed {
-		t = &phaseTimer{clk: clk}
+		s.timer = phaseTimer{clk: clk}
+		t = &s.timer
 	}
 	if err := s.solveComponents(a, g, opts, thresh, withMS, pool, t); err != nil {
 		return nil, err
@@ -243,46 +243,6 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
 	}
 	return res, nil
-}
-
-// closeComponent is the sparse pipeline's exact GLOBAL ESTIMATES on one
-// sync component: it extracts the component-local m~ls submatrix of g
-// into kit.ms and closes it, copying the closure into the arena's m~s
-// when withMS. Shortest paths between same-component nodes never leave
-// the component, and Floyd-Warshall visits the surviving pivots in the
-// same ascending order, so the local closure reproduces the global one
-// bit for bit on this block.
-func (s *Synchronizer) closeComponent(kit *compKit, g *graph.CSR, a *resultArena, comp []int, withMS bool, pool *graph.Pool) error {
-	k := len(comp)
-	kit.ms.Reset(k)
-	kit.ms.Fill(graph.Inf)
-	kit.ms.FillDiag(0)
-	c0 := s.scc.CompOf[comp[0]]
-	for li, p := range comp {
-		row := kit.ms.Row(li)
-		cols, wgts := g.Row(p)
-		for e, q := range cols {
-			if s.scc.CompOf[q] == c0 {
-				row[s.localIdx[q]] = wgts[e]
-			}
-		}
-	}
-	if err := graph.FloydWarshallDense(&kit.ms, pool); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			return fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return err
-	}
-	if withMS {
-		for li, p := range comp {
-			src := kit.ms.Row(li)
-			dst := a.ms.Row(p)
-			for lj, q := range comp {
-				dst[q] = src[lj]
-			}
-		}
-	}
-	return nil
 }
 
 // ident returns the identity permutation 0..k-1, grown lazily.

@@ -40,7 +40,6 @@ type Synchronizer struct {
 	compSize []int
 	compPos  []int
 	order    []int
-	compErr  []error
 
 	// Sparse-pipeline state: the CSR m~ls adjacency, its transpose (built
 	// when the hierarchical solver needs undirected partitioning), the
@@ -58,19 +57,29 @@ type Synchronizer struct {
 
 	arenas [2]resultArena
 	flip   int
+
+	// timer accumulates the observer's phase spans of the current solve.
+	// It lives here because componentJob, which stripe may hand to the
+	// lanes, would move a stack timer to the heap.
+	timer phaseTimer
 }
 
-// compKit is the per-lane scratch for one component's A_max and correction
-// computation, so disconnected components can be processed in parallel.
+// compKit is the per-lane scratch of the block steps (closeBlock,
+// componentAMax, correctionDistances), so disconnected components, and a
+// hierarchical component's clusters, can be processed in parallel.
 type compKit struct {
 	karp     graph.KarpScratch
-	ms       graph.Dense // sparse path: the component-local m~s closure
-	w        graph.Dense // correction weights aMax - m~s, diagonal +Inf
+	ms       graph.Dense // sparse path: the component-local m~s closure, or the hierarchical boundary closure
+	pos      []int       // closeBlock: each node's block index, -1 off the block
+	w        graph.Dense // correction weights lam - m~s, diagonal +Inf
 	wT       graph.Dense // transpose, for the reverse pass of centered mode
 	dist     []float64
 	distTo   []float64
 	parent   []int
 	parentTo []int
+	err      error // stripe: this lane's first error, at index errAt
+	errAt    int
+	hier     hierScratch // the hierarchical solver's state when this kit is the caller's
 }
 
 // resultArena backs one exposed Result. Two arenas alternate so
@@ -264,8 +273,8 @@ func (s *Synchronizer) nextArena(n int, withMS bool) *resultArena {
 	} else {
 		a.ms.Reset(0)
 	}
-	a.corr = growFloats(a.corr, n)
-	a.compFlat = growInts(a.compFlat, n)
+	grow(&a.corr, n)
+	grow(&a.compFlat, n)
 	a.cycle = a.cycle[:0]
 	a.res = Result{}
 	return a
@@ -285,10 +294,7 @@ func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) 
 	pool := s.ensurePool(opts.Parallelism)
 
 	// GLOBAL ESTIMATES (Theorem 5.5): shortest-path closure of m~ls.
-	if err := graph.FloydWarshallDense(&a.ms, pool); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
+	if err := closeDense(&a.ms, pool); err != nil {
 		return nil, err
 	}
 	if timed {
@@ -305,7 +311,8 @@ func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) 
 
 	var t *phaseTimer
 	if timed {
-		t = &phaseTimer{clk: clk}
+		s.timer = phaseTimer{clk: clk}
+		t = &s.timer
 	}
 	if err := s.solveComponents(a, nil, opts, 0, false, pool, t); err != nil {
 		return nil, err
@@ -332,14 +339,12 @@ func (s *Synchronizer) buildComponents(a *resultArena, n int) {
 // (adjacency SCC) pipelines — the two partitions are identical because
 // mutual reachability is closure-invariant.
 func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
-	s.compSize = growInts(s.compSize, nc)
-	s.compPos = growInts(s.compPos, nc)
-	s.order = growInts(s.order, nc)
-	s.compErr = growErrs(s.compErr, nc)
+	grow(&s.compSize, nc)
+	grow(&s.compPos, nc)
+	grow(&s.order, nc)
 	for c := 0; c < nc; c++ {
 		s.compSize[c] = 0
 		s.order[c] = c
-		s.compErr[c] = nil
 	}
 	compOf := s.scc.CompOf
 	for v := 0; v < n; v++ {
@@ -359,7 +364,7 @@ func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
 		a.comps = make([][]int, nc)
 	}
 	a.comps = a.comps[:nc]
-	a.prec = growFloats(a.prec, nc)
+	grow(&a.prec, nc)
 	off := 0
 	for rank, c := range s.order {
 		a.comps[rank] = a.compFlat[off : off : off+s.compSize[c]]
@@ -375,85 +380,139 @@ func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
 }
 
 // solveComponents runs SHIFTS on every sync component of the arena (see
-// solveComponent for g, thresh and withMS). Disconnected components are
-// independent, so with a pool and no observer (whose per-phase
-// attribution needs the serial order) they fan out across lanes with
-// per-lane scratch kits, the inner kernels then serial. Output locations
-// are disjoint per component, so results are bit-identical to the serial
-// order; the lowest-index component error wins, also deterministically.
-// A single component sets the Result's precision and critical cycle;
-// several set the precision to +Inf.
+// componentJob for g, thresh and withMS). Disconnected components are
+// independent, so with a pool and no observer (whose per-phase attribution
+// needs the serial order) stripe fans them out across lanes, the inner
+// kernels then serial. A single component sets the Result's precision and
+// critical cycle; several set the precision to +Inf.
 func (s *Synchronizer) solveComponents(a *resultArena, g *graph.CSR, opts Options, thresh int, withMS bool, pool *graph.Pool, t *phaseTimer) error {
-	nc := len(a.comps)
-	if pool != nil && nc > 1 && t == nil {
-		lanes := min(pool.Lanes(), nc)
-		s.kit(lanes - 1) // grow the kit set before the lanes race to it
-		pool.Run(lanes, func(part int) {
-			kit := s.kits[part]
-			for ci := part; ci < nc; ci += lanes {
-				_, s.compErr[ci] = s.solveComponent(kit, g, a, ci, opts, thresh, withMS, nil, nil)
-			}
-		})
-		for ci := 0; ci < nc; ci++ {
-			if s.compErr[ci] != nil {
-				return s.compErr[ci]
-			}
-		}
-	} else {
-		kit := s.kit(0)
-		for ci := range a.comps {
-			cycle, err := s.solveComponent(kit, g, a, ci, opts, thresh, withMS, pool, t)
-			if err != nil {
-				return err
-			}
-			if nc == 1 && cycle != nil {
-				a.cycle = append(a.cycle[:0], cycle...)
-				a.res.CriticalCycle = a.cycle
-			}
-		}
+	job := componentJob{a: a, g: g, opts: opts, thresh: thresh, withMS: withMS, t: t}
+	if err := stripe(s, len(a.comps), s.kit(0), pool, t == nil, job); err != nil {
+		return err
 	}
 	a.res.Precision = math.Inf(1)
-	if nc == 1 {
+	if len(a.comps) == 1 {
 		a.res.Precision = a.prec[0]
 	}
 	return nil
 }
 
-// solveComponent runs SHIFTS on sync component ci: A_max on its closure
+// laneJob is the body of a striped loop: run handles index i on kit, its
+// inner kernels on pool (nil on a fanned-out lane).
+type laneJob interface {
+	run(s *Synchronizer, i int, kit *compKit, pool *graph.Pool) error
+}
+
+// stripe runs job on every index in [0, n). With fan set and a pool of two
+// or more lanes it stripes the indices across min(lanes, n) lanes, lane
+// part on s.kit(part) and the inner kernels serial; otherwise it runs them
+// in order on kit with the inner kernels on pool. Only the serial order
+// holds a pool, on s.kit(0), so lane 0 is always the caller's kit, and a
+// component on a fanned-out lane touches no kit but its own. Every index
+// writes its own outputs, so both orders give the same bits, and the
+// lowest-index error wins either way. Jobs are value types: a closure
+// would escape to the lanes and cost an allocation on the serial path too.
+func stripe[J laneJob](s *Synchronizer, n int, kit *compKit, pool *graph.Pool, fan bool, job J) error {
+	lanes := min(pool.Lanes(), n)
+	if !fan || lanes < 2 {
+		for i := 0; i < n; i++ {
+			if err := job.run(s, i, kit, pool); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	s.kit(lanes - 1) // grow the kit set before the lanes race to it
+	lanesJob := job  // the lanes capture this copy, so only fanning moves a large job to the heap
+	pool.Run(lanes, func(part int) {
+		k := s.kits[part]
+		k.err = nil
+		for i := part; i < n; i += lanes {
+			if k.err = lanesJob.run(s, i, k, nil); k.err != nil {
+				k.errAt = i
+				return
+			}
+		}
+	})
+	var err error
+	at := n
+	for _, k := range s.kits[:lanes] {
+		if k.err != nil && k.errAt < at {
+			err, at = k.err, k.errAt
+		}
+	}
+	return err
+}
+
+// componentJob runs SHIFTS on one sync component: A_max on its closure
 // block, then the corrections. The dense pipeline (g nil) reads the block
 // from the arena's closure; the sparse pipeline closes the component of g
-// into kit.ms (closeComponent) or, above thresh nodes, hands it to the
-// hierarchical solver. It fills a.prec[ci], on the sparse pipeline also
-// s.lowerB[ci], and the component's correction slots; the returned
-// critical cycle, in processor ids, aliases kit scratch and is nil on the
-// hierarchical path.
-func (s *Synchronizer) solveComponent(kit *compKit, g *graph.CSR, a *resultArena, ci int, opts Options, thresh int, withMS bool, pool *graph.Pool, t *phaseTimer) ([]int, error) {
+// into kit.ms or, above thresh nodes, hands it to the hierarchical solver,
+// and copies the closure into the arena's m~s when withMS. It fills
+// a.prec[ci], on the sparse pipeline also s.lowerB[ci], and the
+// component's correction slots; the only component of a system also sets
+// the Result's critical cycle (none on the hierarchical path).
+type componentJob struct {
+	a      *resultArena
+	g      *graph.CSR
+	opts   Options
+	thresh int
+	withMS bool
+	t      *phaseTimer
+}
+
+func (j componentJob) run(s *Synchronizer, ci int, kit *compKit, pool *graph.Pool) error {
+	a, g := j.a, j.g
 	comp := a.comps[ci]
+	k := len(comp)
+	if k == 1 {
+		a.corr[comp[0]] = 0
+		a.prec[ci] = 0
+		if g != nil {
+			s.lowerB[ci] = 0
+		}
+		return nil
+	}
 	ms, idx := &a.ms, comp
 	if g != nil {
-		k := len(comp)
-		if k == 1 {
-			a.corr[comp[0]] = 0
-			a.prec[ci] = 0
-			s.lowerB[ci] = 0
-			return nil, nil
+		if k > j.thresh {
+			return s.solveHierComponent(kit, g, a, ci, comp, j.opts, pool, j.t)
 		}
-		if k > thresh {
-			return nil, s.solveHierComponent(g, a, ci, comp, opts, pool, t)
+		if err := kit.closeBlock(&kit.ms, g, comp, pool); err != nil {
+			return err
 		}
-		if err := s.closeComponent(kit, g, a, comp, withMS, pool); err != nil {
-			return nil, err
+		if j.withMS {
+			for li, p := range comp {
+				src := kit.ms.Row(li)
+				dst := a.ms.Row(p)
+				for lj, q := range comp {
+					dst[q] = src[lj]
+				}
+			}
 		}
 		ms, idx = &kit.ms, s.ident(k)
 	}
-	m := t.mark()
+	m := j.t.mark()
 	aMax, cycle := s.componentAMax(kit, ms, idx, pool)
 	a.prec[ci] = aMax
-	t.addKarp(&m)
-	if err := s.componentCorrections(kit, ms, idx, comp, aMax, opts, a.corr, pool); err != nil {
-		return nil, err
+	j.t.addKarp(&m)
+	fwd := grow(&kit.dist, k)
+	var rev []float64
+	if j.opts.Centered {
+		rev = grow(&kit.distTo, k)
 	}
-	t.addCorr(&m)
+	root := max(slices.Index(comp, j.opts.Root), 0)
+	if err := kit.correctionDistances(ms, idx, aMax, root, fwd, rev, pool); err != nil {
+		return err
+	}
+	for x, p := range comp {
+		if rev == nil {
+			a.corr[p] = fwd[x]
+		} else {
+			a.corr[p] = (fwd[x] - rev[x]) / 2
+		}
+	}
+	j.t.addCorr(&m)
 	if g != nil {
 		s.lowerB[ci] = aMax
 		// Karp ran on local indices; translate the cycle in place.
@@ -461,7 +520,11 @@ func (s *Synchronizer) solveComponent(kit *compKit, g *graph.CSR, a *resultArena
 			cycle[i] = comp[v]
 		}
 	}
-	return cycle, nil
+	if len(a.comps) == 1 && cycle != nil {
+		a.cycle = append(a.cycle[:0], cycle...)
+		a.res.CriticalCycle = a.cycle
+	}
+	return nil
 }
 
 // componentAMax computes A_max for one sync component: the maximum mean
@@ -479,80 +542,119 @@ func (s *Synchronizer) componentAMax(kit *compKit, ms *graph.Dense, idx []int, p
 	return mc.Mean, mc.Cycle
 }
 
-// componentCorrections implements step 2 of SHIFTS on one component,
-// reading m~s(comp[a], comp[b]) as ms[idx[a]][idx[b]]: corrections are
-// dist_w(root, p) with w(p,q) = aMax - m~s(p,q) (no negative cycles by
-// the definition of A_max); centered mode uses
-// (dist_w(root,p) - dist_w(p,root))/2, running the forward and reverse
-// Bellman-Ford passes on two lanes when a pool is available.
-func (s *Synchronizer) componentCorrections(kit *compKit, ms *graph.Dense, idx, comp []int, aMax float64, opts Options, out []float64, pool *graph.Pool) error {
-	k := len(comp)
-	if k == 1 {
-		out[comp[0]] = 0
-		return nil
+// closeDense runs GLOBAL ESTIMATES (Theorem 5.5) on d in place, reporting
+// a negative cycle as ErrInfeasible.
+func closeDense(d *graph.Dense, pool *graph.Pool) error {
+	err := graph.FloydWarshallDense(d, pool)
+	if errors.Is(err, graph.ErrNegativeCycle) {
+		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
+	return err
+}
+
+// closeBlock is GLOBAL ESTIMATES on the block of g that nodes select: it
+// writes the m~ls edges among nodes into dst, in nodes' order (+Inf
+// absent, 0 on the diagonal), and closes it with closeDense. For a sync
+// component this reproduces the global closure bit for bit on the block:
+// shortest paths between same-component nodes never leave the component,
+// and Floyd-Warshall visits the surviving pivots in the same ascending
+// order.
+func (kit *compKit) closeBlock(dst *graph.Dense, g *graph.CSR, nodes []int, pool *graph.Pool) error {
+	for len(kit.pos) < g.N() {
+		kit.pos = append(kit.pos, -1)
+	}
+	for i, p := range nodes {
+		kit.pos[p] = i
+	}
+	dst.Reset(len(nodes))
+	dst.Fill(graph.Inf)
+	dst.FillDiag(0)
+	for i, p := range nodes {
+		row := dst.Row(i)
+		cols, wgts := g.Row(p)
+		for e, q := range cols {
+			if j := kit.pos[q]; j >= 0 {
+				row[j] = wgts[e]
+			}
+		}
+	}
+	for _, p := range nodes {
+		kit.pos[p] = -1
+	}
+	return closeDense(dst, pool)
+}
+
+// correctionDistances is step 2 of SHIFTS (Theorem 4.6) on one closed
+// block, m~s(a, b) = ms[idx[a]][idx[b]]: it builds the weights
+// w = lam - m~s into kit.w (+Inf where m~s is +Inf, and on the diagonal)
+// and runs Bellman-Ford over w into fwd and, when rev is non-nil, over its
+// transpose into rev (the distances to the sources rather than from them),
+// the two passes on two lanes when a pool is given. With root >= 0 both
+// passes start at root and are shifted so that root sits at exactly 0;
+// with root < 0 the caller has seeded fwd and rev, each finite entry a
+// source pinned at that potential. lam is at least the block's maximum
+// cycle mean, so w has no negative cycle.
+func (kit *compKit) correctionDistances(ms *graph.Dense, idx []int, lam float64, root int, fwd, rev []float64, pool *graph.Pool) error {
+	k := len(idx)
 	kit.w.Reset(k)
 	for a, p := range idx {
 		src := ms.Row(p)
 		dst := kit.w.Row(a)
 		for b, q := range idx {
-			dst[b] = aMax - src[q]
+			if x := src[q]; math.IsInf(x, 1) {
+				dst[b] = graph.Inf
+			} else {
+				dst[b] = lam - x
+			}
 		}
 		dst[a] = graph.Inf // no self edges
 	}
-	rootLocal := 0
-	if slices.Contains(comp, opts.Root) {
-		rootLocal = slices.Index(comp, opts.Root)
-	}
-	kit.dist = growFloats(kit.dist, k)
-	kit.parent = growInts(kit.parent, k)
-	if !opts.Centered {
-		if err := s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent); err != nil {
-			return err
-		}
-		for a, p := range comp {
-			out[p] = kit.dist[a]
-		}
-		return nil
+	parent := grow(&kit.parent, k)
+	if rev == nil {
+		return correctionPass(&kit.w, root, fwd, parent)
 	}
 	kit.w.TransposeInto(&kit.wT)
-	kit.distTo = growFloats(kit.distTo, k)
-	kit.parentTo = growInts(kit.parentTo, k)
-	var errFwd, errRev error
-	if pool != nil {
-		pool.Run(2, func(part int) {
-			if part == 0 {
-				errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent)
-			} else {
-				errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo)
-			}
-		})
-	} else {
-		errFwd = s.rootDistancesDense(&kit.w, rootLocal, kit.dist, kit.parent)
-		errRev = s.rootDistancesDense(&kit.wT, rootLocal, kit.distTo, kit.parentTo)
+	parentTo := grow(&kit.parentTo, k)
+	if pool == nil {
+		if err := correctionPass(&kit.w, root, fwd, parent); err != nil {
+			return err
+		}
+		return correctionPass(&kit.wT, root, rev, parentTo)
 	}
+	var errFwd, errRev error // declared past the serial return: the lanes move them to the heap
+	pool.Run(2, func(part int) {
+		if part == 0 {
+			errFwd = correctionPass(&kit.w, root, fwd, parent)
+		} else {
+			errRev = correctionPass(&kit.wT, root, rev, parentTo)
+		}
+	})
 	if errFwd != nil {
 		return errFwd
 	}
-	if errRev != nil {
-		return errRev
-	}
-	for a, p := range comp {
-		out[p] = (kit.dist[a] - kit.distTo[a]) / 2
-	}
-	return nil
+	return errRev
 }
 
-// rootDistancesDense runs dense Bellman-Ford and normalizes so the root's
-// own distance is exactly zero (tiny negative cycle noise otherwise
-// perturbs it).
-func (s *Synchronizer) rootDistancesDense(w *graph.Dense, root int, dist []float64, parent []int) error {
-	if err := graph.BellmanFordDense(w, root, dist, parent); err != nil {
-		if errors.Is(err, graph.ErrNegativeCycle) {
-			// A_max is by construction the maximum cycle mean, so this can
-			// only be numerical noise; treat as infeasible input.
-			return fmt.Errorf("%w: correction weights have a negative cycle", ErrInfeasible)
+// correctionPass runs one Bellman-Ford pass of correctionDistances: from
+// root, shifted so the root's own distance is exactly zero (tiny negative
+// cycle noise otherwise perturbs it), or, with root < 0, from the finite
+// entries of dist.
+func correctionPass(w *graph.Dense, root int, dist []float64, parent []int) error {
+	var err error
+	if root >= 0 {
+		err = graph.BellmanFordDense(w, root, dist, parent)
+	} else {
+		for i := range parent {
+			parent[i] = -1
 		}
+		err = graph.BellmanFordDenseFrom(w, dist, parent)
+	}
+	if errors.Is(err, graph.ErrNegativeCycle) {
+		// The weights subtract at least the maximum cycle mean, so this can
+		// only be numerical noise; treat as infeasible input.
+		return fmt.Errorf("%w: correction weights have a negative cycle", ErrInfeasible)
+	}
+	if err != nil || root < 0 {
 		return err
 	}
 	if r := dist[root]; r != 0 {
@@ -624,25 +726,14 @@ func validateDense(m *graph.Dense) error {
 	return nil
 }
 
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// grow resizes *buf to n, reallocating only when its capacity is short,
+// and returns it; the contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growErrs(s []error, n int) []error {
-	if cap(s) < n {
-		return make([]error, n)
-	}
-	return s[:n]
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // synchronizerPool backs the package-level Synchronize/SynchronizeSystem

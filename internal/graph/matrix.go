@@ -10,8 +10,9 @@
 //     BellmanFordDenseFrom (the corrections, Theorem 4.6) and SCCDense
 //     (the sync-component split).
 //   - CSR, a compressed-sparse-row adjacency. It carries the sparse input
-//     before any closure exists: SCCCSR splits it into components, which
-//     the sparse backend then closes one Dense block at a time.
+//     before any closure exists: SCCCSR, SCCDense's Tarjan body over
+//     adjacency lists, splits it into components, which the sparse
+//     backend then closes one Dense block at a time.
 //
 // The solve paths use them as follows:
 //
@@ -21,16 +22,18 @@
 //   - Stream's certified cache: ClosureEdgeInert on the dense closure;
 //   - the sparse backend: SCCCSR on the m~ls adjacency, then the dense
 //     kernels per component;
-//   - the hierarchical backend: the dense kernels per cluster and on the
-//     contracted boundary graph, then BellmanFordDenseFrom.
+//   - the hierarchical backend: the sparse backend's per-block steps on
+//     each cluster and on the contracted boundary graph, BellmanFordDense
+//     on the boundary and BellmanFordDenseFrom from it into each cluster.
 //
 // MaxMeanCycleDense takes any node subset: on one whose entries are not
 // all finite it runs SCCDense and Karp per component. Weights are float64;
 // NaN and -Inf never appear in valid inputs.
 //
 // The dense kernels' O(n³) inner loops are the min-plus kernels of
-// minplus.go: Go loops everywhere, AVX2 assembly on amd64 CPUs that have
-// it, bit-identical either way.
+// minplus.go: Go loops everywhere, and on amd64 assembly at the widest
+// level the CPU has, AVX-512 (F, DQ and VL) or else AVX2, chosen once at
+// start-up (KernelLevel names it); bit-identical at every level.
 package graph
 
 import "math"
