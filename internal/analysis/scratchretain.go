@@ -78,7 +78,7 @@ func srMethodThreshold(m *types.Func) (int, bool) {
 	}
 	t := sig.Recv().Type()
 	switch {
-	case namedIn(t, "internal/core", "Synchronizer") && (m.Name() == "Sync" || m.Name() == "SyncSystem"):
+	case namedIn(t, "internal/core", "Synchronizer") && (m.Name() == "Sync" || m.Name() == "SyncSystem" || m.Name() == "SyncCSR"):
 		return 2, true
 	case namedIn(t, "internal/core", "Stream") && m.Name() == "Corrections":
 		return 1, true

@@ -16,6 +16,15 @@ func badRetain(s *core.Synchronizer, m [][]float64, o core.Options) float64 {
 	return c[0] // want `c aliases pooled synchronizer scratch`
 }
 
+// badRetainCSR: SyncCSR results live in the same arenas as Sync's.
+func badRetainCSR(s *core.Synchronizer, g *graph.CSR, o core.Options) float64 {
+	res, _ := s.SyncCSR(g, o)
+	c := res.Corrections
+	_, _ = s.SyncCSR(g, o)
+	_, _ = s.SyncCSR(g, o)
+	return c[0] // want `c aliases pooled synchronizer scratch`
+}
+
 // okDoubleBuffered: Synchronizer results are double-buffered, so one
 // following call leaves the previous result intact.
 func okDoubleBuffered(s *core.Synchronizer, m [][]float64, o core.Options) float64 {

@@ -92,11 +92,13 @@ type Options struct {
 	Centered bool
 
 	// Observer, when non-nil, receives the wall-clock duration of each
-	// pipeline phase: "estimate" (GLOBAL ESTIMATES, Theorem 5.5),
-	// "karp_amax" (the maximum-mean-cycle step of SHIFTS, summed over
-	// sync components) and "corrections" (the shortest-path step).
-	// SynchronizeSystem additionally reports "mls" (trace reduction).
-	// Nil — the default — adds no timing calls to the hot path.
+	// pipeline phase: "estimate" (GLOBAL ESTIMATES, Theorem 5.5, with the
+	// input's ingestion and the component split: the solve's span less
+	// the other phases), "karp_amax" (the maximum-mean-cycle step of
+	// SHIFTS, summed over sync components) and "corrections" (the
+	// shortest-path step). SynchronizeSystem additionally reports "mls"
+	// (trace reduction). Nil — the default — adds no timing calls to the
+	// hot path.
 	Observer obs.PhaseObserver
 
 	// Clock supplies the timestamps behind Observer phase durations. Nil
@@ -172,8 +174,16 @@ type Result struct {
 	// finite m~s). With full connectivity there is a single component.
 	Components [][]int
 
-	// ComponentPrecision[i] is A_max restricted to Components[i].
+	// ComponentPrecision[i] is A_max restricted to Components[i]: the
+	// optimum on an exactly solved component, the certified upper bound λ̂
+	// on a hierarchically solved one.
 	ComponentPrecision []float64
+
+	// ComponentLowerBound[i] is a certified lower bound on the optimal
+	// A_max of Components[i]: equal to ComponentPrecision[i] on an exactly
+	// solved component, the contracted-graph bound λ_B on a hierarchically
+	// solved one. The two bracket the optimum.
+	ComponentLowerBound []float64
 
 	// CriticalCycle is a cyclic processor sequence achieving A_max (first
 	// element repeated at the end) for the single-component case; nil when
@@ -231,15 +241,7 @@ func AMax(ms [][]float64, subset []int) (float64, []int) {
 // indefinitely. Hot loops that want the zero-allocation steady state should
 // hold their own Synchronizer and call Sync directly.
 func Synchronize(mls [][]float64, opts Options) (*Result, error) {
-	s := synchronizerPool.Get().(*Synchronizer)
-	res, err := s.Sync(mls, opts)
-	if err != nil {
-		synchronizerPool.Put(s)
-		return nil, err
-	}
-	out := res.Clone()
-	synchronizerPool.Put(s)
-	return out, nil
+	return solvePooled(&input{from: fromRows, n: len(mls), rows: mls}, opts)
 }
 
 func validateMatrix(m [][]float64) error {

@@ -51,7 +51,8 @@ import (
 // exact maximum of m~s(p,q) + f(q) − f(p) over intra-cluster pairs plus
 // a sound decomposition bound over cross-cluster pairs, so
 // Result.ComponentPrecision is always a valid guaranteed bound (≥ the
-// unknown optimum, with s.lowerB holding the certified lower bound λ_B).
+// unknown optimum, with Result.ComponentLowerBound holding the certified
+// lower bound λ_B).
 // Observer timing charges the Karp run of step 3 and all of step 4 to
 // karp_amax.
 func (s *Synchronizer) solveHierComponent(kit *compKit, g *graph.CSR, a *resultArena, ci int, comp []int, opts Options, pool *graph.Pool, t *phaseTimer) error {
@@ -402,7 +403,7 @@ func (s *Synchronizer) solveHierComponent(kit *compKit, g *graph.CSR, a *resultA
 	t.addCorr(&m)
 
 	a.prec[ci] = lambdaHat
-	s.lowerB[ci] = lambdaB
+	a.lowerB[ci] = lambdaB
 	if opts.Quality {
 		s.hierQ[ci] = slices.Clone(cb) // cb is kit scratch the next component reuses
 	}

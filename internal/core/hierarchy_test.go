@@ -164,22 +164,23 @@ func TestHierarchicalMultiComponent(t *testing.T) {
 // TestHierarchicalQualityGauges: the certified gauges published for a
 // hierarchical run must bracket the dense optimum — the published
 // "optimal" is the contracted-graph lower bound λ_B ≤ A_max, the
-// published "achieved" is λ̂ ≥ A_max — and the per-cluster histogram
-// must have seen one sample per cluster.
+// published "achieved" is λ̂ ≥ A_max — the per-cluster histogram must
+// have seen one sample per cluster, and AssessQuality must report the
+// same bracket, with a ratio above 1.
 func TestHierarchicalQualityGauges(t *testing.T) {
 	mls, dense := hierInstance(t, 61, 9, 28) // n = 252
 	s := NewSynchronizer()
 	defer s.Close()
+	label := "hier-gauges"
 	res, err := s.Sync(mls, Options{
-		Solver:      SolverHierarchical,
-		ClusterSize: 28,
-		Quality:     true,
+		Solver:       SolverHierarchical,
+		ClusterSize:  28,
+		Quality:      true,
+		QualityLabel: label,
 	})
 	if err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	label := "hier-gauges"
-	s.publishSparseQuality(res, nil, label)
 	achieved := obs.Default.Gauge(obs.Labeled("quality.precision.achieved", "session", label)).Value()
 	optimal := obs.Default.Gauge(obs.Labeled("quality.precision.optimal", "session", label)).Value()
 	if achieved != res.Precision {
@@ -198,12 +199,19 @@ func TestHierarchicalQualityGauges(t *testing.T) {
 	if hist.Snapshot().Count == 0 {
 		t.Fatal("per-cluster precision histogram empty")
 	}
+	rep := AssessQuality(res)
+	if rep.Achieved != achieved || rep.Optimal != optimal {
+		t.Errorf("AssessQuality bracket [%v, %v], gauges [%v, %v]", rep.Optimal, rep.Achieved, optimal, achieved)
+	}
+	if rep.Ratio <= 1 {
+		t.Errorf("AssessQuality ratio %v, want > 1 on a hierarchical bracket", rep.Ratio)
+	}
 }
 
 // TestHierarchicalDeterminism pins the hierarchical solver bit for bit on
 // one forced-hierarchical instance of each graph.Sparse* family: per
 // family, a SHA-256 over the Precision, ComponentPrecision,
-// Corrections and certified lower bound λ_B of every solve across two
+// Corrections and ComponentLowerBound (λ_B) of every solve across two
 // ClusterSizes, Centered off and on, and Parallelism 1 and 2. The digests
 // were generated by the solver that ran Karp on every cluster; skipping a
 // cluster's Karp run must not move a single bit.
@@ -248,7 +256,7 @@ func TestHierarchicalDeterminism(t *testing.T) {
 						bits(res.Precision)
 						bits(res.ComponentPrecision...)
 						bits(res.Corrections...)
-						bits(s.lowerB[:len(res.Components)]...)
+						bits(res.ComponentLowerBound...)
 						for _, r := range s.clusterKarp {
 							karpRuns += r
 						}

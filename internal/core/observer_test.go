@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"clocksync/internal/delay"
 	"clocksync/internal/graph"
+	"clocksync/internal/model"
 	"clocksync/internal/obs"
 )
 
@@ -92,30 +96,120 @@ func TestHierarchicalTimedSerial(t *testing.T) {
 	}
 }
 
-// TestRootOutOfRangeReportsNoPhase: every solver rejects an out-of-range
-// Root before any solve work, so the observer sees no phase at all.
+// TestRootOutOfRangeReportsNoPhase: every entry point and every solver
+// rejects an out-of-range Root before any solve work (no view reduction,
+// no CSR build), so the observer sees no phase at all; NewStream refuses
+// the root outright.
 func TestRootOutOfRangeReportsNoPhase(t *testing.T) {
 	const n = 8
 	mls := graph.NewMatrix(n, 0.5)
 	for i := 0; i < n; i++ {
 		mls[i][i] = 0
 	}
-	for _, solver := range []Solver{SolverDense, SolverSparse, SolverHierarchical} {
-		for _, root := range []int{-1, n} {
-			var seen []string
-			_, err := Synchronize(mls, Options{
-				Root:   root,
-				Solver: solver,
-				Observer: obs.PhaseFunc(func(ph string, _ float64) {
-					seen = append(seen, ph)
-				}),
-			})
+	a, err := delay.SymmetricBounds(0.1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links []Link
+	var csr graph.CSR
+	csr.Reset(n)
+	for p := 0; p < n; p++ {
+		for q := p + 1; q < n; q++ {
+			links = append(links, Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
+			csr.MustAddEdge(p, q, 0.5)
+			csr.MustAddEdge(q, p, 0.5)
+		}
+	}
+	s := NewSynchronizer()
+	defer s.Close()
+	entries := []struct {
+		name  string
+		solve func(Options) error
+	}{
+		{"Synchronize", func(o Options) error {
+			_, err := Synchronize(mls, o)
+			return err
+		}},
+		{"SynchronizeSystem", func(o Options) error {
+			_, err := SynchronizeSystem(n, links, nil, DefaultMLSOptions(), o)
+			return err
+		}},
+		{"SyncCSR", func(o Options) error {
+			_, err := s.SyncCSR(&csr, o)
+			return err
+		}},
+		{"NewStream", func(o Options) error {
+			st, err := NewStream(n, links, DefaultMLSOptions(), o)
 			if err == nil {
-				t.Errorf("solver %v root %d: no error", solver, root)
+				st.Close()
 			}
-			if len(seen) != 0 {
-				t.Errorf("solver %v root %d: reported phases %v before rejecting the root", solver, root, seen)
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, solver := range []Solver{SolverDense, SolverSparse, SolverHierarchical} {
+			for _, root := range []int{-1, n} {
+				var seen []string
+				err := e.solve(Options{
+					Root:   root,
+					Solver: solver,
+					Observer: obs.PhaseFunc(func(ph string, _ float64) {
+						seen = append(seen, ph)
+					}),
+				})
+				if err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%s solver %v root %d: err = %v, want out of range", e.name, solver, root, err)
+				}
+				if len(seen) != 0 {
+					t.Errorf("%s solver %v root %d: reported phases %v before rejecting the root", e.name, solver, root, seen)
+				}
 			}
 		}
+	}
+}
+
+// TestStreamCrossCheckUnobserved: the cross-check re-solve behind a
+// cached Corrections call is the stream's own verification, not a solve
+// the caller asked for, so it reports no phase and publishes no quality.
+func TestStreamCrossCheckUnobserved(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	links, samples := randomStreamInstance(t, rng, 6, 60)
+	var seen []string
+	const label = "cross-check-unobserved"
+	st, err := NewStream(6, links, DefaultMLSOptions(), Options{
+		Observer:     obs.PhaseFunc(func(ph string, _ float64) { seen = append(seen, ph) }),
+		Quality:      true,
+		QualityLabel: label,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetCrossCheck(true)
+	for _, m := range samples {
+		if err := st.Observe(m.from, m.to, m.send, m.recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Corrections(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("batch solve reported phases %v, want estimate, karp_amax, corrections", seen)
+	}
+	grad := obs.Default.Histogram(obs.Labeled("quality.gradient.pair", "session", label), obs.DefTimeBuckets)
+	published := grad.Snapshot().Count
+	seen = seen[:0]
+	if _, err := st.Corrections(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().Cached != 1 {
+		t.Fatalf("stats %+v: the second call was not served from the cache", st.Stats())
+	}
+	if len(seen) != 0 {
+		t.Errorf("cross-checked cached call reported phases %v, want none", seen)
+	}
+	if got := grad.Snapshot().Count; got != published {
+		t.Errorf("cross-checked cached call published quality: %d gradient samples, want %d", got, published)
 	}
 }

@@ -19,7 +19,8 @@ type QualityReport struct {
 	Optimal float64 `json:"optimal"`
 	// Ratio is Achieved/Optimal (1 when both are zero, e.g. singleton
 	// systems). Fault-free solves report 1.0 ± ε; a ratio meaningfully
-	// above 1 indicates a corrupted result.
+	// above 1 indicates a corrupted result, or a bracket (see
+	// AssessQuality).
 	Ratio float64 `json:"ratio"`
 	// Pairs counts the processor pairs measured for Achieved.
 	Pairs int `json:"pairs"`
@@ -32,31 +33,43 @@ func pairBoundRaw(res *Result, p, q int) float64 {
 	return math.Max(fwd, rev)
 }
 
-// certifiedReport is the degenerate quality report for results without a
-// materialized m~s matrix (large sparse solves): no pair sweep is
-// possible, so both figures report the largest certified component
-// precision and Pairs stays zero.
-func certifiedReport(res *Result) QualityReport {
-	rep := QualityReport{Ratio: 1}
-	for ci := range res.Components {
-		if a := res.ComponentPrecision[ci]; !math.IsInf(a, 1) && a > rep.Optimal {
-			rep.Optimal = a
-		}
-	}
-	rep.Achieved = rep.Optimal
-	return rep
-}
-
 // AssessQuality computes the quality report for a solved instance without
 // publishing anything: the worst pair bound across all in-component
 // pairs, the largest finite component A_max, and their ratio. When the
-// result carries no m~s matrix (large sparse solves) it degenerates to
-// the certified component precision with Pairs == 0.
+// result carries no m~s matrix (large sparse solves) no pair sweep is
+// possible, and the report is the certified bracket instead: Achieved is
+// the largest component precision (λ̂ on a hierarchical component),
+// Optimal the largest ComponentLowerBound (λ_B), Pairs zero. On exactly
+// solved components the two coincide.
 func AssessQuality(res *Result) QualityReport {
-	if res.MS == nil {
-		return certifiedReport(res)
-	}
+	return assess(res, nil, nil, nil)
+}
+
+// assess is AssessQuality, observing each in-component pair bound into
+// hGrad and its m~s slack into hSlack when they are non-nil. With pairs
+// non-nil the histograms see the declared pairs instead.
+func assess(res *Result, pairs [][2]int, hGrad, hSlack *obs.Histogram) QualityReport {
 	rep := QualityReport{}
+	if res.MS == nil {
+		for ci, a := range res.ComponentPrecision {
+			if math.IsInf(a, 1) {
+				continue
+			}
+			if a > rep.Achieved {
+				rep.Achieved = a
+			}
+			lb := a // a Result built without bounds reads as solved exactly
+			if ci < len(res.ComponentLowerBound) {
+				lb = res.ComponentLowerBound[ci]
+			}
+			if lb > rep.Optimal {
+				rep.Optimal = lb
+			}
+		}
+		rep.Ratio = qualityRatio(rep.Achieved, rep.Optimal)
+		return rep
+	}
+	sweep := hGrad != nil && pairs == nil
 	for ci, comp := range res.Components {
 		a := res.ComponentPrecision[ci]
 		if math.IsInf(a, 1) {
@@ -67,11 +80,40 @@ func AssessQuality(res *Result) QualityReport {
 		}
 		for i, p := range comp {
 			for _, q := range comp[i+1:] {
-				if b := pairBoundRaw(res, p, q); b > rep.Achieved {
+				b := pairBoundRaw(res, p, q)
+				if b > rep.Achieved {
 					rep.Achieved = b
 				}
 				rep.Pairs++
+				if sweep {
+					hGrad.Observe(b)
+					hSlack.Observe(2*a - (res.MS[p][q] + res.MS[q][p]))
+				}
 			}
+		}
+	}
+	if hGrad != nil && pairs != nil {
+		n := len(res.Corrections)
+		compPrec := make([]float64, n)
+		for i := range compPrec {
+			compPrec[i] = math.Inf(1)
+		}
+		for ci, comp := range res.Components {
+			for _, p := range comp {
+				compPrec[p] = res.ComponentPrecision[ci]
+			}
+		}
+		for _, pr := range pairs {
+			p, q := pr[0], pr[1]
+			if p < 0 || q < 0 || p >= n || q >= n || p == q {
+				continue
+			}
+			a := compPrec[p]
+			if math.IsInf(a, 1) || math.IsInf(res.MS[p][q], 1) || math.IsInf(res.MS[q][p], 1) {
+				continue // cross-component or unconstrained pair
+			}
+			hGrad.Observe(pairBoundRaw(res, p, q))
+			hSlack.Observe(2*a - (res.MS[p][q] + res.MS[q][p]))
 		}
 	}
 	rep.Ratio = qualityRatio(rep.Achieved, rep.Optimal)
@@ -90,8 +132,17 @@ func qualityRatio(achieved, optimal float64) float64 {
 	return achieved / optimal
 }
 
-// PublishQuality computes the report for a solved instance and records it
-// into reg (obs.Default when nil):
+// qualityName is a quality metric's name, labeled session="label" when
+// label is non-empty.
+func qualityName(base, label string) string {
+	if label == "" {
+		return base
+	}
+	return obs.Labeled(base, "session", label)
+}
+
+// PublishQuality computes the report for a solved instance (see
+// AssessQuality) and records it into reg (obs.Default when nil):
 //
 //   - gauges quality.precision.{achieved,optimal,ratio};
 //   - histogram quality.gradient.pair — the per-neighbor gradient
@@ -103,121 +154,24 @@ func qualityRatio(achieved, optimal float64) float64 {
 //     cycle's 2-cycles (links with no room before they would bind the
 //     optimum).
 //
-// When label is non-empty every metric carries a session="label" pair.
-// pairs entries outside a sync component (or out of range) are skipped.
+// A result without an m~s matrix publishes the gauges only, from the
+// λ̂ / λ_B bracket. When label is non-empty every metric carries a
+// session="label" pair. pairs entries outside a sync component (or out
+// of range) are skipped.
 func PublishQuality(res *Result, pairs [][2]int, label string, reg *obs.Registry) QualityReport {
 	if reg == nil {
 		reg = obs.Default
 	}
-	name := func(base string) string {
-		if label == "" {
-			return base
-		}
-		return obs.Labeled(base, "session", label)
-	}
-	if res.MS == nil {
-		rep := certifiedReport(res)
-		reg.Gauge(name("quality.precision.achieved")).Set(rep.Achieved)
-		reg.Gauge(name("quality.precision.optimal")).Set(rep.Optimal)
-		reg.Gauge(name("quality.precision.ratio")).Set(rep.Ratio)
-		return rep
-	}
-	hGrad := reg.Histogram(name("quality.gradient.pair"), obs.DefTimeBuckets)
-	hSlack := reg.Histogram(name("quality.link.slack"), obs.DefTimeBuckets)
-
-	n := len(res.Corrections)
-	compPrec := make([]float64, n)
-	for i := range compPrec {
-		compPrec[i] = math.Inf(1)
-	}
-	rep := QualityReport{}
-	for ci, comp := range res.Components {
-		a := res.ComponentPrecision[ci]
-		for _, p := range comp {
-			compPrec[p] = a
-		}
-		if math.IsInf(a, 1) {
-			continue
-		}
-		if a > rep.Optimal {
-			rep.Optimal = a
-		}
-		for i, p := range comp {
-			for _, q := range comp[i+1:] {
-				b := pairBoundRaw(res, p, q)
-				if b > rep.Achieved {
-					rep.Achieved = b
-				}
-				rep.Pairs++
-				if pairs == nil {
-					hGrad.Observe(b)
-					hSlack.Observe(2*a - (res.MS[p][q] + res.MS[q][p]))
-				}
-			}
-		}
-	}
-	for _, pr := range pairs {
-		p, q := pr[0], pr[1]
-		if p < 0 || q < 0 || p >= n || q >= n || p == q {
-			continue
-		}
-		a := compPrec[p]
-		if math.IsInf(a, 1) || math.IsInf(res.MS[p][q], 1) || math.IsInf(res.MS[q][p], 1) {
-			continue // cross-component or unconstrained pair
-		}
-		hGrad.Observe(pairBoundRaw(res, p, q))
-		hSlack.Observe(2*a - (res.MS[p][q] + res.MS[q][p]))
-	}
-	rep.Ratio = qualityRatio(rep.Achieved, rep.Optimal)
-	reg.Gauge(name("quality.precision.achieved")).Set(rep.Achieved)
-	reg.Gauge(name("quality.precision.optimal")).Set(rep.Optimal)
-	reg.Gauge(name("quality.precision.ratio")).Set(rep.Ratio)
-	return rep
-}
-
-// publishSparseQuality publishes quality telemetry after a sparse solve.
-// With a materialized (block-diagonal) m~s it defers to PublishQuality,
-// producing the full report. Without one it publishes the certified
-// figures instead — achieved is the largest certified component bound
-// (λ̂ for hierarchical components, the exact A_max otherwise), optimal is
-// the largest certified lower bound λ_B — plus a
-// quality.precision.cluster histogram of the hierarchical solver's
-// per-cluster intra-cluster bounds, so cluster-level precision stays
-// observable even when no global pair sweep is affordable.
-func (s *Synchronizer) publishSparseQuality(res *Result, pairs [][2]int, label string) {
+	var hGrad, hSlack *obs.Histogram
 	if res.MS != nil {
-		PublishQuality(res, pairs, label, nil)
-		return
+		hGrad = reg.Histogram(qualityName("quality.gradient.pair", label), obs.DefTimeBuckets)
+		hSlack = reg.Histogram(qualityName("quality.link.slack", label), obs.DefTimeBuckets)
 	}
-	reg := obs.Default
-	name := func(base string) string {
-		if label == "" {
-			return base
-		}
-		return obs.Labeled(base, "session", label)
-	}
-	achieved, optimal := 0.0, 0.0
-	for ci := range res.Components {
-		a := res.ComponentPrecision[ci]
-		if math.IsInf(a, 1) {
-			continue
-		}
-		if a > achieved {
-			achieved = a
-		}
-		if ci < len(s.lowerB) && s.lowerB[ci] > optimal {
-			optimal = s.lowerB[ci]
-		}
-	}
-	reg.Gauge(name("quality.precision.achieved")).Set(achieved)
-	reg.Gauge(name("quality.precision.optimal")).Set(optimal)
-	reg.Gauge(name("quality.precision.ratio")).Set(qualityRatio(achieved, optimal))
-	h := reg.Histogram(name("quality.precision.cluster"), obs.DefTimeBuckets)
-	for _, bounds := range s.hierQ {
-		for _, b := range bounds {
-			h.Observe(b)
-		}
-	}
+	rep := assess(res, pairs, hGrad, hSlack)
+	reg.Gauge(qualityName("quality.precision.achieved", label)).Set(rep.Achieved)
+	reg.Gauge(qualityName("quality.precision.optimal", label)).Set(rep.Optimal)
+	reg.Gauge(qualityName("quality.precision.ratio", label)).Set(rep.Ratio)
+	return rep
 }
 
 // linkPairs extracts the unordered endpoint pairs of a link set for

@@ -61,33 +61,24 @@ func hierThreshold(opts *Options) int {
 	}
 }
 
-// resolveSolverMatrix picks the backend for a row-matrix input: explicit
-// choices are honored; Auto measures size and density.
-func resolveSolverMatrix(opts Options, mls [][]float64) Solver {
-	if opts.Solver != SolverAuto {
-		return opts.Solver
+// useDense is the one backend choice for row-matrix and system inputs
+// of n nodes: SolverDense is dense, SolverSparse and SolverHierarchical
+// are not, and SolverAuto is dense up to autoDenseMaxN nodes and beyond
+// that when nnz, the count of finite off-diagonal m~ls entries, reaches
+// autoDenseDensity of n². nnz runs only in that last case, so each input
+// counts its entries however costs it least.
+func useDense(solver Solver, n int, nnz func() int) bool {
+	switch solver {
+	case SolverDense:
+		return true
+	case SolverAuto:
+		return n <= autoDenseMaxN || float64(nnz()) >= autoDenseDensity*float64(n)*float64(n)
 	}
-	n := len(mls)
-	if n <= autoDenseMaxN {
-		return SolverDense
-	}
-	nnz := 0
-	for i, row := range mls {
-		for j, x := range row {
-			if i != j && !math.IsInf(x, 1) {
-				nnz++
-			}
-		}
-	}
-	if float64(nnz) >= autoDenseDensity*float64(n)*float64(n) {
-		return SolverDense
-	}
-	return SolverSparse
+	return false
 }
 
 // scatterCSR writes g's edges into the dense matrix d (which the caller
-// has pre-filled); used when Auto discovers a dense instance after the
-// CSR assembly.
+// has pre-filled); used when Auto measures a system dense on its CSR.
 func scatterCSR(g *graph.CSR, d *graph.Dense) {
 	for u := 0; u < g.N(); u++ {
 		cols, wgts := g.Row(u)
@@ -120,8 +111,8 @@ func mlsCSRInto(g *graph.CSR, n int, links []Link, tab *trace.Table, opts MLSOpt
 }
 
 // phaseTimer accumulates per-stage durations for the observer on the
-// serial component path (nil when no observer is attached; every method
-// is nil-safe, so callers mark phases unconditionally).
+// serial component path (nil when no observer is attached; mark, addKarp
+// and addCorr are nil-safe, so callers mark phases unconditionally).
 type phaseTimer struct {
 	clk  obs.Clock
 	karp time.Duration
@@ -136,45 +127,36 @@ func (t *phaseTimer) mark() time.Time {
 	return t.clk.Now()
 }
 
+// lap returns the span since *m and advances m; t must be non-nil.
+func (t *phaseTimer) lap(m *time.Time) time.Duration {
+	now := t.clk.Now()
+	d := now.Sub(*m)
+	*m = now
+	return d
+}
+
 // addKarp accrues the span since *m to the karp_amax phase and advances m.
 func (t *phaseTimer) addKarp(m *time.Time) {
-	if t == nil {
-		return
+	if t != nil {
+		t.karp += t.lap(m)
 	}
-	now := t.clk.Now()
-	t.karp += now.Sub(*m)
-	*m = now
 }
 
 // addCorr accrues the span since *m to the corrections phase and advances m.
 func (t *phaseTimer) addCorr(m *time.Time) {
-	if t == nil {
-		return
+	if t != nil {
+		t.corr += t.lap(m)
 	}
-	now := t.clk.Now()
-	t.corr += now.Sub(*m)
-	*m = now
 }
 
-// runSparse executes the CSR pipeline on a prepared arena: adjacency SCC
-// split, then per component either an exact local dense closure + SHIFTS
-// (bit-identical to the dense pipeline) or the two-level hierarchical
-// solver for components above the solver's threshold.
-func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mark time.Time) (*Result, error) {
-	timed := opts.Observer != nil
-	var clk obs.Clock
-	if timed {
-		clk = opts.clock()
-	}
+// splitCSR is the CSR backend's component split: sync components from
+// the adjacency SCC (identical to the dense closure's, since mutual
+// reachability is closure-invariant), the local index map, and the
+// per-solve state of the component solves. It returns the component size
+// above which a component goes to the hierarchical solver, and whether
+// the block-diagonal m~s is materialized (withMS, sized here).
+func (s *Synchronizer) splitCSR(a *resultArena, g *graph.CSR, opts *Options) (thresh int, withMS bool) {
 	n := g.N()
-	if opts.Root < 0 || (n > 0 && opts.Root >= n) {
-		return nil, fmt.Errorf("core: root %d out of range [0,%d)", opts.Root, n)
-	}
-	pool := s.ensurePool(opts.Parallelism)
-
-	// Sync components from the raw adjacency: identical to the dense
-	// pipeline's closure SCC, since mutual reachability is
-	// closure-invariant.
 	nc := graph.SCCCSR(g, &s.scc)
 	s.layoutComponents(a, n, nc)
 	grow(&s.localIdx, n)
@@ -187,13 +169,13 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 			s.localIdx[v] = i
 		}
 	}
-	thresh := hierThreshold(&opts)
+	thresh = hierThreshold(opts)
 	if maxComp > thresh {
 		// The hierarchical solver partitions over the undirected
 		// adjacency; build the transpose once, outside any lane fan-out.
 		g.TransposeInto(&s.csrT)
 	}
-	withMS := n <= msMaterializeMax && maxComp <= thresh
+	withMS = n <= msMaterializeMax && maxComp <= thresh
 	if withMS {
 		a.ms.Reset(n)
 		a.ms.Fill(graph.Inf)
@@ -204,45 +186,14 @@ func (s *Synchronizer) runSparse(a *resultArena, g *graph.CSR, opts Options, mar
 	// cluster/boundary subsets are all bounded by the component size):
 	// ident() is then a read-only slice below the lane fan-out.
 	s.ident(maxComp)
-	grow(&s.lowerB, nc)
 	grow(&s.clusterKarp, nc)
 	clear(s.clusterKarp)
 	if cap(s.hierQ) < nc {
 		s.hierQ = make([][]float64, nc)
 	}
 	s.hierQ = s.hierQ[:nc]
-	for i := range s.hierQ {
-		s.hierQ[i] = nil
-	}
-
-	res := &a.res
-	res.Corrections = a.corr
-	res.Components = a.comps
-	res.ComponentPrecision = a.prec
-	if withMS {
-		a.msRows = a.ms.RowsInto(a.msRows)
-		res.MS = a.msRows
-	}
-
-	var t *phaseTimer
-	if timed {
-		s.timer = phaseTimer{clk: clk}
-		t = &s.timer
-	}
-	if err := s.solveComponents(a, g, opts, thresh, withMS, pool, t); err != nil {
-		return nil, err
-	}
-	if timed {
-		total := clk.Now().Sub(mark)
-		est := total - t.karp - t.corr
-		if est < 0 {
-			est = 0
-		}
-		opts.Observer.ObservePhase("estimate", est.Seconds())
-		opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
-		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
-	}
-	return res, nil
+	clear(s.hierQ)
+	return thresh, withMS
 }
 
 // ident returns the identity permutation 0..k-1, grown lazily.

@@ -42,6 +42,9 @@ func compareResultsBitIdentical(t *testing.T, tag string, want, got *Result) {
 	if !sameFloats(want.ComponentPrecision, got.ComponentPrecision) {
 		t.Fatalf("%s: component precision %v vs %v", tag, want.ComponentPrecision, got.ComponentPrecision)
 	}
+	if !sameFloats(want.ComponentLowerBound, got.ComponentLowerBound) {
+		t.Fatalf("%s: component lower bound %v vs %v", tag, want.ComponentLowerBound, got.ComponentLowerBound)
+	}
 	if len(want.Components) != len(got.Components) {
 		t.Fatalf("%s: %d vs %d components", tag, len(want.Components), len(got.Components))
 	}
@@ -95,6 +98,9 @@ func TestSparseMatchesDenseBitIdentical(t *testing.T) {
 			}
 			if errD != nil {
 				continue
+			}
+			if !sameFloats(want.ComponentLowerBound, want.ComponentPrecision) {
+				t.Fatalf("trial %d: exact lower bound %v, precision %v", trial, want.ComponentLowerBound, want.ComponentPrecision)
 			}
 			compareResultsBitIdentical(t, solver.String(), want, got)
 		}
@@ -159,7 +165,8 @@ func TestSparseAutoLargeExact(t *testing.T) {
 
 // TestSparseNoMSBeyondLimit: past msMaterializeMax the sparse pipeline
 // returns no m~s matrix, PairBound refuses politely, and the quality
-// report degenerates to the certified precision.
+// report is the certified bracket: achieved λ̂ = Precision over optimal
+// λ_B = ComponentLowerBound, a ratio above 1 on this hierarchical solve.
 func TestSparseNoMSBeyondLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := graph.SparseRingOfCliques(rng, 33, 32, 0.01, 1) // n = 1056 > 1024
@@ -179,7 +186,7 @@ func TestSparseNoMSBeyondLimit(t *testing.T) {
 		t.Fatal("PairBound succeeded without an m~s matrix")
 	}
 	rep := AssessQuality(res)
-	if rep.Pairs != 0 || rep.Achieved != res.Precision || rep.Ratio != 1 {
+	if rep.Pairs != 0 || rep.Achieved != res.Precision || rep.Optimal != res.ComponentLowerBound[0] || rep.Ratio <= 1 {
 		t.Fatalf("degenerate quality report = %+v", rep)
 	}
 	for p, c := range res.Corrections {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"clocksync/internal/delay"
 	"clocksync/internal/graph"
@@ -98,6 +97,9 @@ type StreamStats struct {
 func NewStream(n int, links []Link, mopts MLSOptions, opts Options) (*Stream, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: stream needs at least one processor, got %d", n)
+	}
+	if err := checkRoot(opts.Root, n); err != nil {
+		return nil, err
 	}
 	s := &Stream{
 		n:     n,
@@ -279,18 +281,7 @@ func (s *Stream) Corrections() (*Result, error) {
 	}
 	mStreamBatch.Inc()
 	s.stats.Batch++
-	s.publishQuality(res)
 	return res, nil
-}
-
-// publishQuality records the quality figures of merit after a solve that
-// produced a (potentially) new result. The certified-cache path skips it:
-// the cached result is unchanged, so the published gauges still hold.
-func (s *Stream) publishQuality(res *Result) {
-	if !s.opts.Quality {
-		return
-	}
-	PublishQuality(res, s.qpairs, s.opts.QualityLabel, nil)
 }
 
 // allInert certifies every dirty directed edge against the cached closure.
@@ -317,20 +308,11 @@ func (s *Stream) clearDirty() {
 }
 
 // batchSolve runs the full pipeline on the current m~ls and installs the
-// result as the new incremental baseline.
+// result as the new incremental baseline. Only this path publishes
+// quality: a cached result is unchanged, so the published gauges still
+// hold.
 func (s *Stream) batchSolve() (*Result, error) {
-	var mark time.Time
-	if s.opts.Observer != nil {
-		mark = s.opts.clock().Now()
-	}
-	if err := validateDense(&s.mls); err != nil {
-		s.haveSolve = false
-		return nil, err
-	}
-	a := s.sync.nextArena(s.n, true)
-	a.ms.CopyFrom(&s.mls)
-	a.ms.FillDiag(0)
-	res, err := s.sync.run(a, s.n, s.opts, mark)
+	a, err := s.sync.solve(&input{from: fromDense, n: s.n, dense: &s.mls, pairs: s.qpairs}, s.opts)
 	if err != nil {
 		s.haveSolve = false
 		return nil, err
@@ -339,11 +321,13 @@ func (s *Stream) batchSolve() (*Result, error) {
 	s.haveSolve = true
 	s.fullDirty = false
 	s.clearDirty()
-	return res, nil
+	return &a.res, nil
 }
 
 // crossChecked applies the cross-check hook, when enabled, to a result
 // served from the cache: it must equal a fresh batch solve bit for bit.
+// The check solve is the stream's own bookkeeping, so it reports no
+// phases and publishes no quality.
 func (s *Stream) crossChecked(res *Result) (*Result, error) {
 	if !s.crossCheck {
 		return res, nil
@@ -351,10 +335,9 @@ func (s *Stream) crossChecked(res *Result) (*Result, error) {
 	if s.check == nil {
 		s.check = NewSynchronizer()
 	}
-	ca := s.check.nextArena(s.n, true)
-	ca.ms.CopyFrom(&s.mls)
-	ca.ms.FillDiag(0)
-	fresh, err := s.check.run(ca, s.n, s.opts, time.Time{})
+	opts := s.opts
+	opts.Observer, opts.Quality = nil, false
+	fresh, err := result(s.check.solve(&input{from: fromDense, n: s.n, dense: &s.mls}, opts))
 	if err != nil {
 		return nil, fmt.Errorf("core: stream cross-check batch solve failed: %w", err)
 	}

@@ -362,14 +362,11 @@ func TestStreamValidation(t *testing.T) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	// Bad root surfaces at solve time, as in the batch pipeline.
-	bad, err := NewStream(2, links, DefaultMLSOptions(), Options{Root: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	if _, err := bad.Corrections(); err == nil {
-		t.Fatal("out-of-range root accepted")
+	// A bad root is refused up front: every later solve would fail.
+	for _, root := range []int{-1, 2, 9} {
+		if _, err := NewStream(2, links, DefaultMLSOptions(), Options{Root: root}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("root %d: err = %v, want out of range", root, err)
+		}
 	}
 }
 

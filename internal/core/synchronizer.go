@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"clocksync/internal/graph"
 	"clocksync/internal/obs"
@@ -22,12 +21,19 @@ import (
 // allocate nothing, and with Options.Parallelism > 1 the heavy kernels run
 // on a bounded worker pool with bit-identical output to the serial path.
 //
-// Reuse contract: the Result returned by Sync or SyncSystem (including
-// every slice it references) remains valid until the SECOND following call
-// on the same Synchronizer — results are double-buffered, so two
-// back-to-back calls never alias each other. Callers that retain results
-// longer must Clone them. A Synchronizer must not be used from multiple
-// goroutines concurrently.
+// Sync, SyncSystem, SyncCSR and a Stream's batch solves share one
+// ingestion step, which turns the input into a dense m~ls block or a CSR
+// adjacency (for row matrices and systems useDense picks which), and one
+// solve step. With an observer that step times "estimate" as the whole
+// solve less the "mls" reduction, Karp and the corrections, so on both
+// backends it includes the component split.
+//
+// Reuse contract: the Result returned by Sync, SyncSystem or SyncCSR
+// (including every slice it references) remains valid until the SECOND
+// following call on the same Synchronizer — results are double-buffered,
+// so two back-to-back calls never alias each other. Callers that retain
+// results longer must Clone them. A Synchronizer must not be used from
+// multiple goroutines concurrently.
 //
 // The zero value is ready to use. Close releases the worker pool; it is
 // also released automatically when the Synchronizer is garbage collected.
@@ -44,14 +50,12 @@ type Synchronizer struct {
 	// Sparse-pipeline state: the CSR m~ls adjacency, its transpose (built
 	// when the hierarchical solver needs undirected partitioning), the
 	// node -> local component index map, an identity permutation for local
-	// kernels, and the per-component certified lower bounds + per-cluster
-	// quality samples of the hierarchical solver, and per component the
-	// number of clusters whose A_max fell back to Karp.
+	// kernels, the hierarchical solver's per-cluster quality samples, and
+	// per component the number of clusters whose A_max fell back to Karp.
 	csr         graph.CSR
 	csrT        graph.CSR
 	localIdx    []int
 	identity    []int
-	lowerB      []float64
 	hierQ       [][]float64
 	clusterKarp []int
 
@@ -91,6 +95,7 @@ type resultArena struct {
 	compFlat []int
 	comps    [][]int
 	prec     []float64
+	lowerB   []float64
 	cycle    []int
 	res      Result
 }
@@ -134,109 +139,15 @@ func (s *Synchronizer) ensurePool(want int) *graph.Pool {
 // shifts. See the Synchronizer reuse contract for the lifetime of the
 // returned Result.
 func (s *Synchronizer) Sync(mls [][]float64, opts Options) (*Result, error) {
-	timed := opts.Observer != nil
-	var mark time.Time
-	if timed {
-		mark = opts.clock().Now()
-	}
-	if err := validateMatrix(mls); err != nil {
-		return nil, err
-	}
-	n := len(mls)
-	if resolveSolverMatrix(opts, mls) == SolverDense {
-		a := s.nextArena(n, true)
-		for i, row := range mls {
-			copy(a.ms.Row(i), row)
-		}
-		a.ms.FillDiag(0)
-		res, err := s.run(a, n, opts, mark)
-		if err == nil && opts.Quality {
-			PublishQuality(res, nil, opts.QualityLabel, nil)
-		}
-		return res, err
-	}
-	a := s.nextArena(n, false)
-	s.csr.Reset(n)
-	for i, row := range mls {
-		for j, x := range row {
-			if i == j || math.IsInf(x, 1) {
-				continue
-			}
-			if err := s.csr.AddEdge(i, j, x); err != nil {
-				return nil, err
-			}
-		}
-	}
-	s.csr.Build()
-	res, err := s.runSparse(a, &s.csr, opts, mark)
-	if err == nil && opts.Quality {
-		s.publishSparseQuality(res, nil, opts.QualityLabel)
-	}
-	return res, err
+	return result(s.solve(&input{from: fromRows, n: len(mls), rows: mls}, opts))
 }
 
 // SyncSystem is the end-to-end entry point on a Synchronizer: reduce the
 // trace to local shifts under the system's assumptions directly into the
-// dense scratch, then run the pipeline. Same reuse contract as Sync.
+// chosen backend's scratch, then run the pipeline. Same reuse contract as
+// Sync.
 func (s *Synchronizer) SyncSystem(n int, links []Link, tab *trace.Table, mopts MLSOptions, opts Options) (*Result, error) {
-	timed := opts.Observer != nil
-	var mark time.Time
-	if timed {
-		mark = opts.clock().Now()
-	}
-	solver := opts.Solver
-	if solver == SolverAuto && n <= autoDenseMaxN {
-		solver = SolverDense
-	}
-	if solver == SolverDense {
-		a := s.nextArena(n, true)
-		if err := mlsMatrixInto(&a.ms, n, links, tab, mopts); err != nil {
-			return nil, err
-		}
-		if timed {
-			clk := opts.clock()
-			opts.Observer.ObservePhase("mls", clk.Now().Sub(mark).Seconds())
-			mark = clk.Now()
-		}
-		if err := validateDense(&a.ms); err != nil {
-			return nil, err
-		}
-		a.ms.FillDiag(0)
-		res, err := s.run(a, n, opts, mark)
-		if err == nil && opts.Quality {
-			PublishQuality(res, linkPairs(links), opts.QualityLabel, nil)
-		}
-		return res, err
-	}
-
-	// Sparse family: assemble m~ls directly as CSR — O(links) work and
-	// memory, never an n×n matrix.
-	a := s.nextArena(n, false)
-	if err := mlsCSRInto(&s.csr, n, links, tab, mopts); err != nil {
-		return nil, err
-	}
-	if timed {
-		clk := opts.clock()
-		opts.Observer.ObservePhase("mls", clk.Now().Sub(mark).Seconds())
-		mark = clk.Now()
-	}
-	if solver == SolverAuto && float64(s.csr.Nnz()) >= autoDenseDensity*float64(n)*float64(n) {
-		// The instance turned out dense; the flat pipeline wins there.
-		a.ms.Reset(n)
-		a.ms.Fill(graph.Inf)
-		a.ms.FillDiag(0)
-		scatterCSR(&s.csr, &a.ms)
-		res, err := s.run(a, n, opts, mark)
-		if err == nil && opts.Quality {
-			PublishQuality(res, linkPairs(links), opts.QualityLabel, nil)
-		}
-		return res, err
-	}
-	res, err := s.runSparse(a, &s.csr, opts, mark)
-	if err == nil && opts.Quality {
-		s.publishSparseQuality(res, linkPairs(links), opts.QualityLabel)
-	}
-	return res, err
+	return result(s.solve(&input{from: fromSystem, n: n, links: links, tab: tab, mopts: mopts}, opts))
 }
 
 // SyncCSR runs the pipeline on a prepared CSR adjacency of estimated
@@ -245,20 +156,220 @@ func (s *Synchronizer) SyncSystem(n int, links []Link, tab *trace.Table, mopts M
 // themselves. The dense backend is never used regardless of
 // Options.Solver (SolverDense routes to the exact sparse per-component
 // path, which is bit-identical anyway); the reuse contract is that of
-// Sync. g is read, never retained.
+// Sync. g is read, never retained. An observer sees the phases of the
+// one solve step: "estimate" spans the build of g, the closures and the
+// component split, as on the dense backend; there is no "mls" phase.
 func (s *Synchronizer) SyncCSR(g *graph.CSR, opts Options) (*Result, error) {
-	timed := opts.Observer != nil
-	var mark time.Time
-	if timed {
-		mark = opts.clock().Now()
+	return result(s.solve(&input{from: fromCSR, n: g.N(), g: g}, opts))
+}
+
+// source names the form of a solve's m~ls input.
+type source int
+
+const (
+	fromRows   source = iota // Sync: a row matrix
+	fromSystem               // SyncSystem: links and a trace table, reduced on ingestion
+	fromCSR                  // SyncCSR: a prepared adjacency, never dense
+	fromDense                // Stream: a flat matrix, always dense
+)
+
+// input is one solve's m~ls: the fields of its source, plus the declared
+// pairs of the quality gradient histogram (nil for all in-component
+// pairs; a system derives them from its links).
+type input struct {
+	from  source
+	n     int
+	rows  [][]float64
+	links []Link
+	tab   *trace.Table
+	mopts MLSOptions
+	g     *graph.CSR
+	dense *graph.Dense
+	pairs [][2]int
+}
+
+// result exposes a solved arena's Result.
+func result(a *resultArena, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
 	}
-	g.Build()
-	a := s.nextArena(g.N(), false)
-	res, err := s.runSparse(a, g, opts, mark)
-	if err == nil && opts.Quality {
-		s.publishSparseQuality(res, nil, opts.QualityLabel)
+	return &a.res, nil
+}
+
+// checkRoot rejects a root outside the n processors (any root of an empty
+// system is accepted).
+func checkRoot(root, n int) error {
+	if root < 0 || (n > 0 && root >= n) {
+		return fmt.Errorf("core: root %d out of range [0,%d)", root, n)
 	}
-	return res, err
+	return nil
+}
+
+// solve is the one solve step behind every entry point: it checks the
+// root, ingests the input onto a backend, runs GLOBAL ESTIMATES
+// (Theorem 5.5) and the component split, then SHIFTS on every component,
+// and wires the Result. The observer sees "mls" (system inputs only),
+// then "estimate" (everything but the reduction, Karp and the
+// corrections), "karp_amax" and "corrections"; with Options.Quality the
+// quality report is published.
+func (s *Synchronizer) solve(in *input, opts Options) (*resultArena, error) {
+	if err := checkRoot(opts.Root, in.n); err != nil {
+		return nil, err
+	}
+	var t *phaseTimer
+	if opts.Observer != nil {
+		s.timer = phaseTimer{clk: opts.clock()}
+		t = &s.timer
+	}
+	mark := t.mark()
+	a, g, err := s.ingest(in, opts.Solver)
+	if err != nil {
+		return nil, err
+	}
+	if t != nil && in.from == fromSystem {
+		opts.Observer.ObservePhase("mls", t.lap(&mark).Seconds())
+	}
+	pool := s.ensurePool(opts.Parallelism)
+
+	thresh, withMS := 0, false
+	if g == nil {
+		if err := closeDense(&a.ms, pool); err != nil {
+			return nil, err
+		}
+		s.layoutComponents(a, in.n, graph.SCCDense(&a.ms, &s.scc))
+	} else {
+		thresh, withMS = s.splitCSR(a, g, &opts)
+	}
+	res := &a.res
+	res.Corrections = a.corr
+	res.Components = a.comps
+	res.ComponentPrecision = a.prec
+	res.ComponentLowerBound = a.lowerB
+	if g == nil || withMS {
+		a.msRows = a.ms.RowsInto(a.msRows)
+		res.MS = a.msRows
+	}
+	if err := s.solveComponents(a, g, opts, thresh, withMS, pool, t); err != nil {
+		return nil, err
+	}
+
+	if t != nil {
+		est := max(t.lap(&mark)-t.karp-t.corr, 0)
+		opts.Observer.ObservePhase("estimate", est.Seconds())
+		opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
+		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
+	}
+	if opts.Quality {
+		pairs := in.pairs
+		if in.from == fromSystem {
+			pairs = linkPairs(in.links)
+		}
+		PublishQuality(res, pairs, opts.QualityLabel, nil)
+		if res.MS == nil {
+			// Where no pair sweep is affordable, the hierarchical
+			// solver's per-cluster bounds keep cluster precision visible.
+			h := obs.Default.Histogram(qualityName("quality.precision.cluster", opts.QualityLabel), obs.DefTimeBuckets)
+			for _, bounds := range s.hierQ {
+				for _, b := range bounds {
+					h.Observe(b)
+				}
+			}
+		}
+	}
+	return a, nil
+}
+
+// ingest is the one ingestion step: it turns the input into a dense m~ls
+// block in the next arena (g nil) or into a built CSR adjacency g. A row
+// matrix or a system goes where useDense sends it, a prepared CSR stays
+// sparse, and a stream's matrix stays dense. Dense inputs never build a
+// CSR: a row matrix counts its entries only when useDense asks, and a
+// system builds its CSR only then (scattering it into the block if the
+// instance turns out dense).
+func (s *Synchronizer) ingest(in *input, solver Solver) (a *resultArena, g *graph.CSR, err error) {
+	n := in.n
+	switch in.from {
+	case fromDense:
+		if err := validateDense(in.dense); err != nil {
+			return nil, nil, err
+		}
+		a = s.nextArena(n, true)
+		a.ms.CopyFrom(in.dense)
+	case fromCSR:
+		in.g.Build()
+		return s.nextArena(n, false), in.g, nil
+	case fromRows:
+		if err := validateMatrix(in.rows); err != nil {
+			return nil, nil, err
+		}
+		if !useDense(solver, n, func() int { return rowsNnz(in.rows) }) {
+			s.csr.Reset(n)
+			for i, row := range in.rows {
+				for j, x := range row {
+					if i == j || math.IsInf(x, 1) {
+						continue
+					}
+					if err := s.csr.AddEdge(i, j, x); err != nil {
+						return nil, nil, err
+					}
+				}
+			}
+			s.csr.Build()
+			return s.nextArena(n, false), &s.csr, nil
+		}
+		a = s.nextArena(n, true)
+		for i, row := range in.rows {
+			copy(a.ms.Row(i), row)
+		}
+	case fromSystem:
+		built := false
+		dense := useDense(solver, n, func() int {
+			built = true
+			err = mlsCSRInto(&s.csr, n, in.links, in.tab, in.mopts)
+			return s.csr.Nnz()
+		})
+		switch {
+		case err != nil:
+			return nil, nil, err
+		case !dense:
+			// m~ls goes straight into CSR: O(links) work and memory,
+			// never an n×n matrix.
+			if !built {
+				if err := mlsCSRInto(&s.csr, n, in.links, in.tab, in.mopts); err != nil {
+					return nil, nil, err
+				}
+			}
+			return s.nextArena(n, false), &s.csr, nil
+		case built:
+			// The CSR measured the instance dense; scatter it.
+			a = s.nextArena(n, true)
+			a.ms.Fill(graph.Inf)
+			scatterCSR(&s.csr, &a.ms)
+		default:
+			a = s.nextArena(n, true)
+			if err := mlsMatrixInto(&a.ms, n, in.links, in.tab, in.mopts); err != nil {
+				return nil, nil, err
+			}
+			if err := validateDense(&a.ms); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	a.ms.FillDiag(0)
+	return a, nil, nil
+}
+
+// rowsNnz counts the finite off-diagonal entries of a row matrix.
+func rowsNnz(mls [][]float64) int {
+	nnz := 0
+	for i, row := range mls {
+		for j, x := range row {
+			if i != j && !math.IsInf(x, 1) {
+				nnz++
+			}
+		}
+	}
+	return nnz
 }
 
 // nextArena flips the double buffer and sizes the fixed-shape buffers.
@@ -278,59 +389,6 @@ func (s *Synchronizer) nextArena(n int, withMS bool) *resultArena {
 	a.cycle = a.cycle[:0]
 	a.res = Result{}
 	return a
-}
-
-// run executes estimate closure, component split, A_max, and corrections
-// on a prepared arena. mark is the start of the "estimate" phase.
-func (s *Synchronizer) run(a *resultArena, n int, opts Options, mark time.Time) (*Result, error) {
-	if opts.Root < 0 || (n > 0 && opts.Root >= n) {
-		return nil, fmt.Errorf("core: root %d out of range [0,%d)", opts.Root, n)
-	}
-	timed := opts.Observer != nil
-	var clk obs.Clock
-	if timed {
-		clk = opts.clock()
-	}
-	pool := s.ensurePool(opts.Parallelism)
-
-	// GLOBAL ESTIMATES (Theorem 5.5): shortest-path closure of m~ls.
-	if err := closeDense(&a.ms, pool); err != nil {
-		return nil, err
-	}
-	if timed {
-		opts.Observer.ObservePhase("estimate", clk.Now().Sub(mark).Seconds())
-	}
-
-	s.buildComponents(a, n)
-	a.msRows = a.ms.RowsInto(a.msRows)
-	res := &a.res
-	res.Corrections = a.corr
-	res.MS = a.msRows
-	res.Components = a.comps
-	res.ComponentPrecision = a.prec
-
-	var t *phaseTimer
-	if timed {
-		s.timer = phaseTimer{clk: clk}
-		t = &s.timer
-	}
-	if err := s.solveComponents(a, nil, opts, 0, false, pool, t); err != nil {
-		return nil, err
-	}
-	if timed {
-		opts.Observer.ObservePhase("karp_amax", t.karp.Seconds())
-		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
-	}
-	return res, nil
-}
-
-// buildComponents partitions processors into maximal sets with mutually
-// finite m~s (the strongly connected components of the finite-weight
-// digraph), members ascending, components ordered by smallest member —
-// all into arena storage.
-func (s *Synchronizer) buildComponents(a *resultArena, n int) {
-	nc := graph.SCCDense(&a.ms, &s.scc)
-	s.layoutComponents(a, n, nc)
 }
 
 // layoutComponents lays the component partition recorded in s.scc.CompOf
@@ -365,6 +423,7 @@ func (s *Synchronizer) layoutComponents(a *resultArena, n, nc int) {
 	}
 	a.comps = a.comps[:nc]
 	grow(&a.prec, nc)
+	grow(&a.lowerB, nc)
 	off := 0
 	for rank, c := range s.order {
 		a.comps[rank] = a.compFlat[off : off : off+s.compSize[c]]
@@ -449,7 +508,7 @@ func stripe[J laneJob](s *Synchronizer, n int, kit *compKit, pool *graph.Pool, f
 // from the arena's closure; the sparse pipeline closes the component of g
 // into kit.ms or, above thresh nodes, hands it to the hierarchical solver,
 // and copies the closure into the arena's m~s when withMS. It fills
-// a.prec[ci], on the sparse pipeline also s.lowerB[ci], and the
+// a.prec[ci], a.lowerB[ci] (equal to it on an exact solve) and the
 // component's correction slots; the only component of a system also sets
 // the Result's critical cycle (none on the hierarchical path).
 type componentJob struct {
@@ -468,9 +527,7 @@ func (j componentJob) run(s *Synchronizer, ci int, kit *compKit, pool *graph.Poo
 	if k == 1 {
 		a.corr[comp[0]] = 0
 		a.prec[ci] = 0
-		if g != nil {
-			s.lowerB[ci] = 0
-		}
+		a.lowerB[ci] = 0
 		return nil
 	}
 	ms, idx := &a.ms, comp
@@ -495,6 +552,7 @@ func (j componentJob) run(s *Synchronizer, ci int, kit *compKit, pool *graph.Poo
 	m := j.t.mark()
 	aMax, cycle := s.componentAMax(kit, ms, idx, pool)
 	a.prec[ci] = aMax
+	a.lowerB[ci] = aMax
 	j.t.addKarp(&m)
 	fwd := grow(&kit.dist, k)
 	var rev []float64
@@ -514,7 +572,6 @@ func (j componentJob) run(s *Synchronizer, ci int, kit *compKit, pool *graph.Poo
 	}
 	j.t.addCorr(&m)
 	if g != nil {
-		s.lowerB[ci] = aMax
 		// Karp ran on local indices; translate the cycle in place.
 		for i, v := range cycle {
 			cycle[i] = comp[v]
@@ -678,10 +735,11 @@ func (s *Synchronizer) kit(i int) *compKit {
 // beyond the Synchronizer reuse window.
 func (r *Result) Clone() *Result {
 	out := &Result{
-		Precision:          r.Precision,
-		Corrections:        slices.Clone(r.Corrections),
-		ComponentPrecision: slices.Clone(r.ComponentPrecision),
-		CriticalCycle:      slices.Clone(r.CriticalCycle),
+		Precision:           r.Precision,
+		Corrections:         slices.Clone(r.Corrections),
+		ComponentPrecision:  slices.Clone(r.ComponentPrecision),
+		ComponentLowerBound: slices.Clone(r.ComponentLowerBound),
+		CriticalCycle:       slices.Clone(r.CriticalCycle),
 	}
 	if r.MS != nil {
 		n := len(r.MS)
@@ -740,3 +798,15 @@ func grow[T any](buf *[]T, n int) []T {
 // wrappers: repeated calls reuse warmed-up scratch across the process
 // while still returning detached, caller-owned Results.
 var synchronizerPool = sync.Pool{New: func() any { return NewSynchronizer() }}
+
+// solvePooled is the body of those wrappers: one solve on a pooled
+// Synchronizer, whose result is cloned before the Synchronizer goes back.
+func solvePooled(in *input, opts Options) (*Result, error) {
+	s := synchronizerPool.Get().(*Synchronizer)
+	defer synchronizerPool.Put(s)
+	res, err := result(s.solve(in, opts))
+	if err != nil {
+		return nil, err
+	}
+	return res.Clone(), nil
+}

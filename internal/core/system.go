@@ -130,15 +130,7 @@ func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p
 // Like Synchronize, it draws a warmed-up Synchronizer from a process-wide
 // pool and returns a detached Result that is safe to retain.
 func SynchronizeSystem(n int, links []Link, tab *trace.Table, mopts MLSOptions, opts Options) (*Result, error) {
-	s := synchronizerPool.Get().(*Synchronizer)
-	res, err := s.SyncSystem(n, links, tab, mopts, opts)
-	if err != nil {
-		synchronizerPool.Put(s)
-		return nil, err
-	}
-	out := res.Clone()
-	synchronizerPool.Put(s)
-	return out, nil
+	return solvePooled(&input{from: fromSystem, n: n, links: links, tab: tab, mopts: mopts}, opts)
 }
 
 // Rho evaluates the realized discrepancy rho(alpha, x) of Definition 2.1
