@@ -30,6 +30,7 @@ import (
 	"clocksync/internal/model"
 	"clocksync/internal/netsync"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 )
 
 func main() {
@@ -116,13 +117,13 @@ func run(args []string) error {
 	case *authKeys != "" && *authSeed != 0:
 		return fmt.Errorf("-auth-seed and -auth-keys are mutually exclusive")
 	case *authKeys != "":
-		keys, err := loadKeyring(*authKeys)
+		keys, err := loadKeyring(*authKeys, *n)
 		if err != nil {
 			return err
 		}
 		cfg.Keys = keys
 	case *authSeed != 0:
-		cfg.Keys = netsync.DeriveKeys(*n, *authSeed)
+		cfg.Keys = round.DeriveKeys(*n, *authSeed)
 	}
 	node, err := netsync.Start(cfg)
 	if err != nil {
@@ -194,15 +195,16 @@ func publishHealth(out *netsync.Outcome, session string) {
 	obs.SetHealthFor(session, h)
 }
 
-// loadKeyring reads an HMAC keyring file: one "id=hex" line per node,
-// blank lines and #-comments ignored. netsync.Config validation enforces
-// that the result covers every id in [0, n).
-func loadKeyring(path string) (map[model.ProcID][]byte, error) {
+// loadKeyring reads an HMAC keyring file for an n-node cluster: one
+// "id=hex" line per node, blank lines and #-comments ignored. Ids outside
+// [0, n) and repeated ids are errors; netsync.Config validation rejects a
+// keyring that leaves an id without a key.
+func loadKeyring(path string, n int) (round.Keyring, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("-auth-keys: %w", err)
 	}
-	keys := make(map[model.ProcID][]byte)
+	keys := make(round.Keyring, n)
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -216,17 +218,17 @@ func loadKeyring(path string) (map[model.ProcID][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-auth-keys %s:%d: bad node id %q: %v", path, i+1, kv[0], err)
 		}
+		if id < 0 || id >= n {
+			return nil, fmt.Errorf("-auth-keys %s:%d: node id %d out of range [0,%d)", path, i+1, id, n)
+		}
 		key, err := hex.DecodeString(strings.TrimSpace(kv[1]))
 		if err != nil {
 			return nil, fmt.Errorf("-auth-keys %s:%d: bad hex key for id %d: %v", path, i+1, id, err)
 		}
-		if _, dup := keys[model.ProcID(id)]; dup {
+		if keys[id] != nil {
 			return nil, fmt.Errorf("-auth-keys %s:%d: duplicate key for id %d", path, i+1, id)
 		}
-		keys[model.ProcID(id)] = key
-	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("-auth-keys %s: no keys found", path)
+		keys[id] = key
 	}
 	return keys, nil
 }

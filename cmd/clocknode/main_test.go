@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,16 +29,19 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
+// TestLoadKeyring: loadKeyring rejects what no keyring file may hold;
+// a file that leaves an id without a key loads, and Keyring.Validate (run
+// by netsync.Start) rejects it.
 func TestLoadKeyring(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keys")
 	if err := os.WriteFile(path, []byte("# cluster keyring\n0=aabb\n\n1 = ccdd\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := loadKeyring(path)
+	keys, err := loadKeyring(path, 2)
 	if err != nil {
 		t.Fatalf("loadKeyring: %v", err)
 	}
-	if len(keys) != 2 || string(keys[0]) != "\xaa\xbb" || string(keys[1]) != "\xcc\xdd" {
+	if len(keys) != 2 || string(keys[0]) != "\xaa\xbb" || string(keys[1]) != "\xcc\xdd" || keys.Validate(2) != nil {
 		t.Errorf("keys = %x", keys)
 	}
 	for name, body := range map[string]string{
@@ -45,16 +49,33 @@ func TestLoadKeyring(t *testing.T) {
 		"bad id":         "x=aabb\n",
 		"bad hex":        "0=zz\n",
 		"duplicate id":   "0=aa\n0=bb\n",
-		"empty file":     "# nothing\n",
+		"out of range":   "0=aa\n1=bb\n2=cc\n",
+		"negative id":    "-1=aa\n0=aa\n1=bb\n",
 	} {
 		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadKeyring(path); err == nil {
+		if _, err := loadKeyring(path, 2); err == nil {
 			t.Errorf("%s: accepted %q", name, body)
 		}
 	}
-	if _, err := loadKeyring(filepath.Join(t.TempDir(), "absent")); err == nil {
+	for name, body := range map[string]string{
+		"empty file": "# nothing\n",
+		"missing id": "0=aa\n",
+		"empty key":  "0=aa\n1=\n",
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		keys, err := loadKeyring(path, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if keys.Validate(2) == nil {
+			t.Errorf("%s: keyring %x validates", name, keys)
+		}
+	}
+	if _, err := loadKeyring(filepath.Join(t.TempDir(), "absent"), 2); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -85,6 +106,13 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	keys := filepath.Join(t.TempDir(), "keys")
+	if err := os.WriteFile(keys, []byte("0=aabb\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-n", "2", "-auth-keys", keys}); err == nil || !strings.Contains(err.Error(), "empty key for p1") {
+		t.Errorf("keyring without id 1: err = %v", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"clocksync/internal/dist"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 
@@ -173,7 +174,7 @@ func RunScenarioJSON(data []byte, cfg Config) (*Outcome, error) {
 		Excision:    cfg.Excision,
 	}
 	if cfg.Authenticate {
-		dcfg.AuthKeys = dist.DeriveKeys(sc.Processors, sc.Seed)
+		dcfg.AuthKeys = round.DeriveKeys(sc.Processors, sc.Seed)
 	}
 	runFn := dist.Run
 	if cfg.Gossip {

@@ -33,6 +33,7 @@ import (
 	"clocksync/internal/model"
 	"clocksync/internal/netsync"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 )
 
 const (
@@ -69,7 +70,7 @@ func run(outPath, chromePath string) error {
 		traces[i] = obs.NewTrace(fmt.Sprintf("traced-node-%d", i))
 	}
 
-	keys := netsync.DeriveKeys(n, seed)
+	keys := round.DeriveKeys(n, seed)
 	offsets := []time.Duration{0, 40, -25, 90, 15} // milliseconds, injected skew
 	cfgs := make([]netsync.Config, n)
 	for i := range cfgs {

@@ -22,6 +22,7 @@ import (
 	"clocksync/internal/experiments"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
@@ -364,7 +365,7 @@ func protocolRound(n int) Case {
 		}
 		cfg := dist.Config{
 			Leader: 0, Links: links, Probes: 4, Spacing: 0.01, Warmup: 1.5, Window: 1,
-			ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: dist.DeriveKeys(n, 9),
+			ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: round.DeriveKeys(n, 9),
 		}
 		faults := &sim.Faults{
 			Loss:      0.01,

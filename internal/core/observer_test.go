@@ -213,3 +213,52 @@ func TestStreamCrossCheckUnobserved(t *testing.T) {
 		t.Errorf("cross-checked cached call published quality: %d gradient samples, want %d", got, published)
 	}
 }
+
+// TestObserverSpansTile: the phases of one Synchronize, recorded as spans
+// under one trace observer, lie end to end inside the enclosing span.
+// core reports several phases together after the solve, so spans that
+// ended at their report instant would overlap.
+func TestObserverSpansTile(t *testing.T) {
+	const n = 120
+	mls := graph.NewMatrix(n, 0)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				mls[i][j] = 0.1 + float64((i*7+j*3)%5)*0.05
+			}
+		}
+	}
+	tr := obs.NewTrace("tile")
+	id, end := tr.StartChild("compute", -1, 0, 0)
+	if _, err := Synchronize(mls, Options{Observer: tr.ObserverChild(-1, 0, id)}); err != nil {
+		t.Fatal(err)
+	}
+	end()
+	var parent obs.Span
+	var phases []obs.Span
+	for _, s := range tr.Spans() {
+		switch {
+		case s.ID == id:
+			parent = s
+		case s.Parent == id:
+			phases = append(phases, s)
+		}
+	}
+	if len(phases) != 3 {
+		t.Fatalf("recorded %d phase spans, want 3: %+v", len(phases), phases)
+	}
+	const eps = 1e-9
+	for i, s := range phases {
+		if s.Start < parent.Start-eps || s.Start+s.Seconds > parent.Start+parent.Seconds+eps {
+			t.Errorf("%s span [%v, %v] outside its parent [%v, %v]", s.Phase,
+				s.Start, s.Start+s.Seconds, parent.Start, parent.Start+parent.Seconds)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := phases[i-1]; s.Start < prev.Start+prev.Seconds-eps {
+			t.Errorf("%s span starts at %v, inside %s [%v, %v]", s.Phase, s.Start,
+				prev.Phase, prev.Start, prev.Start+prev.Seconds)
+		}
+	}
+}

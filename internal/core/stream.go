@@ -23,7 +23,7 @@ var (
 // Stream is the incremental face of the synchronization pipeline: it
 // accepts observations one at a time, maintains every link's estimated
 // maximal local shifts online (each new message can only TIGHTEN its
-// link's m~ls — see delay.Tightener), and on Corrections reuses the
+// link's m~ls — see delay.Tighten), and on Corrections reuses the
 // previous solve wherever the tightened edges provably cannot change it.
 //
 // Every Corrections call is resolved one of two ways, and either way the

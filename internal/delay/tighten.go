@@ -55,53 +55,25 @@ const (
 	Grew      = +1
 )
 
-// Tightener is the incremental-refinement interface. Tighten folds one
-// observation into st's direction statistics and refreshes st.MLSPQ /
-// st.MLSQP from the UPDATED statistics (so the state always equals what a
-// batch reduction of the full trace would produce — streaming and batch
-// are bit-identical by construction). The return values report each
-// direction's movement as Shrank, Unchanged or Grew.
-//
-// All built-in models (Bounds, RTTBias, Intersect and their flips)
-// guarantee the result is monotone: Grew is never returned.
-type Tightener interface {
-	Tighten(obs Obs, st *LinkStats) (dPQ, dQP int)
-}
-
-// Tighten folds obs into st under assumption a: models implementing
-// Tightener use their own update, anything else goes through the generic
-// fold-and-recompute path (identical result, still exact — only the
-// monotonicity guarantee is unknown for foreign models, which the
-// direction reports surface).
+// Tighten folds obs into st's direction statistics under assumption a
+// and refreshes st.MLSPQ / st.MLSQP from the UPDATED statistics with the
+// assumption's batch MLS, so the state always equals what a batch
+// reduction of the full trace would produce — streaming and batch are
+// bit-identical by construction. The return values report each
+// direction's movement as Shrank, Unchanged or Grew. All built-in models
+// are monotone, so Grew is never returned for them: the shifts of Bounds
+// (Corollary 6.3) and RTTBias (Corollary 6.6) are non-increasing in d~max,
+// which only grows, and non-decreasing in d~min, which only shrinks;
+// Intersect takes pointwise minima and a flip only swaps the directions.
+// A foreign model's direction reports surface whatever its MLS does.
 func Tighten(a Assumption, obs Obs, st *LinkStats) (dPQ, dQP int) {
-	if t, ok := a.(Tightener); ok {
-		return t.Tighten(obs, st)
-	}
-	return tightenGeneric(a, obs, st)
-}
-
-// tightenGeneric folds the observation and recomputes both shifts from the
-// updated statistics via the assumption's batch MLS — the reference
-// semantics every specialized Tighten must match.
-func tightenGeneric(a Assumption, obs Obs, st *LinkStats) (dPQ, dQP int) {
-	fold(obs, st)
-	newPQ, newQP := a.MLS(st.PQ, st.QP)
-	return refresh(st, newPQ, newQP)
-}
-
-// fold adds the observation to the direction it traveled.
-func fold(obs Obs, st *LinkStats) {
 	if obs.ToQ {
 		st.PQ.Add(obs.Est)
 	} else {
 		st.QP.Add(obs.Est)
 	}
-}
-
-// refresh installs recomputed shifts and classifies both movements.
-func refresh(st *LinkStats, newPQ, newQP float64) (dPQ, dQP int) {
-	dPQ = direction(st.MLSPQ, newPQ)
-	dQP = direction(st.MLSQP, newQP)
+	newPQ, newQP := a.MLS(st.PQ, st.QP)
+	dPQ, dQP = direction(st.MLSPQ, newPQ), direction(st.MLSQP, newQP)
 	st.MLSPQ, st.MLSQP = newPQ, newQP
 	return dPQ, dQP
 }
@@ -120,44 +92,4 @@ func direction(old, new float64) int {
 	default:
 		return Unchanged
 	}
-}
-
-// The concrete Tighten implementations below call their own MLS directly
-// instead of delegating through tightenGeneric: re-boxing the receiver
-// into the Assumption interface would heap-allocate on every observation,
-// and the streaming hot path is contractually allocation-free.
-
-// Tighten implements Tightener for the Section 6.1 bounds model. Corollary
-// 6.3's shifts min(ub - d~max, d~min - lb) are non-increasing in d~max
-// (which only grows) and non-decreasing in d~min (which only shrinks), so
-// the update is monotone.
-func (b Bounds) Tighten(obs Obs, st *LinkStats) (dPQ, dQP int) {
-	fold(obs, st)
-	newPQ, newQP := b.MLS(st.PQ, st.QP)
-	return refresh(st, newPQ, newQP)
-}
-
-// Tighten implements Tightener for the Section 6.2 RTT-bias model.
-// Corollary 6.6's shifts min(d~min, (B + d~min - d~max)/2) are monotone in
-// the statistics for the same reason as Bounds.
-func (r RTTBias) Tighten(obs Obs, st *LinkStats) (dPQ, dQP int) {
-	fold(obs, st)
-	newPQ, newQP := r.MLS(st.PQ, st.QP)
-	return refresh(st, newPQ, newQP)
-}
-
-// Tighten implements Tightener for conjunctions: the pointwise minimum of
-// monotone updates is monotone (Theorem 5.6 carries over unchanged).
-func (in Intersect) Tighten(obs Obs, st *LinkStats) (dPQ, dQP int) {
-	fold(obs, st)
-	newPQ, newQP := in.MLS(st.PQ, st.QP)
-	return refresh(st, newPQ, newQP)
-}
-
-// Tighten implements Tightener for orientation-flipped assumptions; the
-// flip only exchanges the roles of the two directions.
-func (f flipped) Tighten(obs Obs, st *LinkStats) (dPQ, dQP int) {
-	fold(obs, st)
-	newPQ, newQP := f.MLS(st.PQ, st.QP)
-	return refresh(st, newPQ, newQP)
 }

@@ -9,103 +9,32 @@
 // authenticated-transport concern (internal/netsync), not the lying-
 // reporter fault model.
 //
-// Authentication is modeled with per-processor HMAC-SHA256 keys
-// (Config.AuthKeys): every emitted report carries a MAC over its frozen
-// content, and computing nodes drop reports whose MAC does not verify.
-// The adversary legitimately holds its OWN key, so authentication alone
-// does not stop it from lying about its own measurements (it re-signs
-// the lie); what authentication removes is impersonation: a forged
-// report in a peer's name cannot carry a MAC that verifies under the
-// peer's key.
+// Authentication (Config.AuthKeys) signs every emitted report's frozen
+// content with the origin's key (internal/round), and computing nodes drop
+// reports whose MAC does not verify.
 package dist
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"hash"
-	"math"
-
 	"clocksync/internal/model"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
 
-// DeriveKeys returns a deterministic per-processor keyring for simulated
-// runs: key p is SHA-256 of the seed and the processor id. Real
-// deployments would provision keys out of band; for the simulator the
-// only property that matters is that keys are distinct per processor and
-// reproducible per seed.
-func DeriveKeys(n int, seed int64) [][]byte {
-	keys := make([][]byte, n)
-	for p := range keys {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("clocksync-dist-key:%d:%d", seed, p)))
-		keys[p] = sum[:]
-	}
-	return keys
-}
+// DeriveKeys forwards to round.DeriveKeys. It stays only because the
+// clockbench command calls it; the next change to clockbench deletes it.
+func DeriveKeys(n int, seed int64) round.Keyring { return round.DeriveKeys(n, seed) }
 
-// reportMAC computes the HMAC-SHA256 of a report's frozen content (origin
-// and link statistics, in the report's deterministic link order) under
-// the given key. The round stamp is excluded: re-floods carry the same
-// content and must verify under the same MAC.
-func reportMAC(key []byte, origin model.ProcID, links []DirReport) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(appendReportContent(make([]byte, 0, 8+40*len(links)), origin, links))
-	return mac.Sum(nil)
-}
-
-// appendReportContent appends the bytes a report MAC covers to b.
-func appendReportContent(b []byte, origin model.ProcID, links []DirReport) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(int64(origin)))
-	for _, dr := range links {
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.From)))
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.To)))
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(dr.Stats.Count)))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(dr.Stats.Min))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(dr.Stats.Max))
-	}
-	return b
-}
-
-// macVerifier checks report MACs under a keyring. It keeps one keyed HMAC
-// per origin, built on first use and Reset between reports, which yields
-// the same MAC as a fresh hmac.New without rekeying every time.
-type macVerifier struct {
-	keys [][]byte
-	macs []hash.Hash // by origin; nil until the origin's first report
-	buf  []byte      // the report content being verified
-	sum  [sha256.Size]byte
-}
-
-// verify checks a report's MAC under the claimed origin's key in constant
-// time; an origin outside the keyring never verifies.
-func (v *macVerifier) verify(rep Report) bool {
-	o := int(rep.Origin)
-	if o < 0 || o >= len(v.keys) {
-		return false
-	}
-	if v.macs == nil {
-		v.macs = make([]hash.Hash, len(v.keys))
-	}
-	mac := v.macs[o]
-	if mac == nil {
-		mac = hmac.New(sha256.New, v.keys[o])
-		v.macs[o] = mac
-	} else {
-		mac.Reset()
-	}
-	v.buf = appendReportContent(v.buf[:0], rep.Origin, rep.Links)
-	mac.Write(v.buf)
-	return hmac.Equal(mac.Sum(v.sum[:0]), rep.MAC)
+// signReport returns the MAC of a report's content under key.
+func signReport(key []byte, origin model.ProcID, links []DirReport) []byte {
+	return round.Sign(key, round.AppendReport(make([]byte, 0, 8+40*len(links)), origin, links))
 }
 
 // withReportMutator installs the dist report mutator on fault schedules
 // that carry Byzantine entries but no protocol mutator yet, leaving the
 // caller's Faults value untouched (shallow copy). keys lets mutated
 // own-origin reports stay correctly signed when the run authenticates.
-func withReportMutator(f *sim.Faults, keys [][]byte) *sim.Faults {
+func withReportMutator(f *sim.Faults, keys round.Keyring) *sim.Faults {
 	if f == nil || len(f.Byzantine) == 0 || f.Mutator != nil {
 		return f
 	}
@@ -123,7 +52,7 @@ func withReportMutator(f *sim.Faults, keys [][]byte) *sim.Faults {
 // Mutators must be pure functions of their arguments (sim contract), so
 // every strategy below derives its perturbations from the entry's fields
 // and the directed hop alone.
-func NewReportMutator(keys [][]byte) sim.PayloadMutator {
+func NewReportMutator(keys round.Keyring) sim.PayloadMutator {
 	return func(b sim.Byzantine, from, to int, payload any) (any, bool) {
 		rep, ok := payload.(Report)
 		if !ok || int(rep.Origin) != b.Proc {
@@ -177,9 +106,9 @@ func shiftReport(rep Report, off func(i int) float64) Report {
 // signOwn re-signs a (mutated) own-origin report with the origin's key
 // when a keyring is configured: the adversary holds its own key, so its
 // lies about its own measurements verify.
-func signOwn(rep Report, keys [][]byte) Report {
+func signOwn(rep Report, keys round.Keyring) Report {
 	if keys != nil && int(rep.Origin) >= 0 && int(rep.Origin) < len(keys) {
-		rep.MAC = reportMAC(keys[rep.Origin], rep.Origin, rep.Links)
+		rep.MAC = signReport(keys[rep.Origin], rep.Origin, rep.Links)
 	}
 	return rep
 }
@@ -192,7 +121,7 @@ func signOwn(rep Report, keys [][]byte) Report {
 // without authentication it collides with the victim's genuine report and
 // (under excision) flags the honest victim as an equivocator: degraded,
 // but never silently wrong.
-func forgeReport(rep Report, b sim.Byzantine, keys [][]byte) Report {
+func forgeReport(rep Report, b sim.Byzantine, keys round.Keyring) Report {
 	if len(rep.Links) == 0 {
 		return rep
 	}
@@ -208,7 +137,7 @@ func forgeReport(rep Report, b sim.Byzantine, keys [][]byte) Report {
 		Links:  []DirReport{{From: model.ProcID(b.Proc), To: victim, Stats: st}},
 	}
 	if keys != nil && b.Proc >= 0 && b.Proc < len(keys) {
-		forged.MAC = reportMAC(keys[b.Proc], forged.Origin, forged.Links)
+		forged.MAC = signReport(keys[b.Proc], forged.Origin, forged.Links)
 	}
 	return forged
 }

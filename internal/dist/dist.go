@@ -117,12 +117,12 @@ type Config struct {
 	// always computes at the grace deadline (never early on the n-th
 	// report) so conflicting report versions have time to surface.
 	Excision bool
-	// AuthKeys is the per-processor HMAC-SHA256 keyring (length n). When
+	// AuthKeys is the per-processor keyring (see round.Keyring). When
 	// set, emitted reports carry a MAC over their frozen content and
 	// computing nodes drop reports whose MAC does not verify under the
 	// claimed origin's key (counted in dist.reports.authfail and treated
 	// like loss). Nil preserves the unauthenticated protocol.
-	AuthKeys [][]byte
+	AuthKeys round.Keyring
 }
 
 // withDefaults fills derived defaults.
@@ -159,13 +159,8 @@ func (c Config) validate(n int) error {
 		return fmt.Errorf("dist: retries = %d, want >= 0", c.Retries)
 	}
 	if c.AuthKeys != nil {
-		if len(c.AuthKeys) != n {
-			return fmt.Errorf("dist: %d auth keys for %d processors", len(c.AuthKeys), n)
-		}
-		for p, key := range c.AuthKeys {
-			if len(key) == 0 {
-				return fmt.Errorf("dist: empty auth key for p%d", p)
-			}
+		if err := c.AuthKeys.Validate(n); err != nil {
+			return fmt.Errorf("dist: %w", err)
 		}
 	}
 	return nil
@@ -280,7 +275,7 @@ func newFactory(n int, cfg Config, perNode [][]float64) (sim.ProtocolFactory, *O
 			// Only the leader publishes quality telemetry: every gossip node
 			// computes, but the leader's computation is the canonical one.
 			pr.seen = make(map[model.ProcID]bool)
-			pr.auth.keys = cfg.AuthKeys
+			pr.auth = round.NewVerifier(cfg.AuthKeys)
 			pr.round = round.New(round.Config{N: n, Links: cfg.Links, Excision: cfg.Excision,
 				Solve: core.Options{Root: int(cfg.Leader), Centered: cfg.Centered,
 					Parallelism: cfg.Parallelism, Quality: p == cfg.Leader, QualityLabel: session}})
@@ -357,7 +352,7 @@ type proc struct {
 	// is nil on nodes that never compute.
 	round    *round.Round
 	rejected map[model.ProcID]bool // origins with a MAC-rejected version
-	auth     macVerifier           // keyed computing node: report MAC checks
+	auth     *round.Verifier       // keyed computing node: report MAC checks
 	computed bool
 	result   ResultMsg
 }
@@ -450,7 +445,7 @@ func (pr *proc) emitReport(env *sim.Env) {
 	// Deterministic order for reproducibility of message sequences.
 	sort.Slice(rep.Links, func(i, j int) bool { return rep.Links[i].From < rep.Links[j].From })
 	if pr.cfg.AuthKeys != nil {
-		rep.MAC = reportMAC(pr.cfg.AuthKeys[env.Self()], rep.Origin, rep.Links)
+		rep.MAC = signReport(pr.cfg.AuthKeys[env.Self()], rep.Origin, rep.Links)
 	}
 	pr.reportMsg = rep
 	mReportsEmitted.Inc()
@@ -520,7 +515,7 @@ func (pr *proc) acceptReport(env *sim.Env, rep Report) {
 		}
 		return
 	}
-	if pr.cfg.AuthKeys != nil && !pr.auth.verify(rep) {
+	if pr.cfg.AuthKeys != nil && !pr.auth.VerifyReport(rep.Origin, rep.Links, rep.MAC) {
 		if !pr.rejected[rep.Origin] {
 			pr.rejected[rep.Origin] = true
 			mReportsAuth.Inc()
@@ -562,7 +557,7 @@ func (pr *proc) compute(env *sim.Env) {
 	reportAt := pr.cfg.Warmup + pr.cfg.Window
 	pr.cfg.Trace.AddSimChild("collect", self, 0, reportAt, env.Clock()-reportAt, obs.RootSpanID)
 	computeSpan, endCompute := pr.cfg.Trace.StartChild("compute", self, 0, obs.RootSpanID)
-	res := pr.round.Solve(pr.phaseObserver(self, computeSpan))
+	res := pr.round.Solve(pr.cfg.Trace.ObserverChild(self, 0, computeSpan))
 	endCompute()
 	if leader {
 		// Flight-record the round regardless of tracing: phase timings,
@@ -648,21 +643,6 @@ func (pr *proc) fail(err error) {
 	if pr.out.Err == nil {
 		pr.out.Err = err
 	}
-}
-
-// phaseObserver feeds the core pipeline's phase durations into the
-// per-run trace (as children of the enclosing compute span) and the
-// process-wide phase histograms; the round adds them to its flight
-// record. Histogram feeding stays on even without a trace — it is four
-// observations per compute, nowhere near a hot path.
-func (pr *proc) phaseObserver(proc int, parent obs.SpanID) obs.PhaseObserver {
-	traced := pr.cfg.Trace.ObserverChild(proc, 0, parent)
-	return obs.PhaseFunc(func(phase string, seconds float64) {
-		obs.Default.Histogram("dist.phase."+phase+".seconds", nil).Observe(seconds)
-		if traced != nil {
-			traced.ObservePhase(phase, seconds)
-		}
-	})
 }
 
 // from converts an int to a ProcID; from(-1) denotes "locally originated".

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clocksync/internal/model"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 )
 
@@ -129,7 +130,7 @@ func TestGossipExcisesSignedLiar(t *testing.T) {
 	cfg := Config{
 		Leader: 0, Links: links, Probes: 3, Spacing: 0.01,
 		Warmup: sim.SafeWarmup(starts) + 0.5, Window: 1, ReportGrace: 2,
-		Excision: true, AuthKeys: DeriveKeys(n, 3),
+		Excision: true, AuthKeys: round.DeriveKeys(n, 3),
 	}
 	faults := &sim.Faults{Byzantine: []sim.Byzantine{{Proc: 3, Strategy: sim.ByzInflate, Magnitude: 0.5}}}
 	out, _, err := GossipRun(net, cfg, sim.RunConfig{Seed: 13, Faults: faults})

@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/dist"
 	"clocksync/internal/model"
+	"clocksync/internal/round"
 	"clocksync/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func D3ByzantineResilience(seed int64) (*Table, error) {
 	defExcise := defense{"excise", func(c *dist.Config, _ int64) { c.Excision = true }}
 	defAuth := defense{"excise+auth", func(c *dist.Config, authSeed int64) {
 		c.Excision = true
-		c.AuthKeys = dist.DeriveKeys(n, authSeed)
+		c.AuthKeys = round.DeriveKeys(n, authSeed)
 	}}
 
 	// expect describes the robust outcome of one run; the as-expected

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"clocksync/internal/core"
-	"clocksync/internal/model"
+	"clocksync/internal/round"
 )
 
 // TestClusterAuthenticated: a fully keyed cluster synchronizes end to end
@@ -16,7 +16,7 @@ import (
 // rejected, and the corrections recover the offsets.
 func TestClusterAuthenticated(t *testing.T) {
 	offsets := []time.Duration{0, 90 * time.Millisecond, -50 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 424242)
+	keys := round.DeriveKeys(len(offsets), 424242)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 	})
@@ -53,7 +53,7 @@ func TestClusterAuthenticated(t *testing.T) {
 // cluster still completes with sound corrections.
 func TestForgedReportRejected(t *testing.T) {
 	offsets := []time.Duration{0, 70 * time.Millisecond, -40 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 99)
+	keys := round.DeriveKeys(len(offsets), 99)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 	})
@@ -115,7 +115,7 @@ func TestForgedReportRejected(t *testing.T) {
 // cluster completes.
 func TestForgedReportEmptyKeyMAC(t *testing.T) {
 	offsets := []time.Duration{0, 60 * time.Millisecond, -30 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 7)
+	keys := round.DeriveKeys(len(offsets), 7)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 	})
@@ -130,9 +130,7 @@ func TestForgedReportEmptyKeyMAC(t *testing.T) {
 		Origin: 1,
 		Links:  []LinkStats{{From: 0, To: 1, Count: 4, Min: 0.0001, Max: 0.0002}},
 	}
-	if err := signMessage(nil, forged); err != nil { // what any keyless attacker can compute
-		t.Fatal(err)
-	}
+	signFrame(t, nil, forged) // what any keyless attacker can compute
 	if err := c.send(forged, 2*time.Second); err != nil {
 		t.Fatalf("send forged report: %v", err)
 	}
@@ -152,7 +150,7 @@ func TestForgedReportEmptyKeyMAC(t *testing.T) {
 // count must not inflate and the round must not fail.
 func TestForgedReportOutOfRangeOrigin(t *testing.T) {
 	offsets := []time.Duration{0, 60 * time.Millisecond, -30 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 8)
+	keys := round.DeriveKeys(len(offsets), 8)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 	})
@@ -163,9 +161,7 @@ func TestForgedReportOutOfRangeOrigin(t *testing.T) {
 	}
 	c := newConn(raw)
 	forged := &Message{Type: "report", Origin: 99}
-	if err := signMessage(nil, forged); err != nil {
-		t.Fatal(err)
-	}
+	signFrame(t, nil, forged)
 	if err := c.send(forged, 2*time.Second); err != nil {
 		t.Fatalf("send forged report: %v", err)
 	}
@@ -185,7 +181,7 @@ func TestForgedReportOutOfRangeOrigin(t *testing.T) {
 // incoming statistics, and the run stays sound.
 func TestForgedProbeRejected(t *testing.T) {
 	offsets := []time.Duration{0, 60 * time.Millisecond, -30 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 9)
+	keys := round.DeriveKeys(len(offsets), 9)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 	})
@@ -198,9 +194,7 @@ func TestForgedProbeRejected(t *testing.T) {
 	// SendClock far in the past inflates the measured delay way past the
 	// declared 0.5s bound; accepted, it would wreck the constraint system.
 	forged := &Message{Type: "probe", From: 1, SendClock: -1000}
-	if err := signMessage(nil, forged); err != nil {
-		t.Fatal(err)
-	}
+	signFrame(t, nil, forged)
 	if err := c.send(forged, 2*time.Second); err != nil {
 		t.Fatalf("send forged probe: %v", err)
 	}
@@ -240,7 +234,8 @@ func waitClusterSound(t *testing.T, nodes []*Node, offsets []time.Duration) {
 	}
 }
 
-// TestKeyringValidation: malformed keyrings are rejected at Start.
+// TestKeyringValidation: malformed keyrings are rejected at Start. A key
+// for an id outside [0, N) shows as a keyring longer than N.
 func TestKeyringValidation(t *testing.T) {
 	base := func() Config {
 		return Config{
@@ -248,15 +243,16 @@ func TestKeyringValidation(t *testing.T) {
 			Probes: 1, Interval: time.Millisecond, Timeout: time.Second,
 		}
 	}
+	k := []byte("k")
 	tests := []struct {
 		name string
-		keys map[model.ProcID][]byte
+		keys round.Keyring
 		want string
 	}{
-		{"missing own key", map[model.ProcID][]byte{1: []byte("k")}, "no key for own id"},
-		{"out of range id", map[model.ProcID][]byte{0: []byte("k"), 7: []byte("k")}, "out of range"},
-		{"empty key", map[model.ProcID][]byte{0: []byte("k"), 1: nil}, "empty key"},
-		{"incomplete keyring", map[model.ProcID][]byte{0: []byte("k")}, "incomplete keyring"},
+		{"missing own key", round.Keyring{nil, k}, "empty key for p0"},
+		{"out of range id", round.Keyring{k, k, k}, "3 keys for 2 processors"},
+		{"empty key", round.Keyring{k, {}}, "empty key for p1"},
+		{"incomplete keyring", round.Keyring{k}, "1 keys for 2 processors"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -267,4 +263,69 @@ func TestKeyringValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestForgedResultRejected: a keyed reporter whose coordinator address
+// leads to an impostor gets its report answered with a result signed
+// under a key other than the coordinator's. The reporter must not apply
+// the forged corrections: it counts the auth failure and fails closed.
+func TestForgedResultRejected(t *testing.T) {
+	keys := round.DeriveKeys(2, 12)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	errc := make(chan error, 1)
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			errc <- err
+			return
+		}
+		c := newConn(raw)
+		defer func() { _ = c.close() }()
+		if _, err := c.recv(5 * time.Second); err != nil {
+			errc <- err
+			return
+		}
+		forged := &Message{Type: "result", Corrections: []float64{0, 123}, Precision: 0.001}
+		body, err := frameBody(forged)
+		if err == nil {
+			forged.MAC = round.Sign(keys[1], body) // the only key the impostor holds
+			err = c.send(forged, 2*time.Second)
+		}
+		errc <- err
+	}()
+
+	node, err := Start(Config{ID: 1, N: 2, Listen: "127.0.0.1:0", Coordinator: 0,
+		CoordinatorAddr: ln.Addr().String(), Probes: 1, Interval: time.Millisecond,
+		ReportDelay: time.Millisecond, Timeout: 5 * time.Second, Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Shutdown()
+	out, err := node.Wait(5 * time.Second)
+	if err == nil {
+		t.Fatalf("forged result applied: correction %v", out.Correction)
+	}
+	if !strings.Contains(err.Error(), "authentication") {
+		t.Fatalf("Wait error = %v, want an authentication failure", err)
+	}
+	if af := node.Stats().AuthFailures; af != 1 {
+		t.Fatalf("AuthFailures = %d, want 1", af)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("impostor: %v", err)
+	}
+}
+
+// signFrame stamps m's MAC under key, as any holder of key can.
+func signFrame(t *testing.T, key []byte, m *Message) {
+	t.Helper()
+	body, err := frameBody(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MAC = round.Sign(key, body)
 }

@@ -182,20 +182,17 @@ type Config struct {
 	// (session="...") and the flight-recorder entry, keeping concurrent
 	// clusters in one process distinguishable.
 	Session string
-	// Keys is the cluster's HMAC-SHA256 keyring, mapping node ids to
-	// their signing keys. When non-nil it must be complete — one non-empty
-	// key per id in [0, N), enforced by validate — and this node signs
-	// both its probe and its report frames with Keys[ID]. Receivers drop
-	// frames whose claimed origin is out of range or whose MAC does not
-	// verify under that origin's key — counted in netsync.auth.failures;
-	// a rejected report is treated as loss, a rejected probe as a lost
-	// probe — so a forged frame degrades the outcome instead of
-	// corrupting it. An on-path attacker can still replay a captured
-	// probe, which only re-presents a slower observation — the same power
-	// as delaying traffic, which no keyring prevents. Nil preserves the
-	// unauthenticated wire format (back-compat, trusted network).
-	// Distribute the keyring out of band.
-	Keys map[model.ProcID][]byte
+	// Keys is the cluster's keyring (round.Keyring), one non-empty key per
+	// id in [0, N). When set, this node signs every frame it originates
+	// with Keys[ID]: probes, its report and, on the coordinator, results.
+	// A frame whose MAC does not verify under its claimed origin's key is
+	// counted in netsync.auth.failures and dropped: a report as loss, a
+	// probe as a lost probe, a result by failing the node — a forgery
+	// degrades the outcome instead of corrupting it. Replaying a captured
+	// probe only re-presents a slower observation, the power of delaying
+	// traffic, which no keyring prevents. Nil keeps the unauthenticated
+	// wire format. Distribute the keyring out of band.
+	Keys round.Keyring
 }
 
 func (c *Config) fill() {
@@ -241,24 +238,8 @@ func (c *Config) validate() error {
 		}
 	}
 	if c.Keys != nil {
-		if len(c.Keys[c.ID]) == 0 {
-			return fmt.Errorf("netsync: keyed cluster but no key for own id %d", c.ID)
-		}
-		for id, key := range c.Keys {
-			if int(id) < 0 || int(id) >= c.N {
-				return fmt.Errorf("netsync: key for id %d out of range [0,%d)", id, c.N)
-			}
-			if len(key) == 0 {
-				return fmt.Errorf("netsync: empty key for id %d", id)
-			}
-		}
-		// A hole in the keyring would leave frames claiming that origin
-		// verifiable under no key at all; require completeness so every
-		// origin check resolves to a real key.
-		for p := 0; p < c.N; p++ {
-			if _, ok := c.Keys[model.ProcID(p)]; !ok {
-				return fmt.Errorf("netsync: incomplete keyring: no key for id %d (a keyed cluster needs one per node in [0,%d))", p, c.N)
-			}
+		if err := c.Keys.Validate(c.N); err != nil {
+			return fmt.Errorf("netsync: %w", err)
 		}
 	}
 	return nil
@@ -457,7 +438,7 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// noteAuthFailure counts one rejected frame in a keyed cluster.
+// noteAuthFailure counts one frame rejected by authentication.
 func (n *Node) noteAuthFailure(kind string, origin model.ProcID, c *conn) {
 	n.stats.authFailures.Add(1)
 	gAuthFailures.Inc()
@@ -475,24 +456,28 @@ func (n *Node) noteProtoErr(c *conn, format string, args ...any) {
 		"remote", c.raw.RemoteAddr().String(), "err", fmt.Sprintf(format, args...))
 }
 
-// verifyFrame authenticates one inbound frame in a keyed cluster: the
-// claimed origin must be a real node id (validate guarantees the keyring
-// covers all of them) and the MAC must verify under that origin's key.
-// Never pass a missing-id's nil key to verifyMessage — HMAC under an
-// empty key is computable by anyone.
-func (n *Node) verifyFrame(origin model.ProcID, m *Message) bool {
-	if int(origin) < 0 || int(origin) >= n.cfg.N {
-		return false
+// sign stamps a frame's MAC under this node's key in a keyed cluster.
+func (n *Node) sign(m *Message) error {
+	if n.cfg.Keys == nil {
+		return nil
 	}
-	key, ok := n.cfg.Keys[origin]
-	if !ok || len(key) == 0 {
-		return false
+	body, err := frameBody(m)
+	if err != nil {
+		return err
 	}
-	return verifyMessage(key, m)
+	m.MAC = round.Sign(n.cfg.Keys[n.cfg.ID], body)
+	return nil
+}
+
+// verify authenticates one inbound frame under the claimed origin's key.
+func verify(v *round.Verifier, origin model.ProcID, m *Message) bool {
+	body, err := frameBody(m)
+	return err == nil && v.Verify(origin, body, m.MAC)
 }
 
 // serve handles one inbound connection until EOF or shutdown.
 func (n *Node) serve(c *conn) {
+	auth := round.NewVerifier(n.cfg.Keys) // a verifier serves one goroutine
 	parked := false
 	defer func() {
 		if !parked {
@@ -508,7 +493,7 @@ func (n *Node) serve(c *conn) {
 		switch m.Type {
 		case "probe":
 			recvClock := n.Clock()
-			if n.cfg.Keys != nil && !n.verifyFrame(m.From, m) {
+			if n.cfg.Keys != nil && !verify(auth, m.From, m) {
 				// Forged or tampered probe: drop it like a lost message.
 				n.noteAuthFailure("probe", m.From, c)
 				return
@@ -547,7 +532,7 @@ func (n *Node) serve(c *conn) {
 				n.noteProtoErr(c, "report origin %d out of range [0,%d)", m.Origin, n.cfg.N)
 				return
 			}
-			if n.cfg.Keys != nil && !n.verifyFrame(m.Origin, m) {
+			if n.cfg.Keys != nil && !verify(auth, m.Origin, m) {
 				// Forged or tampered report: count it and treat it as loss.
 				// The origin's links stay constrained by the honest
 				// endpoints' statistics, exactly like a report that never
@@ -640,11 +625,9 @@ func (n *Node) run() {
 		report.Span = tr.Mark("report.send", int(n.cfg.ID), n.cfg.Round, obs.RootSpanID)
 		report.Spans = tr.Spans()
 	}
-	if n.cfg.Keys != nil {
-		if err := signMessage(n.cfg.Keys[n.cfg.ID], &report); err != nil {
-			n.fail(err)
-			return
-		}
+	if err := n.sign(&report); err != nil {
+		n.fail(err)
+		return
 	}
 
 	// The report connection retries the dial with backoff and, on a broken
@@ -661,8 +644,10 @@ func (n *Node) run() {
 }
 
 // reportAndAwait delivers the report to the coordinator and waits for the
-// result, reconnecting once if the exchange breaks mid-flight.
+// result, reconnecting once if the exchange breaks mid-flight. A result
+// that fails authentication fails the exchange instead of being applied.
 func (n *Node) reportAndAwait(report *Message) (*Message, error) {
+	auth := round.NewVerifier(n.cfg.Keys)
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
@@ -687,6 +672,10 @@ func (n *Node) reportAndAwait(report *Message) (*Message, error) {
 			n.noteNetErr(err)
 			lastErr = fmt.Errorf("netsync: await result: %w", err)
 			continue
+		}
+		if n.cfg.Keys != nil && !verify(auth, n.cfg.Coordinator, res) {
+			n.noteAuthFailure("result", n.cfg.Coordinator, c)
+			return nil, fmt.Errorf("netsync: result frame failed authentication under coordinator %d's key", n.cfg.Coordinator)
 		}
 		return res, nil
 	}
@@ -818,10 +807,8 @@ func (n *Node) sendProbe(c *conn, span obs.SpanID) error {
 		m.Span = span
 		m.Round = n.cfg.Round
 	}
-	if n.cfg.Keys != nil {
-		if err := signMessage(n.cfg.Keys[n.cfg.ID], m); err != nil {
-			return err
-		}
+	if err := n.sign(m); err != nil {
+		return err
 	}
 	err := c.send(m, n.cfg.Timeout)
 	if err != nil {
@@ -859,7 +846,9 @@ func (n *Node) absorbReportLocked(origin model.ProcID, links []round.DirReport, 
 		gDupReports.Inc()
 		nLog.Debug("duplicate report rejected", "node", n.cfg.ID, "origin", origin)
 		if c != nil {
-			_ = c.send(&Message{Type: "result", Err: "duplicate report"}, n.cfg.Timeout)
+			dup := &Message{Type: "result", Err: "duplicate report"}
+			_ = n.sign(dup)
+			_ = c.send(dup, n.cfg.Timeout)
 			_ = c.close()
 		}
 		return true
@@ -907,6 +896,8 @@ func (n *Node) computeAndDisseminateLocked() {
 		msg.Corrections, msg.Precision, msg.Degraded = res.Corrections, res.Precision, res.Degraded
 		msg.Missing, msg.Excised, msg.Synced = res.Missing, res.Excised, res.Synced
 	}
+	// Signed once: the stored result also answers late reports.
+	_ = n.sign(&msg)
 	for _, pc := range n.pending {
 		_ = pc.send(&msg, n.cfg.Timeout)
 		_ = pc.close()

@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 	"clocksync/internal/trace"
 )
 
@@ -21,7 +22,7 @@ import (
 func TestKeyedLiarExcised(t *testing.T) {
 	const session = "netsync-keyed-liar"
 	offsets := []time.Duration{0, 60 * time.Millisecond, -30 * time.Millisecond, 40 * time.Millisecond}
-	keys := DeriveKeys(len(offsets), 31)
+	keys := round.DeriveKeys(len(offsets), 31)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(c *Config) {
 		c.Keys = keys
 		c.Session = session
@@ -33,9 +34,7 @@ func TestKeyedLiarExcised(t *testing.T) {
 		d := 0.5 + 1.2 + offsets[3].Seconds() - offsets[q].Seconds()
 		lie.Links = append(lie.Links, LinkStats{From: model.ProcID(q), To: 3, Count: 4, Min: d, Max: d + 0.001})
 	}
-	if err := signMessage(keys[3], lie); err != nil {
-		t.Fatal(err)
-	}
+	signFrame(t, keys[3], lie)
 	raw, err := net.Dial("tcp", nodes[0].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -129,5 +128,22 @@ func TestHonestRoundMatchesCentralized(t *testing.T) {
 		if math.Float64bits(want.Corrections[p]) != math.Float64bits(outs[0].Corrections[p]) {
 			t.Fatalf("correction %d: %v, centralized %v", p, outs[0].Corrections[p], want.Corrections[p])
 		}
+	}
+}
+
+// TestRoundFeedsPhaseHistograms: the solver phase histograms count
+// coordinator rounds on every transport, this one included.
+func TestRoundFeedsPhaseHistograms(t *testing.T) {
+	h := obs.Default.Histogram("dist.phase.estimate.seconds", nil)
+	before := h.Snapshot().Count
+	offsets := []time.Duration{0, 30 * time.Millisecond}
+	nodes := startCluster(t, offsets, 0, 0.5)
+	for i, node := range nodes {
+		if _, err := node.Wait(8 * time.Second); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	if got := h.Snapshot().Count; got <= before {
+		t.Fatalf("dist.phase.estimate.seconds count %d after a round, was %d", got, before)
 	}
 }

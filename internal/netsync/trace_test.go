@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clocksync/internal/obs"
+	"clocksync/internal/round"
 )
 
 // TestClusterTraceAncestry runs a keyed 5-node cluster with per-node
@@ -24,7 +25,7 @@ func TestClusterTraceAncestry(t *testing.T) {
 	for i := range traces {
 		traces[i] = obs.NewTrace("trace-test")
 	}
-	keys := DeriveKeys(n, seed)
+	keys := round.DeriveKeys(n, seed)
 	nodes := startCluster(t, offsets, time.Millisecond, 0.5, func(cfg *Config) {
 		cfg.Seed = seed // trace ids derive from the seed, so it must be shared
 		cfg.Keys = keys

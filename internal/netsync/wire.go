@@ -16,7 +16,6 @@ package netsync
 
 import (
 	"bufio"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -78,54 +77,23 @@ type Message struct {
 	// (obs.Trace.NewSpanID allocates from per-node id ranges).
 	Spans []obs.Span `json:"spans,omitempty"`
 
-	// MAC authenticates probe and report frames under the sender's key
-	// when the cluster is configured with a keyring (Config.Keys); empty
-	// otherwise.
+	// MAC authenticates the frame under the sender's key when the cluster
+	// is configured with a keyring (Config.Keys); empty otherwise.
 	MAC []byte `json:"mac,omitempty"`
 }
 
-// messageMAC computes the HMAC-SHA256 of the message's canonical JSON
+// frameBody returns the bytes a frame's MAC covers: the message's JSON
 // encoding with the MAC field emptied. Struct-driven marshaling emits
 // fields in declaration order, so signer and verifier agree on the bytes
 // without a bespoke canonical form.
-func messageMAC(key []byte, m *Message) ([]byte, error) {
+func frameBody(m *Message) ([]byte, error) {
 	cp := *m
 	cp.MAC = nil
 	body, err := json.Marshal(&cp)
 	if err != nil {
 		return nil, fmt.Errorf("netsync: encode for MAC: %w", err)
 	}
-	h := hmac.New(sha256.New, key)
-	h.Write(body)
-	return h.Sum(nil), nil
-}
-
-// signMessage stamps the message's MAC under key.
-func signMessage(key []byte, m *Message) error {
-	mac, err := messageMAC(key, m)
-	if err != nil {
-		return err
-	}
-	m.MAC = mac
-	return nil
-}
-
-// verifyMessage checks the message's MAC under key in constant time.
-func verifyMessage(key []byte, m *Message) bool {
-	want, err := messageMAC(key, m)
-	return err == nil && hmac.Equal(want, m.MAC)
-}
-
-// DeriveKeys returns a deterministic keyring for tests and examples: key
-// p is SHA-256 of the seed and the node id. Real deployments provision
-// keys out of band; only distinctness and reproducibility matter here.
-func DeriveKeys(n int, seed int64) map[model.ProcID][]byte {
-	keys := make(map[model.ProcID][]byte, n)
-	for p := 0; p < n; p++ {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("clocksync-netsync-key:%d:%d", seed, p)))
-		keys[model.ProcID(p)] = sum[:]
-	}
-	return keys
+	return body, nil
 }
 
 // DeriveTraceID returns the deterministic cluster-wide trace id for a

@@ -233,19 +233,23 @@ func (t *Trace) Observer(proc, round int) PhaseObserver {
 }
 
 // ObserverChild is Observer with every recorded span parented under
-// parent (typically the enclosing "compute" span). Returns nil on a nil
-// trace.
+// parent (typically the enclosing "compute" span). Phases are reported
+// after they ran, some of them together, so the spans are laid end to end
+// in report order from the moment the observer was created: they tile the
+// work with their measured durations instead of overlapping. Returns nil
+// on a nil trace.
 func (t *Trace) ObserverChild(proc, round int, parent SpanID) PhaseObserver {
 	if t == nil {
 		return nil
 	}
+	next := time.Since(t.t0).Seconds()
 	return PhaseFunc(func(phase string, seconds float64) {
-		start := time.Since(t.t0).Seconds() - seconds
-		if start < 0 {
-			start = 0
-		}
-		t.Add(Span{Phase: phase, Proc: proc, Round: round, Start: start, Seconds: seconds,
-			ID: t.NewSpanID(proc), Parent: parent})
+		id := t.NewSpanID(proc)
+		t.mu.Lock()
+		t.spans = append(t.spans, Span{Phase: phase, Proc: proc, Round: round, Start: next, Seconds: seconds,
+			ID: id, Parent: parent})
+		next += seconds
+		t.mu.Unlock()
 	})
 }
 

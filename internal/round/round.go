@@ -7,7 +7,9 @@
 // synchronized component. The simulated leader and gossip variants
 // (internal/dist) and the TCP coordinator (internal/netsync) are adapters
 // around it: each delivers the reports and disseminates the result its
-// own way, and the computation in between is this one.
+// own way, and the computation in between is this one. The keyring and the
+// MAC that authenticate reports on every transport live here too
+// (auth.go).
 //
 // The round reads no ambient time: wall-clock phase timings reach it only
 // through the core solver's observer, so replays stay bit-identical.
@@ -39,6 +41,14 @@ var (
 	mEquivocations  = obs.Default.Counter("dist.reports.equivocations")
 	mComputes       = obs.Default.Counter("dist.computes")
 	mComputesDegr   = obs.Default.Counter("dist.computes.degraded")
+
+	// The solver's phase durations per compute, by phase.
+	hPhases = map[string]*obs.Histogram{
+		"mls":         obs.Default.Histogram("dist.phase.mls.seconds", nil),
+		"estimate":    obs.Default.Histogram("dist.phase.estimate.seconds", nil),
+		"karp_amax":   obs.Default.Histogram("dist.phase.karp_amax.seconds", nil),
+		"corrections": obs.Default.Histogram("dist.phase.corrections.seconds", nil),
+	}
 )
 
 // DirReport is the incoming-direction summary of one link, as observed by
@@ -216,14 +226,18 @@ type Result struct {
 // while the system is infeasible. Missing and excised reporters degrade
 // the result: their links keep only the surviving endpoint's statistics
 // (Lemma 6.1's worst case under the assumption bounds), and the precision
-// covers only the leader's component. po, when non-nil, observes the
-// solver phases. Solve consumes the round; call it once.
+// covers only the leader's component. The solver phases feed the round's
+// flight record and the dist.phase.<phase>.seconds histograms, and po,
+// when non-nil, observes them too. Solve consumes the round; call it once.
 func (r *Round) Solve(po obs.PhaseObserver) *Result {
 	res := &Result{Reports: r.count, Precision: math.NaN()}
 	rec := &res.Record
 	opts := r.cfg.Solve
 	opts.Observer = obs.PhaseFunc(func(phase string, seconds float64) {
 		rec.AddPhase(phase, seconds)
+		if h := hPhases[phase]; h != nil {
+			h.Observe(seconds)
+		}
 		if po != nil {
 			po.ObservePhase(phase, seconds)
 		}
