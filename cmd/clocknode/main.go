@@ -140,9 +140,8 @@ func run(args []string) error {
 	publishHealth(out, *session)
 	fmt.Printf("correction: %+.6g s (add to the local clock)\n", out.Correction)
 	fmt.Printf("precision:  %.6g s (optimal guaranteed bound, all pairs)\n", out.Precision)
-	if out.Degraded {
-		fmt.Printf("DEGRADED: missing reports from %v; the precision covers only the synchronized component %v\n",
-			out.Missing, out.Synced)
+	if line := degradedLine(out); line != "" {
+		fmt.Println(line)
 	}
 	st := node.Stats()
 	fmt.Printf("network: %d dials (%d retries, %d failures), %d probes sent, %d received\n",
@@ -164,6 +163,31 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// degradedLine explains a degraded outcome in one line, "" for a clean
+// one: the missing and the excised reporters, each when there are any,
+// and the ids of the synchronized component the precision covers.
+func degradedLine(out *netsync.Outcome) string {
+	if !out.Degraded {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString("DEGRADED: ")
+	if len(out.Missing) > 0 {
+		fmt.Fprintf(&b, "missing reports from %v; ", out.Missing)
+	}
+	if len(out.Excised) > 0 {
+		fmt.Fprintf(&b, "reports from %v excised; ", out.Excised)
+	}
+	var synced []int
+	for p, ok := range out.Synced {
+		if ok {
+			synced = append(synced, p)
+		}
+	}
+	fmt.Fprintf(&b, "the precision covers only the synchronized component %v", synced)
+	return b.String()
 }
 
 // writeExport dumps one trace export (JSON or Chrome trace_event) to path.

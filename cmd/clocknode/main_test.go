@@ -9,7 +9,33 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"clocksync/internal/model"
+	"clocksync/internal/netsync"
 )
+
+func TestDegradedLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		out  netsync.Outcome
+		want string
+	}{
+		{"clean", netsync.Outcome{Synced: []bool{true, true}}, ""},
+		{"split component, nothing missing", netsync.Outcome{Degraded: true, Synced: []bool{true, false}},
+			"DEGRADED: the precision covers only the synchronized component [0]"},
+		{"missing", netsync.Outcome{Degraded: true, Missing: []model.ProcID{2}, Synced: []bool{true, true, false}},
+			"DEGRADED: missing reports from [2]; the precision covers only the synchronized component [0 1]"},
+		{"excised", netsync.Outcome{Degraded: true, Excised: []model.ProcID{1}, Synced: []bool{true, false, true}},
+			"DEGRADED: reports from [1] excised; the precision covers only the synchronized component [0 2]"},
+		{"missing and excised", netsync.Outcome{Degraded: true, Missing: []model.ProcID{3}, Excised: []model.ProcID{1},
+			Synced: []bool{true, false, true, false}},
+			"DEGRADED: missing reports from [3]; reports from [1] excised; the precision covers only the synchronized component [0 2]"},
+	} {
+		if got := degradedLine(&tc.out); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestParsePeers(t *testing.T) {
 	peers, err := parsePeers("0=127.0.0.1:9000, 2=host:1234")

@@ -210,7 +210,7 @@ func converge(st *core.Stream, n int) error {
 func sparseSolve(name string, cliques int) Case {
 	return Case{name, func() (func() error, func(), error) {
 		rng := rand.New(rand.NewSource(7))
-		g := graph.SparseRingOfCliques(rng, cliques, 32, 0.01, 1)
+		g := sim.WeightedCSR(rng, cliques*32, sim.RingOfCliques(cliques, 32), 0.01, 1)
 		s := core.NewSynchronizer()
 		opts := core.Options{Solver: core.SolverHierarchical}
 		return func() error {
@@ -239,33 +239,19 @@ func sparseSystem(cliques, size int) Case {
 		}
 		tab := trace.NewTable(n, false)
 		var links []core.Link
-		link := func(p, q int) error {
-			links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
+		for _, e := range sim.RingOfCliques(cliques, size) {
+			links = append(links, core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: a})
 			for k := 0; k < 4; k++ {
-				from, to := p, q
+				from, to := e.P, e.Q
 				if k%2 == 1 {
-					from, to = q, p
+					from, to = e.Q, e.P
 				}
 				send := 1 + rng.Float64()
 				recv := send + 0.05 + 0.15*rng.Float64()
 				if err := tab.Add(trace.Sample{From: model.ProcID(from), To: model.ProcID(to),
 					SendClock: send - starts[from], RecvClock: recv - starts[to]}); err != nil {
-					return err
+					return nil, nil, err
 				}
-			}
-			return nil
-		}
-		for c := 0; c < cliques; c++ {
-			base := c * size
-			for i := 0; i < size; i++ {
-				for j := i + 1; j < size; j++ {
-					if err := link(base+i, base+j); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			if err := link(base, (c+1)%cliques*size); err != nil {
-				return nil, nil, err
 			}
 		}
 		return func() error {

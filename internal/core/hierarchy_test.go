@@ -13,6 +13,7 @@ import (
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
 
@@ -21,7 +22,7 @@ import (
 func hierInstance(t *testing.T, seed int64, cliques, size int) ([][]float64, *Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.SparseRingOfCliques(rng, cliques, size, 0.01, 1)
+	g := sim.WeightedCSR(rng, cliques*size, sim.RingOfCliques(cliques, size), 0.01, 1)
 	mls := csrToMatrix(g)
 	dense, err := Synchronize(mls, Options{Solver: SolverDense})
 	if err != nil {
@@ -34,8 +35,16 @@ func hierInstance(t *testing.T, seed int64, cliques, size int) ([][]float64, *Re
 // instance the exact path could handle, then checks the certificate
 // against the dense optimum: λ̂ must dominate the true A_max, the
 // corrections must be admissible under the exact m~s at gradient λ̂, and
-// the certificate must not be wildly loose on this topology.
+// the certificate must not be wildly loose on this topology. It also pins
+// the gap between the hierarchical bracket and the optimum on this
+// instance, λ̂ / A_max and λ_B / A_max, to 1e-12 relative, so a change to
+// either side shows; closing the gap moves the pins on purpose.
 func TestHierarchicalSoundAndAdmissible(t *testing.T) {
+	// centered -> {λ̂ / A_max, λ_B / A_max}
+	wantGap := map[bool][2]float64{
+		false: {1.691258803736301, 0.8456294018681505},
+		true:  {0.99999999999999756, 0.8456294018681505},
+	}
 	for _, centered := range []bool{false, true} {
 		mls, dense := hierInstance(t, 17, 10, 32) // n = 320
 		hier, err := Synchronize(mls, Options{
@@ -57,6 +66,12 @@ func TestHierarchicalSoundAndAdmissible(t *testing.T) {
 		// ring of cliques would mean the certificate logic regressed.
 		if lam > 10*opt {
 			t.Fatalf("centered=%v: certificate %v more than 10x optimum %v", centered, lam, opt)
+		}
+		gap := [2]float64{lam / opt, hier.ComponentLowerBound[0] / opt}
+		for i, name := range []string{"λ̂ / A_max", "λ_B / A_max"} {
+			if want := wantGap[centered][i]; math.Abs(gap[i]-want) > 1e-12*want {
+				t.Errorf("centered=%v: %s = %.17g, want %.17g", centered, name, gap[i], want)
+			}
 		}
 		n := len(mls)
 		for p := 0; p < n; p++ {
@@ -101,8 +116,8 @@ func TestHierarchicalParallelBitIdentical(t *testing.T) {
 // per-component certificate stays finite and sound.
 func TestHierarchicalMultiComponent(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	blockA := graph.SparseRingOfCliques(rng, 6, 16, 0.01, 1) // n = 96
-	blockB := graph.SparseRingOfCliques(rng, 5, 16, 0.01, 1) // n = 80
+	blockA := sim.WeightedCSR(rng, 96, sim.RingOfCliques(6, 16), 0.01, 1)
+	blockB := sim.WeightedCSR(rng, 80, sim.RingOfCliques(5, 16), 0.01, 1)
 	na, nb := blockA.N(), blockB.N()
 	n := na + nb
 	mls := graph.NewMatrix(n, graph.Inf)
@@ -209,26 +224,31 @@ func TestHierarchicalQualityGauges(t *testing.T) {
 }
 
 // TestHierarchicalDeterminism pins the hierarchical solver bit for bit on
-// one forced-hierarchical instance of each graph.Sparse* family: per
+// one forced-hierarchical instance of three sim catalogue families: per
 // family, a SHA-256 over the Precision, ComponentPrecision,
 // Corrections and ComponentLowerBound (λ_B) of every solve across two
-// ClusterSizes, Centered off and on, and Parallelism 1 and 2. The digests
-// were generated by the solver that ran Karp on every cluster; skipping a
-// cluster's Karp run must not move a single bit.
+// ClusterSizes, Centered off and on, and Parallelism 1 and 2. The
+// random-geometric digest was generated by the solver that ran Karp on
+// every cluster; skipping a cluster's Karp run must not move a single
+// bit. The other two were regenerated, with the solver unchanged, when
+// their inputs moved to the catalogue: the ring of cliques took the
+// node-0 bridge rule and per-pair weight order, and the bounded-degree
+// instance became a chord ring of expected degree 4. The ring of cliques
+// draws as many weights as before, so the geometric input is unchanged.
 func TestHierarchicalDeterminism(t *testing.T) {
 	want := map[string]string{
-		"ring-of-cliques":  "ee79aab07f8ff4ad6cdaffaea50e1becf02d069d752efeec50666e5b476d5d62",
+		"ring-of-cliques":  "7ee2f00e213689ae6f82745d74e08158fd94bed14410dba4139ed55fa08b40a7",
 		"random-geometric": "81f35c6bab4619f48351f23dbcb8fbb5eeee380317a8b800b5ca9cce8461907b",
-		"bounded-degree":   "291e56685360cdb51bc748d7f6deacb19d0cb3c4a88f3b5d5d6089e5b4f5f37e",
+		"bounded-degree":   "443b15637dc2480cb4baf40162be7e53789f5d342d3d61c142a417d010bbffc6",
 	}
 	rng := rand.New(rand.NewSource(19))
 	families := []struct {
 		name string
 		g    *graph.CSR
 	}{
-		{"ring-of-cliques", graph.SparseRingOfCliques(rng, 12, 20, 0.01, 1)},
-		{"random-geometric", graph.SparseRandomGeometric(rng, 300, 0.12, 8, 0.01, 1)},
-		{"bounded-degree", graph.SparseBoundedDegree(rng, 300, 4, 0.01, 1)},
+		{"ring-of-cliques", sim.WeightedCSR(rng, 240, sim.RingOfCliques(12, 20), 0.01, 1)},
+		{"random-geometric", sim.WeightedCSR(rng, 300, sim.RandomGeometric(rng, 300, 0.12, 8), 0.01, 1)},
+		{"bounded-degree", sim.WeightedCSR(rng, 300, sim.ChordRing(rng, 300, 300), 0.01, 1)},
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
@@ -264,8 +284,8 @@ func TestHierarchicalDeterminism(t *testing.T) {
 				}
 			}
 			// The inputs must exercise both sides of the A_max check: the
-			// ring of cliques certifies every cluster, the bounded-degree
-			// graph sends some clusters to Karp.
+			// ring of cliques certifies every cluster, the chord ring
+			// sends some clusters to Karp.
 			switch fam.name {
 			case "ring-of-cliques":
 				if karpRuns != 0 {
@@ -303,12 +323,12 @@ func TestHierarchicalSkipsClusterKarp(t *testing.T) {
 	}
 	tab := trace.NewTable(n, false)
 	var links []Link
-	link := func(p, q int) {
-		links = append(links, Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
+	for _, e := range sim.RingOfCliques(cliques, size) {
+		links = append(links, Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: a})
 		for k := 0; k < 4; k++ {
-			from, to := p, q
+			from, to := e.P, e.Q
 			if k%2 == 1 {
-				from, to = q, p
+				from, to = e.Q, e.P
 			}
 			send := 1 + rng.Float64()
 			recv := send + 0.05 + 0.15*rng.Float64()
@@ -317,15 +337,6 @@ func TestHierarchicalSkipsClusterKarp(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for c := 0; c < cliques; c++ {
-		base := c * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				link(base+i, base+j)
-			}
-		}
-		link(base, (c+1)%cliques*size)
 	}
 	s := NewSynchronizer()
 	defer s.Close()
@@ -358,7 +369,7 @@ func TestHierarchicalWarmAllocs(t *testing.T) {
 		{"12x20", 12, 20, 24},
 		{"66x32", 66, 32, 0},
 	} {
-		g := graph.SparseRingOfCliques(rand.New(rand.NewSource(7)), tc.cliques, tc.size, 0.01, 1)
+		g := sim.WeightedCSR(rand.New(rand.NewSource(7)), tc.cliques*tc.size, sim.RingOfCliques(tc.cliques, tc.size), 0.01, 1)
 		s := NewSynchronizer()
 		opts := Options{Solver: SolverHierarchical, ClusterSize: tc.cluster, Parallelism: 1}
 		solve := func() {

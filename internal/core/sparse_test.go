@@ -7,7 +7,26 @@ import (
 	"testing"
 
 	"clocksync/internal/graph"
+	"clocksync/internal/sim"
 )
+
+// sparseFamily weights, in [0.01, 1), one of three catalogue families on
+// about n nodes: a ring of cliques of at most 32 (family 0), a random
+// geometric graph of expected degree about 8 and at most 12 (1), or a
+// chord ring with n chord draws (2).
+func sparseFamily(rng *rand.Rand, family, n int) *graph.CSR {
+	switch family {
+	case 1:
+		radius := math.Sqrt(8 / (math.Pi * float64(n)))
+		return sim.WeightedCSR(rng, n, sim.RandomGeometric(rng, n, radius, 12), 0.01, 1)
+	case 2:
+		return sim.WeightedCSR(rng, n, sim.ChordRing(rng, n, n), 0.01, 1)
+	default:
+		size := min(32, n/2+1)
+		cliques := (n + size - 1) / size
+		return sim.WeightedCSR(rng, cliques*size, sim.RingOfCliques(cliques, size), 0.01, 1)
+	}
+}
 
 // csrToMatrix expands a CSR adjacency into the equivalent mls row matrix.
 func csrToMatrix(g *graph.CSR) [][]float64 {
@@ -114,7 +133,7 @@ func TestSyncCSRMatchesSync(t *testing.T) {
 	s := NewSynchronizer()
 	defer s.Close()
 	for trial := 0; trial < 20; trial++ {
-		g := graph.RandomSparse(rng, graph.SparseTopology(trial%3), 60+rng.Intn(60), 0.01, 1)
+		g := sparseFamily(rng, trial%3, 60+rng.Intn(60))
 		mls := csrToMatrix(g)
 		opts := Options{Solver: SolverSparse, Centered: trial%2 == 0}
 		want, err := Synchronize(mls, opts)
@@ -134,7 +153,7 @@ func TestSyncCSRMatchesSync(t *testing.T) {
 // bit-identical to the dense backend (the per-component closure is exact).
 func TestSparseAutoLargeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
-	g := graph.SparseRingOfCliques(rng, 40, 14, 0.01, 1) // n = 560 > autoDenseMaxN
+	g := sim.WeightedCSR(rng, 560, sim.RingOfCliques(40, 14), 0.01, 1) // n > autoDenseMaxN
 	mls := csrToMatrix(g)
 	want, err := Synchronize(mls, Options{Solver: SolverDense})
 	if err != nil {
@@ -169,7 +188,7 @@ func TestSparseAutoLargeExact(t *testing.T) {
 // λ_B = ComponentLowerBound, a ratio above 1 on this hierarchical solve.
 func TestSparseNoMSBeyondLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	g := graph.SparseRingOfCliques(rng, 33, 32, 0.01, 1) // n = 1056 > 1024
+	g := sim.WeightedCSR(rng, 1056, sim.RingOfCliques(33, 32), 0.01, 1) // n > 1024
 	s := NewSynchronizer()
 	defer s.Close()
 	res, err := s.SyncCSR(g, Options{Solver: SolverHierarchical})
@@ -204,7 +223,7 @@ func TestSparseSolveMemoryCeiling(t *testing.T) {
 		t.Skip("10k-node solve")
 	}
 	rng := rand.New(rand.NewSource(10))
-	g := graph.SparseRingOfCliques(rng, 313, 32, 0.01, 1) // n = 10016
+	g := sim.WeightedCSR(rng, 10016, sim.RingOfCliques(313, 32), 0.01, 1)
 	s := NewSynchronizer()
 	defer s.Close()
 	runtime.GC()
@@ -239,7 +258,7 @@ func FuzzSparseEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, topoByte uint8, nRaw uint16) {
 		n := 4 + int(nRaw%60)
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomSparse(rng, graph.SparseTopology(topoByte%3), n, 0.01, 1)
+		g := sparseFamily(rng, int(topoByte%3), n)
 		mls := csrToMatrix(g)
 		dense, errD := Synchronize(mls, Options{Solver: SolverDense})
 		sparse, errS := Synchronize(mls, Options{Solver: SolverSparse})

@@ -97,7 +97,11 @@ type gen struct {
 // scenario assembles the full instance.
 func (g *gen) scenario() *scenario.Scenario {
 	g.sound = true
-	n, topo, pairs := g.topology()
+	n, topo := g.topology()
+	pairs, err := topo.Materialize(n, nil)
+	if err != nil {
+		panic("genfuzz: generated topology does not materialize: " + err.Error())
+	}
 	sc := &scenario.Scenario{
 		Processors:  n,
 		Seed:        g.rng.Int63(),
@@ -120,11 +124,13 @@ func (g *gen) scenario() *scenario.Scenario {
 	return sc
 }
 
-// topology picks a link structure: the built-in families plus adversarial
-// custom shapes (clique chains, barbells, bounded-degree chord rings,
-// deliberately disconnected unions) that stress component handling and
-// the sparse/hierarchical partitioning.
-func (g *gen) topology() (int, scenario.Topology, []sim.Pair) {
+// topology picks a link structure from ten families of the sim
+// catalogue: six of the scenario kinds, plus the families that stress
+// component handling and the sparse and hierarchical partitioning: rings
+// of small cliques, chord rings, barbells (two cliques on a long path)
+// and two disjoint rings. The chord ring is a custom pair list, since
+// its chords come from the generator's draws.
+func (g *gen) topology() (int, scenario.Topology) {
 	span := g.cfg.MaxProcs - g.cfg.MinProcs
 	n := g.cfg.MinProcs
 	if span > 0 {
@@ -135,129 +141,42 @@ func (g *gen) topology() (int, scenario.Topology, []sim.Pair) {
 	}
 	switch g.rng.Intn(10) {
 	case 0:
-		return n, scenario.Topology{Kind: "line"}, sim.Line(n)
+		return n, scenario.Topology{Kind: "line"}
 	case 1:
-		return n, scenario.Topology{Kind: "ring"}, sim.Ring(n)
+		return n, scenario.Topology{Kind: "ring"}
 	case 2:
-		return n, scenario.Topology{Kind: "star"}, sim.Star(n)
+		return n, scenario.Topology{Kind: "star"}
 	case 3:
-		if n > 8 {
-			n = 8
-		}
-		return n, scenario.Topology{Kind: "complete"}, sim.Complete(n)
+		return min(n, 8), scenario.Topology{Kind: "complete"}
 	case 4:
-		b := 2 + g.rng.Intn(2)
-		return n, scenario.Topology{Kind: "tree", B: b}, sim.Tree(n, b)
+		return n, scenario.Topology{Kind: "tree", B: 2 + g.rng.Intn(2)}
 	case 5:
 		w := 2 + g.rng.Intn(3)
 		h := 2 + g.rng.Intn(3)
-		return w * h, scenario.Topology{Kind: "grid", W: w, H: h}, sim.Grid(w, h)
+		return w * h, scenario.Topology{Kind: "grid", W: w, H: h}
 	case 6:
-		return g.customTopology(g.ringOfCliques(n))
+		size := 2 + g.rng.Intn(3)
+		return max(n/size, 2) * size, scenario.Topology{Kind: "ringOfCliques", K: size}
 	case 7:
-		return g.customTopology(g.chordRing(n))
+		n = max(n, 4)
+		chords := g.rng.Intn(n/2 + 1)
+		t := scenario.Topology{Kind: "custom"}
+		for _, e := range sim.ChordRing(g.rng, n, chords) {
+			t.Pairs = append(t.Pairs, [2]int{e.P, e.Q})
+		}
+		return n, t
 	case 8:
-		return g.customTopology(g.barbell(n))
+		n = max(n, 6)
+		k := 2 + g.rng.Intn(2) // clique size at each end
+		if 2*k >= n {
+			k = 2
+		}
+		return n, scenario.Topology{Kind: "barbell", K: k}
 	default:
-		return g.customTopology(g.disconnected(n))
+		n = max(n, 4)
+		cut := 2 + g.rng.Intn(n-3) // first ring's size in [2, n-2]
+		return n, scenario.Topology{Kind: "twoRings", K: cut}
 	}
-}
-
-// customTopology wraps explicit pairs in scenario's "custom" kind.
-func (g *gen) customTopology(n int, pairs []sim.Pair) (int, scenario.Topology, []sim.Pair) {
-	t := scenario.Topology{Kind: "custom", Pairs: make([][2]int, len(pairs))}
-	for i, e := range pairs {
-		t.Pairs[i] = [2]int{e.P, e.Q}
-	}
-	return n, t, pairs
-}
-
-// ringOfCliques chains small cliques with single bridges — the clustered
-// shape the hierarchical solver partitions best, with bridge links as the
-// only inter-cluster constraints.
-func (g *gen) ringOfCliques(n int) (int, []sim.Pair) {
-	size := 2 + g.rng.Intn(3)
-	cliques := n / size
-	if cliques < 2 {
-		cliques = 2
-	}
-	n = cliques * size
-	var pairs []sim.Pair
-	for c := 0; c < cliques; c++ {
-		base := c * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				pairs = append(pairs, sim.Pair{P: base + i, Q: base + j})
-			}
-		}
-	}
-	for c := 0; c < cliques; c++ {
-		u := c*size + size - 1
-		v := ((c + 1) % cliques) * size
-		if u != v && (cliques > 2 || c == 0) {
-			pairs = append(pairs, sim.Pair{P: u, Q: v})
-		}
-	}
-	return n, sim.DedupePairs(pairs)
-}
-
-// chordRing is a ring plus random chords with small bounded degree — an
-// expander-like worst case for cluster partitioning.
-func (g *gen) chordRing(n int) (int, []sim.Pair) {
-	if n < 4 {
-		n = 4
-	}
-	pairs := sim.Ring(n)
-	chords := g.rng.Intn(n/2 + 1)
-	for c := 0; c < chords; c++ {
-		i := g.rng.Intn(n)
-		j := g.rng.Intn(n)
-		if i == j || (i+1)%n == j || (j+1)%n == i {
-			continue
-		}
-		pairs = append(pairs, sim.Pair{P: min(i, j), Q: max(i, j)})
-	}
-	return n, sim.DedupePairs(pairs)
-}
-
-// barbell joins two cliques by a long path — maximal diameter pressure on
-// shortest-path accumulation and the worst case for midpoint baselines.
-func (g *gen) barbell(n int) (int, []sim.Pair) {
-	if n < 6 {
-		n = 6
-	}
-	k := 2 + g.rng.Intn(2) // clique size at each end
-	if 2*k >= n {
-		k = 2
-	}
-	var pairs []sim.Pair
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			pairs = append(pairs, sim.Pair{P: i, Q: j})
-			pairs = append(pairs, sim.Pair{P: n - 1 - i, Q: n - 1 - j})
-		}
-	}
-	for i := k - 1; i < n-k; i++ {
-		pairs = append(pairs, sim.Pair{P: i, Q: i + 1})
-	}
-	return n, sim.DedupePairs(pairs)
-}
-
-// disconnected unions two independent components, exercising +Inf
-// precision, per-component roots and the component machinery end to end.
-func (g *gen) disconnected(n int) (int, []sim.Pair) {
-	if n < 4 {
-		n = 4
-	}
-	cut := 2 + g.rng.Intn(n-3) // first component size in [2, n-2]
-	if n-cut < 2 {
-		cut = n - 2
-	}
-	pairs := append([]sim.Pair(nil), sim.Ring(cut)...)
-	for _, e := range sim.Ring(n - cut) {
-		pairs = append(pairs, sim.Pair{P: e.P + cut, Q: e.Q + cut})
-	}
-	return n, sim.DedupePairs(pairs)
 }
 
 // envelope is the support of a generated sampler: every delay it can

@@ -1,7 +1,12 @@
 package genfuzz
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -27,6 +32,39 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateStable pins the seed stream: a SHA-256 over the built start
+// times and link pairs and the link specs of seeds 1-300. A change to any
+// family, draw order or spec moves it, and a change that means to must
+// say which seeds it moves.
+func TestGenerateStable(t *testing.T) {
+	const want = "e8cee7ee453f57f3ce4943325808bfeb785e470c861627c9af88d7cc09d36fbb"
+	cfg := DefaultConfig()
+	h := sha256.New()
+	for seed := int64(1); seed <= 300; seed++ {
+		sc := Generate(seed, cfg).Scenario
+		built, err := sc.Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var b [8]byte
+		for _, x := range built.Starts {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+		for _, l := range built.Links {
+			fmt.Fprintf(h, "%d-%d,", l.P, l.Q)
+		}
+		specs, err := json.Marshal([]any{sc.DefaultLink, sc.Links})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(specs)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("digest = %s, want %s", got, want)
+	}
+}
+
 // TestGeneratedScenariosBuild: every generated scenario must pass its own
 // validation — the generator and the scenario schema must not drift apart.
 func TestGeneratedScenariosBuild(t *testing.T) {
@@ -40,7 +78,8 @@ func TestGeneratedScenariosBuild(t *testing.T) {
 }
 
 // TestGeneratorCoversShapes: over a modest seed block the generator must
-// exercise every topology family and both sound and unsound instances —
+// exercise each of its ten topology families (the chord ring is the
+// "custom" kind) and both sound and unsound instances —
 // a silent collapse to one shape would gut the fuzzer's coverage.
 func TestGeneratorCoversShapes(t *testing.T) {
 	cfg := DefaultConfig()
@@ -58,8 +97,10 @@ func TestGeneratorCoversShapes(t *testing.T) {
 			faulted++
 		}
 	}
-	if len(kinds) < 5 {
-		t.Errorf("only %d topology kinds in 300 seeds: %v", len(kinds), kinds)
+	for _, k := range []string{"line", "ring", "star", "complete", "tree", "grid", "ringOfCliques", "custom", "barbell", "twoRings"} {
+		if !kinds[k] {
+			t.Errorf("topology family %q missing from 300 seeds: %v", k, kinds)
+		}
 	}
 	if sound == 0 || unsound == 0 {
 		t.Errorf("sound/unsound split %d/%d — both must occur", sound, unsound)

@@ -19,6 +19,18 @@ func FuzzParseAndBuild(f *testing.F) {
 		                  "delays": {"kind": "congestion", "period": 1, "duty": 0.5, "surge": 0.2,
 		                             "inner": {"kind": "biasWindow", "base": 0.1, "width": 0.05}}},
 		  "protocol": {"kind": "periodic", "period": 0.5, "count": 2, "warmup": -1}}`,
+		`{"processors": 6, "topology": {"kind": "ringOfCliques", "k": 3},
+		  "defaultLink": {"assumption": {"kind": "noBounds"},
+		                  "delays": {"kind": "symmetric", "sampler": {"kind": "constant", "d": 0.1}}},
+		  "protocol": {"kind": "burst", "warmup": -1}}`,
+		`{"processors": 7, "topology": {"kind": "barbell", "k": 2},
+		  "defaultLink": {"assumption": {"kind": "noBounds"},
+		                  "delays": {"kind": "symmetric", "sampler": {"kind": "constant", "d": 0.1}}},
+		  "protocol": {"kind": "burst", "warmup": -1}}`,
+		`{"processors": 6, "topology": {"kind": "twoRings", "k": 3},
+		  "defaultLink": {"assumption": {"kind": "noBounds"},
+		                  "delays": {"kind": "symmetric", "sampler": {"kind": "constant", "d": 0.1}}},
+		  "protocol": {"kind": "burst", "warmup": -1}}`,
 		`{"processors": -1}`,
 		`{"processors": 2, "starts": [0], "topology": {"kind": "line"}, "protocol": {"kind": "burst", "warmup": -1}}`,
 	}

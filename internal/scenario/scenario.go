@@ -180,12 +180,15 @@ func (b ByzantineSpec) procs(n int) ([]int, error) {
 
 // Topology selects one of the built-in topologies.
 type Topology struct {
-	Kind string  `json:"kind"` // line|ring|star|complete|grid|torus|tree|hypercube|random
+	Kind string  `json:"kind"` // line|ring|star|complete|grid|torus|tree|hypercube|random|ringOfCliques|barbell|twoRings|custom
 	W    int     `json:"w,omitempty"`
 	H    int     `json:"h,omitempty"`
 	B    int     `json:"b,omitempty"` // tree branching
 	D    int     `json:"d,omitempty"` // hypercube dimension
 	P    float64 `json:"p,omitempty"` // random extra-edge probability
+	// K is the clique size of ringOfCliques and barbell and the first
+	// ring's size of twoRings.
+	K int `json:"k,omitempty"`
 	// Pairs lists explicit links for kind "custom".
 	Pairs [][2]int `json:"pairs,omitempty"`
 }
@@ -438,6 +441,21 @@ func (t Topology) Materialize(n int, rng *rand.Rand) ([]sim.Pair, error) {
 		return sim.Hypercube(t.D), nil
 	case "random":
 		return sim.RandomConnected(rng, n, t.P), nil
+	case "ringOfCliques":
+		if t.K < 2 || n%t.K != 0 {
+			return nil, fmt.Errorf("scenario: ringOfCliques clique size %d does not divide %d processors into cliques of 2 or more", t.K, n)
+		}
+		return sim.RingOfCliques(n/t.K, t.K), nil
+	case "barbell":
+		if t.K < 2 || 2*t.K > n {
+			return nil, fmt.Errorf("scenario: barbell clique size %d outside [2, %d]", t.K, n/2)
+		}
+		return sim.Barbell(n, t.K), nil
+	case "twoRings":
+		if t.K < 2 || t.K > n-2 {
+			return nil, fmt.Errorf("scenario: twoRings first ring size %d outside [2, %d]", t.K, n-2)
+		}
+		return sim.TwoRings(n, t.K), nil
 	case "custom":
 		pairs := make([]sim.Pair, len(t.Pairs))
 		for i, e := range t.Pairs {

@@ -90,6 +90,15 @@ func TestBuildValidation(t *testing.T) {
 		{"bad sampler", func(s *Scenario) { s.DefaultLink.Delays.Sampler.Kind = "quantum" }},
 		{"bad protocol", func(s *Scenario) { s.Protocol.Kind = "telepathy" }},
 		{"grid mismatch", func(s *Scenario) { s.Topology = Topology{Kind: "grid", W: 3, H: 3} }},
+		// The validScenario has 4 processors.
+		{"ringOfCliques without k", func(s *Scenario) { s.Topology = Topology{Kind: "ringOfCliques"} }},
+		{"ringOfCliques k=1", func(s *Scenario) { s.Topology = Topology{Kind: "ringOfCliques", K: 1} }},
+		{"ringOfCliques k not dividing n", func(s *Scenario) { s.Topology = Topology{Kind: "ringOfCliques", K: 3} }},
+		{"ringOfCliques negative k", func(s *Scenario) { s.Topology = Topology{Kind: "ringOfCliques", K: -2} }},
+		{"barbell k=1", func(s *Scenario) { s.Topology = Topology{Kind: "barbell", K: 1} }},
+		{"barbell cliques overlap", func(s *Scenario) { s.Topology = Topology{Kind: "barbell", K: 3} }},
+		{"twoRings k=1", func(s *Scenario) { s.Topology = Topology{Kind: "twoRings", K: 1} }},
+		{"twoRings second ring too small", func(s *Scenario) { s.Topology = Topology{Kind: "twoRings", K: 3} }},
 		{"override off topology", func(s *Scenario) {
 			s.Links = []LinkOverride{{P: 0, Q: 2, LinkSpec: *s.DefaultLink}}
 		}},
@@ -197,6 +206,9 @@ func TestTopologyKinds(t *testing.T) {
 		{Topology{Kind: "torus", W: 3, H: 3}, 9, 18},
 		{Topology{Kind: "tree", B: 2}, 7, 6},
 		{Topology{Kind: "hypercube", D: 2}, 4, 4},
+		{Topology{Kind: "ringOfCliques", K: 3}, 9, 12},
+		{Topology{Kind: "barbell", K: 3}, 8, 9},
+		{Topology{Kind: "twoRings", K: 3}, 7, 7},
 		{Topology{Kind: "custom", Pairs: [][2]int{{0, 1}, {1, 2}}}, 3, 2},
 	}
 	for _, tt := range tests {

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+
+	"clocksync/internal/graph"
 )
 
 // Pair is an unordered link between two processors.
@@ -147,6 +149,133 @@ func RandomConnected(rng *rand.Rand, n int, p float64) []Pair {
 		}
 	}
 	return out
+}
+
+// RingOfCliques returns cliques complete blocks of size processors each
+// (block c holds c*size .. c*size+size-1), node 0 of each block linked to
+// node 0 of the next: per block its internal pairs, then the bridge
+// (base, next base). Two cliques get one bridge and one clique none. It
+// is the clustered shape the hierarchical solver partitions best.
+func RingOfCliques(cliques, size int) []Pair {
+	var out []Pair
+	for c := 0; c < cliques; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				out = append(out, Pair{base + i, base + j})
+			}
+		}
+		if cliques > 2 || (cliques == 2 && c == 0) {
+			out = append(out, Pair{base, (c + 1) % cliques * size})
+		}
+	}
+	return out
+}
+
+// Barbell returns two k-cliques, on processors 0..k-1 and n-k..n-1,
+// joined by the path k-1, k, ..., n-k: the largest diameter for its
+// clique sizes.
+func Barbell(n, k int) []Pair {
+	var out []Pair
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			out = append(out, Pair{i, j}, Pair{n - 1 - i, n - 1 - j})
+		}
+	}
+	for i := k - 1; i < n-k; i++ {
+		out = append(out, Pair{i, i + 1})
+	}
+	return DedupePairs(out)
+}
+
+// TwoRings returns a ring on processors 0..k-1 and a ring on k..n-1: two
+// components.
+func TwoRings(n, k int) []Pair {
+	out := Ring(k)
+	for _, e := range Ring(n - k) {
+		out = append(out, Pair{e.P + k, e.Q + k})
+	}
+	return DedupePairs(out)
+}
+
+// ChordRing returns the ring on n processors plus up to chords random
+// chords, each between two uniform endpoints and dropped when they are
+// equal or adjacent on the ring: bounded degree with no cluster
+// structure, the worst case for partitioning. A ring of fewer than four
+// has no room for a chord.
+func ChordRing(rng *rand.Rand, n, chords int) []Pair {
+	out := Ring(n)
+	for c := 0; c < chords && n >= 4; c++ {
+		i := rng.Intn(n)
+		j := rng.Intn(n)
+		if i == j || (i+1)%n == j || (j+1)%n == i {
+			continue
+		}
+		out = append(out, orderPair(i, j))
+	}
+	return DedupePairs(out)
+}
+
+// RandomGeometric places n points uniformly on the unit square (radius
+// outside (0, 1] reads as 1) and links every pair within radius, each
+// processor to at most maxDeg others. Neighbours are searched in a
+// radius-sized grid, so it takes O(n · degree), never O(n^2). The graph
+// may be disconnected.
+func RandomGeometric(rng *rand.Rand, n int, radius float64, maxDeg int) []Pair {
+	if n == 0 {
+		return nil
+	}
+	if radius <= 0 || radius > 1 {
+		radius = 1
+	}
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := 0; i < n; i++ {
+		xs[i] = rng.Float64()
+		ys[i] = rng.Float64()
+	}
+	cells := max(int(1/radius), 1)
+	cellOf := func(x float64) int { return min(int(x*float64(cells)), cells-1) }
+	// A point's neighbours lie in its 3x3 cell neighbourhood.
+	bucket := make([][]int, cells*cells)
+	for i := 0; i < n; i++ {
+		c := cellOf(ys[i])*cells + cellOf(xs[i])
+		bucket[c] = append(bucket[c], i)
+	}
+	deg := make([]int, n)
+	r2 := radius * radius
+	var out []Pair
+	for i := 0; i < n; i++ {
+		cx, cy := cellOf(xs[i]), cellOf(ys[i])
+		for gy := max(cy-1, 0); gy <= min(cy+1, cells-1); gy++ {
+			for gx := max(cx-1, 0); gx <= min(cx+1, cells-1); gx++ {
+				for _, j := range bucket[gy*cells+gx] {
+					dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+					if j <= i || dx*dx+dy*dy > r2 || deg[i] >= maxDeg || deg[j] >= maxDeg {
+						continue
+					}
+					out = append(out, Pair{i, j})
+					deg[i]++
+					deg[j]++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// WeightedCSR returns the built graph on n nodes with both directions of
+// every pair, weights uniform in [lo, hi): per pair, in list order, it
+// draws w(P→Q) and then w(Q→P). With lo >= 0 the graph has no negative
+// cycle.
+func WeightedCSR(rng *rand.Rand, n int, pairs []Pair, lo, hi float64) *graph.CSR {
+	g := graph.NewCSR(n)
+	for _, e := range pairs {
+		g.MustAddEdge(e.P, e.Q, lo+(hi-lo)*rng.Float64())
+		g.MustAddEdge(e.Q, e.P, lo+(hi-lo)*rng.Float64())
+	}
+	g.Build()
+	return g
 }
 
 // Validate checks that the pairs are in range, non-loop and non-duplicate.
