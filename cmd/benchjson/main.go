@@ -474,16 +474,18 @@ func compare(base, cur *File, tol float64) []regression {
 		}
 	}
 	// The sparse-path acceptance criterion is also absolute: the 10k-node
-	// hierarchical solve must stay far below the ~800 MB an n x n float64
-	// matrix would cost. Steady-state reuse keeps the real figure near
-	// zero; the ceiling is set at 1/8 of the dense matrix so any code path
-	// that starts materializing one fails immediately on every host.
-	if sp, ok := cur.Benchmarks["SparseSolve/n=10k"]; ok {
-		const denseBytes = 10016.0 * 10016.0 * 8
-		if sp.BytesPerOp > denseBytes/8 {
-			failures = append(failures, regression{"SparseSolve/n=10k", fmt.Sprintf(
-				"SparseSolve/n=10k: %.0f bytes/op, want < %.0f (n x n matrix is %.0f)",
-				sp.BytesPerOp, denseBytes/8, denseBytes)})
+	// solves, from a CSR and from links and a trace table, must stay far
+	// below the ~800 MB an n x n float64 matrix would cost (the table's old
+	// n x n int32 index was half that). Steady-state reuse keeps the real
+	// figures near a cloned Result; the ceiling is set at 1/8 of the dense
+	// matrix so any code path that starts materializing either fails
+	// immediately on every host, with or without a baseline row.
+	const denseBytes = 10016.0 * 10016.0 * 8
+	for _, name := range []string{"SparseSolve/n=10k", "SparseSystem/n=10k"} {
+		if sp, ok := cur.Benchmarks[name]; ok && sp.BytesPerOp > denseBytes/8 {
+			failures = append(failures, regression{name, fmt.Sprintf(
+				"%s: %.0f bytes/op, want < %.0f (n x n matrix is %.0f)",
+				name, sp.BytesPerOp, denseBytes/8, denseBytes)})
 		}
 	}
 	return failures

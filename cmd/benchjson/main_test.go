@@ -82,6 +82,20 @@ func TestCompare(t *testing.T) {
 	if fails := compare(base, partial, 0.25); len(fails) != 0 {
 		t.Errorf("partial run flagged: %v", fails)
 	}
+
+	// The 10k-node sparse rows have an absolute bytes/op ceiling, checked
+	// with no baseline row: an n x n int32 index per op fails it.
+	quadratic := &File{
+		CalibrationNs: 1000,
+		Benchmarks: map[string]Entry{
+			"SparseSolve/n=10k":  {NsPerOp: 1e8, BytesPerOp: 2e5},
+			"SparseSystem/n=10k": {NsPerOp: 1e8, BytesPerOp: 10016 * 10016 * 4},
+		},
+	}
+	fails = compare(base, quadratic, 0.25)
+	if len(fails) != 1 || fails[0].name != "SparseSystem/n=10k" || !strings.Contains(fails[0].msg, "bytes/op") {
+		t.Errorf("quadratic sparse system: got %v, want one SparseSystem/n=10k bytes/op failure", fails)
+	}
 }
 
 // quickOps builds a named two-case subset of the list: one

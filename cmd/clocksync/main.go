@@ -122,7 +122,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	printReport(os.Stdout, rep)
 	if *showPairs {
 		printPairBounds(rep.Result)
 	}
@@ -246,24 +246,49 @@ func dumpRounds(path string, runErr error) error {
 	return nil
 }
 
-func printReport(rep *clocksync.Report) {
-	fmt.Printf("messages delivered: %d\n", rep.Messages)
-	if math.IsInf(rep.Result.Precision, 1) {
-		fmt.Println("precision: unbounded (constraints do not connect all processors)")
-		for i, comp := range rep.Result.Components {
-			fmt.Printf("  component %d: processors %v, precision %.6g\n", i, comp, rep.Result.ComponentPrecision[i])
+// printReport renders a centralized run: the precision under the label
+// of what it is (the optimum A_max, or the hierarchical solver's bound λ̂
+// with the certified lower bound λ_B), then the corrections.
+func printReport(w io.Writer, rep *clocksync.Report) {
+	res := rep.Result
+	fmt.Fprintf(w, "messages delivered: %d\n", rep.Messages)
+	if math.IsInf(res.Precision, 1) {
+		fmt.Fprintln(w, "precision: unbounded (constraints do not connect all processors)")
+		for i, comp := range res.Components {
+			fmt.Fprintf(w, "  component %d: processors %v, ", i, comp)
+			if lb, ok := belowPrecision(res, i); ok {
+				fmt.Fprintf(w, "precision bound (λ̂) %.6g, certified lower bound (λ_B) %.6g\n", res.ComponentPrecision[i], lb)
+			} else {
+				fmt.Fprintf(w, "precision %.6g\n", res.ComponentPrecision[i])
+			}
 		}
+	} else if lb, ok := belowPrecision(res, 0); ok {
+		// The hierarchical solver answered: the corrections meet λ̂, and
+		// the optimum A_max lies in [λ_B, λ̂].
+		fmt.Fprintf(w, "precision bound (λ̂): %.6g\n", res.Precision)
+		fmt.Fprintf(w, "certified lower bound (λ_B): %.6g\n", lb)
 	} else {
-		fmt.Printf("optimal precision (A_max): %.6g\n", rep.Result.Precision)
-		if rep.Result.CriticalCycle != nil {
-			fmt.Printf("critical cycle: %v\n", rep.Result.CriticalCycle)
+		fmt.Fprintf(w, "optimal precision (A_max): %.6g\n", res.Precision)
+		if res.CriticalCycle != nil {
+			fmt.Fprintf(w, "critical cycle: %v\n", res.CriticalCycle)
 		}
 	}
-	fmt.Println("corrections (add to the local clock):")
-	for p, c := range rep.Result.Corrections {
-		fmt.Printf("  p%-3d %+.6g\n", p, c)
+	fmt.Fprintln(w, "corrections (add to the local clock):")
+	for p, c := range res.Corrections {
+		fmt.Fprintf(w, "  p%-3d %+.6g\n", p, c)
 	}
-	fmt.Printf("realized discrepancy (simulator ground truth): %.6g\n", rep.Realized)
+	fmt.Fprintf(w, "realized discrepancy (simulator ground truth): %.6g\n", rep.Realized)
+}
+
+// belowPrecision returns component i's certified lower bound λ_B when it
+// lies below the component's precision, which is then the hierarchical
+// solver's bound λ̂ rather than the optimum A_max.
+func belowPrecision(res *clocksync.Result, i int) (float64, bool) {
+	if i >= len(res.ComponentLowerBound) || i >= len(res.ComponentPrecision) {
+		return 0, false
+	}
+	lb := res.ComponentLowerBound[i]
+	return lb, lb < res.ComponentPrecision[i]
 }
 
 // printPairBounds renders the matrix of tight per-pair guarantees.

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"clocksync"
 	"clocksync/internal/obs"
 )
 
@@ -227,5 +229,59 @@ func TestRunMetricsServer(t *testing.T) {
 	}
 	if err := obs.CheckExposition(prom); err != nil {
 		t.Errorf("default /metrics failed exposition check: %v", err)
+	}
+}
+
+// TestPrintReportLabels: an exact result prints its precision as the
+// optimum A_max; a component whose certified lower bound λ_B lies below
+// its precision (the hierarchical solver answered) prints the precision
+// as the bound λ̂, and λ_B beside it, never as A_max.
+func TestPrintReportLabels(t *testing.T) {
+	tests := []struct {
+		name      string
+		res       clocksync.Result
+		want, not []string
+	}{
+		{
+			name: "exact",
+			res: clocksync.Result{Precision: 2, ComponentPrecision: []float64{2}, ComponentLowerBound: []float64{2},
+				Components: [][]int{{0, 1}}, Corrections: []float64{0, 1}, CriticalCycle: []int{0, 1}},
+			want: []string{"optimal precision (A_max): 2\n", "critical cycle: [0 1]\n"},
+			not:  []string{"λ̂", "λ_B"},
+		},
+		{
+			name: "hierarchical",
+			res: clocksync.Result{Precision: 3.8, ComponentPrecision: []float64{3.8}, ComponentLowerBound: []float64{2},
+				Components: [][]int{{0, 1}}, Corrections: []float64{0, 1}},
+			want: []string{"precision bound (λ̂): 3.8\n", "certified lower bound (λ_B): 2\n"},
+			not:  []string{"A_max", "optimal"},
+		},
+		{
+			name: "components",
+			res: clocksync.Result{Precision: math.Inf(1), ComponentPrecision: []float64{3.8, 1}, ComponentLowerBound: []float64{2, 1},
+				Components: [][]int{{0, 1}, {2, 3}}, Corrections: []float64{0, 1, 0, 0}},
+			want: []string{
+				"component 0: processors [0 1], precision bound (λ̂) 3.8, certified lower bound (λ_B) 2\n",
+				"component 1: processors [2 3], precision 1\n",
+			},
+			not: []string{"A_max"},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var b strings.Builder
+			printReport(&b, &clocksync.Report{Result: &tt.res, Messages: 4})
+			out := b.String()
+			for _, w := range tt.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
+				}
+			}
+			for _, w := range tt.not {
+				if strings.Contains(out, w) {
+					t.Errorf("output has %q:\n%s", w, out)
+				}
+			}
+		})
 	}
 }

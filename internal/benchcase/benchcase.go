@@ -52,7 +52,7 @@ func All() []Case {
 		stream(128, true),
 		sparseSolve("SparseSolve/n=1k", 33), // 33 cliques of 32 = 1056 > the m~s materialization cap
 		sparseSolve("SparseSolve/n=10k", 313),
-		sparseSystem(66, 32),
+		sparseSystem("SparseSystem/n=2112", 66),
 	)
 	cs = append(cs, viewReduction(16, 25000)...)
 	cs = append(cs, protocolRound(48))
@@ -69,6 +69,7 @@ func All() []Case {
 		kernelFloydWarshall(256), // sparse-2k's cluster size
 		kernelKarp(128),
 		kernelBellmanFord(128),
+		sparseSystem("SparseSystem/n=10k", 313),
 	)
 }
 
@@ -224,13 +225,15 @@ func sparseSolve(name string, cliques int) Case {
 // trace.Table, as clockbench's sparse-2k runs it: the m~ls reduction
 // walks the table's observed pairs (the layer the SparseSolve cases
 // skip), then Auto escalates the component to the hierarchical solver.
-// The system is a ring of cliques of size nodes: every pair inside a
+// The system is a ring of cliques of 32 nodes: every pair inside a
 // clique and node 0 of each clique to node 0 of the next is linked under
 // SymmetricBounds(0.05, 0.2) and probed twice each way, with true delays
-// drawn inside those bounds and starts in [0, 1).
-func sparseSystem(cliques, size int) Case {
+// drawn inside those bounds and starts in [0, 1). The table's memory is
+// linear in those links, so the 10k-node case costs what its links do.
+func sparseSystem(name string, cliques int) Case {
+	const size = 32
 	n := cliques * size
-	return Case{fmt.Sprintf("SparseSystem/n=%d", n), func() (func() error, func(), error) {
+	return Case{name, func() (func() error, func(), error) {
 		a := clocksync.MustSymmetricBounds(0.05, 0.2)
 		rng := rand.New(rand.NewSource(7))
 		starts := make([]float64, n)

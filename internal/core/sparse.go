@@ -92,12 +92,13 @@ func scatterCSR(g *graph.CSR, d *graph.Dense) {
 // mlsCSRInto is the sparse counterpart of mlsMatrixInto: it reduces the
 // trace to estimated maximal local shifts under the per-link assumptions
 // directly into CSR form — O(links + observed pairs) work and memory,
-// never an n×n matrix. Duplicate assumptions on a pair combine by
-// minimum at Build, exactly the Theorem 5.6 intersection the dense
-// assembly applies.
-func mlsCSRInto(g *graph.CSR, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
+// never an n×n matrix. eachMLS stages one edge per direction of each link
+// and of each observed pair no link covers, so only duplicate links stage
+// a direction twice; Build combines those by minimum, exactly the
+// Theorem 5.6 intersection the dense assembly applies.
+func mlsCSRInto(g *graph.CSR, covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
 	g.Reset(n)
-	err := eachMLS(n, links, tab, opts, func(p, q int, w float64) error {
+	err := eachMLS(covered, n, links, tab, opts, func(p, q int, w float64) error {
 		if err := g.AddEdge(p, q, w); err != nil {
 			return fmt.Errorf("core: mls[%d][%d]: %v", p, q, err)
 		}

@@ -59,6 +59,10 @@ type Synchronizer struct {
 	hierQ       [][]float64
 	clusterKarp []int
 
+	// covered marks the trace table's observed pairs that a link covers
+	// while a system's m~ls is reduced (eachMLS).
+	covered []bool
+
 	arenas [2]resultArena
 	flip   int
 
@@ -325,7 +329,7 @@ func (s *Synchronizer) ingest(in *input, solver Solver) (a *resultArena, g *grap
 		built := false
 		dense := useDense(solver, n, func() int {
 			built = true
-			err = mlsCSRInto(&s.csr, n, in.links, in.tab, in.mopts)
+			err = mlsCSRInto(&s.csr, &s.covered, n, in.links, in.tab, in.mopts)
 			return s.csr.Nnz()
 		})
 		switch {
@@ -335,7 +339,7 @@ func (s *Synchronizer) ingest(in *input, solver Solver) (a *resultArena, g *grap
 			// m~ls goes straight into CSR: O(links) work and memory,
 			// never an n×n matrix.
 			if !built {
-				if err := mlsCSRInto(&s.csr, n, in.links, in.tab, in.mopts); err != nil {
+				if err := mlsCSRInto(&s.csr, &s.covered, n, in.links, in.tab, in.mopts); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -347,7 +351,7 @@ func (s *Synchronizer) ingest(in *input, solver Solver) (a *resultArena, g *grap
 			scatterCSR(&s.csr, &a.ms)
 		default:
 			a = s.nextArena(n, true)
-			if err := mlsMatrixInto(&a.ms, n, in.links, in.tab, in.mopts); err != nil {
+			if err := mlsMatrixInto(&a.ms, &s.covered, n, in.links, in.tab, in.mopts); err != nil {
 				return nil, nil, err
 			}
 			if err := validateDense(&a.ms); err != nil {

@@ -52,7 +52,7 @@ func DefaultMLSOptions() MLSOptions { return MLSOptions{AssumeNonnegative: true}
 // +Inf.
 func MLSMatrix(n int, links []Link, tab *trace.Table, opts MLSOptions) ([][]float64, error) {
 	var d graph.Dense
-	if err := mlsMatrixInto(&d, n, links, tab, opts); err != nil {
+	if err := mlsMatrixInto(&d, new([]bool), n, links, tab, opts); err != nil {
 		return nil, err
 	}
 	mls := graph.NewMatrix(n, 0)
@@ -62,42 +62,60 @@ func MLSMatrix(n int, links []Link, tab *trace.Table, opts MLSOptions) ([][]floa
 	return mls, nil
 }
 
-// mlsMatrixInto is MLSMatrix writing into a reusable dense matrix; the
-// allocation-free core used by Synchronizer.SyncSystem. Theorem 5.6:
-// multiple assumptions on a pair intersect, so weights combine by minimum.
-func mlsMatrixInto(d *graph.Dense, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
+// mlsMatrixInto is MLSMatrix writing into a reusable dense matrix, with
+// covered as eachMLS's scratch; the allocation-free core used by
+// Synchronizer.SyncSystem. Theorem 5.6: multiple assumptions on a pair
+// intersect, so weights combine by minimum.
+func mlsMatrixInto(d *graph.Dense, covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOptions) error {
 	d.Reset(n)
 	d.Fill(graph.Inf)
 	d.FillDiag(0)
-	return eachMLS(n, links, tab, opts, func(p, q int, w float64) error {
+	return eachMLS(covered, n, links, tab, opts, func(p, q int, w float64) error {
 		d.Set(p, q, math.Min(d.At(p, q), w))
 		return nil
 	})
 }
 
 // eachMLS reduces the trace to estimated maximal local shifts under the
-// per-link assumptions and hands every directed weight p -> q to sink:
-// both directions of each link, then, with AssumeNonnegative, each
-// direction of every observed pair once under NoBounds. A pair with several
-// assumptions yields several weights; the sink combines them. The first
-// error, from validation or from sink, stops the walk.
-func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p, q int, w float64) error) error {
+// per-link assumptions and hands every directed weight p -> q to sink. It
+// visits each link once and sinks both of its directions; with
+// AssumeNonnegative, a link on an observed pair first takes the minimum of
+// its assumption's shift and the NoBounds shift (Theorem 5.6, exact and
+// order-free), and marks the pair covered. The walk of the table's pairs
+// then sinks both directions of every observed pair that no link covers,
+// under NoBounds alone. So without duplicate links each directed pair
+// reaches sink at most once; duplicates yield one weight each, which the
+// sink combines by minimum. covered is scratch, one mark per observed
+// pair, grown as needed. The first error, from validation or from sink,
+// stops the walk.
+func eachMLS(covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p, q int, w float64) error) error {
 	if tab != nil && tab.N() != n {
 		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
 	}
+	nonneg := opts.AssumeNonnegative && tab != nil
+	var mark []bool
+	if nonneg {
+		mark = grow(covered, tab.NumPairs())
+		clear(mark)
+	}
+	nb := delay.NoBounds()
 	empty := trace.NewDirStats()
 	for _, l := range links {
 		if err := l.Validate(n); err != nil {
 			return err
 		}
-		pq, qp := empty, empty
+		pq, qp, id := empty, empty, -1
 		if tab != nil {
-			pq = tab.Stats(l.P, l.Q)
-			qp = tab.Stats(l.Q, l.P)
+			pq, qp, id = tab.Pair(l.P, l.Q)
 		}
 		mlsPQ, mlsQP := l.A.MLS(pq, qp)
 		if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
 			return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
+		}
+		if nonneg && id >= 0 {
+			nbPQ, nbQP := nb.MLS(pq, qp)
+			mlsPQ, mlsQP = math.Min(mlsPQ, nbPQ), math.Min(mlsQP, nbQP)
+			mark[id] = true
 		}
 		p, q := int(l.P), int(l.Q)
 		if err := sink(p, q, mlsPQ); err != nil {
@@ -107,20 +125,20 @@ func eachMLS(n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p
 			return err
 		}
 	}
-	if !opts.AssumeNonnegative || tab == nil {
-		return nil
-	}
-	nb := delay.NoBounds()
-	var err error
-	tab.Pairs(func(p, q model.ProcID, pq, qp trace.DirStats) {
-		if err != nil {
-			return
+	for id, done := range mark {
+		if done {
+			continue
 		}
-		// Pairs visits both orientations, so each sinks its own p -> q.
-		mlsPQ, _ := nb.MLS(pq, qp)
-		err = sink(int(p), int(q), mlsPQ)
-	})
-	return err
+		p, q, pq, qp := tab.PairAt(id)
+		mlsPQ, mlsQP := nb.MLS(pq, qp)
+		if err := sink(int(p), int(q), mlsPQ); err != nil {
+			return err
+		}
+		if err := sink(int(q), int(p), mlsQP); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SynchronizeSystem is the end-to-end entry point: reduce the trace to

@@ -145,13 +145,18 @@ func TestMLSMatrixAssumeNonnegative(t *testing.T) {
 	}
 }
 
-// TestMLSNonnegativeSinksEachDirectionOnce: the AssumeNonnegative pass
-// stages one CSR edge per observed direction, so a table whose active
-// pairs all carry traffic both ways stages exactly 2 per active pair, and
-// the compiled weights equal the dense assembly's.
+// TestMLSNonnegativeSinksEachDirectionOnce: with AssumeNonnegative the
+// reduction stages one CSR edge per observed direction, whether a link
+// covers the pair (in either orientation) or the NoBounds walk reaches
+// it, and links on silent pairs stage nothing. So a table whose active
+// pairs all carry traffic both ways stages exactly 2 per active pair, the
+// distinct directed pairs, and the compiled weights equal the dense
+// assembly's.
 func TestMLSNonnegativeSinksEachDirectionOnce(t *testing.T) {
 	const n = 12
 	tab := trace.NewTable(n, false)
+	bounds := symBounds(t, 0, 4)
+	links := []Link{{P: 0, Q: 1, A: bounds}, {P: 5, Q: 2, A: bounds}} // silent pairs
 	active := 0
 	for p := 0; p < n; p++ {
 		for q := p + 1; q < n; q++ {
@@ -159,6 +164,12 @@ func TestMLSNonnegativeSinksEachDirectionOnce(t *testing.T) {
 				continue
 			}
 			active++
+			switch active % 3 {
+			case 0:
+				links = append(links, Link{P: model.ProcID(p), Q: model.ProcID(q), A: bounds})
+			case 1:
+				links = append(links, Link{P: model.ProcID(q), Q: model.ProcID(p), A: bounds})
+			}
 			for k := 0; k < 3; k++ {
 				d := float64(p+q+k) / 10
 				if err := tab.Add(trace.Sample{From: model.ProcID(q), To: model.ProcID(p), RecvClock: d}); err != nil {
@@ -173,14 +184,17 @@ func TestMLSNonnegativeSinksEachDirectionOnce(t *testing.T) {
 	if active == 0 {
 		t.Fatal("no active pairs")
 	}
+	if tab.Active(0, 1) || tab.Active(5, 2) {
+		t.Fatal("a silent-pair link has traffic")
+	}
 	var g graph.CSR
-	if err := mlsCSRInto(&g, n, nil, tab, DefaultMLSOptions()); err != nil {
+	if err := mlsCSRInto(&g, new([]bool), n, links, tab, DefaultMLSOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if g.Pending() != 2*active {
 		t.Errorf("staged %d edges for %d active pairs, want %d", g.Pending(), active, 2*active)
 	}
-	dense, err := MLSMatrix(n, nil, tab, DefaultMLSOptions())
+	dense, err := MLSMatrix(n, links, tab, DefaultMLSOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +217,7 @@ func TestMLSNonnegativeSinksEachDirectionOnce(t *testing.T) {
 	if err := oneWay.Add(trace.Sample{From: 2, To: 0, RecvClock: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mlsCSRInto(&g, 3, nil, oneWay, DefaultMLSOptions()); err != nil {
+	if err := mlsCSRInto(&g, new([]bool), 3, nil, oneWay, DefaultMLSOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if g.Pending() != 1 {

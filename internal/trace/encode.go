@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 
 	"clocksync/internal/model"
@@ -49,8 +50,8 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("trace: decode table: %w", err)
 	}
-	if in.Processors < 0 {
-		return fmt.Errorf("trace: decode table: negative processor count %d", in.Processors)
+	if in.Processors < 0 || in.Processors > math.MaxInt32 {
+		return fmt.Errorf("trace: decode table: processor count %d out of range [0,%d]", in.Processors, math.MaxInt32)
 	}
 	*t = *NewTable(in.Processors, false)
 	for _, p := range in.Pairs {

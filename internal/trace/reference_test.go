@@ -26,7 +26,9 @@ func newRefTable(n int, keep bool) *refTable {
 	r := &refTable{n: n, keep: keep, stats: make([][]DirStats, n), raw: make([][][]float64, n)}
 	for p := range r.stats {
 		r.stats[p] = make([]DirStats, n)
-		r.raw[p] = make([][]float64, n)
+		if keep {
+			r.raw[p] = make([][]float64, n)
+		}
 		for q := range r.stats[p] {
 			r.stats[p][q] = DirStats{Min: math.Inf(1), Max: math.Inf(-1)}
 		}
@@ -121,11 +123,33 @@ func FuzzTableMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 8, 0, 0, 5, 1, 0, 0, 1, 1, 2, 255, 0, 0, 2, 1, 254, 0})
 	f.Add([]byte{4, 0, 5, 1, 4, 0, 253, 3, 1, 2, 240, 16, 7, 3, 4, 255, 1, 1, 1, 2, 4, 4})
 	f.Add([]byte{5, 1, 0, 5, 0, 8, 0, 0, 0, 5, 9, 0, 0, 2, 3, 1, 0, 0, 3, 2, 2, 0, 5, 1, 3, 3, 0})
+	// Strided endpoints (n = 67): hub p0 to every 8th, then every 16th
+	// processor, congruent modulo its 4-, 8- and 16-slot windows, some
+	// answered, one merged, then a second hub on the same strides.
+	strided := []byte{130, 1}
+	for k := byte(1); k <= 8; k++ {
+		strided = append(strided, 0, 0, 8*k, k, 0)
+	}
+	for k := byte(1); k <= 4; k++ {
+		strided = append(strided, 0, 16*k, 0, 8+k, 0, 2, 0, 16*k+1, 1, 3)
+	}
+	strided = append(strided, 3, 64, 0, 4, 12)
+	f.Add(strided)
+	second := []byte{131, 0}
+	for k := byte(1); k <= 8; k++ { // p1 <-> p(1+8k), merged one way, added back
+		second = append(second, 3, 1, 1+8*k, k, 2*k, 0, 1+8*k, 1, k, 0)
+	}
+	f.Add(second)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
+		// A header byte past 127 selects 65 to 128 processors, wide
+		// enough for strides to span a source's windows.
 		n, keep := 1+int(data[0]%6), data[1]&1 == 1
+		if data[0] >= 128 {
+			n = 65 + int(data[0]%64)
+		}
 		tab, ref := NewTable(n, keep), newRefTable(n, keep)
 		for ops := data[2:]; len(ops) >= 5; ops = ops[5:] {
 			from, to := int(ops[1]%byte(n+1)), int(ops[2]%byte(n+1))
@@ -143,64 +167,88 @@ func FuzzTableMatchesReference(f *testing.F) {
 				t.Fatalf("MergeStats(p%d->p%d, %v) = %v, reference accepts = %v", from, to, s, err, ok)
 			}
 		}
-
-		bits := func(s DirStats) [3]uint64 {
-			return [3]uint64{uint64(s.Count), math.Float64bits(s.Min), math.Float64bits(s.Max)}
-		}
-		active := 0
-		for p := 0; p < n; p++ {
-			for q := 0; q < n; q++ {
-				from, to := model.ProcID(p), model.ProcID(q)
-				if g, w := tab.Stats(from, to), ref.stats[p][q]; bits(g) != bits(w) {
-					t.Fatalf("Stats(%d,%d) = %v, want %v", p, q, g, w)
-				}
-				if g, w := tab.Raw(from, to), ref.raw[p][q]; !slices.Equal(g, w) {
-					t.Fatalf("Raw(%d,%d) = %v, want %v", p, q, g, w)
-				}
-				want := ref.stats[p][q].Count > 0 || ref.stats[q][p].Count > 0
-				if tab.Active(from, to) != want {
-					t.Fatalf("Active(%d,%d) = %v, want %v", p, q, !want, want)
-				}
-				if want && p < q {
-					active++
-				}
-			}
-		}
-
-		got, err := json.Marshal(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.json()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("JSON:\n got %s\nwant %s", got, want)
-		}
-
-		type visit struct{ p, q model.ProcID }
-		var visits []visit
-		seen := map[LinkKey]int{}
-		tab.Pairs(func(p, q model.ProcID, pq, qp DirStats) {
-			if bits(pq) != bits(ref.stats[p][q]) || bits(qp) != bits(ref.stats[q][p]) {
-				t.Fatalf("Pairs(%d,%d) passed %v/%v, want %v/%v", p, q, pq, qp, ref.stats[p][q], ref.stats[q][p])
-			}
-			visits = append(visits, visit{p, q})
-			seen[Canon(p, q)]++
-		})
-		if len(seen) != active {
-			t.Fatalf("Pairs visited %d unordered pairs, want %d", len(seen), active)
-		}
-		for k, c := range seen {
-			if c != 2 {
-				t.Fatalf("Pairs visited {p%d,p%d} %d times, want 2", k.P, k.Q, c)
-			}
-		}
-		for i, k := range ref.order {
-			if visits[2*i] != (visit{k.P, k.Q}) || visits[2*i+1] != (visit{k.Q, k.P}) {
-				t.Fatalf("Pairs visit %d = %v then %v, want first traffic p%d->p%d then its reverse", i, visits[2*i], visits[2*i+1], k.P, k.Q)
-			}
-		}
+		sameAsRef(t, tab, ref)
 	})
+}
+
+// sameAsRef checks that tab and ref hold the same Stats, Raw, Active and
+// JSON bytes, and that Pairs visits each active unordered pair exactly
+// twice, once per orientation, in order of first traffic.
+func sameAsRef(t *testing.T, tab *Table, ref *refTable) {
+	t.Helper()
+	n := ref.n
+	bits := func(s DirStats) [3]uint64 {
+		return [3]uint64{uint64(s.Count), math.Float64bits(s.Min), math.Float64bits(s.Max)}
+	}
+	active := 0
+	for p := 0; p < n; p++ {
+		for q := 0; q < n; q++ {
+			from, to := model.ProcID(p), model.ProcID(q)
+			if g, w := tab.Stats(from, to), ref.stats[p][q]; bits(g) != bits(w) {
+				t.Fatalf("Stats(%d,%d) = %v, want %v", p, q, g, w)
+			}
+			var w []float64
+			if ref.keep {
+				w = ref.raw[p][q]
+			}
+			if g := tab.Raw(from, to); !slices.Equal(g, w) {
+				t.Fatalf("Raw(%d,%d) = %v, want %v", p, q, g, w)
+			}
+			want := ref.stats[p][q].Count > 0 || ref.stats[q][p].Count > 0
+			if tab.Active(from, to) != want {
+				t.Fatalf("Active(%d,%d) = %v, want %v", p, q, !want, want)
+			}
+			if want && p < q {
+				active++
+			}
+			if p == q {
+				continue
+			}
+			pq, qp, id := tab.Pair(from, to)
+			if bits(pq) != bits(ref.stats[p][q]) || bits(qp) != bits(ref.stats[q][p]) || (id >= 0) != want {
+				t.Fatalf("Pair(%d,%d) = %v, %v, %d; want %v, %v, active %v", p, q, pq, qp, id, ref.stats[p][q], ref.stats[q][p], want)
+			}
+			if id >= 0 {
+				if a, b, _, _ := tab.PairAt(id); Canon(a, b) != Canon(from, to) {
+					t.Fatalf("Pair(%d,%d) has rank %d, PairAt(%d) = (%d,%d)", p, q, id, id, a, b)
+				}
+			}
+		}
+	}
+
+	got, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.json()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("JSON:\n got %s\nwant %s", got, want)
+	}
+
+	type visit struct{ p, q model.ProcID }
+	var visits []visit
+	seen := map[LinkKey]int{}
+	tab.Pairs(func(p, q model.ProcID, pq, qp DirStats) {
+		if bits(pq) != bits(ref.stats[p][q]) || bits(qp) != bits(ref.stats[q][p]) {
+			t.Fatalf("Pairs(%d,%d) passed %v/%v, want %v/%v", p, q, pq, qp, ref.stats[p][q], ref.stats[q][p])
+		}
+		visits = append(visits, visit{p, q})
+		seen[Canon(p, q)]++
+	})
+	if len(seen) != active || tab.NumPairs() != active {
+		t.Fatalf("Pairs visited %d unordered pairs, NumPairs %d, want %d", len(seen), tab.NumPairs(), active)
+	}
+	for k, c := range seen {
+		if c != 2 {
+			t.Fatalf("Pairs visited {p%d,p%d} %d times, want 2", k.P, k.Q, c)
+		}
+	}
+	for i, k := range ref.order {
+		if visits[2*i] != (visit{k.P, k.Q}) || visits[2*i+1] != (visit{k.Q, k.P}) {
+			t.Fatalf("Pairs visit %d = %v then %v, want first traffic p%d->p%d then its reverse", i, visits[2*i], visits[2*i+1], k.P, k.Q)
+		}
+	}
 }

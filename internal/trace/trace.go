@@ -89,27 +89,61 @@ func (d DirStats) String() string {
 
 // Table holds DirStats for the ordered processor pairs of an n-processor
 // system that carried traffic, plus their raw delays when retention is
-// enabled. Silent pairs cost one int32 of index each and nothing else:
-// slot maps (from, to) to a cell of the observed-direction slab, with
-// slot 0 the shared empty cell of every silent pair. Pairs visits the
-// unordered pairs with traffic in the order their first sample (or first
-// non-empty MergeStats) arrived, each in the orientation of that first
-// sample, then reversed.
+// enabled. Its memory is linear in the observed pairs: silent pairs cost
+// nothing, and each processor up to the highest one that sent costs a
+// 16-byte window header.
+//
+// Every unordered pair with traffic owns two adjacent cells of the
+// statistics slab: cells[2i+1] for the direction of its first sample (or
+// first non-empty MergeStats) and cells[2i+2] for the reverse, where i is
+// the pair's rank by first arrival; cells[0] is the shared empty cell.
+// Pairs visits the pairs in that order, each in the orientation of its
+// first sample, then reversed, without a lookup.
+//
+// A source's observed directions are found through its window: a
+// power-of-two open-addressing table in one slab shared by all sources,
+// each entry packing the destination and its cell into one word, probed
+// linearly from a multiplicative hash of the destination. A source's
+// lookups therefore stay in its own window, a few cache lines for a
+// clique-sized row, and a destination stride cannot pile its entries onto
+// one probe chain. A window whose load would pass 1/2 moves into fresh
+// slab space twice its size. When the slab has no room left, the live
+// windows move into a new slab with room for as much again, so the space
+// moved windows abandoned never survives a reallocation.
 type Table struct {
 	n     int
-	slot  []int32     // [from*n+to] -> index into cells; 0 = silent
-	cells []DirStats  // cells[0] is the empty cell; the rest have traffic
+	rows  []window    // per source that sent, and below: its window in slab
+	slab  []uint64    // windows' entries: to<<32 | cell; 0 = free, slot 0 always
+	cells []DirStats  // cells[0] is the empty cell; pair i owns 2i+1, 2i+2
 	raw   [][]float64 // raw estimated delays parallel to cells, if keepRaw
-	links []LinkKey   // unordered pairs with traffic, by first arrival
+	links []LinkKey   // pair i in the orientation of its first traffic
 	keep  bool
 }
+
+// window locates one source's open-addressing window in the slab.
+type window struct {
+	off  int    // first slot in slab
+	used uint32 // occupied slots
+	bits uint8  // the window holds 1<<bits slots; 0 = none yet (off 0)
+}
+
+// minWindowBits sizes a source's first window: 4 slots, half a cache line.
+const minWindowBits = 2
+
+// maxCells caps the statistics slab so every cell index fits the int32 an
+// index entry stores. It is a variable only so tests can lower it.
+var maxCells = 1 << 31
 
 // NewTable returns an empty table for n processors. If keepRaw is set, raw
 // estimated delays are retained per pair (needed by assumption
 // admissibility checks and the verifier; costs memory proportional to the
-// trace).
+// trace). n must fit in an int32, as an index entry stores a destination in
+// 32 bits; a larger n panics, as an n×n index would have.
 func NewTable(n int, keepRaw bool) *Table {
-	t := &Table{n: n, slot: make([]int32, n*n), cells: []DirStats{NewDirStats()}, keep: keepRaw}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: table size %d past %d processors", n, math.MaxInt32))
+	}
+	t := &Table{n: n, slab: []uint64{0}, cells: []DirStats{NewDirStats()}, keep: keepRaw}
 	if keepRaw {
 		t.raw = [][]float64{nil}
 	}
@@ -119,35 +153,129 @@ func NewTable(n int, keepRaw bool) *Table {
 // N returns the number of processors.
 func (t *Table) N() int { return t.n }
 
-// at returns the slot index of the ordered pair (from, to), panicking on
-// endpoints out of range as a nested slice would.
-func (t *Table) at(from, to model.ProcID) int {
+// check panics on endpoints out of range, as a nested slice would.
+func (t *Table) check(from, to model.ProcID) {
 	if uint(from) >= uint(t.n) || uint(to) >= uint(t.n) {
 		panic(fmt.Sprintf("trace: pair p%d->p%d out of range [0,%d)", from, to, t.n))
 	}
-	return int(from)*t.n + int(to)
 }
 
-// open gives the silent ordered pair at slot index i a cell of its own,
-// registering the unordered pair on its first traffic in either
-// direction, and returns the cell's index. An index past int32 needs more
-// than 2^31 observed directions (n above 46 000); it would wrap negative
-// and panic on the next slab read, never alias another cell.
-func (t *Table) open(i, from, to int) int32 {
-	c := int32(len(t.cells))
-	t.slot[i] = c
-	t.cells = append(t.cells, NewDirStats())
-	if t.keep {
-		t.raw = append(t.raw, nil)
+// home is the slot where the probe for to starts in a window of 1<<bits
+// slots: the top bits of a Fibonacci hash (0 when bits is 0).
+func home(to int, bits uint8) int {
+	return int(uint64(to) * 0x9E3779B97F4A7C15 >> (64 - bits))
+}
+
+// cell returns the cell of the ordered pair (from, to), 0 when silent. A
+// source without a window reads slot 0 of the slab, which stays free.
+func (t *Table) cell(from, to int) int32 {
+	if from >= len(t.rows) {
+		return 0
 	}
-	if t.slot[to*t.n+from] == 0 {
+	w := t.rows[from]
+	for i := home(to, w.bits); ; i = (i + 1) & (1<<w.bits - 1) {
+		e := t.slab[w.off+i]
+		if e == 0 {
+			return 0
+		}
+		if int(e>>32) == to {
+			return int32(uint32(e))
+		}
+	}
+}
+
+// insert adds the entry (to, c) to from's window, first moving the window
+// into fresh slab space twice its size if the entry would load it past
+// 1/2, compacting the slab when it has no room left. to must not be in
+// the window yet.
+func (t *Table) insert(from, to int, c int32) {
+	if from >= len(t.rows) {
+		t.rows = append(t.rows, make([]window, from+1-len(t.rows))...)
+	}
+	w := &t.rows[from]
+	if w.bits == 0 || 2*(int(w.used)+1) > 1<<w.bits {
+		bits := max(w.bits+1, minWindowBits)
+		if len(t.slab)+1<<bits > cap(t.slab) {
+			t.compact(1 << bits)
+		}
+		off := len(t.slab)
+		t.slab = t.slab[:off+1<<bits]
+		if w.bits > 0 {
+			for _, e := range t.slab[w.off : w.off+1<<w.bits] {
+				if e != 0 {
+					t.place(off, bits, e)
+				}
+			}
+		}
+		w.off, w.bits = off, bits
+	}
+	t.place(w.off, w.bits, uint64(to)<<32|uint64(uint32(c)))
+	w.used++
+}
+
+// compact moves every window into a fresh slab with room for twice the
+// live windows plus extra slots, dropping the space the moved windows
+// abandoned. A fresh slab is zero, and only windows are ever resliced
+// into it, so its spare capacity, and its slot 0, read free.
+func (t *Table) compact(extra int) {
+	live := extra
+	for _, w := range t.rows {
+		if w.bits > 0 {
+			live += 1 << w.bits
+		}
+	}
+	slab := make([]uint64, 1, 1+2*live)
+	for i := range t.rows {
+		if w := &t.rows[i]; w.bits > 0 {
+			off := len(slab)
+			slab = append(slab, t.slab[w.off:w.off+1<<w.bits]...)
+			w.off = off
+		}
+	}
+	t.slab = slab
+}
+
+// place writes entry e into the first free slot of its probe chain in the
+// window of 1<<bits slots at off.
+func (t *Table) place(off int, bits uint8, e uint64) {
+	mask := 1<<bits - 1
+	win := t.slab[off : off+mask+1]
+	i := home(int(e>>32), bits)
+	for win[i] != 0 {
+		i = (i + 1) & mask
+	}
+	win[i] = e
+}
+
+// sibling returns the cell of the reverse direction of cell c's pair:
+// 2i+1 <-> 2i+2.
+func sibling(c int32) int32 { return ((c - 1) ^ 1) + 1 }
+
+// open gives the silent ordered pair (from, to) its cell and returns it:
+// the reverse direction's sibling when that direction already has
+// traffic, otherwise the first of two fresh cells, registering the
+// unordered pair. It fails rather than let a cell index pass int32.
+func (t *Table) open(from, to int) (int32, error) {
+	var c int32
+	if r := t.cell(to, from); r != 0 {
+		c = sibling(r)
+	} else {
+		if len(t.cells) > maxCells-2 {
+			return 0, fmt.Errorf("trace: pair p%d->p%d would pass the table's %d cells", from, to, maxCells)
+		}
+		c = int32(len(t.cells))
+		t.cells = append(t.cells, NewDirStats(), NewDirStats())
+		if t.keep {
+			t.raw = append(t.raw, nil, nil)
+		}
 		t.links = append(t.links, LinkKey{P: model.ProcID(from), Q: model.ProcID(to)})
 	}
-	return c
+	t.insert(from, to, c)
+	return c, nil
 }
 
-// Add records one sample. Self-samples and out-of-range endpoints are
-// rejected.
+// Add records one sample. Self-samples, out-of-range endpoints and a new
+// pair past the table's capacity are rejected.
 func (t *Table) Add(s Sample) error {
 	from, to := int(s.From), int(s.To)
 	if from < 0 || from >= t.n || to < 0 || to >= t.n {
@@ -160,10 +288,12 @@ func (t *Table) Add(s Sample) error {
 	if math.IsNaN(est) || math.IsInf(est, 0) {
 		return fmt.Errorf("trace: sample p%d->p%d has invalid estimated delay %v", from, to, est)
 	}
-	i := from*t.n + to
-	c := t.slot[i]
+	c := t.cell(from, to)
 	if c == 0 {
-		c = t.open(i, from, to)
+		var err error
+		if c, err = t.open(from, to); err != nil {
+			return err
+		}
 	}
 	t.cells[c].Add(est)
 	if t.keep {
@@ -173,7 +303,10 @@ func (t *Table) Add(s Sample) error {
 }
 
 // Stats returns the statistics for the ordered pair (from, to).
-func (t *Table) Stats(from, to model.ProcID) DirStats { return t.cells[t.slot[t.at(from, to)]] }
+func (t *Table) Stats(from, to model.ProcID) DirStats {
+	t.check(from, to)
+	return t.cells[t.cell(int(from), int(to))]
+}
 
 // Raw returns the retained estimated delays for (from, to); nil when raw
 // retention is off or the link is silent. The returned slice is owned by
@@ -182,13 +315,41 @@ func (t *Table) Raw(from, to model.ProcID) []float64 {
 	if !t.keep {
 		return nil
 	}
-	return t.raw[t.slot[t.at(from, to)]]
+	t.check(from, to)
+	return t.raw[t.cell(int(from), int(to))]
 }
 
 // Active reports whether any traffic was observed in either direction
 // between p and q.
 func (t *Table) Active(p, q model.ProcID) bool {
-	return t.slot[t.at(p, q)] != 0 || t.slot[t.at(q, p)] != 0
+	t.check(p, q)
+	return t.cell(int(p), int(q)) != 0 || t.cell(int(q), int(p)) != 0
+}
+
+// Pair returns the statistics of both directions between p and q and the
+// rank of their unordered pair in the order Pairs visits it, or -1 when
+// neither direction carried traffic.
+func (t *Table) Pair(p, q model.ProcID) (pq, qp DirStats, id int) {
+	t.check(p, q)
+	c := t.cell(int(p), int(q))
+	if c == 0 {
+		if c = t.cell(int(q), int(p)); c == 0 {
+			return t.cells[0], t.cells[0], -1
+		}
+		return t.cells[sibling(c)], t.cells[c], int(c-1) / 2
+	}
+	return t.cells[c], t.cells[sibling(c)], int(c-1) / 2
+}
+
+// NumPairs returns the number of unordered pairs with traffic.
+func (t *Table) NumPairs() int { return len(t.links) }
+
+// PairAt returns the unordered pair of rank id (0 <= id < NumPairs) in
+// the orientation of its first traffic, with the statistics of both
+// directions.
+func (t *Table) PairAt(id int) (p, q model.ProcID, pq, qp DirStats) {
+	k := t.links[id]
+	return k.P, k.Q, t.cells[2*id+1], t.cells[2*id+2]
 }
 
 // Pairs calls fn for every ordered pair (p,q), p != q, with traffic in at
@@ -197,11 +358,10 @@ func (t *Table) Active(p, q model.ProcID) bool {
 // sample, then fn(q, p, ...). The walk is O(observed pairs) and reads the
 // table only, so concurrent walks are safe.
 func (t *Table) Pairs(fn func(p, q model.ProcID, pq, qp DirStats)) {
-	for _, k := range t.links {
-		pq := t.cells[t.slot[int(k.P)*t.n+int(k.Q)]]
-		qp := t.cells[t.slot[int(k.Q)*t.n+int(k.P)]]
-		fn(k.P, k.Q, pq, qp)
-		fn(k.Q, k.P, qp, pq)
+	for id := range t.links {
+		p, q, pq, qp := t.PairAt(id)
+		fn(p, q, pq, qp)
+		fn(q, p, qp, pq)
 	}
 }
 
@@ -266,10 +426,12 @@ func (t *Table) MergeStats(from, to model.ProcID, s DirStats) error {
 	if math.IsInf(s.Min, 0) || math.IsInf(s.Max, 0) {
 		return fmt.Errorf("trace: stats %v for p%d->p%d have a non-finite delay", s, f, o)
 	}
-	i := f*t.n + o
-	c := t.slot[i]
+	c := t.cell(f, o)
 	if c == 0 {
-		c = t.open(i, f, o)
+		var err error
+		if c, err = t.open(f, o); err != nil {
+			return err
+		}
 	}
 	t.cells[c].Merge(s)
 	return nil

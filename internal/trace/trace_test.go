@@ -3,11 +3,14 @@ package trace
 import (
 	"encoding/json"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"clocksync/internal/model"
+	"clocksync/internal/sim"
 )
 
 func TestDirStatsBasics(t *testing.T) {
@@ -266,5 +269,129 @@ func TestSampleEstimatedDelayQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTableStridedHub drives one hub whose destinations are every 64th
+// processor, all congruent modulo the 64-slot window its 17 entries fill,
+// plus their replies and a second, merged row, and checks the table
+// against the naive grid on Stats, Active, Pairs order and JSON.
+func TestTableStridedHub(t *testing.T) {
+	const dests, stride = 17, 64
+	n := dests*stride + 1
+	tab, ref := NewTable(n, false), newRefTable(n, false)
+	add := func(from, to int, v float64) {
+		t.Helper()
+		if err := tab.Add(Sample{From: model.ProcID(from), To: model.ProcID(to), RecvClock: v}); err != nil {
+			t.Fatal(err)
+		}
+		ref.add(from, to, v)
+	}
+	for k := 1; k <= dests; k++ {
+		add(0, k*stride, float64(k))
+		if k%3 == 0 {
+			add(k*stride, 0, -float64(k))
+		}
+		add(0, k*stride, float64(k)/2)
+		s := DirStats{Count: k, Min: float64(-k), Max: float64(k)}
+		if err := tab.MergeStats(1, model.ProcID(k*stride), s); err != nil {
+			t.Fatal(err)
+		}
+		ref.merge(1, k*stride, s)
+	}
+	sameAsRef(t, tab, ref)
+}
+
+// TestTableAddOpenPairAllocs: once a pair is open, Add allocates nothing
+// (raw retention off).
+func TestTableAddOpenPairAllocs(t *testing.T) {
+	tab := NewTable(100, false)
+	for to := 1; to < 100; to++ { // grow p0's window past its first sizes
+		if err := tab.Add(Sample{From: 0, To: model.ProcID(to), RecvClock: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := Sample{From: 0, To: 64, RecvClock: 2}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tab.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Add on an open pair: %v allocs, want 0", allocs)
+	}
+}
+
+// TestTableCellLimit lowers the cell cap, so no test allocates 2^31
+// cells: a new pair past the cap fails in Add and in MergeStats and
+// leaves the table as it was, while the open pairs, and the reverse
+// direction of an open pair, which owns its cell already, still take
+// samples.
+func TestTableCellLimit(t *testing.T) {
+	defer func(m int) { maxCells = m }(maxCells)
+	maxCells = 5 // the empty cell and two pairs
+	tab := NewTable(4, false)
+	for _, s := range []Sample{{From: 0, To: 1}, {From: 2, To: 3}, {From: 1, To: 0}, {From: 0, To: 1, RecvClock: 1}} {
+		if err := tab.Add(s); err != nil {
+			t.Fatalf("Add(p%d->p%d) = %v", s.From, s.To, err)
+		}
+	}
+	before, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Add(Sample{From: 1, To: 2}); err == nil {
+		t.Error("Add opened a pair past the cell cap")
+	}
+	if err := tab.MergeStats(3, 0, DirStats{Count: 1}); err == nil {
+		t.Error("MergeStats opened a pair past the cell cap")
+	}
+	if err := tab.Add(Sample{From: 3, To: 2}); err != nil {
+		t.Errorf("reverse of an open pair: %v", err)
+	}
+	if tab.NumPairs() != 2 || tab.Active(1, 2) || tab.Active(0, 3) {
+		t.Errorf("failed opens changed the table: %d pairs", tab.NumPairs())
+	}
+	after, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(string(before), `]}`, `,{"from":3,"to":2,"count":1,"min":0,"max":0}]}`, 1)
+	if string(after) != want {
+		t.Errorf("JSON after the failed opens:\n got %s\nwant %s", after, want)
+	}
+}
+
+// TestTableMemoryLinear fills a table for a 10,016-processor ring of
+// 313 cliques of 32 with 2 samples per direction. The live heap it holds
+// must stay linear in its 311,122 observed directions: under 51 MB, an
+// eighth of the 410 MB the same table held with an n x n int32 index.
+func TestTableMemoryLinear(t *testing.T) {
+	const cliques, size = 313, 32
+	pairs := sim.RingOfCliques(cliques, size)
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := live()
+	tab := NewTable(cliques*size, false)
+	for _, e := range pairs {
+		for k := 0; k < 4; k++ {
+			from, to := e.P, e.Q
+			if k%2 == 1 {
+				from, to = e.Q, e.P
+			}
+			if err := tab.Add(Sample{From: model.ProcID(from), To: model.ProcID(to), RecvClock: float64(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held := live() - base
+	runtime.KeepAlive(tab)
+	t.Logf("table holds %.1f MB for %d directions (%.0f B each)", float64(held)/1e6, 2*len(pairs), float64(held)/float64(2*len(pairs)))
+	const limit = 410e6 / 8
+	if float64(held) > limit {
+		t.Errorf("table holds %.1f MB, want < %.1f MB", float64(held)/1e6, limit/1e6)
 	}
 }
