@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"clocksync/internal/model"
+	"clocksync/internal/scenario"
+	"clocksync/internal/sim"
 )
 
 func TestNewSystemValidation(t *testing.T) {
@@ -203,6 +207,55 @@ func TestRunScenarioJSON(t *testing.T) {
 	}
 	if err := rep.Certificate.Ok(1e-9); err != nil {
 		t.Errorf("certificate invalid: %v", err)
+	}
+}
+
+// TestRunScenarioJSONMessages: Report.Messages, read off the collected
+// table, is the number of messages the execution delivered, counted
+// here by a walk of its own. The scenario is docs/scenario.md's example
+// with 10% message loss, so some sends are never delivered.
+func TestRunScenarioJSONMessages(t *testing.T) {
+	cfg := []byte(`{
+		"processors": 8,
+		"seed": 1993,
+		"startSpread": 3,
+		"topology": {"kind": "ring"},
+		"defaultLink": {
+			"assumption": {"kind": "symmetricBounds", "lb": 0.02, "ub": 0.06},
+			"delays": {"kind": "symmetric", "sampler": {"kind": "uniform", "lo": 0.02, "hi": 0.06}}
+		},
+		"links": [
+			{
+				"p": 1, "q": 2,
+				"assumption": {"kind": "bias", "b": 0.01},
+				"delays": {"kind": "biasWindow", "base": 0.08, "width": 0.01}
+			}
+		],
+		"protocol": {"kind": "burst", "k": 6, "spacing": 0.004, "warmup": -1},
+		"faults": {"loss": 0.1}
+	}`)
+	rep, err := RunScenarioJSON(cfg, SimOptions{})
+	if err != nil {
+		t.Fatalf("RunScenarioJSON: %v", err)
+	}
+	sc, err := scenario.Parse(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := sim.Run(built.Net, built.Factory, built.RunCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, sent := 0, 8*2*6
+	if err := exec.EachMessage(func(model.Message) error { delivered++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Messages != delivered || delivered == 0 || delivered >= sent {
+		t.Errorf("Messages = %d, walk counts %d delivered of %d sent; want equal, and some lost", rep.Messages, delivered, sent)
 	}
 }
 

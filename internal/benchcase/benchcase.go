@@ -54,7 +54,8 @@ func All() []Case {
 		sparseSolve("SparseSolve/n=10k", 313),
 		sparseSystem("SparseSystem/n=2112", 66),
 	)
-	cs = append(cs, viewReduction(16, 25000)...)
+	vrBuild, vrCollect, vrWalk := viewReduction(16, 25000)
+	cs = append(cs, vrBuild, vrCollect)
 	cs = append(cs, protocolRound(48))
 	cs = append(cs, experimentCases()...)
 	for _, n := range []int{8, 16, 32, 128} {
@@ -70,6 +71,7 @@ func All() []Case {
 		kernelKarp(128),
 		kernelBellmanFord(128),
 		sparseSystem("SparseSystem/n=10k", 313),
+		vrWalk,
 	)
 }
 
@@ -264,7 +266,7 @@ func sparseSystem(name string, cliques int) Case {
 	}}
 }
 
-// viewReduction returns the two cases of the Lemma 6.1 view reduction on
+// viewReduction returns the three cases of the Lemma 6.1 view reduction on
 // the input shape of clockbench's trace-heavy workload: msgs messages
 // over the complete graph on n processors, one every millisecond of real
 // time between random endpoints with delays in [0.01, 0.1) s, so
@@ -272,10 +274,11 @@ func sparseSystem(name string, cliques int) Case {
 // records into a fresh builder and builds it, so every op pays the sort
 // of the out-of-order receiver logs and the validation; an op cannot
 // keep the recording outside the timer, so the row times recording plus
-// Build. Collect reduces one built execution to a trace.Table. Both
-// cases share the records and that execution, made by whichever setup
-// runs first.
-func viewReduction(n, msgs int) []Case {
+// Build. Collect reduces one built execution to a trace.Table. Walk
+// runs the message correspondence alone on that execution, with a no-op
+// fold: the model's share of Collect. The cases share the records and
+// that execution, made by whichever setup runs first.
+func viewReduction(n, msgs int) (buildCase, collectCase, walkCase Case) {
 	type record struct {
 		from, to    model.ProcID
 		sendReal, d float64
@@ -313,20 +316,23 @@ func viewReduction(n, msgs int) []Case {
 		e, err = build()
 		return err
 	}
-	return []Case{
-		{fmt.Sprintf("ViewReduction/Build/msgs=%dk", msgs/1000), func() (func() error, func(), error) {
-			return func() error {
-				_, err := build()
-				return err
-			}, nop, setup()
-		}},
-		{fmt.Sprintf("ViewReduction/Collect/msgs=%dk", msgs/1000), func() (func() error, func(), error) {
-			return func() error {
-				_, err := trace.Collect(e, false)
-				return err
-			}, nop, setup()
-		}},
+	viewCase := func(op string, run func() error) Case {
+		return Case{fmt.Sprintf("ViewReduction/%s/msgs=%dk", op, msgs/1000), func() (func() error, func(), error) {
+			return run, nop, setup()
+		}}
 	}
+	buildCase = viewCase("Build", func() error {
+		_, err := build()
+		return err
+	})
+	collectCase = viewCase("Collect", func() error {
+		_, err := trace.Collect(e, false)
+		return err
+	})
+	walkCase = viewCase("Walk", func() error {
+		return e.EachMessage(func(model.Message) error { return nil })
+	})
+	return buildCase, collectCase, walkCase
 }
 
 // protocolRound measures one round of the §7 leader protocol on the

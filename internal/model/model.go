@@ -238,123 +238,123 @@ func (m Message) Delay(e *Execution) float64 {
 // computable from the views alone: it equals RecvClock - SendClock.
 func (m Message) EstimatedDelay() float64 { return m.RecvClock - m.SendClock }
 
-// EachMessage resolves the message correspondence of the execution in one
-// pass and calls fn once per delivered message, in receiver order: by
-// receiving processor, then by receipt step. It returns an error if any
-// received message was never sent, was sent twice, has mismatched
-// endpoints, or if a sent message is received more than once. (Unreceived
-// messages are permitted: the system may still be "in flight".) The walk
-// stops at the first failure in that order, a correspondence error or an
-// error of fn, which it returns unchanged.
+// EachMessage resolves the message correspondence of the execution, in
+// one pass over the sends and one over the receipts, and calls fn once
+// per delivered message, in receiver order: by receiving processor, then
+// by receipt step. It returns an error if a message was sent twice, or
+// if a received message was never sent, has mismatched endpoints or is
+// received more than once. (Unreceived messages are permitted: the system
+// may still be "in flight".) The walk stops at the first failure in that
+// order, a correspondence error or an error of fn, returned unchanged.
 func (e *Execution) EachMessage(fn func(Message) error) error {
-	sends := e.indexSends()
+	x := newSendIndex(e)
+	if err := x.addSends(e); err != nil {
+		return err
+	}
+	return x.eachReceipt(e, fn)
+}
+
+// sendRec is one send in 16 bytes: its clock, its receiver, and its
+// sender plus one, negated once delivered. The zero record is not sent.
+type sendRec struct {
+	clock    float64
+	from, to int32
+}
+
+// wideSend is a send at full width: a spill map entry, and how the
+// receipt pass reads any send.
+type wideSend struct {
+	from, to  ProcID
+	clock     float64
+	delivered bool
+}
+
+// sendIndex finds sends by message ID. The send of ID k sits in
+// recs[k-1] for k in 1..⌊(S−n)/2⌋, S the execution's step count and n its
+// history count: a delivered message takes two steps and each history one
+// start step, so the IDs 1..m of every Builder execution fit. Other IDs,
+// and sends whose endpoints do not fit a sendRec, go to the spill map,
+// made on first use.
+type sendIndex struct {
+	recs  []sendRec
+	spill map[MsgID]*wideSend
+}
+
+// newSendIndex sizes the index's slice for e.
+func newSendIndex(e *Execution) sendIndex {
+	steps := 0
 	for _, h := range e.Histories {
-		for _, st := range h.Steps {
+		steps += len(h.Steps)
+	}
+	return sendIndex{recs: make([]sendRec, max(0, (steps-len(e.Histories))/2))}
+}
+
+// slot returns the record of id, or nil when id is outside the slice.
+func (x *sendIndex) slot(id MsgID) *sendRec {
+	if k := uint64(id) - 1; k < uint64(len(x.recs)) {
+		return &x.recs[k]
+	}
+	return nil
+}
+
+// addSends records every send of the execution, in one pass.
+func (x *sendIndex) addSends(e *Execution) error {
+	for _, h := range e.Histories {
+		fromFits := h.Proc >= 0 && h.Proc < math.MaxInt32
+		for i := range h.Steps {
+			st := &h.Steps[i]
 			if st.Event.Kind != KindSend {
 				continue
 			}
-			if !sends.add(st.Event.Msg, sendRec{from: h.Proc, to: st.Event.Peer, clock: st.Clock}) {
-				return fmt.Errorf("model: message %d sent twice", st.Event.Msg)
+			id, to := st.Event.Msg, st.Event.Peer
+			r := x.slot(id)
+			if r != nil && r.from != 0 || x.spill != nil && x.spill[id] != nil {
+				return fmt.Errorf("model: message %d sent twice", id)
 			}
-		}
-	}
-	for _, h := range e.Histories {
-		for _, st := range h.Steps {
-			if st.Event.Kind != KindRecv {
+			if r != nil && fromFits && to == ProcID(int32(to)) {
+				*r = sendRec{clock: st.Clock, from: int32(h.Proc) + 1, to: int32(to)}
 				continue
 			}
-			rec := sends.find(st.Event.Msg)
-			if rec == nil {
-				return fmt.Errorf("model: message %d received by p%d but never sent", st.Event.Msg, h.Proc)
+			if x.spill == nil {
+				x.spill = make(map[MsgID]*wideSend)
 			}
-			if rec.delivered {
-				return fmt.Errorf("model: message %d delivered twice", st.Event.Msg)
-			}
-			if rec.to != h.Proc || rec.from != st.Event.Peer {
-				return fmt.Errorf("model: message %d endpoint mismatch: sent p%d->p%d, received by p%d from p%d",
-					st.Event.Msg, rec.from, rec.to, h.Proc, st.Event.Peer)
-			}
-			rec.delivered = true
-			if err := fn(Message{ID: st.Event.Msg, From: rec.from, To: h.Proc, SendClock: rec.clock, RecvClock: st.Clock}); err != nil {
-				return err
-			}
+			x.spill[id] = &wideSend{from: h.Proc, to: to, clock: st.Clock}
 		}
 	}
 	return nil
 }
 
-// sendRec is one send as the correspondence walk records it.
-type sendRec struct {
-	from, to  ProcID
-	clock     float64
-	sent      bool
-	delivered bool
-}
-
-// sendIndex finds sends by message ID. When the IDs are dense (they span
-// at most twice as many values as there are sends, as Builder's 1..m do)
-// the records sit in a slice indexed by ID - lo; otherwise a map indexes
-// them.
-type sendIndex struct {
-	lo     MsgID
-	dense  []sendRec // by ID - lo; nil when sparse
-	recs   []sendRec // sparse: in walk order
-	sparse map[MsgID]int
-}
-
-// indexSends counts the sends and the range of their IDs and sizes the
-// index for them.
-func (e *Execution) indexSends() *sendIndex {
-	n, lo, hi := 0, MsgID(0), MsgID(0)
+// eachReceipt checks every receipt against its send, in receiver order,
+// marks the send delivered and calls fn with the message.
+func (x *sendIndex) eachReceipt(e *Execution, fn func(Message) error) error {
 	for _, h := range e.Histories {
-		for _, st := range h.Steps {
-			if st.Event.Kind != KindSend {
+		for i := range h.Steps {
+			st := &h.Steps[i]
+			if st.Event.Kind != KindRecv {
 				continue
 			}
-			if id := st.Event.Msg; n == 0 {
-				lo, hi = id, id
+			id := st.Event.Msg
+			var s wideSend
+			if r := x.slot(id); r != nil && r.from != 0 {
+				s = wideSend{from: ProcID(max(r.from, -r.from) - 1), to: ProcID(r.to), clock: r.clock, delivered: r.from < 0}
+				r.from = min(r.from, -r.from)
+			} else if w := x.spill[id]; w != nil {
+				s = *w
+				w.delivered = true
 			} else {
-				lo, hi = min(lo, id), max(hi, id)
+				return fmt.Errorf("model: message %d received by p%d but never sent", id, h.Proc)
 			}
-			n++
+			if s.delivered {
+				return fmt.Errorf("model: message %d delivered twice", id)
+			}
+			if s.to != h.Proc || s.from != st.Event.Peer {
+				return fmt.Errorf("model: message %d endpoint mismatch: sent p%d->p%d, received by p%d from p%d",
+					id, s.from, s.to, h.Proc, st.Event.Peer)
+			}
+			if err := fn(Message{ID: id, From: s.from, To: h.Proc, SendClock: s.clock, RecvClock: st.Clock}); err != nil {
+				return err
+			}
 		}
-	}
-	// The span in uint64 cannot overflow: hi >= lo.
-	if span := uint64(hi) - uint64(lo); n > 0 && span < 2*uint64(n) {
-		return &sendIndex{lo: lo, dense: make([]sendRec, span+1)}
-	}
-	return &sendIndex{recs: make([]sendRec, 0, n), sparse: make(map[MsgID]int, n)}
-}
-
-// add records a send; it reports false when the ID was already sent.
-func (x *sendIndex) add(id MsgID, r sendRec) bool {
-	r.sent = true
-	if x.dense != nil {
-		slot := &x.dense[id-x.lo]
-		if slot.sent {
-			return false
-		}
-		*slot = r
-		return true
-	}
-	if _, dup := x.sparse[id]; dup {
-		return false
-	}
-	x.sparse[id] = len(x.recs)
-	x.recs = append(x.recs, r)
-	return true
-}
-
-// find returns the send of an ID, or nil when it was never sent.
-func (x *sendIndex) find(id MsgID) *sendRec {
-	if x.dense != nil {
-		if id < x.lo || uint64(id)-uint64(x.lo) >= uint64(len(x.dense)) || !x.dense[id-x.lo].sent {
-			return nil
-		}
-		return &x.dense[id-x.lo]
-	}
-	if i, ok := x.sparse[id]; ok {
-		return &x.recs[i]
 	}
 	return nil
 }

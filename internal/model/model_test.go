@@ -428,3 +428,52 @@ func TestValidateInvalidDelay(t *testing.T) {
 		t.Error("infinite delay accepted")
 	}
 }
+
+// TestEachMessageAllocs: on a Builder execution, timers and sends still
+// in flight included, the walk makes the same number of allocations
+// whatever the message count, and its index never makes the spill map.
+func TestEachMessageAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	nop := func(Message) error { return nil }
+	var want float64
+	for i, m := range []int{1, 100, 10000} {
+		const n = 6
+		b := NewBuilder(make([]float64, n))
+		for k := 0; k < m; k++ {
+			from := ProcID(rng.Intn(n))
+			to := (from + 1 + ProcID(rng.Intn(n-1))) % n
+			clock := float64(k)
+			if _, err := b.AddMessage(from, to, clock, clock+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Send(to, from, clock); err != nil { // never delivered
+				t.Fatal(err)
+			}
+			if err := b.AddTimer(from, clock, clock+1, k%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := mustBuild(t, b)
+		x := newSendIndex(e)
+		if err := x.addSends(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.eachReceipt(e, nop); err != nil {
+			t.Fatal(err)
+		}
+		if x.spill != nil || len(x.recs) < m {
+			t.Errorf("m=%d: %d slice records, spill map %v; want at least %d records and no map", m, len(x.recs), x.spill, m)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := e.EachMessage(nop); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i == 0 {
+			want = allocs
+		}
+		if allocs != want || allocs > 1 {
+			t.Errorf("m=%d: %v allocs per walk, want %v (and at most 1)", m, allocs, want)
+		}
+	}
+}

@@ -12,8 +12,11 @@ import (
 )
 
 // TestMessagesCorrespondenceErrors: each of the four correspondence faults
-// is rejected by Messages, and every consumer of the walk returns the same
-// error: Validate verbatim, the trace reductions wrapped once.
+// is rejected by Messages with its own text, and every consumer of the
+// walk returns the same error: Validate verbatim, the trace reductions
+// wrapped once. With two faults in one execution the send fault wins,
+// though its history comes after the receipt's: every send is recorded
+// before any receipt is checked.
 func TestMessagesCorrespondenceErrors(t *testing.T) {
 	send := func(clock float64, peer model.ProcID) model.Step {
 		return model.Step{Clock: clock, Event: model.Event{Kind: model.KindSend, Peer: peer, Msg: 7}}
@@ -29,19 +32,25 @@ func TestMessagesCorrespondenceErrors(t *testing.T) {
 		return e
 	}
 	faults := []struct {
-		name string
-		e    *model.Execution
+		name, text string
+		e          *model.Execution
 	}{
-		{"received but never sent", exec(2, map[int][]model.Step{1: {recv(1, 0)}})},
-		{"sent twice", exec(2, map[int][]model.Step{0: {send(1, 1), send(2, 1)}})},
-		{"delivered twice", exec(2, map[int][]model.Step{0: {send(1, 1)}, 1: {recv(2, 0), recv(3, 0)}})},
-		{"endpoint mismatch", exec(3, map[int][]model.Step{0: {send(1, 1)}, 2: {recv(2, 0)}})},
+		{"received but never sent", "model: message 7 received by p1 but never sent",
+			exec(2, map[int][]model.Step{1: {recv(1, 0)}})},
+		{"sent twice", "model: message 7 sent twice",
+			exec(2, map[int][]model.Step{0: {send(1, 1), send(2, 1)}})},
+		{"delivered twice", "model: message 7 delivered twice",
+			exec(2, map[int][]model.Step{0: {send(1, 1)}, 1: {recv(2, 0), recv(3, 0)}})},
+		{"endpoint mismatch", "model: message 7 endpoint mismatch: sent p0->p1, received by p2 from p0",
+			exec(3, map[int][]model.Step{0: {send(1, 1)}, 2: {recv(2, 0)}})},
+		{"sent twice before a receipt fault", "model: message 7 sent twice",
+			exec(3, map[int][]model.Step{0: {recv(1, 1)}, 2: {send(1, 1), send(2, 1)}})},
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
 			_, want := f.e.Messages()
-			if want == nil {
-				t.Fatal("Messages: error = nil, want non-nil")
+			if want == nil || want.Error() != f.text {
+				t.Fatalf("Messages: error = %v, want %s", want, f.text)
 			}
 			check := func(name string, err, want error) {
 				t.Helper()
@@ -138,18 +147,23 @@ func TestBuildTiedClocksStable(t *testing.T) {
 // decodeExecution turns fuzz bytes into an execution: the first byte
 // picks 2..5 processors and the ID mode, then every five bytes append one
 // step (processor, kind, peer, message ID, clock increment) to a history.
-// Peers may be the processor itself or out of range, IDs collide often,
-// and some steps break the history's well-formedness on purpose. In one
-// mode IDs are small and nearly consecutive (-7..7), like Builder's, so
-// EachMessage indexes sends in a slice; in the other they are multiples
-// of 2^40, which a map indexes.
+// Peers may be the processor itself, out of range, or (byte 255) 2^32+1,
+// which an int32 would truncate to p1; IDs collide often, and some steps
+// break the history's well-formedness on purpose. The ID modes:
+//
+//   - multiples of 2^40, which EachMessage's slice never holds;
+//   - (bit 2) small and nearly consecutive, -7..7, like Builder's, so the
+//     slice holds most sends;
+//   - (bit 3) within 7 of ⌊(S−n)/2⌋, the slice's last ID (S steps, n
+//     histories), so one execution uses both the slice and the spill map,
+//     and a short one also IDs 0 and below.
 func decodeExecution(data []byte) *model.Execution {
 	if len(data) == 0 {
 		return model.NewExecution([]float64{0, 0})
 	}
 	n := 2 + int(data[0]%4)
 	mod, shift := int8(16), 40
-	if data[0]&4 != 0 {
+	if data[0]&12 != 0 {
 		mod, shift = 8, 0
 	}
 	starts := make([]float64, n)
@@ -158,17 +172,31 @@ func decodeExecution(data []byte) *model.Execution {
 	}
 	e := model.NewExecution(starts)
 	kinds := []model.Kind{model.KindSend, model.KindRecv, model.KindSend, model.KindRecv, model.KindTimer, model.KindStart}
-	for data = data[1:]; len(data) >= 5; data = data[5:] {
-		h := e.Histories[int(data[0])%n]
-		clock := h.Steps[len(h.Steps)-1].Clock + float64(data[4]%4)
-		if data[4] == 255 {
+	steps := n
+	for rest := data[1:]; len(rest) >= 5; rest = rest[5:] {
+		h := e.Histories[int(rest[0])%n]
+		clock := h.Steps[len(h.Steps)-1].Clock + float64(rest[4]%4)
+		if rest[4] == 255 {
 			clock -= 5 // out of order
 		}
+		peer := model.ProcID(int(rest[2]) % (n + 1))
+		if rest[2] == 255 {
+			peer = 1<<32 + 1
+		}
 		h.Steps = append(h.Steps, model.Step{Clock: clock, Event: model.Event{
-			Kind: kinds[int(data[1])%len(kinds)],
-			Peer: model.ProcID(int(data[2]) % (n + 1)),
-			Msg:  model.MsgID(int64(int8(data[3])%mod) << shift),
+			Kind: kinds[int(rest[1])%len(kinds)],
+			Peer: peer,
+			Msg:  model.MsgID(int64(int8(rest[3])%mod) << shift),
 		}})
+		steps++
+	}
+	if data[0]&8 != 0 {
+		bound := model.MsgID((steps - n) / 2)
+		for _, h := range e.Histories {
+			for i := 1; i < len(h.Steps); i++ {
+				h.Steps[i].Event.Msg += bound
+			}
+		}
 	}
 	return e
 }
@@ -235,6 +263,14 @@ func FuzzMessageWalk(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 1, 1, 0, 0, 1, 2, 1, 1, 1, 0, 2, 1, 1, 1, 0, 1, 0}) // receipts out of ID order
 	f.Add([]byte{5, 0, 0, 1, 1, 1, 0, 0, 1, 3, 1, 1, 1, 0, 2, 1})                // a gap in the range, received
 	f.Add([]byte{4, 0, 0, 1, 1, 1, 0, 0, 1, 2, 1, 1, 1, 0, 253, 1})              // an ID below the range, received
+	// IDs around the slice's last one, ⌊(S−n)/2⌋.
+	f.Add([]byte{8, 0, 0, 1, 1, 1, 1, 1, 0, 1, 3, 0, 0, 1, 0, 1, 1, 1, 0, 0, 3}) // one just past it, one at it
+	f.Add([]byte{8, 0, 0, 1, 253, 1, 1, 1, 0, 253, 2, 0, 0, 1, 252, 1, 1, 1, 0, 252, 2,
+		0, 0, 1, 255, 1, 1, 1, 0, 255, 2}) // IDs 0 and -1 beside ID 2
+	f.Add([]byte{9, 0, 0, 255, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 2}) // to p2^32+1 with an in-range ID, in flight
+	f.Add([]byte{8, 0, 0, 255, 0, 1, 0, 0, 1, 0, 1})                // sent twice: to p2^32+1, then to p1
+	f.Add([]byte{8, 0, 0, 1, 0, 1, 0, 0, 255, 0, 1})                // sent twice: to p1, then to p2^32+1
+	f.Add([]byte{8, 0, 0, 255, 0, 1, 1, 1, 0, 0, 2})                // to p2^32+1, received by p1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := decodeExecution(data)
 		want, ok := naiveMessages(e)

@@ -72,14 +72,12 @@ func RunScenarioJSON(data []byte, opts SimOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clocksync: simulate: %w", err)
 	}
-	delivered := 0
-	if err := exec.EachMessage(func(model.Message) error { delivered++; return nil }); err != nil {
-		return nil, err
-	}
 	tab, err := trace.Collect(exec, false)
 	if err != nil {
 		return nil, err
 	}
+	delivered := 0 // every delivered message is one sample of its direction
+	tab.Pairs(func(_, _ model.ProcID, pq, _ trace.DirStats) { delivered += pq.Count })
 	res, err := core.SynchronizeSystem(len(built.Starts), built.Links, tab, core.DefaultMLSOptions(),
 		core.Options{
 			Root: int(opts.Root), Centered: opts.Centered, Parallelism: opts.Parallelism,
