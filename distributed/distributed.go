@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"clocksync/internal/core"
 	"clocksync/internal/dist"
 	"clocksync/internal/obs"
 	"clocksync/internal/round"
@@ -200,30 +201,12 @@ func RunScenarioJSON(data []byte, cfg Config) (*Outcome, error) {
 		ExcisedLinks: out.ExcisedLinks,
 		AuthFailures: out.AuthFailures,
 	}
-	if out.Degraded {
-		// Ground truth restricted to the processors the precision covers
-		// and that actually received their correction.
-		res.Realized = 0
-		var comp []int
-		for p := range out.Applied {
-			if out.Applied[p] && (out.Synced == nil || out.Synced[p]) {
-				comp = append(comp, p)
-			}
-		}
-		for i, p := range comp {
-			for _, q := range comp[:i] {
-				d := math.Abs((built.Starts[p] - out.Corrections[p]) - (built.Starts[q] - out.Corrections[q]))
-				if d > res.Realized {
-					res.Realized = d
-				}
-			}
-		}
-		return res, nil
-	}
-	realized, err := clocksync.Discrepancy(built.Starts, out.Corrections)
-	if err != nil {
+	// On a degraded run, ground truth is restricted to the processors the
+	// precision covers and that actually received their correction.
+	if res.Realized, err = core.RhoOver(built.Starts, out.Corrections, func(p int) bool {
+		return !out.Degraded || out.Applied[p] && (out.Synced == nil || out.Synced[p])
+	}); err != nil {
 		return nil, err
 	}
-	res.Realized = realized
 	return res, nil
 }

@@ -152,6 +152,10 @@ func TestRunScenarioJSONWithFaults(t *testing.T) {
 	if out.Realized > out.Precision+1e-9 {
 		t.Errorf("realized %v exceeds degraded precision %v", out.Realized, out.Precision)
 	}
+	// Pinned bit for bit: the discrepancy over the four survivors.
+	if got := math.Float64bits(out.Realized); got != 0x3fa0291c40a976c8 {
+		t.Errorf("realized = %v (%#x), want 0.031563647168452 (0x3fa0291c40a976c8)", out.Realized, got)
+	}
 }
 
 // TestRunScenarioJSONTrace: a non-nil Trace collects the sync-round

@@ -23,6 +23,7 @@ import (
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/round"
+	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
@@ -345,21 +346,26 @@ func viewReduction(n, msgs int) (buildCase, collectCase, walkCase Case) {
 // liar and computed degraded.
 func protocolRound(n int) Case {
 	return Case{fmt.Sprintf("ProtocolRound/n=%d", n), func() (func() error, func(), error) {
+		// One stream draws the topology, then the start times.
 		rng := rand.New(rand.NewSource(5))
-		pairs := sim.RandomConnected(rng, n, 0.15)
-		a := clocksync.MustSymmetricBounds(0.05, 0.2)
-		links := make([]core.Link, len(pairs))
-		for i, e := range pairs {
-			links[i] = core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: a}
+		topo := scenario.Topology{Kind: "custom"}
+		for _, e := range sim.RandomConnected(rng, n, 0.15) {
+			topo.Pairs = append(topo.Pairs, [2]int{e.P, e.Q})
 		}
-		net, err := sim.NewNetwork(sim.UniformStarts(rng, n, 1), pairs, func(sim.Pair) sim.LinkDelays {
-			return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.2})
-		})
+		s := scenario.Scenario{Processors: n, Starts: sim.UniformStarts(rng, n, 1), Topology: topo,
+			DefaultLink: &scenario.LinkSpec{
+				Assumption: scenario.AssumptionSpec{Kind: "symmetricBounds", LB: 0.05, UB: 0.2},
+				Delays:     scenario.DelaySpec{Kind: "symmetric", Sampler: &scenario.SamplerSpec{Kind: "uniform", Lo: 0.05, Hi: 0.2}},
+			},
+			Protocol: scenario.ProtocolSpec{Kind: "burst", K: 4, Spacing: 0.01, Warmup: 1.5},
+		}
+		b, err := s.Build()
 		if err != nil {
 			return nil, nil, err
 		}
+		p := s.Protocol
 		cfg := dist.Config{
-			Leader: 0, Links: links, Probes: 4, Spacing: 0.01, Warmup: 1.5, Window: 1,
+			Leader: 0, Links: b.Links, Probes: p.K, Spacing: p.Spacing, Warmup: p.Warmup, Window: 1,
 			ReportGrace: 2, Retries: 2, Excision: true, AuthKeys: round.DeriveKeys(n, 9),
 		}
 		faults := &sim.Faults{
@@ -368,7 +374,7 @@ func protocolRound(n int) Case {
 			Crashes:   []sim.Crash{{Proc: n / 2, At: cfg.Warmup + cfg.Window/2}},
 		}
 		return func() error {
-			out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: 11, Faults: faults})
+			out, _, err := dist.Run(b.Net, cfg, sim.RunConfig{Seed: 11, Faults: faults})
 			if err != nil {
 				return err
 			}

@@ -382,6 +382,28 @@ func TestRhoErrors(t *testing.T) {
 	}
 }
 
+func TestRhoOver(t *testing.T) {
+	starts := []float64{0, 1, 2, 3}
+	x := []float64{0, 0.5, 1.9, 3}
+	if _, err := RhoOver(starts, x[:3], func(int) bool { return true }); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	for _, c := range []struct {
+		keep func(p int) bool
+		want float64
+	}{
+		{func(int) bool { return true }, 0.5},
+		{func(p int) bool { return p != 1 }, 0.1},
+		{func(p int) bool { return p == 3 }, 0},
+		{func(int) bool { return false }, 0},
+	} {
+		rho, err := RhoOver(starts, x, c.keep)
+		if err != nil || math.Abs(rho-c.want) > 1e-12 {
+			t.Errorf("RhoOver = %v, %v; want %v", rho, err, c.want)
+		}
+	}
+}
+
 func TestValidateMatrixHelpers(t *testing.T) {
 	if err := validateMatrix(graph.NewMatrix(3, inf)); err != nil {
 		t.Errorf("validateMatrix(+Inf) = %v, want nil", err)

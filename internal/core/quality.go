@@ -11,16 +11,23 @@ import (
 // against the A_max optimum of Theorem 4.6.
 type QualityReport struct {
 	// Achieved is the realized worst-pair bound max_{p,q} PairBound(p,q)
-	// over all pairs inside sync components. By instance optimality it
-	// equals Optimal up to floating-point noise on every fault-free solve.
+	// over all pairs inside sync components when the result carries the
+	// m~s matrix; by instance optimality it then equals Optimal up to
+	// floating-point noise on every fault-free solve. Without m~s it is
+	// the largest component precision, λ̂ on a hierarchical component.
 	Achieved float64 `json:"achieved"`
 	// Optimal is the largest finite component A_max — the precision no
-	// correction function can beat (Theorem 4.4).
+	// correction function can beat (Theorem 4.4) — when every component
+	// is solved exactly. With a hierarchical component it is the largest
+	// ComponentLowerBound λ_B ≤ A_max: a lower bound, not the optimum.
 	Optimal float64 `json:"optimal"`
 	// Ratio is Achieved/Optimal (1 when both are zero, e.g. singleton
-	// systems). Fault-free solves report 1.0 ± ε; a ratio meaningfully
-	// above 1 indicates a corrupted result, or a bracket (see
-	// AssessQuality).
+	// systems). With m~s, fault-free solves report 1.0 ± ε and a ratio
+	// meaningfully above 1 indicates a corrupted result. Without m~s it
+	// is the width λ̂ / λ_B of the bracket around A_max (see
+	// AssessQuality): exactly 1 on exactly solved components, about 2 on
+	// a healthy hierarchical solve of a 2112-node ring of cliques, so
+	// there it signals nothing about corruption.
 	Ratio float64 `json:"ratio"`
 	// Pairs counts the processor pairs measured for Achieved.
 	Pairs int `json:"pairs"`

@@ -171,3 +171,18 @@ func Rho(starts, corrections []float64) (float64, error) {
 	}
 	return worst, nil
 }
+
+// RhoOver is Rho over the processors keep selects, such as the ones a
+// degraded run both synchronized and corrected.
+func RhoOver(starts, corrections []float64, keep func(p int) bool) (float64, error) {
+	if len(starts) != len(corrections) {
+		return 0, fmt.Errorf("core: %d starts vs %d corrections", len(starts), len(corrections))
+	}
+	var s, x []float64
+	for p := range starts {
+		if keep(p) {
+			s, x = append(s, starts[p]), append(x, corrections[p])
+		}
+	}
+	return Rho(s, x)
+}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"clocksync/internal/core"
 	"clocksync/internal/dist"
-	"clocksync/internal/model"
 	"clocksync/internal/round"
 	"clocksync/internal/sim"
 )
@@ -45,11 +43,8 @@ func D3ByzantineResilience(seed int64) (*Table, error) {
 		k      = 3
 		mag    = 0.25 // lie magnitude, > ub so deflated round trips leave the envelope
 	)
-	pairs := sim.Complete(n)
-	var links []core.Link
-	for _, e := range pairs {
-		links = append(links, core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: mustSymBounds(lb, ub)})
-	}
+	// dist.Run drives the protocol from cfg; s's protocol section is unused.
+	s := instance(n, 0, complete, link(symBounds(lb, ub), uniform(lb, ub)), k)
 
 	type defense struct {
 		name string
@@ -74,16 +69,15 @@ func D3ByzantineResilience(seed int64) (*Table, error) {
 	}
 
 	runCase := func(series string, d defense, byz []sim.Byzantine, want expect) error {
-		starts := sim.UniformStarts(rng, n, 1)
-		net, err := sim.NewNetwork(starts, pairs, func(sim.Pair) sim.LinkDelays {
-			return sim.Symmetric(sim.Uniform{Lo: lb, Hi: ub})
-		})
+		// The auth seed is drawn between the starts and the run seed.
+		s.Starts = sim.UniformStarts(rng, n, 1)
+		b, err := s.Build()
 		if err != nil {
 			return fmt.Errorf("D3(%s,%s): %w", series, d.name, err)
 		}
 		cfg := dist.Config{
-			Leader: 0, Links: links, Probes: k, Spacing: 0.01,
-			Warmup: sim.SafeWarmup(starts) + 0.5, Window: 1, ReportGrace: 2,
+			Leader: 0, Links: b.Links, Probes: k, Spacing: 0.01,
+			Warmup: sim.SafeWarmup(b.Starts) + 0.5, Window: 1, ReportGrace: 2,
 		}
 		authSeed := rng.Int63()
 		d.cfg(&cfg, authSeed)
@@ -91,7 +85,7 @@ func D3ByzantineResilience(seed int64) (*Table, error) {
 		if len(byz) > 0 {
 			faults = &sim.Faults{Byzantine: byz}
 		}
-		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: rng.Int63(), Faults: faults})
+		out, _, err := dist.Run(b.Net, cfg, sim.RunConfig{Seed: rng.Int63(), Faults: faults})
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				// The lies contradicted the delay assumption and the
@@ -114,20 +108,11 @@ func D3ByzantineResilience(seed int64) (*Table, error) {
 		for _, b := range byz {
 			liar[b.Proc] = true
 		}
-		honestErr := 0.0
-		for p := 0; p < n; p++ {
-			if liar[p] || !out.Applied[p] || !out.Synced[p] {
-				continue
-			}
-			for q := p + 1; q < n; q++ {
-				if liar[q] || !out.Applied[q] || !out.Synced[q] {
-					continue
-				}
-				d := math.Abs((starts[p] - out.Corrections[p]) - (starts[q] - out.Corrections[q]))
-				if d > honestErr {
-					honestErr = d
-				}
-			}
+		honestErr, err := core.RhoOver(b.Starts, out.Corrections, func(p int) bool {
+			return !liar[p] && out.Applied[p] && out.Synced[p]
+		})
+		if err != nil {
+			return err
 		}
 		holds := honestErr <= out.Precision+1e-9
 		bound := "holds"

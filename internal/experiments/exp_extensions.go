@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"clocksync/internal/core"
@@ -14,6 +15,7 @@ import (
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/prob"
+	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 	"clocksync/internal/verify"
@@ -41,13 +43,14 @@ func D1Drift(seed int64) (*Table, error) {
 		for p := range rates {
 			rates[p] = 1 - rho + 2*rho*rng.Float64()
 		}
-		net, err := sim.NewNetwork(starts, sim.Ring(n), func(sim.Pair) sim.LinkDelays {
-			return sim.Symmetric(sim.Uniform{Lo: lb, Hi: ub})
-		})
+		s := scenario.Scenario{Processors: n, Starts: starts, Topology: ring, DefaultLink: link(symBounds(lb, ub), uniform(lb, ub)),
+			Protocol: scenario.ProtocolSpec{Kind: "burst", K: 3, Spacing: 0.05, Warmup: sim.SafeWarmup(starts) + 0.5}}
+		b, err := s.Build()
 		if err != nil {
 			return nil, fmt.Errorf("D1(rho=%v): %w", rho, err)
 		}
-		exec, err := sim.Run(net, sim.NewBurstFactory(3, 0.05, sim.SafeWarmup(starts)+0.5), sim.RunConfig{Seed: seed})
+		b.RunCfg.Seed = seed
+		exec, err := sim.Run(b.Net, b.Factory, b.RunCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -55,20 +58,16 @@ func D1Drift(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := mustSymBounds(lb, ub)
-		inflated, err := drift.Inflate(base, rho, horizon)
-		if err != nil {
-			return nil, err
-		}
-		var links []core.Link
-		for _, e := range sim.Ring(n) {
-			links = append(links, core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: inflated})
+		for i := range b.Links {
+			if b.Links[i].A, err = drift.Inflate(b.Links[i].A, rho, horizon); err != nil {
+				return nil, err
+			}
 		}
 		tab, err := drift.CollectDrifted(exec, rates)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.SynchronizeSystem(n, links, tab, core.MLSOptions{}, core.Options{Centered: true})
+		res, err := core.SynchronizeSystem(n, b.Links, tab, core.MLSOptions{}, core.Options{Centered: true})
 		if err != nil {
 			return nil, err
 		}
@@ -184,44 +183,36 @@ func X1Distributed(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cases := []struct {
-		name  string
-		n     int
-		pairs []sim.Pair
+		name string
+		n    int
+		topo scenario.Topology
 	}{
-		{"ring", 8, sim.Ring(8)},
-		{"star", 8, sim.Star(8)},
-		{"grid3x3", 9, sim.Grid(3, 3)},
-		{"complete", 6, sim.Complete(6)},
+		{"ring", 8, ring},
+		{"star", 8, scenario.Topology{Kind: "star"}},
+		{"grid3x3", 9, scenario.Topology{Kind: "grid", W: 3, H: 3}},
+		{"complete", 6, complete},
 	}
 	const (
 		lb, ub = 0.05, 0.2
 		k      = 3
 	)
 	for _, c := range cases {
-		starts := sim.UniformStarts(rng, c.n, 1)
-		net, err := sim.NewNetwork(starts, c.pairs, func(sim.Pair) sim.LinkDelays {
-			return sim.Symmetric(sim.Uniform{Lo: lb, Hi: ub})
-		})
+		// dist.Run drives the protocol from cfg; s's protocol section is unused.
+		s := instance(c.n, 0, c.topo, link(symBounds(lb, ub), uniform(lb, ub)), k)
+		s.StartSpread = 1
+		b, err := build(s, rng)
 		if err != nil {
 			return nil, fmt.Errorf("X1(%s): %w", c.name, err)
-		}
-		var links []core.Link
-		for _, e := range c.pairs {
-			p, q := e.P, e.Q
-			if p > q {
-				p, q = q, p
-			}
-			links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: mustSymBounds(lb, ub)})
 		}
 		cfg := dist.Config{
-			Leader: 0, Links: links, Probes: k, Spacing: 0.01,
-			Warmup: sim.SafeWarmup(starts) + 0.5, Window: 5,
+			Leader: 0, Links: b.Links, Probes: k, Spacing: 0.01,
+			Warmup: sim.SafeWarmup(b.Starts) + 0.5, Window: 5,
 		}
-		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: rng.Int63()})
+		out, _, err := dist.Run(b.Net, cfg, b.RunCfg)
 		if err != nil {
 			return nil, fmt.Errorf("X1(%s): %w", c.name, err)
 		}
-		central, err := core.SynchronizeSystem(c.n, links, out.LeaderTable, core.DefaultMLSOptions(), core.Options{Root: 0})
+		central, err := core.SynchronizeSystem(c.n, b.Links, out.LeaderTable, core.DefaultMLSOptions(), core.Options{Root: 0})
 		if err != nil {
 			return nil, err
 		}
@@ -231,11 +222,11 @@ func X1Distributed(seed int64) (*Table, error) {
 				agrees = false
 			}
 		}
-		rho, err := core.Rho(starts, out.Corrections)
+		rho, err := core.Rho(b.Starts, out.Corrections)
 		if err != nil {
 			return nil, err
 		}
-		probes := 2 * k * len(c.pairs)
+		probes := 2 * k * len(b.Links)
 		t.AddRow(c.name, fi(c.n), f(out.Precision), fb(agrees),
 			fb(rho <= out.Precision+1e-9), fi(probes), fi(out.Delivered))
 	}
@@ -256,22 +247,22 @@ func A1CorrectionStyle(seed int64) (*Table, error) {
 		Columns: []string{"topology", "n", "A_max", "rho(root)", "rho(centered)", "same guarantee"},
 	}
 	cases := []struct {
-		name  string
-		n     int
-		pairs []sim.Pair
+		name string
+		n    int
+		topo scenario.Topology
 	}{
-		{"line", 8, sim.Line(8)},
-		{"ring", 8, sim.Ring(8)},
-		{"complete", 8, sim.Complete(8)},
-		{"grid4x2", 8, sim.Grid(4, 2)},
+		{"line", 8, scenario.Topology{Kind: "line"}},
+		{"ring", 8, ring},
+		{"complete", 8, complete},
+		{"grid4x2", 8, scenario.Topology{Kind: "grid", W: 4, H: 2}},
 	}
 	for i, c := range cases {
 		runOnce := func(centered bool) (*run, error) {
-			vr := rand.New(rand.NewSource(seed + int64(i)))
-			return simulate(vr, c.n, c.pairs,
-				func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.3}) },
-				func(sim.Pair) delay.Assumption { return mustSymBounds(0.05, 0.3) },
-				3, core.Options{Centered: centered})
+			b, err := build(instance(c.n, seed+int64(i), c.topo, link(symBounds(0.05, 0.3), uniform(0.05, 0.3)), 3), nil)
+			if err != nil {
+				return nil, err
+			}
+			return simulate(b, core.Options{Centered: centered})
 		}
 		root, err := runOnce(false)
 		if err != nil {
@@ -308,16 +299,16 @@ func A2NonnegativeOption(seed int64) (*Table, error) {
 	// A line whose middle link {2,3} carries traffic but no declared
 	// assumption: with the option off the constraint graph splits in two.
 	const n = 6
-	pairs := sim.Line(n)
-	rng := rand.New(rand.NewSource(seed))
-	starts := sim.UniformStarts(rng, n, 1)
-	net, err := sim.NewNetwork(starts, pairs, func(sim.Pair) sim.LinkDelays {
-		return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.2})
-	})
+	starts := sim.UniformStarts(rand.New(rand.NewSource(seed)), n, 1)
+	s := scenario.Scenario{Processors: n, Starts: starts, Topology: scenario.Topology{Kind: "line"},
+		DefaultLink: link(symBounds(0.05, 0.2), uniform(0.05, 0.2)),
+		Protocol:    scenario.ProtocolSpec{Kind: "burst", K: 3, Spacing: 0.01, Warmup: sim.SafeWarmup(starts) + 0.5}}
+	b, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	exec, err := sim.Run(net, sim.NewBurstFactory(3, 0.01, sim.SafeWarmup(starts)+0.5), sim.RunConfig{Seed: seed})
+	b.RunCfg.Seed = seed
+	exec, err := sim.Run(b.Net, b.Factory, b.RunCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -325,17 +316,8 @@ func A2NonnegativeOption(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var links []core.Link
-	for _, e := range pairs {
-		p, q := e.P, e.Q
-		if p > q {
-			p, q = q, p
-		}
-		if p == 2 && q == 3 {
-			continue // traffic flows, but nothing is declared about it
-		}
-		links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: mustSymBounds(0.05, 0.2)})
-	}
+	// Traffic flows on {2,3}, but nothing is declared about it.
+	links := slices.DeleteFunc(b.Links, func(l core.Link) bool { return l.P == 2 && l.Q == 3 })
 	onFinite, offInfinite := false, false
 	for _, variant := range []struct {
 		name string
@@ -388,27 +370,36 @@ func T7Congestion(seed int64) (*Table, error) {
 		surge       = 0.4
 		probesPerLn = 8
 	)
-	pairs := sim.Ring(n)
-	congested := func(e sim.Pair) sim.LinkDelays {
-		return sim.Congestion{
-			Base:   sim.Symmetric(sim.Uniform{Lo: lb, Hi: hi}),
-			Period: 1.0, Duty: 0.3, Surge: surge,
-			Phase: float64(e.P) * 0.17, // desynchronized episodes
-		}
-	}
 	variants := []struct {
 		name string
-		a    delay.Assumption
+		a    scenario.AssumptionSpec
 	}{
-		{"sound wide bounds [lb, hi+surge]", mustSymBounds(lb, hi+surge)},
-		{"no bounds (Cor 6.4)", delay.NoBounds()},
-		{"unsound tight bounds [lb, hi]", mustSymBounds(lb, hi)},
+		{"sound wide bounds [lb, hi+surge]", symBounds(lb, hi+surge)},
+		{"no bounds (Cor 6.4)", noBounds},
+		{"unsound tight bounds [lb, hi]", symBounds(lb, hi)},
+	}
+	// Congestion depends on time, so the first sends keep the schedule the
+	// row was recorded with: the start spread plus half a second, not
+	// Build's automatic second. The starts are the draws Build makes from
+	// seed+5.
+	warmup := sim.SafeWarmup(sim.UniformStarts(rand.New(rand.NewSource(seed+5)), n, 2)) + 0.5
+	inner := uniform(lb, hi)
+	s := instance(n, seed+5, ring, nil, probesPerLn)
+	s.Protocol.Warmup = warmup
+	for _, e := range sim.Ring(n) {
+		s.Links = append(s.Links, scenario.LinkOverride{P: e.P, Q: e.Q, LinkSpec: scenario.LinkSpec{
+			Delays: scenario.DelaySpec{Kind: "congestion", Inner: &inner, Period: 1.0, Duty: 0.3, Surge: surge,
+				Phase: float64(min(e.P, e.Q)) * 0.17}}}) // desynchronized episodes
 	}
 	for _, v := range variants {
-		vr := rand.New(rand.NewSource(seed + 5))
-		r, err := simulate(vr, n, pairs, congested,
-			func(sim.Pair) delay.Assumption { return v.a },
-			probesPerLn, core.Options{Centered: true})
+		for i := range s.Links {
+			s.Links[i].Assumption = v.a
+		}
+		b, err := build(s, nil)
+		if err != nil {
+			return nil, fmt.Errorf("T7(%s): %w", v.name, err)
+		}
+		r, err := simulate(b, core.Options{Centered: true})
 		if errors.Is(err, core.ErrInfeasible) {
 			// The pipeline itself caught the lie: the observed estimates
 			// admit no execution under the declared (false) assumption.
@@ -563,7 +554,7 @@ func F7PairedBias(seed int64) (*Table, error) {
 		}
 	}
 	// Variant 2: unpaired bias, sound only with the full swing covered.
-	wide := mustBias(width + swing)
+	wide := must(bias(width + swing))
 	// Variant 3: no bounds at all.
 	variants := []struct {
 		name string
@@ -572,8 +563,7 @@ func F7PairedBias(seed int64) (*Table, error) {
 	}{
 		{"paired bias B=width (exact)", func() ([][]float64, error) { return graph.CloneMatrix(mlsPaired), nil }, true},
 		{"unpaired bias B=width+swing", func() ([][]float64, error) {
-			links := ringLinks(n, wide)
-			return core.MLSMatrix(n, links, tab, core.DefaultMLSOptions())
+			return core.MLSMatrix(n, linksOn(sim.Ring(n), wide), tab, core.DefaultMLSOptions())
 		}, true},
 		{"no bounds", func() ([][]float64, error) {
 			return core.MLSMatrix(n, nil, tab, core.DefaultMLSOptions())
@@ -612,7 +602,7 @@ func F7PairedBias(seed int64) (*Table, error) {
 		t.AddRow(v.name, f(res.Precision), f(rho), fb(sound))
 	}
 	// The small-bound UNPAIRED model is violated by construction: record it.
-	tight := mustBias(width)
+	tight := must(bias(width))
 	violated := false
 	actTab, err := trace.CollectActual(exec, true)
 	if err != nil {
@@ -631,19 +621,6 @@ func F7PairedBias(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// ringLinks attaches one assumption to every ring link.
-func ringLinks(n int, a delay.Assumption) []core.Link {
-	var links []core.Link
-	for _, e := range sim.Ring(n) {
-		p, q := e.P, e.Q
-		if p > q {
-			p, q = q, p
-		}
-		links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: a})
-	}
-	return links
-}
-
 // F8PairBounds plots the tight per-pair precision bound against hop
 // distance on a ring: nearby processors enjoy far better guarantees than
 // the global A_max suggests, a direct consequence of the m~s structure of
@@ -655,16 +632,12 @@ func F8PairBounds(seed int64) (*Table, error) {
 		Claim:   "Claim 4.2 per pair: sup discrepancy(p,q) = m~s(p,q) - x_p + x_q, observable from views; adjacent pairs beat the global A_max",
 		Columns: []string{"hop distance", "pair bound (ring16)", "predicted hops*u/2", "match"},
 	}
-	const (
-		n  = 16
-		lb = 0.1
-		u  = 0.1
-	)
-	vr := rand.New(rand.NewSource(seed))
-	r, err := simulate(vr, n, sim.Ring(n),
-		func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Constant{D: lb + u/2}) },
-		func(sim.Pair) delay.Assumption { return mustSymBounds(lb, lb+u) },
-		1, core.Options{Centered: true})
+	const n, u = f8N, f8U
+	b, err := build(f8Instance(seed), nil)
+	if err != nil {
+		return nil, fmt.Errorf("F8: %w", err)
+	}
+	r, err := simulate(b, f8Options)
 	if err != nil {
 		return nil, fmt.Errorf("F8: %w", err)
 	}
@@ -680,4 +653,15 @@ func F8PairBounds(seed int64) (*Table, error) {
 		"constant midpoint delays: the pair bound is exactly hops*u/2, while the global precision is the antipodal value",
 	)
 	return t, nil
+}
+
+// F8 solves one instance, replayable from its JSON as it stands:
+// constant midpoint delays on a ring of f8N processors under
+// [0.1, 0.1+f8U] bounds, solved with f8Options.
+const f8N, f8U = 16, 0.1
+
+var f8Options = core.Options{Centered: true}
+
+func f8Instance(seed int64) scenario.Scenario {
+	return instance(f8N, seed, ring, midpoint(0.1, f8U), 1)
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"clocksync/internal/core"
 	"clocksync/internal/dist"
-	"clocksync/internal/model"
 	"clocksync/internal/sim"
 )
 
@@ -29,11 +27,9 @@ func D2FaultTolerance(seed int64) (*Table, error) {
 		lb, ub = 0.05, 0.2
 		k      = 3
 	)
-	pairs := sim.Ring(n)
-	var links []core.Link
-	for _, e := range pairs {
-		links = append(links, core.Link{P: model.ProcID(e.P), Q: model.ProcID(e.Q), A: mustSymBounds(lb, ub)})
-	}
+	// dist.Run drives the protocol from cfg; s's protocol section is unused.
+	s := instance(n, 0, ring, link(symBounds(lb, ub), uniform(lb, ub)), k)
+	s.StartSpread = 1
 	floodOnly := func(payload any) bool {
 		switch payload.(type) {
 		case dist.Report, dist.ResultMsg:
@@ -45,19 +41,17 @@ func D2FaultTolerance(seed int64) (*Table, error) {
 	// runCase executes one faulty run and appends its row. mkFaults sees
 	// the drawn start times so crash instants can sit mid-window.
 	runCase := func(series, x string, retries int, mkFaults func(starts []float64, cfg dist.Config) *sim.Faults) error {
-		starts := sim.UniformStarts(rng, n, 1)
-		net, err := sim.NewNetwork(starts, pairs, func(sim.Pair) sim.LinkDelays {
-			return sim.Symmetric(sim.Uniform{Lo: lb, Hi: ub})
-		})
+		b, err := build(s, rng)
 		if err != nil {
 			return fmt.Errorf("D2(%s,%s): %w", series, x, err)
 		}
 		cfg := dist.Config{
-			Leader: 0, Links: links, Probes: k, Spacing: 0.01,
-			Warmup: sim.SafeWarmup(starts) + 0.5, Window: 1,
+			Leader: 0, Links: b.Links, Probes: k, Spacing: 0.01,
+			Warmup: sim.SafeWarmup(b.Starts) + 0.5, Window: 1,
 			ReportGrace: 2, Retries: retries,
 		}
-		out, _, err := dist.Run(net, cfg, sim.RunConfig{Seed: rng.Int63(), Faults: mkFaults(starts, cfg)})
+		b.RunCfg.Faults = mkFaults(b.Starts, cfg)
+		out, _, err := dist.Run(b.Net, cfg, b.RunCfg)
 		if err != nil {
 			return fmt.Errorf("D2(%s,%s): %w", series, x, err)
 		}
@@ -76,20 +70,9 @@ func D2FaultTolerance(seed int64) (*Table, error) {
 		// Realized error over the covered processors only: the guarantee
 		// speaks for nodes that are in the synchronized component AND
 		// received their correction.
-		realized := 0.0
-		for p := 0; p < n; p++ {
-			if !out.Applied[p] || !out.Synced[p] {
-				continue
-			}
-			for q := p + 1; q < n; q++ {
-				if !out.Applied[q] || !out.Synced[q] {
-					continue
-				}
-				d := math.Abs((starts[p] - out.Corrections[p]) - (starts[q] - out.Corrections[q]))
-				if d > realized {
-					realized = d
-				}
-			}
+		realized, err := core.RhoOver(b.Starts, out.Corrections, func(p int) bool { return out.Applied[p] && out.Synced[p] })
+		if err != nil {
+			return err
 		}
 		t.AddRow(series, x, fi(len(out.Missing)), fi(applied), fi(synced),
 			f(out.Precision), f(realized), fb(realized <= out.Precision+1e-9))

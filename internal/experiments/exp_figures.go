@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"clocksync/internal/core"
-	"clocksync/internal/delay"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
+	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 )
@@ -26,17 +26,15 @@ func F1UncertaintySweep(seed int64) (*Table, error) {
 		Columns: []string{"u", "A_max(line8)", "A_max(ring8)", "A_max(complete8)"},
 	}
 	const n, lb = 8, 0.1
-	topos := [][]sim.Pair{sim.Line(n), sim.Ring(n), sim.Complete(n)}
+	topos := []scenario.Topology{{Kind: "line"}, ring, complete}
 	for _, u := range []float64{0.02, 0.05, 0.1, 0.2, 0.4} {
 		row := []string{f(u)}
-		for ti, pairs := range topos {
-			// Constant midpoint delays isolate the analytic slope.
-			mid := lb + u/2
-			vr := rand.New(rand.NewSource(seed + int64(ti)))
-			r, err := simulate(vr, n, pairs,
-				func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Constant{D: mid}) },
-				func(sim.Pair) delay.Assumption { return mustSymBounds(lb, lb+u) },
-				1, core.Options{})
+		for ti, topo := range topos {
+			b, err := build(instance(n, seed+int64(ti), topo, midpoint(lb, u), 1), nil)
+			if err != nil {
+				return nil, fmt.Errorf("F1(u=%v,topo=%d): %w", u, ti, err)
+			}
+			r, err := simulate(b, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("F1(u=%v,topo=%d): %w", u, ti, err)
 			}
@@ -65,7 +63,6 @@ func F2AsyncMessages(seed int64) (*Table, error) {
 		dMin = 0.05
 		mean = 0.2
 	)
-	pairs := sim.Ring(n)
 	// Limit: as k -> infinity, d~min -> dMin + skew terms; A_max -> max
 	// cycle mean of hop-count * dMin, i.e. antipodal 2-cycle mean
 	// = floor(n/2) * dMin.
@@ -74,13 +71,12 @@ func F2AsyncMessages(seed int64) (*Table, error) {
 		sum := 0.0
 		const reps = 5
 		for rep := 0; rep < reps; rep++ {
-			vr := rand.New(rand.NewSource(seed + int64(1000*k+rep)))
-			r, err := simulate(vr, n, pairs,
-				func(sim.Pair) sim.LinkDelays {
-					return sim.Symmetric(sim.ShiftedExp{Min: dMin, Mean: mean})
-				},
-				func(sim.Pair) delay.Assumption { return delay.NoBounds() },
-				k, core.Options{})
+			b, err := build(instance(n, seed+int64(1000*k+rep), ring,
+				link(noBounds, symmetric(scenario.SamplerSpec{Kind: "shiftedExp", Min: dMin, Mean: mean})), k), nil)
+			if err != nil {
+				return nil, fmt.Errorf("F2(k=%d): %w", k, err)
+			}
+			r, err := simulate(b, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("F2(k=%d): %w", k, err)
 			}
@@ -112,28 +108,27 @@ func F3BiasSweep(seed int64) (*Table, error) {
 		base  = 0.3
 		width = 0.05
 	)
-	mk := func(n int, pairs []sim.Pair, a delay.Assumption, localSeed int64) (float64, error) {
-		vr := rand.New(rand.NewSource(localSeed))
-		r, err := simulate(vr, n, pairs,
-			func(sim.Pair) sim.LinkDelays { return sim.BiasWindow{Base: base, Width: width} },
-			func(sim.Pair) delay.Assumption { return a },
-			4, core.Options{})
+	mk := func(n int, a scenario.AssumptionSpec, localSeed int64) (float64, error) {
+		b, err := build(instance(n, localSeed, ring, link(a, scenario.DelaySpec{Kind: "biasWindow", Base: base, Width: width}), 4), nil)
+		if err != nil {
+			return 0, err
+		}
+		r, err := simulate(b, core.Options{})
 		if err != nil {
 			return 0, err
 		}
 		return r.res.Precision, nil
 	}
 	for _, b := range []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6} {
-		bias := mustBias(b)
-		a2, err := mk(2, sim.Ring(2), bias, seed+1)
+		a2, err := mk(2, bias(b), seed+1)
 		if err != nil {
 			return nil, fmt.Errorf("F3(b=%v): %w", b, err)
 		}
-		a8, err := mk(8, sim.Ring(8), bias, seed+2)
+		a8, err := mk(8, bias(b), seed+2)
 		if err != nil {
 			return nil, fmt.Errorf("F3(b=%v): %w", b, err)
 		}
-		nb, err := mk(8, sim.Ring(8), delay.NoBounds(), seed+2)
+		nb, err := mk(8, noBounds, seed+2)
 		if err != nil {
 			return nil, fmt.Errorf("F3(b=%v, nobounds): %w", b, err)
 		}
@@ -200,11 +195,11 @@ func F5RingDiameter(seed int64) (*Table, error) {
 		u  = 0.1
 	)
 	for _, n := range []int{3, 4, 5, 6, 8, 12, 16, 24, 32} {
-		vr := rand.New(rand.NewSource(seed + int64(n)))
-		r, err := simulate(vr, n, sim.Ring(n),
-			func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Constant{D: lb + u/2}) },
-			func(sim.Pair) delay.Assumption { return mustSymBounds(lb, lb+u) },
-			1, core.Options{})
+		b, err := build(instance(n, seed+int64(n), ring, midpoint(lb, u), 1), nil)
+		if err != nil {
+			return nil, fmt.Errorf("F5(n=%d): %w", n, err)
+		}
+		r, err := simulate(b, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("F5(n=%d): %w", n, err)
 		}

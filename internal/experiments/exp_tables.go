@@ -9,6 +9,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/delay"
 	"clocksync/internal/model"
+	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 	"clocksync/internal/verify"
@@ -30,10 +31,11 @@ func T1TwoProcBounds(seed int64) (*Table, error) {
 	for _, u := range []float64{0.002, 0.01, 0.05, 0.2} {
 		for _, k := range []int{1, 4, 16} {
 			ub := lb + u
-			r, err := simulate(rng, 2, sim.Ring(2),
-				func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Uniform{Lo: lb, Hi: ub}) },
-				func(sim.Pair) delay.Assumption { return mustSymBounds(lb, ub) },
-				k, core.Options{})
+			b, err := build(instance(2, 0, ring, link(symBounds(lb, ub), uniform(lb, ub)), k), rng)
+			if err != nil {
+				return nil, fmt.Errorf("T1(u=%v,k=%d): %w", u, k, err)
+			}
+			r, err := simulate(b, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("T1(u=%v,k=%d): %w", u, k, err)
 			}
@@ -67,22 +69,25 @@ func T2Optimality(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cases := []struct {
-		name  string
-		n     int
-		pairs []sim.Pair
+		name string
+		n    int
+		topo scenario.Topology
 	}{
-		{"ring", 5, sim.Ring(5)},
-		{"line", 4, sim.Line(4)},
-		{"complete", 4, sim.Complete(4)},
-		{"grid2x3", 6, sim.Grid(2, 3)},
-		{"random", 8, sim.RandomConnected(rand.New(rand.NewSource(seed+1)), 8, 0.3)},
+		{"ring", 5, ring},
+		{"line", 4, scenario.Topology{Kind: "line"}},
+		{"complete", 4, complete},
+		{"grid2x3", 6, scenario.Topology{Kind: "grid", W: 2, H: 3}},
+		{"random", 8, scenario.Topology{Kind: "random", P: 0.3}},
 	}
 	for _, c := range cases {
 		for trial := 0; trial < 3; trial++ {
-			r, err := simulate(rng, c.n, c.pairs,
-				func(sim.Pair) sim.LinkDelays { return sim.Symmetric(sim.Uniform{Lo: 0.05, Hi: 0.3}) },
-				func(sim.Pair) delay.Assumption { return mustSymBounds(0.05, 0.3) },
-				1+trial, core.Options{})
+			// With the starts drawn from rng, the random topology is
+			// the first draw of seed+1's stream.
+			b, err := build(instance(c.n, seed+1, c.topo, link(symBounds(0.05, 0.3), uniform(0.05, 0.3)), 1+trial), rng)
+			if err != nil {
+				return nil, fmt.Errorf("T2(%s#%d): %w", c.name, trial, err)
+			}
+			r, err := simulate(b, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("T2(%s#%d): %w", c.name, trial, err)
 			}
@@ -108,28 +113,26 @@ func T3Baselines(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cases := []struct {
-		name  string
-		n     int
-		pairs []sim.Pair
+		name string
+		n    int
+		topo scenario.Topology
 	}{
-		{"line", 8, sim.Line(8)},
-		{"ring", 8, sim.Ring(8)},
-		{"star", 8, sim.Star(8)},
-		{"grid4x2", 8, sim.Grid(4, 2)},
-		{"complete", 8, sim.Complete(8)},
-		{"complete", 16, sim.Complete(16)},
-		{"ring", 32, sim.Ring(32)},
+		{"line", 8, scenario.Topology{Kind: "line"}},
+		{"ring", 8, ring},
+		{"star", 8, scenario.Topology{Kind: "star"}},
+		{"grid4x2", 8, scenario.Topology{Kind: "grid", W: 4, H: 2}},
+		{"complete", 8, complete},
+		{"complete", 16, complete},
+		{"ring", 32, ring},
 	}
+	d := scenario.SamplerSpec{Kind: "uniform", Lo: 0.05, Hi: 0.35}
+	independent := scenario.DelaySpec{Kind: "independent", PQ: &d, QP: &d}
 	for _, c := range cases {
-		r, err := simulate(rng, c.n, c.pairs,
-			func(sim.Pair) sim.LinkDelays {
-				return sim.Independent{
-					PQ: sim.Uniform{Lo: 0.05, Hi: 0.35},
-					QP: sim.Uniform{Lo: 0.05, Hi: 0.35},
-				}
-			},
-			func(sim.Pair) delay.Assumption { return mustSymBounds(0.05, 0.35) },
-			4, core.Options{Centered: true})
+		b, err := build(instance(c.n, 0, c.topo, link(symBounds(0.05, 0.35), independent), 4), rng)
+		if err != nil {
+			return nil, fmt.Errorf("T3(%s/%d): %w", c.name, c.n, err)
+		}
+		r, err := simulate(b, core.Options{Centered: true})
 		if err != nil {
 			return nil, fmt.Errorf("T3(%s/%d): %w", c.name, c.n, err)
 		}
@@ -181,70 +184,42 @@ func T4Mixture(seed int64) (*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	const n = 16
-	pairs := sim.Ring(n)
-
-	delays := func(e sim.Pair) sim.LinkDelays {
-		switch e.P % 4 {
-		case 0: // well-behaved bounded link
-			return sim.Symmetric(sim.Uniform{Lo: 0.1, Hi: 0.2})
-		case 1: // correlated directions, unknown absolute delay
-			return sim.BiasWindow{Base: 0.15, Width: 0.04}
-		case 2: // heavy tail: only a lower bound is sound
-			return sim.Symmetric(sim.ShiftedExp{Min: 0.08, Mean: 0.1})
-		default: // both a (loose) bound and a bias hold
-			return sim.BiasWindow{Base: 0.12, Width: 0.03}
-		}
+	// A link's kind is its lower end's id mod 4: a well-behaved bounded
+	// link, correlated directions with an unknown absolute delay, a heavy
+	// tail where only a lower bound is sound, and a link where both a
+	// (loose) bound and a bias hold.
+	delays := [4]scenario.DelaySpec{
+		uniform(0.1, 0.2),
+		{Kind: "biasWindow", Base: 0.15, Width: 0.04},
+		symmetric(scenario.SamplerSpec{Kind: "shiftedExp", Min: 0.08, Mean: 0.1}),
+		{Kind: "biasWindow", Base: 0.12, Width: 0.03},
 	}
-	fullAssume := func(e sim.Pair) delay.Assumption {
-		switch e.P % 4 {
-		case 0:
-			return mustSymBounds(0.1, 0.2)
-		case 1:
-			return mustBias(0.04)
-		case 2:
-			lo, err := delay.LowerOnly(0.08, 0.08)
-			if err != nil {
-				panic(err)
-			}
-			return lo
-		default:
-			in, err := delay.NewIntersect(mustSymBounds(0.1, 0.2), mustBias(0.03))
-			if err != nil {
-				panic(err)
-			}
-			return in
-		}
-	}
-	// A bounds-only practitioner cannot express bias: those links degrade
-	// to the no-bounds assumption.
-	boundsOnlyAssume := func(e sim.Pair) delay.Assumption {
-		switch e.P % 4 {
-		case 0:
-			return mustSymBounds(0.1, 0.2)
-		case 2:
-			lo, err := delay.LowerOnly(0.08, 0.08)
-			if err != nil {
-				panic(err)
-			}
-			return lo
-		default:
-			return delay.NoBounds()
-		}
-	}
-
+	lowerOnly := scenario.AssumptionSpec{Kind: "lowerOnly", LBPQ: 0.08, LBQP: 0.08}
 	variants := []struct {
 		name   string
-		assume func(sim.Pair) delay.Assumption
+		assume [4]scenario.AssumptionSpec
 		check  bool
 	}{
-		{"full mixture", fullAssume, true},
-		{"bounds-only (bias ignored)", boundsOnlyAssume, false},
+		{"full mixture", [4]scenario.AssumptionSpec{symBounds(0.1, 0.2), bias(0.04), lowerOnly,
+			{Kind: "and", Parts: []scenario.AssumptionSpec{symBounds(0.1, 0.2), bias(0.03)}}}, true},
+		// A bounds-only practitioner cannot express bias: those links
+		// degrade to the no-bounds assumption.
+		{"bounds-only (bias ignored)", [4]scenario.AssumptionSpec{symBounds(0.1, 0.2), noBounds, lowerOnly, noBounds}, false},
 	}
 	var fullAMax float64
 	for i, v := range variants {
 		// Same seed per variant: identical executions, different knowledge.
-		vr := rand.New(rand.NewSource(seed + 100))
-		r, err := simulate(vr, n, pairs, delays, v.assume, 6, core.Options{Centered: true})
+		s := instance(n, seed+100, ring, nil, 6)
+		for _, e := range sim.Ring(n) {
+			kind := min(e.P, e.Q) % 4
+			s.Links = append(s.Links, scenario.LinkOverride{P: e.P, Q: e.Q,
+				LinkSpec: scenario.LinkSpec{Assumption: v.assume[kind], Delays: delays[kind]}})
+		}
+		b, err := build(s, nil)
+		if err != nil {
+			return nil, fmt.Errorf("T4(%s): %w", v.name, err)
+		}
+		r, err := simulate(b, core.Options{Centered: true})
 		if err != nil {
 			return nil, fmt.Errorf("T4(%s): %w", v.name, err)
 		}
@@ -290,8 +265,8 @@ func T5Decomposition(seed int64) (*Table, error) {
 	maxErr := 0.0
 	for i := 0; i < trials; i++ {
 		lb := rng.Float64() * 0.2
-		b1 := mustSymBounds(lb, lb+0.1+rng.Float64())
-		b2 := mustBias(rng.Float64())
+		b1 := must(symBounds(lb, lb+0.1+rng.Float64()))
+		b2 := must(bias(rng.Float64()))
 		both, err := delay.NewIntersect(b1, b2)
 		if err != nil {
 			return nil, err
@@ -314,32 +289,27 @@ func T5Decomposition(seed int64) (*Table, error) {
 	worst := 0.0
 	for i := 0; i < sysTrials; i++ {
 		base := seed + int64(i)*17
-		runWith := func(a delay.Assumption) (float64, error) {
-			vr := rand.New(rand.NewSource(base))
-			r, err := simulate(vr, 6, sim.Ring(6),
-				func(sim.Pair) sim.LinkDelays { return sim.BiasWindow{Base: 0.2, Width: 0.05} },
-				func(sim.Pair) delay.Assumption { return a },
-				3, core.Options{})
+		runWith := func(a scenario.AssumptionSpec) (float64, error) {
+			b, err := build(instance(6, base, ring, link(a, scenario.DelaySpec{Kind: "biasWindow", Base: 0.2, Width: 0.05}), 3), nil)
+			if err != nil {
+				return 0, err
+			}
+			r, err := simulate(b, core.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return r.res.Precision, nil
 		}
-		bounds := mustSymBounds(0.0, 0.6)
-		bias := mustBias(0.05)
-		both, err := delay.NewIntersect(bounds, bias)
-		if err != nil {
-			return nil, err
-		}
+		bounds, rtt := symBounds(0.0, 0.6), bias(0.05)
 		pb, err := runWith(bounds)
 		if err != nil {
 			return nil, err
 		}
-		pi, err := runWith(bias)
+		pi, err := runWith(rtt)
 		if err != nil {
 			return nil, err
 		}
-		pboth, err := runWith(both)
+		pboth, err := runWith(scenario.AssumptionSpec{Kind: "and", Parts: []scenario.AssumptionSpec{bounds, rtt}})
 		if err != nil {
 			return nil, err
 		}
@@ -432,12 +402,7 @@ func completeInstance(n int, d func(i, j int) float64) (*model.Execution, error)
 // bounds and returns the reported precision.
 func amaxOf(e *model.Execution, L, U float64) (float64, error) {
 	n := e.N()
-	links := make([]core.Link, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			links = append(links, core.Link{P: model.ProcID(i), Q: model.ProcID(j), A: mustSymBounds(L, U)})
-		}
-	}
+	links := linksOn(sim.Complete(n), must(symBounds(L, U)))
 	tab, err := trace.Collect(e, false)
 	if err != nil {
 		return 0, err

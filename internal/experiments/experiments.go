@@ -17,6 +17,7 @@ import (
 	"clocksync/internal/core"
 	"clocksync/internal/delay"
 	"clocksync/internal/model"
+	"clocksync/internal/scenario"
 	"clocksync/internal/sim"
 	"clocksync/internal/trace"
 	"clocksync/internal/verify"
@@ -164,40 +165,54 @@ type run struct {
 	exec   *model.Execution
 	starts []float64
 	links  []core.Link
-	tab    *trace.Table
 	res    *core.Result
 }
 
-// simulate runs a burst measurement exchange on the given topology and
-// synchronizes with the given per-link assumption.
-func simulate(rng *rand.Rand, n int, pairs []sim.Pair, delays func(sim.Pair) sim.LinkDelays,
-	assume func(sim.Pair) delay.Assumption, k int, opts core.Options) (*run, error) {
-	starts := sim.UniformStarts(rng, n, 2)
-	net, err := sim.NewNetwork(starts, pairs, delays)
+var (
+	ring     = scenario.Topology{Kind: "ring"}
+	complete = scenario.Topology{Kind: "complete"}
+	noBounds = scenario.AssumptionSpec{Kind: "noBounds"}
+)
+
+// instance declares n processors on topo, every link declared and drawn
+// as link, with start times drawn from [0, 2) and a burst of k messages
+// per link direction, 3 ms apart, from the automatic warmup on.
+func instance(n int, seed int64, topo scenario.Topology, link *scenario.LinkSpec, k int) scenario.Scenario {
+	return scenario.Scenario{Processors: n, Seed: seed, StartSpread: 2, Topology: topo, DefaultLink: link,
+		Protocol: scenario.ProtocolSpec{Kind: "burst", K: k, Spacing: 0.003, Warmup: -1}}
+}
+
+// build builds s. A non-nil rng is a stream the experiment shares across
+// its instances: the start times and then the run seed are its next
+// draws, so the instance is not replayable from its JSON alone.
+func build(s scenario.Scenario, rng *rand.Rand) (*scenario.Built, error) {
+	if rng != nil {
+		s.Starts = sim.UniformStarts(rng, s.Processors, s.StartSpread)
+	}
+	b, err := s.Build()
+	if err != nil || rng == nil {
+		return b, err
+	}
+	b.RunCfg.Seed = rng.Int63()
+	return b, nil
+}
+
+// simulate runs a built instance's protocol, reduces the views and
+// synchronizes under opts.
+func simulate(b *scenario.Built, opts core.Options) (*run, error) {
+	exec, err := sim.Run(b.Net, b.Factory, b.RunCfg)
 	if err != nil {
 		return nil, err
-	}
-	exec, err := sim.Run(net, sim.NewBurstFactory(k, 0.003, sim.SafeWarmup(starts)+0.5), sim.RunConfig{Seed: rng.Int63()})
-	if err != nil {
-		return nil, err
-	}
-	links := make([]core.Link, 0, len(pairs))
-	for _, e := range pairs {
-		p, q := e.P, e.Q
-		if p > q {
-			p, q = q, p
-		}
-		links = append(links, core.Link{P: model.ProcID(p), Q: model.ProcID(q), A: assume(sim.Pair{P: p, Q: q})})
 	}
 	tab, err := trace.Collect(exec, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.SynchronizeSystem(n, links, tab, core.DefaultMLSOptions(), opts)
+	res, err := core.SynchronizeSystem(len(b.Starts), b.Links, tab, core.DefaultMLSOptions(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &run{exec: exec, starts: starts, links: links, tab: tab, res: res}, nil
+	return &run{exec: exec, starts: b.Starts, links: b.Links, res: res}, nil
 }
 
 // rhoBarOf evaluates the guaranteed precision of arbitrary corrections on
@@ -219,20 +234,48 @@ func fb(ok bool) string { // verdicts
 	return "FAIL"
 }
 
-func mustSymBounds(lb, ub float64) delay.Bounds {
-	b, err := delay.SymmetricBounds(lb, ub)
-	if err != nil {
-		panic(err) // static parameters; cannot fail at run time
-	}
-	return b
+// link declares assumption a on a link whose delays are drawn from d.
+func link(a scenario.AssumptionSpec, d scenario.DelaySpec) *scenario.LinkSpec {
+	return &scenario.LinkSpec{Assumption: a, Delays: d}
 }
 
-func mustBias(b float64) delay.RTTBias {
-	r, err := delay.NewRTTBias(b)
+func symBounds(lb, ub float64) scenario.AssumptionSpec {
+	return scenario.AssumptionSpec{Kind: "symmetricBounds", LB: lb, UB: ub}
+}
+
+func bias(b float64) scenario.AssumptionSpec { return scenario.AssumptionSpec{Kind: "bias", B: b} }
+
+// symmetric draws both directions' delays from s.
+func symmetric(s scenario.SamplerSpec) scenario.DelaySpec {
+	return scenario.DelaySpec{Kind: "symmetric", Sampler: &s}
+}
+
+func uniform(lo, hi float64) scenario.DelaySpec {
+	return symmetric(scenario.SamplerSpec{Kind: "uniform", Lo: lo, Hi: hi})
+}
+
+// midpoint declares [lb, lb+u] bounds on a link whose every delay is
+// the midpoint, which isolates the analytic precision.
+func midpoint(lb, u float64) *scenario.LinkSpec {
+	return link(symBounds(lb, lb+u), symmetric(scenario.SamplerSpec{Kind: "constant", D: lb + u/2}))
+}
+
+// must builds an assumption declared with valid parameters.
+func must(a scenario.AssumptionSpec) delay.Assumption {
+	built, err := a.Build()
 	if err != nil {
-		panic(err)
+		panic(err) // the parameters are in range by construction
 	}
-	return r
+	return built
+}
+
+// linksOn declares a on every pair, oriented p < q.
+func linksOn(pairs []sim.Pair, a delay.Assumption) []core.Link {
+	links := make([]core.Link, len(pairs))
+	for i, e := range pairs {
+		links[i] = core.Link{P: model.ProcID(min(e.P, e.Q)), Q: model.ProcID(max(e.P, e.Q)), A: a}
+	}
+	return links
 }
 
 // Markdown writes the table as GitHub-flavored markdown (used by the

@@ -213,13 +213,8 @@ func checkProtocol(inst *Instance, built *scenario.Built) []Finding {
 		if err != nil || out.Synced == nil {
 			return nil // failed closed, or the leader never computed
 		}
-		var starts, corr []float64
-		for p, ok := range out.Synced {
-			if ok && out.Applied[p] {
-				starts, corr = append(starts, built.Starts[p]), append(corr, out.Corrections[p])
-			}
-		}
-		if rho, _ := core.Rho(starts, corr); rho > out.Precision+1e-9 {
+		rho, _ := core.RhoOver(built.Starts, out.Corrections, func(p int) bool { return out.Synced[p] && out.Applied[p] })
+		if rho > out.Precision+1e-9 {
 			return []Finding{{Category: CatProtocol, Backend: "leader",
 				Detail: fmt.Sprintf("faulty run: realized %v over synced, applied processors exceeds precision %v", rho, out.Precision)}}
 		}

@@ -38,8 +38,12 @@ type RoundRecord struct {
 	// Precision is the guaranteed worst-pair precision of the round's
 	// result (-1 when unbounded or unknown).
 	Precision float64 `json:"precision"`
-	// Achieved / Optimal / Ratio mirror the quality.precision.* gauges:
-	// realized worst-pair bound vs the A_max optimum (Thm 4.6). Zero when
+	// Achieved / Optimal / Ratio mirror the quality.precision.* gauges
+	// (core.QualityReport). On a round that carries the m~s matrix they
+	// are the realized worst-pair bound, the A_max optimum (Thm 4.6) and
+	// their ratio, 1 ± ε when healthy. Without m~s they are the certified
+	// bracket λ̂, λ_B ≤ A_max and its width: Optimal is then a lower bound,
+	// and Ratio reads about 2 on a healthy hierarchical round. Zero when
 	// quality telemetry was off for the round.
 	Achieved float64 `json:"achieved,omitempty"`
 	Optimal  float64 `json:"optimal,omitempty"`

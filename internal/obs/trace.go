@@ -145,11 +145,6 @@ func (t *Trace) AddSpans(spans []Span) {
 	t.mu.Unlock()
 }
 
-// AddSim appends a span measured on the simulated clock axis.
-func (t *Trace) AddSim(phase string, proc, round int, startClock, seconds float64) {
-	t.Add(Span{Phase: phase, Proc: proc, Round: round, Start: startClock, Seconds: seconds, Sim: true})
-}
-
 // AddSimChild appends a sim-clock span with explicit causal links and
 // returns its id (0 on nil).
 func (t *Trace) AddSimChild(phase string, proc, round int, startClock, seconds float64, parent SpanID) SpanID {
@@ -160,24 +155,6 @@ func (t *Trace) AddSimChild(phase string, proc, round int, startClock, seconds f
 	t.Add(Span{Phase: phase, Proc: proc, Round: round, Start: startClock, Seconds: seconds,
 		Sim: true, ID: id, Parent: parent})
 	return id
-}
-
-// Start begins a wall-clock span and returns the function that ends and
-// records it.
-func (t *Trace) Start(phase string, proc, round int) func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() {
-		t.Add(Span{
-			Phase:   phase,
-			Proc:    proc,
-			Round:   round,
-			Start:   begin.Sub(t.t0).Seconds(),
-			Seconds: time.Since(begin).Seconds(),
-		})
-	}
 }
 
 // StartChild begins a wall-clock span parented under parent and returns
@@ -225,19 +202,14 @@ func (t *Trace) Mark(phase string, proc, round int, parent SpanID) SpanID {
 	return id
 }
 
-// Observer returns a PhaseObserver that records each reported phase as a
-// wall-clock span attributed to proc and round. Returns nil on a nil
-// trace so callers can pass it straight into core.Options.
-func (t *Trace) Observer(proc, round int) PhaseObserver {
-	return t.ObserverChild(proc, round, 0)
-}
-
-// ObserverChild is Observer with every recorded span parented under
-// parent (typically the enclosing "compute" span). Phases are reported
-// after they ran, some of them together, so the spans are laid end to end
-// in report order from the moment the observer was created: they tile the
-// work with their measured durations instead of overlapping. Returns nil
-// on a nil trace.
+// ObserverChild returns a PhaseObserver that records each reported phase
+// as a wall-clock span attributed to proc and round and parented under
+// parent (typically the enclosing "compute" span; 0 for none). Phases are
+// reported after they ran, some of them together, so the spans are laid
+// end to end in report order from the moment the observer was created:
+// they tile the work with their measured durations instead of
+// overlapping. Returns nil on a nil trace so callers can pass it straight
+// into core.Options.
 func (t *Trace) ObserverChild(proc, round int, parent SpanID) PhaseObserver {
 	if t == nil {
 		return nil

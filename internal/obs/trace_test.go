@@ -14,10 +14,10 @@ import (
 // export shape.
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace("run-1")
-	end := tr.Start("compute", -1, 0)
+	_, end := tr.StartChild("compute", -1, 0, 0)
 	end()
-	tr.AddSim("probe", 3, 0, 1.5, 2.0)
-	tr.Observer(0, 0).ObservePhase("estimate", 0.25)
+	tr.AddSimChild("probe", 3, 0, 1.5, 2.0, 0)
+	tr.ObserverChild(0, 0, 0).ObservePhase("estimate", 0.25)
 
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -57,9 +57,10 @@ func TestTraceSpans(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Add(Span{})
-	tr.AddSim("x", 0, 0, 0, 0)
-	tr.Start("x", 0, 0)()
-	if tr.Observer(0, 0) != nil {
+	tr.AddSimChild("x", 0, 0, 0, 0, 0)
+	_, end := tr.StartChild("x", 0, 0, 0)
+	end()
+	if tr.ObserverChild(0, 0, 0) != nil {
 		t.Error("nil trace returned a non-nil observer")
 	}
 	if tr.Spans() != nil || tr.Len() != 0 || tr.Name() != "" {
@@ -80,7 +81,7 @@ func TestTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.AddSim("p", i, 0, 0, 1)
+				tr.AddSimChild("p", i, 0, 0, 1, 0)
 			}
 		}()
 	}

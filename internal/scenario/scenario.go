@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"clocksync/internal/core"
 	"clocksync/internal/delay"
@@ -472,7 +473,14 @@ func (s *Scenario) Build() (*Built, error) {
 	if s.Processors < 1 {
 		return nil, fmt.Errorf("scenario: processors = %d, want >= 1", s.Processors)
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	// One source seeded with s.Seed draws the starts (unless pinned), a
+	// random topology, then the run seed. It is seeded only when something
+	// is drawn before the run seed: seeding costs about 13 µs, more than
+	// the rest of a small build.
+	var rng *rand.Rand
+	if len(s.Starts) == 0 || s.Topology.Kind == "random" {
+		rng = rand.New(rand.NewSource(s.Seed))
+	}
 	starts := s.Starts
 	if len(starts) == 0 {
 		spread := s.StartSpread
@@ -492,52 +500,62 @@ func (s *Scenario) Build() (*Built, error) {
 		return nil, err
 	}
 
-	// Resolve per-link specs.
-	inTopology := make(map[sim.Pair]bool, len(pairs))
-	for _, e := range pairs {
-		inTopology[canon(e)] = true
+	// Resolve each topology link's spec: the default or its override.
+	at := make(map[sim.Pair]int, len(pairs))
+	specs := make([]*LinkSpec, len(pairs))
+	for i, e := range pairs {
+		at[canon(e)] = i
+		specs[i] = s.DefaultLink
 	}
-	specFor := make(map[sim.Pair]LinkSpec, len(pairs))
-	if s.DefaultLink != nil {
-		for _, e := range pairs {
-			specFor[canon(e)] = *s.DefaultLink
-		}
-	}
-	for _, o := range s.Links {
-		c := canon(sim.Pair{P: o.P, Q: o.Q})
-		if !inTopology[c] {
+	for j := range s.Links {
+		o := &s.Links[j]
+		i, ok := at[canon(sim.Pair{P: o.P, Q: o.Q})]
+		if !ok {
 			return nil, fmt.Errorf("scenario: link override (%d,%d) not in topology", o.P, o.Q)
 		}
-		specFor[c] = o.LinkSpec
+		specs[i] = &o.LinkSpec
 	}
-	if len(specFor) < len(pairs) {
-		return nil, fmt.Errorf("scenario: %d of %d links lack a spec (set defaultLink)", len(pairs)-len(specFor), len(pairs))
+	missing := 0
+	for _, spec := range specs {
+		if spec == nil {
+			missing++
+		}
+	}
+	if missing > 0 {
+		return nil, fmt.Errorf("scenario: %d of %d links lack a spec (set defaultLink)", missing, len(pairs))
 	}
 
-	delaysFor := make(map[sim.Pair]sim.LinkDelays, len(pairs))
-	links := make([]core.Link, 0, len(pairs))
-	for _, e := range pairs {
+	// Consecutive links with the same spec share its built assumption and
+	// delay model, both immutable values.
+	delays := make([]sim.LinkDelays, len(pairs))
+	links := make([]core.Link, len(pairs))
+	var (
+		last *LinkSpec
+		a    delay.Assumption
+		ld   sim.LinkDelays
+	)
+	for i, e := range pairs {
 		c := canon(e)
-		spec := specFor[c]
-		a, err := spec.Assumption.Build()
-		if err != nil {
-			return nil, fmt.Errorf("scenario: link (%d,%d): %w", c.P, c.Q, err)
-		}
-		ld, err := spec.Delays.Build()
-		if err != nil {
-			return nil, fmt.Errorf("scenario: link (%d,%d): %w", c.P, c.Q, err)
-		}
-		if spec.Loss != 0 {
-			if spec.Loss < 0 || spec.Loss >= 1 {
-				return nil, fmt.Errorf("scenario: link (%d,%d): loss %v outside [0,1)", c.P, c.Q, spec.Loss)
+		if spec := specs[i]; spec != last {
+			if a, err = spec.Assumption.Build(); err != nil {
+				return nil, fmt.Errorf("scenario: link (%d,%d): %w", c.P, c.Q, err)
 			}
-			ld = sim.Lossy{Inner: ld, P: spec.Loss}
+			if ld, err = spec.Delays.Build(); err != nil {
+				return nil, fmt.Errorf("scenario: link (%d,%d): %w", c.P, c.Q, err)
+			}
+			if spec.Loss != 0 {
+				if spec.Loss < 0 || spec.Loss >= 1 {
+					return nil, fmt.Errorf("scenario: link (%d,%d): loss %v outside [0,1)", c.P, c.Q, spec.Loss)
+				}
+				ld = sim.Lossy{Inner: ld, P: spec.Loss}
+			}
+			last = spec
 		}
-		delaysFor[c] = ld
-		links = append(links, core.Link{P: model.ProcID(c.P), Q: model.ProcID(c.Q), A: a})
+		delays[i] = ld
+		links[i] = core.Link{P: model.ProcID(c.P), Q: model.ProcID(c.Q), A: a}
 	}
 
-	net, err := sim.NewNetwork(starts, pairs, func(p sim.Pair) sim.LinkDelays { return delaysFor[canon(p)] })
+	net, err := sim.NewNetwork(starts, pairs, func(p sim.Pair) sim.LinkDelays { return delays[at[p]] })
 	if err != nil {
 		return nil, err
 	}
@@ -553,13 +571,34 @@ func (s *Scenario) Build() (*Built, error) {
 	if err := faults.Validate(s.Processors); err != nil {
 		return nil, err
 	}
+	var runSeed int64
+	if rng != nil {
+		runSeed = rng.Int63()
+	} else {
+		runSeed = firstDraw(s.Seed)
+	}
 	return &Built{
 		Starts:  append([]float64(nil), starts...),
 		Net:     net,
 		Links:   links,
 		Factory: factory,
-		RunCfg:  sim.RunConfig{Seed: rng.Int63(), Faults: faults},
+		RunCfg:  sim.RunConfig{Seed: runSeed, Faults: faults},
 	}, nil
+}
+
+// lastFirstDraw holds firstDraw's last seed and draw.
+var lastFirstDraw atomic.Pointer[[2]int64]
+
+// firstDraw is the first Int63 of a math/rand source seeded with seed,
+// remembered for the last seed asked: the builds that draw nothing else
+// usually share one seed.
+func firstDraw(seed int64) int64 {
+	if c := lastFirstDraw.Load(); c != nil && c[0] == seed {
+		return c[1]
+	}
+	d := rand.New(rand.NewSource(seed)).Int63()
+	lastFirstDraw.Store(&[2]int64{seed, d})
+	return d
 }
 
 func (p ProtocolSpec) factory(starts []float64) (sim.ProtocolFactory, error) {

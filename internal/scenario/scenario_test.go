@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -546,5 +548,45 @@ func TestCommentRoundTrip(t *testing.T) {
 	}
 	if pb.RunCfg.Seed != cb.RunCfg.Seed {
 		t.Error("comment perturbed the derived run seed")
+	}
+}
+
+// TestRunSeedDrawOrder pins the run seed as the draw after the starts and
+// a random topology, and as the source's first draw when nothing else is
+// drawn, including when builds alternate between seeds.
+func TestRunSeedDrawOrder(t *testing.T) {
+	for _, seed := range []int64{7, 8, 7, 0, 7} {
+		s := validScenario()
+		s.Seed = seed
+		pinned := *s
+		pinned.Starts = []float64{0, 0.5, 1, 1.5}
+		random := pinned
+		random.Topology = Topology{Kind: "random", P: 0.5}
+
+		rng := rand.New(rand.NewSource(seed))
+		starts := sim.UniformStarts(rng, s.Processors, s.StartSpread)
+		afterStarts := rng.Int63()
+		rng = rand.New(rand.NewSource(seed))
+		sim.RandomConnected(rng, s.Processors, 0.5)
+		afterTopology := rng.Int63()
+		first := rand.New(rand.NewSource(seed)).Int63()
+
+		for _, c := range []struct {
+			name string
+			s    *Scenario
+			want int64
+		}{{"drawn starts", s, afterStarts}, {"pinned starts", &pinned, first}, {"random topology", &random, afterTopology}} {
+			b, err := c.s.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.RunCfg.Seed != c.want {
+				t.Errorf("seed %d, %s: run seed %d, want %d", seed, c.name, b.RunCfg.Seed, c.want)
+			}
+		}
+		b, _ := s.Build()
+		if !slices.Equal(b.Starts, starts) {
+			t.Errorf("seed %d: starts %v, want %v", seed, b.Starts, starts)
+		}
 	}
 }
