@@ -69,7 +69,6 @@ var timedomainCalls = map[string]dfCallSpec{
 	"internal/delay.Bounds.MLS":     {results: []Domain{DomShift, DomShift}},
 	"internal/delay.RTTBias.MLS":    {results: []Domain{DomShift, DomShift}},
 	"internal/delay.Intersect.MLS":  {results: []Domain{DomShift, DomShift}},
-	"internal/delay.flipped.MLS":    {results: []Domain{DomShift, DomShift}},
 	// obs sinks: sim-axis span plumbing vs wall-axis phase metrics.
 	"internal/obs.Trace.AddSim":               {params: map[string]Domain{"startClock": DomClock, "seconds": DomSimDur}},
 	"internal/obs.Trace.AddSimChild":          {params: map[string]Domain{"startClock": DomClock, "seconds": DomSimDur}},

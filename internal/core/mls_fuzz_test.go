@@ -53,7 +53,7 @@ func fuzzAssumption(kind, v byte) delay.Assumption {
 	case 3:
 		return delay.NoBounds()
 	case 4:
-		return delay.Flip(delay.Bounds{PQ: delay.Range{LB: lo, UB: hi}, QP: delay.Range{LB: 0, UB: math.Inf(1)}})
+		return delay.Bounds{PQ: delay.Range{LB: 0, UB: math.Inf(1)}, QP: delay.Range{LB: lo, UB: hi}}
 	case 5:
 		return delay.Intersect{Parts: []delay.Assumption{delay.RTTBias{B: hi}, delay.Bounds{PQ: delay.Range{LB: lo, UB: math.Inf(1)}, QP: delay.Range{LB: 0, UB: hi}}}}
 	case 6:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,8 +195,8 @@ func TestStreamCrossCheckUnobserved(t *testing.T) {
 	if _, err := st.Corrections(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3 {
-		t.Fatalf("batch solve reported phases %v, want estimate, karp_amax, corrections", seen)
+	if want := []string{"mls", "estimate", "karp_amax", "corrections"}; !slices.Equal(seen, want) {
+		t.Fatalf("batch solve reported phases %v, want %v", seen, want)
 	}
 	grad := obs.Default.Histogram(obs.Labeled("quality.gradient.pair", "session", label), obs.DefTimeBuckets)
 	published := grad.Snapshot().Count

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"clocksync/internal/delay"
 	"clocksync/internal/graph"
 	"clocksync/internal/model"
 	"clocksync/internal/obs"
+	"clocksync/internal/trace"
 )
 
 // Streaming solve metrics: how often Corrections was served from the
@@ -21,10 +23,13 @@ var (
 )
 
 // Stream is the incremental face of the synchronization pipeline: it
-// accepts observations one at a time, maintains every link's estimated
-// maximal local shifts online (each new message can only TIGHTEN its
-// link's m~ls — see delay.Tighten), and on Corrections reuses the
-// previous solve wherever the tightened edges provably cannot change it.
+// accepts observations one at a time into a trace.Table, the same store
+// SyncSystem reduces, keeps every observed pair's estimated maximal local
+// shifts current with the batch reduction's own per-link step (linkMLS),
+// and on Corrections reuses the previous solve wherever the tightened
+// edges provably cannot change it. For every built-in model except
+// PairedBias's statistics relaxation a new message can only tighten its
+// pair's m~ls.
 //
 // Every Corrections call is resolved one of two ways, and either way the
 // result is bit-for-bit what a fresh batch solve of the same observations
@@ -36,47 +41,45 @@ var (
 //     converged system: once the per-link statistics have stabilized, new
 //     observations stop moving m~ls (or move it without affecting any
 //     shortest path).
-//  2. Batch: everything else — the first call, a non-monotone or NaN shift
-//     update, or any dirty edge that fails certification — runs the full
-//     Synchronizer pipeline on the current m~ls. The certification is
-//     O(dirty * n), so it never costs more than the O(n^3) batch it can
-//     avoid, whatever fraction of the edges is dirty.
+//  2. Batch: everything else — the first call, a shift that grew or is
+//     NaN, or any dirty edge that fails certification — runs
+//     SyncSystem's pipeline on the stream's links and table, on the dense
+//     backend whose closure the cache certifies against. The
+//     certification is O(dirty * n), so it never costs more than the
+//     O(n^3) batch it can avoid, whatever fraction of the edges is dirty.
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
 // until the next Corrections call; use Result.Clone to retain it. A
 // Stream must not be used from multiple goroutines concurrently.
 type Stream struct {
-	n     int
 	opts  Options
 	mopts MLSOptions
+	links []Link
+	tab   *trace.Table
 
-	pairOf []int32 // (u*n + v) -> index into pairs, -1 when absent
-	pairs  []pairEntry
-	qpairs [][2]int // declared link pairs for quality telemetry (built once)
-
-	mls graph.Dense // current m~ls; always equals the batch matrix of the same observations
+	linksOf map[trace.LinkKey][]Link // declared links per unordered pair
+	pairs   []pairState              // by the table's pair rank
 
 	sync  *Synchronizer // batch pipeline + arenas backing cached results
 	check *Synchronizer // cross-check lane, lazily created
 
 	cur        *resultArena // arena holding the cached solve
 	haveSolve  bool
-	fullDirty  bool    // monotonicity lost (Grew/NaN): next solve is batch
-	dirty      []int32 // pair indices with >= 1 tightened direction since last solve
+	fullDirty  bool    // a shift grew or is NaN: next solve is batch
+	dirty      []int32 // pair ranks with >= 1 tightened direction since last solve
 	crossCheck bool
 
 	stats StreamStats
 }
 
-// pairEntry is the online state of one unordered processor pair p < q: the
-// combined assumption (every declared link on the pair, oriented p -> q,
-// plus the non-negativity assumption when enabled) and the running
-// statistics with their current shifts.
-type pairEntry struct {
-	p, q             int
-	a                delay.Assumption
-	st               delay.LinkStats
+// pairState is the online state of one observed pair, in the orientation
+// (p, q) the table gives its rank: its declared links, its current m~ls,
+// which always equals the batch reduction's of the same observations, and
+// which directions tightened since the last solve.
+type pairState struct {
+	links            []Link
+	mlsPQ, mlsQP     float64
 	dirtyPQ, dirtyQP bool
 }
 
@@ -93,7 +96,7 @@ type StreamStats struct {
 // NewStream builds a streaming synchronizer for an n-processor system with
 // the given links. The options mirror SynchronizeSystem: mopts controls
 // the m~ls reduction, opts the pipeline (root, centered, parallelism,
-// observer).
+// observer). The solver is always SolverDense.
 func NewStream(n int, links []Link, mopts MLSOptions, opts Options) (*Stream, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: stream needs at least one processor, got %d", n)
@@ -101,79 +104,23 @@ func NewStream(n int, links []Link, mopts MLSOptions, opts Options) (*Stream, er
 	if err := checkRoot(opts.Root, n); err != nil {
 		return nil, err
 	}
-	s := &Stream{
-		n:     n,
-		opts:  opts,
-		mopts: mopts,
-		sync:  NewSynchronizer(),
-	}
-	s.pairOf = make([]int32, n*n)
-	for i := range s.pairOf {
-		s.pairOf[i] = -1
-	}
-	s.mls.Reset(n)
-	s.mls.Fill(graph.Inf)
-	s.mls.FillDiag(0)
-
-	// Group links by unordered pair, orienting every assumption p -> q for
-	// p < q; multiple assumptions conjoin (Theorem 5.6). The resulting
-	// per-pair m~ls is the elementwise minimum of the per-link values —
-	// exactly what the batch reduction computes entry by entry.
-	parts := make(map[int][]delay.Assumption)
+	linksOf := make(map[trace.LinkKey][]Link)
 	for _, l := range links {
 		if err := l.Validate(n); err != nil {
 			return nil, err
 		}
-		p, q := int(l.P), int(l.Q)
-		a := l.A
-		if p > q {
-			p, q = q, p
-			a = delay.Flip(a)
-		}
-		parts[p*n+q] = append(parts[p*n+q], a)
+		k := trace.Canon(l.P, l.Q)
+		linksOf[k] = append(linksOf[k], l)
 	}
-	for key, as := range parts {
-		p, q := key/n, key%n
-		if mopts.AssumeNonnegative {
-			// Matches the batch path applying NoBounds to observed pairs:
-			// on a silent pair NoBounds yields +Inf shifts, constraining
-			// nothing, so conjoining it unconditionally is harmless.
-			as = append(as, delay.NoBounds())
-		}
-		var a delay.Assumption
-		if len(as) == 1 {
-			a = as[0]
-		} else {
-			a = delay.Intersect{Parts: as}
-		}
-		if err := s.addPair(p, q, a); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Quality {
-		s.qpairs = make([][2]int, len(s.pairs))
-		for i, e := range s.pairs {
-			s.qpairs[i] = [2]int{e.p, e.q}
-		}
-	}
-	return s, nil
-}
-
-// addPair registers the combined assumption for pair (p, q), seeding the
-// shifts from empty statistics exactly as the batch reduction does.
-func (s *Stream) addPair(p, q int, a delay.Assumption) error {
-	st := delay.NewLinkStats()
-	st.MLSPQ, st.MLSQP = a.MLS(st.PQ, st.QP)
-	if math.IsNaN(st.MLSPQ) || math.IsNaN(st.MLSQP) {
-		return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", a, p, q)
-	}
-	idx := int32(len(s.pairs))
-	s.pairs = append(s.pairs, pairEntry{p: p, q: q, a: a, st: st})
-	s.pairOf[p*s.n+q] = idx
-	s.pairOf[q*s.n+p] = idx
-	s.mls.Set(p, q, st.MLSPQ)
-	s.mls.Set(q, p, st.MLSQP)
-	return nil
+	opts.Solver = SolverDense // the cache certifies against the dense closure
+	return &Stream{
+		opts:    opts,
+		mopts:   mopts,
+		links:   slices.Clone(links),
+		tab:     trace.NewTable(n, false),
+		linksOf: linksOf,
+		sync:    NewSynchronizer(),
+	}, nil
 }
 
 // SetCrossCheck toggles the internal verification mode used by tests and
@@ -186,7 +133,7 @@ func (s *Stream) SetCrossCheck(on bool) { s.crossCheck = on }
 func (s *Stream) Stats() StreamStats { return s.stats }
 
 // N returns the number of processors.
-func (s *Stream) N() int { return s.n }
+func (s *Stream) N() int { return s.tab.N() }
 
 // Close releases the worker pools. The Stream stays usable.
 func (s *Stream) Close() {
@@ -198,56 +145,76 @@ func (s *Stream) Close() {
 
 // Observe folds one delivered message into the stream: the sender's clock
 // at transmission and the receiver's clock at receipt, exactly as
-// trace.Sample records them. Validation mirrors the batch recorder: NaN or
-// infinite estimated delays, out-of-range endpoints and self-messages are
-// rejected. Steady-state cost is O(1) with zero allocations.
+// trace.Sample records them. The table's Add validates it, as it does for
+// the batch recorder. Steady-state cost is one table update plus linkMLS
+// per link on the pair, with zero allocations.
 func (s *Stream) Observe(from, to model.ProcID, sendClock, recvClock float64) error {
-	f, t := int(from), int(to)
-	if f < 0 || f >= s.n || t < 0 || t >= s.n {
-		return fmt.Errorf("core: sample endpoints p%d->p%d out of range [0,%d)", f, t, s.n)
+	if err := s.tab.Add(trace.Sample{From: from, To: to, SendClock: sendClock, RecvClock: recvClock}); err != nil {
+		return err
 	}
-	if f == t {
-		return fmt.Errorf("core: self-sample at p%d", f)
-	}
-	est := recvClock - sendClock
-	if math.IsNaN(est) || math.IsInf(est, 0) {
-		return fmt.Errorf("core: sample p%d->p%d has invalid estimated delay %v", f, t, est)
-	}
-	idx := s.pairOf[f*s.n+t]
-	if idx < 0 {
-		if !s.mopts.AssumeNonnegative {
-			// No link and no ambient assumption: the observation constrains
-			// nothing, exactly as in the batch reduction.
-			mStreamObs.Inc()
-			s.stats.Observations++
-			return nil
-		}
-		p, q := f, t
-		if p > q {
-			p, q = q, p
-		}
-		if err := s.addPair(p, q, delay.NoBounds()); err != nil {
-			return err
-		}
-		idx = s.pairOf[f*s.n+t]
-	}
-	e := &s.pairs[idx]
-	dPQ, dQP := delay.Tighten(e.a, delay.Obs{Est: est, ToQ: f == e.p}, &e.st)
-	s.mls.Set(e.p, e.q, e.st.MLSPQ)
-	s.mls.Set(e.q, e.p, e.st.MLSQP)
-	if dPQ == delay.Grew || dQP == delay.Grew {
-		// A non-monotone (custom) assumption or a NaN shift: decrease-only
-		// reasoning no longer applies, so the next solve runs from scratch.
-		s.fullDirty = true
-	}
-	if (dPQ == delay.Shrank || dQP == delay.Shrank) && !e.dirtyPQ && !e.dirtyQP {
-		s.dirty = append(s.dirty, idx)
-	}
-	e.dirtyPQ = e.dirtyPQ || dPQ == delay.Shrank
-	e.dirtyQP = e.dirtyQP || dQP == delay.Shrank
 	mStreamObs.Inc()
 	s.stats.Observations++
+	_, _, id := s.tab.Pair(from, to)
+	if id == len(s.pairs) {
+		s.pairs = append(s.pairs, s.firstSeen(id))
+	}
+	e := &s.pairs[id]
+	mlsPQ, mlsQP, err := s.pairMLS(id, e.links, s.tab)
+	if err != nil {
+		// The batch solve reports it, with SyncSystem's error.
+		s.fullDirty = true
+		return nil
+	}
+	if mlsPQ > e.mlsPQ || mlsQP > e.mlsQP {
+		// A non-monotone (custom) assumption: decrease-only reasoning no
+		// longer applies, so the next solve runs from scratch.
+		s.fullDirty = true
+	}
+	shrankPQ, shrankQP := mlsPQ < e.mlsPQ, mlsQP < e.mlsQP
+	if (shrankPQ || shrankQP) && !e.dirtyPQ && !e.dirtyQP {
+		s.dirty = append(s.dirty, int32(id))
+	}
+	e.dirtyPQ = e.dirtyPQ || shrankPQ
+	e.dirtyQP = e.dirtyQP || shrankQP
+	e.mlsPQ, e.mlsQP = mlsPQ, mlsQP
 	return nil
+}
+
+// firstSeen builds the state of the pair of rank id on its first
+// observation: its declared links, looked up once, and the m~ls the last
+// batch solve used for it, that of a silent pair. An error there failed
+// every batch solve so far, so no solve is cached to certify against.
+func (s *Stream) firstSeen(id int) pairState {
+	p, q, _, _ := s.tab.PairAt(id)
+	e := pairState{links: s.linksOf[trace.Canon(p, q)]}
+	e.mlsPQ, e.mlsQP, _ = s.pairMLS(id, e.links, nil)
+	return e
+}
+
+// pairMLS is the m~ls of the pair of rank id, in the table's orientation,
+// on tab's statistics (tab nil: a silent pair's): the minimum of its
+// links' shifts (Theorem 5.6), or with no link the NoBounds shift of an
+// observed pair under AssumeNonnegative, as eachMLS computes them.
+func (s *Stream) pairMLS(id int, links []Link, tab *trace.Table) (mlsPQ, mlsQP float64, err error) {
+	p, _, pq, qp := s.tab.PairAt(id)
+	mlsPQ, mlsQP = math.Inf(1), math.Inf(1)
+	if len(links) == 0 {
+		if tab != nil && s.mopts.AssumeNonnegative {
+			mlsPQ, mlsQP = delay.NoBounds().MLS(pq, qp)
+		}
+		return mlsPQ, mlsQP, nil
+	}
+	for _, l := range links {
+		a, b, _, err := linkMLS(l, tab, s.mopts.AssumeNonnegative)
+		if err != nil {
+			return 0, 0, err
+		}
+		if l.P != p {
+			a, b = b, a
+		}
+		mlsPQ, mlsQP = min(mlsPQ, a), min(mlsQP, b) // a, b are not NaN
+	}
+	return mlsPQ, mlsQP, nil
 }
 
 // Corrections solves the pipeline for the observations so far, returning
@@ -288,10 +255,11 @@ func (s *Stream) Corrections() (*Result, error) {
 func (s *Stream) allInert() bool {
 	for _, idx := range s.dirty {
 		e := &s.pairs[idx]
-		if e.dirtyPQ && !graph.ClosureEdgeInert(&s.cur.ms, e.p, e.q, e.st.MLSPQ) {
+		p, q, _, _ := s.tab.PairAt(int(idx))
+		if e.dirtyPQ && !graph.ClosureEdgeInert(&s.cur.ms, int(p), int(q), e.mlsPQ) {
 			return false
 		}
-		if e.dirtyQP && !graph.ClosureEdgeInert(&s.cur.ms, e.q, e.p, e.st.MLSQP) {
+		if e.dirtyQP && !graph.ClosureEdgeInert(&s.cur.ms, int(q), int(p), e.mlsQP) {
 			return false
 		}
 	}
@@ -307,12 +275,12 @@ func (s *Stream) clearDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// batchSolve runs the full pipeline on the current m~ls and installs the
-// result as the new incremental baseline. Only this path publishes
-// quality: a cached result is unchanged, so the published gauges still
-// hold.
+// batchSolve runs SyncSystem's pipeline on the stream's links and table
+// and installs the result as the new incremental baseline. Only this path
+// publishes quality: a cached result is unchanged, so the published
+// gauges still hold.
 func (s *Stream) batchSolve() (*Result, error) {
-	a, err := s.sync.solve(&input{from: fromDense, n: s.n, dense: &s.mls, pairs: s.qpairs}, s.opts)
+	a, err := s.sync.solve(&input{from: fromSystem, n: s.N(), links: s.links, tab: s.tab, mopts: s.mopts}, s.opts)
 	if err != nil {
 		s.haveSolve = false
 		return nil, err
@@ -337,7 +305,7 @@ func (s *Stream) crossChecked(res *Result) (*Result, error) {
 	}
 	opts := s.opts
 	opts.Observer, opts.Quality = nil, false
-	fresh, err := result(s.check.solve(&input{from: fromDense, n: s.n, dense: &s.mls}, opts))
+	fresh, err := s.check.SyncSystem(s.N(), s.links, s.tab, s.mopts, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: stream cross-check batch solve failed: %w", err)
 	}
@@ -348,28 +316,24 @@ func (s *Stream) crossChecked(res *Result) (*Result, error) {
 }
 
 // compareResults checks an incremental result against a fresh batch
-// result bit for bit.
+// result bit for bit: every field of a dense Result.
 func compareResults(got, want *Result) error {
-	if len(got.Corrections) != len(want.Corrections) {
-		return fmt.Errorf("corrections length %d vs %d", len(got.Corrections), len(want.Corrections))
-	}
-	if !sameBits(got.Precision, want.Precision) {
+	same := func(a, b []float64) bool { return slices.EqualFunc(a, b, sameBits) }
+	switch {
+	case !sameBits(got.Precision, want.Precision):
 		return fmt.Errorf("precision %v vs %v", got.Precision, want.Precision)
-	}
-	for i := range got.Corrections {
-		if !sameBits(got.Corrections[i], want.Corrections[i]) {
-			return fmt.Errorf("corrections[%d] %v vs %v", i, got.Corrections[i], want.Corrections[i])
-		}
-	}
-	for i := range got.MS {
-		for j := range got.MS[i] {
-			if !sameBits(got.MS[i][j], want.MS[i][j]) {
-				return fmt.Errorf("ms[%d][%d] %v vs %v", i, j, got.MS[i][j], want.MS[i][j])
-			}
-		}
-	}
-	if len(got.Components) != len(want.Components) {
-		return fmt.Errorf("%d components vs %d", len(got.Components), len(want.Components))
+	case !same(got.Corrections, want.Corrections):
+		return fmt.Errorf("corrections %v vs %v", got.Corrections, want.Corrections)
+	case !same(got.ComponentPrecision, want.ComponentPrecision):
+		return fmt.Errorf("component precision %v vs %v", got.ComponentPrecision, want.ComponentPrecision)
+	case !same(got.ComponentLowerBound, want.ComponentLowerBound):
+		return fmt.Errorf("component lower bound %v vs %v", got.ComponentLowerBound, want.ComponentLowerBound)
+	case !slices.Equal(got.CriticalCycle, want.CriticalCycle):
+		return fmt.Errorf("critical cycle %v vs %v", got.CriticalCycle, want.CriticalCycle)
+	case !slices.EqualFunc(got.Components, want.Components, slices.Equal):
+		return fmt.Errorf("components %v vs %v", got.Components, want.Components)
+	case !slices.EqualFunc(got.MS, want.MS, same):
+		return fmt.Errorf("ms %v vs %v", got.MS, want.MS)
 	}
 	return nil
 }

@@ -328,6 +328,117 @@ func (growingStreamAssumption) MLS(pq, qp trace.DirStats) (float64, float64) {
 func (growingStreamAssumption) Admits(pq, qp []float64) bool { return true }
 func (growingStreamAssumption) String() string               { return "growing" }
 
+// TestStreamNaNErrorMatchesBatch: a link whose assumption turns NaN after
+// traffic fails the stream's Corrections with the error SynchronizeSystem
+// returns on the same observations, also after a cached solve.
+func TestStreamNaNErrorMatchesBatch(t *testing.T) {
+	b, err := delay.SymmetricBounds(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := []Link{{P: 0, Q: 1, A: b}, {P: 2, Q: 1, A: nanStreamAssumption{}}}
+	st, err := NewStream(3, links, DefaultMLSOptions(), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	samples := []streamSample{{0, 1, 0, 2}, {1, 0, 0, 2}}
+	for _, m := range samples {
+		if err := st.Observe(m.from, m.to, m.send, m.recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Corrections(); err != nil {
+		t.Fatalf("solve before the NaN: %v", err)
+	}
+	samples = append(samples, streamSample{1, 2, 0, 1})
+	if err := st.Observe(1, 2, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	tab := trace.NewTable(3, false)
+	for _, m := range samples {
+		if err := tab.Add(trace.Sample{From: m.from, To: m.to, SendClock: m.send, RecvClock: m.recv}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, want := SynchronizeSystem(3, links, tab, DefaultMLSOptions(), Options{Parallelism: 1})
+	if want == nil {
+		t.Fatal("batch solve accepted a NaN shift")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := st.Corrections(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("solve %d: stream err = %v, batch err = %v", i, err, want)
+		}
+	}
+
+	// A shift that is NaN before any traffic fails every solve, the first
+	// one included, and the stream is still built.
+	bad := []Link{{P: 0, Q: 1, A: delay.Bounds{PQ: delay.Range{LB: math.NaN(), UB: 1}, QP: delay.Range{UB: 1}}}}
+	st2, err := NewStream(2, bad, DefaultMLSOptions(), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	tab2 := trace.NewTable(2, false)
+	for i := 0; i < 2; i++ {
+		_, want := SynchronizeSystem(2, bad, tab2, DefaultMLSOptions(), Options{Parallelism: 1})
+		if _, err := st2.Corrections(); want == nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("NaN before traffic, solve %d: stream err = %v, batch err = %v", i, err, want)
+		}
+		if err := st2.Observe(0, 1, 0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab2.Add(trace.Sample{From: 0, To: 1, RecvClock: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// nanStreamAssumption constrains nothing on a silent pair and returns NaN
+// shifts once any traffic arrives: a broken custom model.
+type nanStreamAssumption struct{}
+
+func (nanStreamAssumption) MLS(pq, qp trace.DirStats) (float64, float64) {
+	if pq.Count+qp.Count > 0 {
+		return math.NaN(), math.NaN()
+	}
+	return math.Inf(1), math.Inf(1)
+}
+func (nanStreamAssumption) Admits(pq, qp []float64) bool { return true }
+func (nanStreamAssumption) String() string               { return "nan" }
+
+// TestCompareResultsEveryField: the cross-check's comparison tells apart
+// two results that differ in any one field.
+func TestCompareResultsEveryField(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	links, samples := randomStreamInstance(t, rng, 4, 40)
+	base := batchReference(t, 4, links, samples, Options{Parallelism: 1})
+	if len(base.Components) != 1 || len(base.CriticalCycle) == 0 {
+		t.Fatalf("want one component with a critical cycle, got %v, cycle %v", base.Components, base.CriticalCycle)
+	}
+	if err := compareResults(base, base.Clone()); err != nil {
+		t.Fatalf("identical results: %v", err)
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(r *Result)
+	}{
+		{"precision", func(r *Result) { r.Precision = math.Nextafter(r.Precision, 0) }},
+		{"corrections", func(r *Result) { r.Corrections[1] = math.Nextafter(r.Corrections[1], 1e9) }},
+		{"ms", func(r *Result) { r.MS[0][1] = math.Nextafter(r.MS[0][1], 1e9) }},
+		{"component membership", func(r *Result) { r.Components[0][3] = 2 }},
+		{"component precision", func(r *Result) { r.ComponentPrecision[0] = math.Nextafter(r.ComponentPrecision[0], 0) }},
+		{"component lower bound", func(r *Result) { r.ComponentLowerBound[0] = math.Nextafter(r.ComponentLowerBound[0], 0) }},
+		{"critical cycle", func(r *Result) { r.CriticalCycle = r.CriticalCycle[1:] }},
+	} {
+		got := base.Clone()
+		tc.mutate(got)
+		if err := compareResults(got, base); err == nil {
+			t.Errorf("%s: results that differ compare equal", tc.field)
+		}
+	}
+}
+
 // TestStreamValidation covers the Observe/NewStream error paths.
 func TestStreamValidation(t *testing.T) {
 	b, err := delay.SymmetricBounds(1, 3)

@@ -174,12 +174,9 @@ const (
 	fromRows   source = iota // Sync: a row matrix
 	fromSystem               // SyncSystem: links and a trace table, reduced on ingestion
 	fromCSR                  // SyncCSR: a prepared adjacency, never dense
-	fromDense                // Stream: a flat matrix, always dense
 )
 
-// input is one solve's m~ls: the fields of its source, plus the declared
-// pairs of the quality gradient histogram (nil for all in-component
-// pairs; a system derives them from its links).
+// input is one solve's m~ls: the fields of its source.
 type input struct {
 	from  source
 	n     int
@@ -188,8 +185,6 @@ type input struct {
 	tab   *trace.Table
 	mopts MLSOptions
 	g     *graph.CSR
-	dense *graph.Dense
-	pairs [][2]int
 }
 
 // result exposes a solved arena's Result.
@@ -264,7 +259,9 @@ func (s *Synchronizer) solve(in *input, opts Options) (*resultArena, error) {
 		opts.Observer.ObservePhase("corrections", t.corr.Seconds())
 	}
 	if opts.Quality {
-		pairs := in.pairs
+		// The gradient histogram covers a system's declared link pairs,
+		// otherwise every in-component pair.
+		var pairs [][2]int
 		if in.from == fromSystem {
 			pairs = linkPairs(in.links)
 		}
@@ -285,20 +282,13 @@ func (s *Synchronizer) solve(in *input, opts Options) (*resultArena, error) {
 
 // ingest is the one ingestion step: it turns the input into a dense m~ls
 // block in the next arena (g nil) or into a built CSR adjacency g. A row
-// matrix or a system goes where useDense sends it, a prepared CSR stays
-// sparse, and a stream's matrix stays dense. Dense inputs never build a
-// CSR: a row matrix counts its entries only when useDense asks, and a
-// system builds its CSR only then (scattering it into the block if the
-// instance turns out dense).
+// matrix or a system goes where useDense sends it, and a prepared CSR
+// stays sparse. Dense inputs never build a CSR: a row matrix counts its
+// entries only when useDense asks, and a system builds its CSR only then
+// (scattering it into the block if the instance turns out dense).
 func (s *Synchronizer) ingest(in *input, solver Solver) (a *resultArena, g *graph.CSR, err error) {
 	n := in.n
 	switch in.from {
-	case fromDense:
-		if err := validateDense(in.dense); err != nil {
-			return nil, nil, err
-		}
-		a = s.nextArena(n, true)
-		a.ms.CopyFrom(in.dense)
 	case fromCSR:
 		in.g.Build()
 		return s.nextArena(n, false), in.g, nil

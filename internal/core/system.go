@@ -71,23 +71,21 @@ func mlsMatrixInto(d *graph.Dense, covered *[]bool, n int, links []Link, tab *tr
 	d.Fill(graph.Inf)
 	d.FillDiag(0)
 	return eachMLS(covered, n, links, tab, opts, func(p, q int, w float64) error {
-		d.Set(p, q, math.Min(d.At(p, q), w))
+		d.Set(p, q, min(d.At(p, q), w)) // eachMLS sinks no NaN
 		return nil
 	})
 }
 
 // eachMLS reduces the trace to estimated maximal local shifts under the
 // per-link assumptions and hands every directed weight p -> q to sink. It
-// visits each link once and sinks both of its directions; with
-// AssumeNonnegative, a link on an observed pair first takes the minimum of
-// its assumption's shift and the NoBounds shift (Theorem 5.6, exact and
-// order-free), and marks the pair covered. The walk of the table's pairs
-// then sinks both directions of every observed pair that no link covers,
-// under NoBounds alone. So without duplicate links each directed pair
-// reaches sink at most once; duplicates yield one weight each, which the
-// sink combines by minimum. covered is scratch, one mark per observed
-// pair, grown as needed. The first error, from validation or from sink,
-// stops the walk.
+// visits each link once and sinks both of its directions (linkMLS), marking
+// a link's pair covered when AssumeNonnegative applies to it. The walk of
+// the table's pairs then sinks both directions of every observed pair that
+// no link covers, under NoBounds alone. So without duplicate links each
+// directed pair reaches sink at most once; duplicates yield one weight
+// each, which the sink combines by minimum. covered is scratch, one mark
+// per observed pair, grown as needed. The first error, from validation or
+// from sink, stops the walk.
 func eachMLS(covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOptions, sink func(p, q int, w float64) error) error {
 	if tab != nil && tab.N() != n {
 		return fmt.Errorf("core: trace table covers %d processors, want %d", tab.N(), n)
@@ -98,23 +96,15 @@ func eachMLS(covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOpt
 		mark = grow(covered, tab.NumPairs())
 		clear(mark)
 	}
-	nb := delay.NoBounds()
-	empty := trace.NewDirStats()
 	for _, l := range links {
 		if err := l.Validate(n); err != nil {
 			return err
 		}
-		pq, qp, id := empty, empty, -1
-		if tab != nil {
-			pq, qp, id = tab.Pair(l.P, l.Q)
-		}
-		mlsPQ, mlsQP := l.A.MLS(pq, qp)
-		if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
-			return fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
+		mlsPQ, mlsQP, id, err := linkMLS(l, tab, nonneg)
+		if err != nil {
+			return err
 		}
 		if nonneg && id >= 0 {
-			nbPQ, nbQP := nb.MLS(pq, qp)
-			mlsPQ, mlsQP = math.Min(mlsPQ, nbPQ), math.Min(mlsQP, nbQP)
 			mark[id] = true
 		}
 		p, q := int(l.P), int(l.Q)
@@ -125,6 +115,7 @@ func eachMLS(covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOpt
 			return err
 		}
 	}
+	nb := delay.NoBounds()
 	for id, done := range mark {
 		if done {
 			continue
@@ -140,6 +131,34 @@ func eachMLS(covered *[]bool, n int, links []Link, tab *trace.Table, opts MLSOpt
 	}
 	return nil
 }
+
+// linkMLS is the one per-link step of the m~ls reduction, shared by the
+// batch walk (eachMLS) and Stream.Observe: the shifts (mls(P,Q), mls(Q,P))
+// of the link's assumption on the statistics of its pair in tab (empty
+// ones when tab is nil or the pair is silent), and the pair's rank in tab,
+// -1 when silent. A NaN shift is an error. With nonneg, an observed pair
+// also takes the minimum with the NoBounds shift (Corollary 6.4 and
+// Theorem 5.6, exact and order-free).
+func linkMLS(l Link, tab *trace.Table, nonneg bool) (mlsPQ, mlsQP float64, id int, err error) {
+	pq, qp, id := emptyStats, emptyStats, -1
+	if tab != nil {
+		pq, qp, id = tab.Pair(l.P, l.Q)
+	}
+	mlsPQ, mlsQP = l.A.MLS(pq, qp)
+	if math.IsNaN(mlsPQ) || math.IsNaN(mlsQP) {
+		return 0, 0, id, fmt.Errorf("core: assumption %v on (p%d,p%d) produced NaN local shift", l.A, l.P, l.Q)
+	}
+	if nonneg && id >= 0 {
+		// No operand is NaN, and on all others the builtin min agrees
+		// with math.Min bit for bit, signed zeros included.
+		nbPQ, nbQP := delay.NoBounds().MLS(pq, qp)
+		mlsPQ, mlsQP = min(mlsPQ, nbPQ), min(mlsQP, nbQP)
+	}
+	return mlsPQ, mlsQP, id, nil
+}
+
+// emptyStats are the statistics of a direction without traffic.
+var emptyStats = trace.NewDirStats()
 
 // SynchronizeSystem is the end-to-end entry point: reduce the trace to
 // local shifts under the system's assumptions, then run GLOBAL ESTIMATES

@@ -266,47 +266,7 @@ func RoundTrip(a Assumption) Range {
 			r.UB = math.Min(r.UB, pr.UB)
 		}
 		return r
-	case flipped:
-		return RoundTrip(v.inner) // a round trip has no orientation
 	default: // RTTBias and unknown assumptions: only non-negativity
 		return Range{LB: 0, UB: math.Inf(1)}
 	}
 }
-
-// Flip returns an assumption identical to a but with the link orientation
-// reversed (PQ and QP exchanged). Useful when registering the same
-// assumption value on links stored with the opposite orientation.
-func Flip(a Assumption) Assumption {
-	switch v := a.(type) {
-	case Bounds:
-		return Bounds{PQ: v.QP, QP: v.PQ}
-	case RTTBias:
-		return v // symmetric
-	case Intersect:
-		parts := make([]Assumption, len(v.Parts))
-		for i, p := range v.Parts {
-			parts[i] = Flip(p)
-		}
-		return Intersect{Parts: parts}
-	case flipped:
-		return v.inner
-	default:
-		return flipped{inner: a}
-	}
-}
-
-// flipped adapts an arbitrary assumption to the reversed orientation.
-type flipped struct {
-	inner Assumption
-}
-
-var _ Assumption = flipped{}
-
-func (f flipped) MLS(pq, qp trace.DirStats) (float64, float64) {
-	mlsQP, mlsPQ := f.inner.MLS(qp, pq)
-	return mlsPQ, mlsQP
-}
-
-func (f flipped) Admits(pq, qp []float64) bool { return f.inner.Admits(qp, pq) }
-
-func (f flipped) String() string { return "flip(" + f.inner.String() + ")" }

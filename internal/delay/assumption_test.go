@@ -340,7 +340,7 @@ func TestMLSMatchesShiftSearch(t *testing.T) {
 			t.Fatalf("trial %d (%v): mls = %v, search = %v (pq=%v qp=%v)", trial, a, gotPQ, wantPQ, pq, qp)
 		}
 		// Other direction: search with roles of the directions swapped.
-		wantQP := maxShiftBySearch(Flip(a), qp, pq)
+		wantQP := maxShiftBySearch(swapped{a}, qp, pq)
 		_, gotQP := a.MLS(pqStats, qpStats)
 		if !math.IsInf(wantQP, 1) && math.Abs(gotQP-wantQP) > 1e-6 {
 			t.Fatalf("trial %d (%v): mls(q,p) = %v, search = %v", trial, a, gotQP, wantQP)
@@ -373,36 +373,58 @@ func TestDecompositionTheorem56(t *testing.T) {
 	}
 }
 
-func TestFlip(t *testing.T) {
-	b := Bounds{PQ: Range{1, 2}, QP: Range{3, 4}}
-	f, ok := Flip(b).(Bounds)
-	if !ok {
-		t.Fatal("Flip(Bounds) is not Bounds")
+// swapped presents an assumption with its link's directions exchanged,
+// so the search oracle finds mls(q,p) as a p->q shift.
+type swapped struct{ a Assumption }
+
+func (s swapped) MLS(pq, qp trace.DirStats) (float64, float64) {
+	mlsQP, mlsPQ := s.a.MLS(qp, pq)
+	return mlsPQ, mlsQP
+}
+func (s swapped) Admits(pq, qp []float64) bool { return s.a.Admits(qp, pq) }
+func (s swapped) String() string               { return "swapped(" + s.a.String() + ")" }
+
+// TestMLSMonotone checks the structural fact a stream's certified cache
+// relies on: for every built-in model on DirStats, the shifts never grow
+// as observations accumulate, in either orientation of the link (d~min
+// only shrinks and d~max only grows, and Corollaries 6.3 and 6.6 are
+// monotone in both). PairedBias is left out: its statistics relaxation
+// grows with d~max, and a stream re-solves in batch when a shift grows.
+func TestMLSMonotone(t *testing.T) {
+	b, err := NewBounds(Range{0.5, 2.5}, Range{0.2, 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f.PQ != b.QP || f.QP != b.PQ {
-		t.Errorf("Flip = %+v", f)
+	lo, err := LowerOnly(0.3, 0.1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Bias is symmetric.
-	if Flip(RTTBias{B: 1}) != (RTTBias{B: 1}) {
-		t.Error("Flip(RTTBias) changed the value")
+	r, err := NewRTTBias(0.8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Flipping twice via the generic adapter returns the original.
-	var custom Assumption = flipped{inner: b}
-	if Flip(custom) != Assumption(b) {
-		t.Error("Flip(flipped) did not unwrap")
+	both, err := NewIntersect(b, r, NoBounds())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Flip of intersect flips the parts.
-	in := Intersect{Parts: []Assumption{b}}
-	fi, ok := Flip(in).(Intersect)
-	if !ok || fi.Parts[0].(Bounds).PQ != b.QP {
-		t.Error("Flip(Intersect) did not flip parts")
-	}
-	// MLS through the generic adapter swaps directions.
-	pq, qp := stats(1.5), stats(3.5)
-	wantQP, wantPQ := b.MLS(qp, pq)
-	gotPQ, gotQP := (flipped{inner: b}).MLS(pq, qp)
-	if gotPQ != wantPQ || gotQP != wantQP {
-		t.Error("flipped.MLS does not swap directions")
+	rng := rand.New(rand.NewSource(11))
+	for _, a := range []Assumption{b, lo, NoBounds(), r, both} {
+		for _, orient := range []Assumption{a, swapped{a}} {
+			pq, qp := trace.NewDirStats(), trace.NewDirStats()
+			prevPQ, prevQP := orient.MLS(pq, qp)
+			for i := 0; i < 500; i++ {
+				if d := 3 * rng.Float64(); rng.Intn(2) == 0 {
+					pq.Add(d)
+				} else {
+					qp.Add(d)
+				}
+				mlsPQ, mlsQP := orient.MLS(pq, qp)
+				if !(mlsPQ <= prevPQ) || !(mlsQP <= prevQP) {
+					t.Fatalf("%v step %d: shifts (%v,%v) -> (%v,%v) grew", orient, i, prevPQ, prevQP, mlsPQ, mlsQP)
+				}
+				prevPQ, prevQP = mlsPQ, mlsQP
+			}
+		}
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 type StreamStats = core.StreamStats
 
 // Stream is the incremental interface to the synchronization pipeline for
-// long-running deployments: observations are folded in one at a time
-// (each new message can only tighten its link's local-shift estimates),
-// and Corrections reuses the previous solve wherever the tightened links
-// provably cannot change it — falling back to a full batch solve when
-// they can. Results are always identical to what Synchronize would return
-// for the same observations, bit-for-bit.
+// long-running deployments: observations are folded in one at a time into
+// the same statistics table a Recorder keeps, each refreshing its pair's
+// local-shift estimates (which, under the built-in delay models, a new
+// message can only tighten), and Corrections reuses the previous solve
+// wherever the tightened links provably cannot change it — falling back
+// to a full batch solve of the table when they can. Results are always identical to what Synchronize would return for
+// the same observations, bit-for-bit.
 //
 // Reuse contract: the Result returned by Corrections (including every
 // slice it references) is owned by the Stream and remains valid only
@@ -43,7 +44,9 @@ func (s *System) NewStream(opts ...Option) (*Stream, error) {
 
 // Observe folds one delivered message into the stream: the sender's clock
 // at transmission and the receiver's clock at receipt, exactly like
-// Recorder.Observe. The steady-state cost is O(1) with zero allocations.
+// Recorder.Observe, with the same validation and errors. The steady-state
+// cost is one table update and one shift update per link on the pair,
+// with zero allocations.
 func (st *Stream) Observe(from, to ProcID, sendClock, recvClock float64) error {
 	return st.s.Observe(from, to, sendClock, recvClock)
 }
