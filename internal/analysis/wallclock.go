@@ -40,8 +40,8 @@ var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbid time.Now/Since/Sleep/After and friends in the deterministic packages " +
 		"(internal/core, internal/sim, internal/graph, internal/delay, internal/model); " +
-		"simulated executions must be replayable, so wall-clock access goes through an " +
-		"injected obs.Clock (core.Options.Clock)",
+		"simulated executions must be replayable, so observer timings read the wall clock " +
+		"through obs.Now",
 	Run: runWallClock,
 }
 
@@ -57,7 +57,7 @@ func runWallClock(p *Pass) error {
 			}
 			if name := pkgSelector(p.TypesInfo, sel, "time"); wallclockFuncs[name] {
 				p.Reportf(sel.Pos(),
-					"time.%s reads the wall clock inside deterministic package %s, breaking execution replay; inject an obs.Clock (core.Options.Clock) instead",
+					"time.%s reads the wall clock inside deterministic package %s, breaking execution replay; time observer phases through obs.Now instead",
 					name, p.Pkg.Path())
 			}
 			return true

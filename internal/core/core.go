@@ -101,13 +101,6 @@ type Options struct {
 	// hot path.
 	Observer obs.PhaseObserver
 
-	// Clock supplies the timestamps behind Observer phase durations. Nil
-	// defaults to obs.SystemClock(). It exists so this package never
-	// reads the wall clock directly — simulated executions must stay
-	// replayable, and the wallclock analyzer (internal/analysis) rejects
-	// direct time.Now calls here. Tests can inject an obs.ManualClock.
-	Clock obs.Clock
-
 	// Quality enables post-solve quality telemetry: after every
 	// successful solve the pipeline publishes the paper's figures of
 	// merit — gauges quality.precision.{achieved,optimal,ratio} plus the
@@ -139,15 +132,6 @@ type Options struct {
 	// A_max checks and interior corrections). 0 means GOMAXPROCS; 1
 	// forces the serial path. Results are bit-identical for every value.
 	Parallelism int
-}
-
-// clock resolves the observer timing source: the injected Clock, or the
-// system clock when unset.
-func (o *Options) clock() obs.Clock {
-	if o.Clock != nil {
-		return o.Clock
-	}
-	return obs.SystemClock()
 }
 
 // Result is the output of the synchronization pipeline.

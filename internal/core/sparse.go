@@ -115,7 +115,6 @@ func mlsCSRInto(g *graph.CSR, covered *[]bool, n int, links []Link, tab *trace.T
 // serial component path (nil when no observer is attached; mark, addKarp
 // and addCorr are nil-safe, so callers mark phases unconditionally).
 type phaseTimer struct {
-	clk  obs.Clock
 	karp time.Duration
 	corr time.Duration
 }
@@ -125,12 +124,12 @@ func (t *phaseTimer) mark() time.Time {
 	if t == nil {
 		return time.Time{}
 	}
-	return t.clk.Now()
+	return obs.Now()
 }
 
 // lap returns the span since *m and advances m; t must be non-nil.
 func (t *phaseTimer) lap(m *time.Time) time.Duration {
-	now := t.clk.Now()
+	now := obs.Now()
 	d := now.Sub(*m)
 	*m = now
 	return d

@@ -217,7 +217,7 @@ func (s *Synchronizer) solve(in *input, opts Options) (*resultArena, error) {
 	}
 	var t *phaseTimer
 	if opts.Observer != nil {
-		s.timer = phaseTimer{clk: opts.clock()}
+		s.timer = phaseTimer{}
 		t = &s.timer
 	}
 	mark := t.mark()

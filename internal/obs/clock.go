@@ -2,39 +2,12 @@ package obs
 
 import "time"
 
-// Clock is an injectable time source for phase timing. The shifting
-// framework's guarantees (paper §2, §4.1–4.2) assume simulated executions
-// are replayable, so the deterministic pipeline packages (internal/core,
-// internal/sim, internal/graph, internal/delay, internal/model) must never
-// read the wall clock directly — the wallclock analyzer in
-// internal/analysis enforces this. Code in those packages that wants
-// wall-clock observer timings takes a Clock instead (see
-// core.Options.Clock), defaulting to SystemClock.
-type Clock interface {
-	// Now returns the current reading of the clock.
-	Now() time.Time
-}
-
-// systemClock reads the process wall/monotonic clock.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time { return time.Now() }
-
-// SystemClock returns the real process clock: the sanctioned wall-clock
-// entry point for observer phase timings in the deterministic packages.
-func SystemClock() Clock { return systemClock{} }
-
-// ManualClock is a hand-advanced Clock for deterministic tests of timing
-// observers. It is not safe for concurrent use.
-type ManualClock struct {
-	t time.Time
-}
-
-// NewManualClock returns a ManualClock whose first reading is start.
-func NewManualClock(start time.Time) *ManualClock { return &ManualClock{t: start} }
-
-// Now returns the current manual reading.
-func (c *ManualClock) Now() time.Time { return c.t }
-
-// Advance moves the clock forward by d (backward for negative d).
-func (c *ManualClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
+// Now reads the process wall/monotonic clock. It is the one sanctioned
+// wall-clock read for observer phase timings in the deterministic
+// pipeline packages (internal/core, internal/sim, internal/graph,
+// internal/delay, internal/model): the shifting framework's guarantees
+// (paper §2, §4.1–4.2) assume simulated executions are replayable, so
+// those packages never call time.Now themselves (the wallclock analyzer
+// in internal/analysis enforces this), and a timing read never feeds a
+// result.
+func Now() time.Time { return time.Now() }

@@ -48,9 +48,6 @@ type RoundRecord struct {
 	Achieved float64 `json:"achieved,omitempty"`
 	Optimal  float64 `json:"optimal,omitempty"`
 	Ratio    float64 `json:"ratio,omitempty"`
-	// DirtyEdges carries the streaming engine's dirty-edge count when the
-	// round came from a Stream solve.
-	DirtyEdges int `json:"dirtyEdges,omitempty"`
 	// Phases holds the round's phase timings in completion order.
 	Phases []PhaseTiming `json:"phases,omitempty"`
 	// WallSeconds is the round's total wall-clock duration when known.
@@ -61,13 +58,6 @@ type RoundRecord struct {
 // so steady-state recording does not allocate).
 func (r *RoundRecord) AddPhase(phase string, seconds float64) {
 	r.Phases = append(r.Phases, PhaseTiming{Phase: phase, Seconds: seconds})
-}
-
-// Reset clears the record for reuse, keeping the Phases backing array.
-func (r *RoundRecord) Reset() {
-	phases := r.Phases[:0]
-	*r = RoundRecord{}
-	r.Phases = phases
 }
 
 // FlightRecorder is a bounded ring buffer of the last N RoundRecords.

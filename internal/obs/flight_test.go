@@ -145,19 +145,3 @@ func TestFlightRecorderWriteJSON(t *testing.T) {
 		t.Errorf("round-trip mismatch: %+v", got)
 	}
 }
-
-// TestRoundRecordReset keeps the phase backing array across reuse.
-func TestRoundRecordReset(t *testing.T) {
-	var rec RoundRecord
-	rec.AddPhase("a", 1)
-	rec.AddPhase("b", 2)
-	rec.Outcome = "ok"
-	backing := cap(rec.Phases)
-	rec.Reset()
-	if rec.Outcome != "" || len(rec.Phases) != 0 {
-		t.Errorf("Reset left %+v", rec)
-	}
-	if cap(rec.Phases) != backing {
-		t.Errorf("Reset dropped the phase backing (cap %d -> %d)", backing, cap(rec.Phases))
-	}
-}

@@ -63,9 +63,6 @@ func SetLogger(l *slog.Logger) {
 	sink.Store(handlerBox{h: l.Handler()})
 }
 
-// LoggingEnabled reports whether a logger is installed.
-func LoggingEnabled() bool { return currentHandler() != nil }
-
 // EnableLogging installs a text (or JSON) logger writing to w at the
 // given level. Level strings: "debug", "info", "warn", "error"; "off" or
 // "" uninstalls. This is the convenience the commands use for their -log

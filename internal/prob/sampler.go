@@ -33,23 +33,4 @@ func (s Sampler) Sample(rng *rand.Rand) float64 {
 	return d
 }
 
-// Support returns the distribution's full support hull via extreme
-// quantiles (conservative; exact for bounded distributions).
-func (s Sampler) Support() (float64, float64) {
-	lo := s.D.Quantile(1e-12)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := s.D.Quantile(1 - 1e-12)
-	if hi < lo {
-		hi = lo
-	}
-	// Heavy tails: report +Inf beyond a generous cutoff so callers do not
-	// mistake a 1-1e-12 quantile for a hard bound.
-	if s.D.Quantile(1-1e-12) > 1e6*s.D.Quantile(0.5) {
-		return lo, math.Inf(1)
-	}
-	return lo, hi
-}
-
 func (s Sampler) String() string { return "invCDF(" + s.D.String() + ")" }

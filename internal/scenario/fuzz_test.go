@@ -1,11 +1,16 @@
 package scenario
 
 import (
+	"math"
 	"testing"
+
+	"clocksync/internal/sim"
 )
 
 // FuzzParseAndBuild checks that arbitrary scenario JSON never panics the
-// parser/builder: every input either builds or fails with an error.
+// parser, the builder or the simulator: every input either builds or
+// fails with an error, and a small built scenario runs (an error is fine,
+// a panic is not), so the composed link models are sampled too.
 func FuzzParseAndBuild(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -33,6 +38,14 @@ func FuzzParseAndBuild(f *testing.F) {
 		  "protocol": {"kind": "burst", "warmup": -1}}`,
 		`{"processors": -1}`,
 		`{"processors": 2, "starts": [0], "topology": {"kind": "line"}, "protocol": {"kind": "burst", "warmup": -1}}`,
+		`{"processors": 3, "seed": 5, "topology": {"kind": "ring"},
+		  "defaultLink": {"assumption": {"kind": "noBounds"}, "loss": 0.2,
+		                  "delays": {"kind": "congestion", "period": 1, "duty": 0.3, "surge": 0.2,
+		                             "inner": {"kind": "congestion", "period": 0.7, "duty": 0.5, "surge": 0.4,
+		                                       "inner": {"kind": "independent",
+		                                                 "pq": {"kind": "uniform", "lo": 0.01, "hi": 0.05},
+		                                                 "qp": {"kind": "shiftedExp", "min": 0.02, "mean": 0.01}}}}},
+		  "protocol": {"kind": "periodic", "period": 0.25, "count": 8, "warmup": -1}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -53,7 +66,57 @@ func FuzzParseAndBuild(f *testing.F) {
 		if built.Net.N() != sc.Processors {
 			t.Fatalf("built network has %d processors, scenario says %d", built.Net.N(), sc.Processors)
 		}
+		// Run only small scenarios, under an event cap, so one input
+		// stays cheap.
+		p := sc.Protocol
+		if sc.Processors > 16 || p.K > 64 || p.Count > 64 || p.Rounds > 64 {
+			return
+		}
+		built.RunCfg.MaxEvents = 1 << 16
+		_, _ = sim.Run(built.Net, built.Factory, built.RunCfg)
 	})
+}
+
+// TestNestedCongestionScenario builds a congestion inside a congestion
+// from JSON and runs it: the outer model is never congested (duty 0) and
+// the inner one always is (duty 1), so the inner surges must reach the
+// delivered delays.
+func TestNestedCongestionScenario(t *testing.T) {
+	sc, err := Parse([]byte(`{"processors": 2, "seed": 3, "topology": {"kind": "line"},
+	  "defaultLink": {"assumption": {"kind": "noBounds"},
+	                  "delays": {"kind": "congestion", "period": 1, "duty": 0, "surge": 3,
+	                             "inner": {"kind": "congestion", "period": 1, "duty": 1, "surge": 5,
+	                                       "inner": {"kind": "symmetric", "sampler": {"kind": "constant", "d": 0.1}}}}},
+	  "protocol": {"kind": "periodic", "period": 0.1, "count": 20, "warmup": -1}}`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	built, err := sc.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	exec, err := sim.Run(built.Net, built.Factory, built.RunCfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	msgs, err := exec.Messages()
+	if err != nil {
+		t.Fatalf("Messages: %v", err)
+	}
+	if len(msgs) != 40 {
+		t.Fatalf("delivered %d messages, want 40", len(msgs))
+	}
+	hi := 0.0
+	for _, m := range msgs {
+		d := m.Delay(exec)
+		if d < 0.1-1e-9 || d > 5.1+1e-9 {
+			t.Fatalf("delay %v outside the inner range [0.1, 5.1]", d)
+		}
+		hi = math.Max(hi, d)
+	}
+	if hi < 2 {
+		t.Errorf("largest of 40 delays %v: the inner surges are lost", hi)
+	}
 }
 
 func TestCongestionDelaySpec(t *testing.T) {

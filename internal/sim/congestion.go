@@ -6,23 +6,15 @@ import (
 	"math/rand"
 )
 
-// TimeAware is an optional LinkDelays extension: the delay distribution
-// may depend on the real time of transmission. The engine uses SampleAt
-// when a link's delay model implements it, falling back to the
-// time-independent methods otherwise.
-type TimeAware interface {
-	// SampleAt draws a delay for a message sent at real time t; pq selects
-	// the direction (true for the canonical p->q direction).
-	SampleAt(rng *rand.Rand, t float64, pq bool) float64
-}
-
 // Congestion wraps a base link model with periodic congestion episodes:
 // during the first Duty fraction of every Period (in real time, phase
 // Phase), delays grow by an extra uniform [0, Surge] amount in both
 // directions. The model captures load-correlated delay inflation — the
 // setting where worst-case bounds must be slack but most messages still
 // see the quiet-period delays, which is exactly what the paper's
-// per-instance optimality exploits.
+// per-instance optimality exploits. The base model sees the send time
+// too, so a time-dependent base (another Congestion) keeps its own
+// episodes and the surges add up.
 type Congestion struct {
 	Base   LinkDelays
 	Period float64
@@ -31,10 +23,7 @@ type Congestion struct {
 	Phase  float64
 }
 
-var (
-	_ LinkDelays = Congestion{}
-	_ TimeAware  = Congestion{}
-)
+var _ LinkDelays = Congestion{}
 
 // Congested reports whether real time t falls inside an episode.
 func (c Congestion) Congested(t float64) bool {
@@ -48,42 +37,33 @@ func (c Congestion) Congested(t float64) bool {
 	return x < c.Duty*c.Period
 }
 
-// SampleAt draws the base delay plus the episode surge when congested.
-func (c Congestion) SampleAt(rng *rand.Rand, t float64, pq bool) float64 {
-	var d float64
-	if pq {
-		d = c.Base.SamplePQ(rng)
-	} else {
-		d = c.Base.SampleQP(rng)
-	}
+// Delay draws the base delay at t plus the episode surge when t is
+// congested.
+func (c Congestion) Delay(rng *rand.Rand, t float64, pq bool) float64 {
+	d := c.Base.Delay(rng, t, pq)
 	if c.Congested(t) {
 		d += c.Surge * rng.Float64()
 	}
 	return d
 }
 
-// SamplePQ draws a quiet-period delay (used only if the engine lacks the
-// send time; the engine prefers SampleAt).
-func (c Congestion) SamplePQ(rng *rand.Rand) float64 { return c.Base.SamplePQ(rng) }
-
-// SampleQP draws a quiet-period delay.
-func (c Congestion) SampleQP(rng *rand.Rand) float64 { return c.Base.SampleQP(rng) }
-
 func (c Congestion) String() string {
 	return fmt.Sprintf("congestion(%v, period=%g, duty=%g, surge=%g)", c.Base, c.Period, c.Duty, c.Surge)
 }
 
-// LossModel is an optional LinkDelays extension: messages may be lost in
-// transit. The engine consults MaybeLose before scheduling each delivery;
-// lost messages appear in the sender's history but are never received
-// (the model's correspondence explicitly permits in-flight messages).
+// LossModel is the one optional LinkDelays extension: messages may be
+// lost in transit. The engine consults MaybeLose before it draws the
+// delay; a lost message is counted as sent but never enters the
+// execution (no send step, no receipt).
 type LossModel interface {
 	// MaybeLose reports whether a message sent at real time t in the
 	// given direction is lost.
 	MaybeLose(rng *rand.Rand, t float64, pq bool) bool
 }
 
-// Lossy wraps a link model with independent per-message loss probability.
+// Lossy wraps a link model with independent per-message loss probability;
+// the delays are the inner model's. The engine asks only a link's own
+// model for loss, so a Lossy nested inside another model drops nothing.
 type Lossy struct {
 	Inner LinkDelays
 	P     float64 // loss probability in [0,1)
@@ -92,7 +72,6 @@ type Lossy struct {
 var (
 	_ LinkDelays = Lossy{}
 	_ LossModel  = Lossy{}
-	_ TimeAware  = Lossy{}
 )
 
 // MaybeLose drops the message with probability P.
@@ -100,21 +79,7 @@ func (l Lossy) MaybeLose(rng *rand.Rand, _ float64, _ bool) bool {
 	return rng.Float64() < l.P
 }
 
-// SampleAt delegates to the inner model (time-aware if it is).
-func (l Lossy) SampleAt(rng *rand.Rand, t float64, pq bool) float64 {
-	if ta, ok := l.Inner.(TimeAware); ok {
-		return ta.SampleAt(rng, t, pq)
-	}
-	if pq {
-		return l.Inner.SamplePQ(rng)
-	}
-	return l.Inner.SampleQP(rng)
-}
-
-// SamplePQ delegates to the inner model.
-func (l Lossy) SamplePQ(rng *rand.Rand) float64 { return l.Inner.SamplePQ(rng) }
-
-// SampleQP delegates to the inner model.
-func (l Lossy) SampleQP(rng *rand.Rand) float64 { return l.Inner.SampleQP(rng) }
+// Delay delegates to the inner model.
+func (l Lossy) Delay(rng *rand.Rand, t float64, pq bool) float64 { return l.Inner.Delay(rng, t, pq) }
 
 func (l Lossy) String() string { return fmt.Sprintf("lossy(%v, p=%g)", l.Inner, l.P) }

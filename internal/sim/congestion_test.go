@@ -37,22 +37,39 @@ func TestCongestionSampleAt(t *testing.T) {
 		Period: 10, Duty: 0.5, Surge: 1.0,
 	}
 	// Quiet time: exactly the base delay.
-	if d := c.SampleAt(rng, 7, true); d != 0.1 {
+	if d := c.Delay(rng, 7, true); d != 0.1 {
 		t.Errorf("quiet delay = %v, want 0.1", d)
 	}
 	// Congested time: base plus surge in [0, 1].
-	d := c.SampleAt(rng, 2, false)
+	d := c.Delay(rng, 2, false)
 	if d < 0.1 || d > 1.1 {
 		t.Errorf("congested delay = %v, want in [0.1, 1.1]", d)
 	}
-	// Fallback (time-free) methods sample the quiet distribution.
-	if c.SamplePQ(rng) != 0.1 || c.SampleQP(rng) != 0.1 {
-		t.Error("fallback samplers not quiet")
+}
+
+// TestNestedCongestionKeepsInnerEpisodes: a congestion whose base is
+// itself congested all the time (Duty 1) draws the inner surges even
+// when the outer model is quiet (Duty 0). A base read without the send
+// time would lose them and return the constant delay alone.
+func TestNestedCongestionKeepsInnerEpisodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inner := Congestion{Base: Symmetric(Constant{D: 0.1}), Period: 1, Duty: 1, Surge: 5}
+	c := Congestion{Base: inner, Period: 1, Duty: 0, Surge: 3}
+	hi := 0.0
+	for i := 0; i < 200; i++ {
+		d := c.Delay(rng, float64(i)*0.37, i%2 == 0)
+		if d < 0.1 || d > 5.1 {
+			t.Fatalf("delay %v outside the inner range [0.1, 5.1]", d)
+		}
+		hi = math.Max(hi, d)
+	}
+	if hi < 2 {
+		t.Errorf("largest of 200 delays %v: the inner surges are lost", hi)
 	}
 }
 
-// TestCongestionInEngine verifies the engine routes through SampleAt:
-// messages sent during episodes are measurably slower.
+// TestCongestionInEngine verifies the engine passes the send time to the
+// link model: messages sent during episodes are measurably slower.
 func TestCongestionInEngine(t *testing.T) {
 	starts := []float64{0, 0}
 	cong := Congestion{

@@ -44,12 +44,11 @@ type Network struct {
 }
 
 // hop is one link as a sender sees it: the receiver, the link's delay
-// model, and the model's optional interfaces, asserted once.
+// model, and the model as a LossModel, asserted once.
 type hop struct {
 	to   int
 	pq   bool // the sender is the canonical P
 	d    LinkDelays
-	ta   TimeAware // d as a TimeAware, or nil
 	loss LossModel // d as a LossModel, or nil
 }
 
@@ -72,12 +71,11 @@ func NewNetwork(starts []float64, links []Pair, delays func(Pair) LinkDelays) (*
 		if d == nil {
 			return nil, fmt.Errorf("sim: nil delay model for link (%d,%d)", c.P, c.Q)
 		}
-		ta, _ := d.(TimeAware)
 		loss, _ := d.(LossModel)
 		net.adj[c.P] = append(net.adj[c.P], c.Q)
 		net.adj[c.Q] = append(net.adj[c.Q], c.P)
-		net.hops[c.P] = append(net.hops[c.P], hop{to: c.Q, pq: true, d: d, ta: ta, loss: loss})
-		net.hops[c.Q] = append(net.hops[c.Q], hop{to: c.P, d: d, ta: ta, loss: loss})
+		net.hops[c.P] = append(net.hops[c.P], hop{to: c.Q, pq: true, d: d, loss: loss})
+		net.hops[c.Q] = append(net.hops[c.Q], hop{to: c.P, d: d, loss: loss})
 	}
 	net.to = make([][]int32, n)
 	for p, hs := range net.hops {
@@ -135,17 +133,8 @@ func (net *Network) hop(from, to int) *hop {
 }
 
 // sample draws a delay for a message over the hop sent at real time now.
-// Time-aware link models receive the send time.
 func (h *hop) sample(rng *rand.Rand, now float64) (float64, error) {
-	var d float64
-	switch {
-	case h.ta != nil:
-		d = h.ta.SampleAt(rng, now, h.pq)
-	case h.pq:
-		d = h.d.SamplePQ(rng)
-	default:
-		d = h.d.SampleQP(rng)
-	}
+	d := h.d.Delay(rng, now, h.pq)
 	if math.IsNaN(d) || d < 0 || math.IsInf(d, 0) {
 		return 0, fmt.Errorf("sim: sampler %v produced invalid delay %v", h.d, d)
 	}

@@ -34,8 +34,7 @@ func TestLossyDropsAboutP(t *testing.T) {
 	if math.Abs(delivered-expected) > 5*sigma {
 		t.Errorf("delivered %v, expected ~%v (±%v)", delivered, expected, 5*sigma)
 	}
-	// Lost messages leave send events with no receive: Validate must still
-	// pass (in-flight messages are legal).
+	// Lost messages never enter the execution: Validate must still pass.
 	if err := exec.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
@@ -66,13 +65,13 @@ func TestLossyDelegation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inner := Congestion{Base: Symmetric(Constant{D: 0.1}), Period: 2, Duty: 0.5, Surge: 1}
 	l := Lossy{Inner: inner, P: 0.5}
-	// Time-aware delegation: congested send time yields surged delay.
-	d := l.SampleAt(rng, 0.5, true)
-	if d < 0.1 {
-		t.Errorf("SampleAt = %v, want >= 0.1", d)
+	// The inner model sees the send time: a quiet time draws the base
+	// delay, a congested one the base plus the surge.
+	if d := l.Delay(rng, 1.5, true); d != 0.1 {
+		t.Errorf("quiet Delay = %v, want 0.1", d)
 	}
-	if l.SamplePQ(rng) != 0.1 || l.SampleQP(rng) != 0.1 {
-		t.Error("plain sampling does not delegate to quiet inner")
+	if d := l.Delay(rng, 0.5, false); d <= 0.1 || d > 1.1 {
+		t.Errorf("congested Delay = %v, want in (0.1, 1.1]", d)
 	}
 	if got := l.String(); got == "" {
 		t.Error("empty String")

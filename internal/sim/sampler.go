@@ -1,6 +1,6 @@
 // Package sim is a deterministic discrete-event simulator for message-
 // passing systems with drift-free clocks: the substrate on which the
-// paper's algorithms are exercised. It provides per-link delay samplers,
+// paper's algorithms are exercised. It provides per-link delay models,
 // topology builders, simple measurement protocols, and an event engine
 // that produces formal executions (package model) for the synchronizer and
 // verifier to consume.
@@ -24,10 +24,6 @@ import (
 type Sampler interface {
 	// Sample draws one delay.
 	Sample(rng *rand.Rand) float64
-	// Support returns the smallest interval [lo, hi] certain to contain
-	// every sample; hi may be +Inf. Experiments use it to derive sound
-	// bounds assumptions for the links they configure.
-	Support() (lo, hi float64)
 	// String describes the sampler.
 	String() string
 }
@@ -42,9 +38,6 @@ var _ Sampler = Constant{}
 // Sample returns the constant delay.
 func (c Constant) Sample(*rand.Rand) float64 { return c.D }
 
-// Support returns the degenerate interval [D, D].
-func (c Constant) Support() (float64, float64) { return c.D, c.D }
-
 func (c Constant) String() string { return fmt.Sprintf("const(%g)", c.D) }
 
 // Uniform draws uniformly from [Lo, Hi).
@@ -56,9 +49,6 @@ var _ Sampler = Uniform{}
 
 // Sample draws a uniform delay.
 func (u Uniform) Sample(rng *rand.Rand) float64 { return u.Lo + (u.Hi-u.Lo)*rng.Float64() }
-
-// Support returns [Lo, Hi].
-func (u Uniform) Support() (float64, float64) { return u.Lo, u.Hi }
 
 func (u Uniform) String() string { return fmt.Sprintf("uniform(%g,%g)", u.Lo, u.Hi) }
 
@@ -74,9 +64,6 @@ var _ Sampler = ShiftedExp{}
 
 // Sample draws a shifted-exponential delay.
 func (s ShiftedExp) Sample(rng *rand.Rand) float64 { return s.Min + rng.ExpFloat64()*s.Mean }
-
-// Support returns [Min, +Inf).
-func (s ShiftedExp) Support() (float64, float64) { return s.Min, math.Inf(1) }
 
 func (s ShiftedExp) String() string { return fmt.Sprintf("shiftedExp(min=%g,mean=%g)", s.Min, s.Mean) }
 
@@ -100,9 +87,6 @@ func (t TruncNormal) Sample(rng *rand.Rand) float64 {
 	return math.Min(math.Max(t.Mu, t.Lo), t.Hi)
 }
 
-// Support returns [Lo, Hi].
-func (t TruncNormal) Support() (float64, float64) { return t.Lo, t.Hi }
-
 func (t TruncNormal) String() string {
 	return fmt.Sprintf("truncNormal(mu=%g,sigma=%g,[%g,%g])", t.Mu, t.Sigma, t.Lo, t.Hi)
 }
@@ -124,24 +108,19 @@ func (b Bimodal) Sample(rng *rand.Rand) float64 {
 	return b.B.Sample(rng)
 }
 
-// Support returns the union hull of the two supports.
-func (b Bimodal) Support() (float64, float64) {
-	aLo, aHi := b.A.Support()
-	bLo, bHi := b.B.Support()
-	return math.Min(aLo, bLo), math.Max(aHi, bHi)
-}
-
 func (b Bimodal) String() string {
 	return fmt.Sprintf("bimodal(%v@%g, %v)", b.A, b.PA, b.B)
 }
 
-// LinkDelays draws delays for the two directions of one link; the two
-// directions may be correlated (e.g. the bias-window model).
+// LinkDelays is the delay model of one link: the engine draws every
+// message's delay with one Delay call. The two directions may be
+// correlated (the bias-window model) and the distribution may depend on
+// the send time (the congestion model). A model may also implement
+// LossModel, the one optional extension.
 type LinkDelays interface {
-	// SamplePQ draws a delay for the p->q direction.
-	SamplePQ(rng *rand.Rand) float64
-	// SampleQP draws a delay for the q->p direction.
-	SampleQP(rng *rand.Rand) float64
+	// Delay draws the delay of a message sent at real time t; pq selects
+	// the direction (true for the canonical p->q direction, P < Q).
+	Delay(rng *rand.Rand, t float64, pq bool) float64
 	// String describes the link model.
 	String() string
 }
@@ -156,11 +135,13 @@ var _ LinkDelays = Independent{}
 // Symmetric returns an Independent link with the same sampler both ways.
 func Symmetric(s Sampler) Independent { return Independent{PQ: s, QP: s} }
 
-// SamplePQ draws a p->q delay.
-func (l Independent) SamplePQ(rng *rand.Rand) float64 { return l.PQ.Sample(rng) }
-
-// SampleQP draws a q->p delay.
-func (l Independent) SampleQP(rng *rand.Rand) float64 { return l.QP.Sample(rng) }
+// Delay draws from the direction's sampler; the send time is unused.
+func (l Independent) Delay(rng *rand.Rand, _ float64, pq bool) float64 {
+	if pq {
+		return l.PQ.Sample(rng)
+	}
+	return l.QP.Sample(rng)
+}
 
 func (l Independent) String() string { return fmt.Sprintf("indep(pq=%v, qp=%v)", l.PQ, l.QP) }
 
@@ -175,11 +156,10 @@ type BiasWindow struct {
 
 var _ LinkDelays = BiasWindow{}
 
-// SamplePQ draws a delay inside the window.
-func (b BiasWindow) SamplePQ(rng *rand.Rand) float64 { return b.Base + b.Width*rng.Float64() }
-
-// SampleQP draws a delay inside the window.
-func (b BiasWindow) SampleQP(rng *rand.Rand) float64 { return b.Base + b.Width*rng.Float64() }
+// Delay draws a delay inside the window, the same way in both directions.
+func (b BiasWindow) Delay(rng *rand.Rand, _ float64, _ bool) float64 {
+	return b.Base + b.Width*rng.Float64()
+}
 
 func (b BiasWindow) String() string {
 	return fmt.Sprintf("biasWindow(base=%g,width=%g)", b.Base, b.Width)

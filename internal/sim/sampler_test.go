@@ -8,19 +8,20 @@ import (
 
 func TestSamplersWithinSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	samplers := []Sampler{
-		Constant{D: 2},
-		Uniform{Lo: 1, Hi: 3},
-		ShiftedExp{Min: 0.5, Mean: 1},
-		TruncNormal{Mu: 2, Sigma: 0.5, Lo: 1, Hi: 3},
-		Bimodal{A: Constant{D: 1}, B: Uniform{Lo: 4, Hi: 5}, PA: 0.7},
-	}
-	for _, s := range samplers {
-		lo, hi := s.Support()
+	for _, tc := range []struct {
+		s      Sampler
+		lo, hi float64
+	}{
+		{Constant{D: 2}, 2, 2},
+		{Uniform{Lo: 1, Hi: 3}, 1, 3},
+		{ShiftedExp{Min: 0.5, Mean: 1}, 0.5, math.Inf(1)},
+		{TruncNormal{Mu: 2, Sigma: 0.5, Lo: 1, Hi: 3}, 1, 3},
+		{Bimodal{A: Constant{D: 1}, B: Uniform{Lo: 4, Hi: 5}, PA: 0.7}, 1, 5},
+	} {
 		for i := 0; i < 2000; i++ {
-			d := s.Sample(rng)
-			if d < lo || d > hi {
-				t.Errorf("%v: sample %v outside support [%v,%v]", s, d, lo, hi)
+			d := tc.s.Sample(rng)
+			if d < tc.lo || d > tc.hi {
+				t.Errorf("%v: sample %v outside support [%v,%v]", tc.s, d, tc.lo, tc.hi)
 				break
 			}
 		}
@@ -31,13 +32,6 @@ func TestConstantSampler(t *testing.T) {
 	c := Constant{D: 1.5}
 	if got := c.Sample(nil); got != 1.5 {
 		t.Errorf("Sample = %v, want 1.5", got)
-	}
-}
-
-func TestShiftedExpSupport(t *testing.T) {
-	lo, hi := ShiftedExp{Min: 2, Mean: 1}.Support()
-	if lo != 2 || !math.IsInf(hi, 1) {
-		t.Errorf("Support = [%v,%v], want [2,+Inf)", lo, hi)
 	}
 }
 
@@ -73,7 +67,7 @@ func TestBiasWindowRespectsWidth(t *testing.T) {
 	w := BiasWindow{Base: 3, Width: 0.5}
 	var all []float64
 	for i := 0; i < 500; i++ {
-		all = append(all, w.SamplePQ(rng), w.SampleQP(rng))
+		all = append(all, w.Delay(rng, float64(i), true), w.Delay(rng, float64(i), false))
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, d := range all {
@@ -90,7 +84,7 @@ func TestBiasWindowRespectsWidth(t *testing.T) {
 
 func TestSymmetricLink(t *testing.T) {
 	l := Symmetric(Constant{D: 2})
-	if l.SamplePQ(nil) != 2 || l.SampleQP(nil) != 2 {
+	if l.Delay(nil, 0, true) != 2 || l.Delay(nil, 0, false) != 2 {
 		t.Error("Symmetric link does not use the sampler both ways")
 	}
 }
